@@ -1,13 +1,14 @@
 """Measure every workload on several seeds and append the result to the
 trajectory.
 
-    python3 perfbench/record.py --label "what changed" [--seeds 1-10] [--trace-seed 11]
+    python3 perfbench/record.py --label "what changed"
 
 Run it from the repository root.  For each workload it makes one untraced
-run per seed and one traced run, then appends to perfbench/trajectory.json
-every end-to-end value with its median, quartiles and quartile spread as a
-share of the median, and the per-layer metrics of the traced run.  It
-prints the spreads as it goes.
+run for each of SEEDS and one traced run with TRACE_SEED, then appends to
+perfbench/trajectory.json every end-to-end value with its median, quartiles
+and quartile spread as a share of the median (for times also before the
+probe scaling), and the per-layer metrics of the traced run.  It prints the
+spreads as it goes.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 TRAJECTORY = os.path.join(HERE, "trajectory.json")
+SEEDS = list(range(1, 11))
+TRACE_SEED = 11
 
 
 def run_once(workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -34,11 +37,6 @@ def run_once(workload: str, seed: int, seconds: int, trace: int) -> dict:
     return result
 
 
-def seed_list(text: str) -> list[int]:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
-
-
 def summarize(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "q1": q1, "q3": q3,
@@ -48,27 +46,25 @@ def summarize(values: list[float]) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
-    parser.add_argument("--seeds", default="1-10")
-    parser.add_argument("--trace-seed", type=int, default=11)
-    parser.add_argument("--workloads", default=None, help="comma-separated subset")
     args = parser.parse_args()
 
     with open("BENCHMARK.json", encoding="utf-8") as fh:
         bench = json.load(fh)
-    names = (args.workloads.split(",") if args.workloads
-             else [w["name"] for w in bench["workloads"]])
-    seeds = seed_list(args.seeds)
     entry = {"label": args.label, "date": time.strftime("%Y-%m-%d"),
-             "run_seconds": bench["run_seconds"], "seeds": seeds,
-             "trace_seed": args.trace_seed, "workloads": {}}
-    for name in names:
-        runs = [run_once(name, seed, bench["run_seconds"], 0) for seed in seeds]
+             "run_seconds": bench["run_seconds"], "seeds": SEEDS,
+             "trace_seed": TRACE_SEED, "workloads": {}}
+    for name in (w["name"] for w in bench["workloads"]):
+        runs = [run_once(name, seed, bench["run_seconds"], 0) for seed in SEEDS]
         if not all(r["correct"] for r in runs):
             print(f"{name}: incorrect output: {[r['meta']['failures'] for r in runs]}")
             return 1
         end_to_end = {m["name"]: summarize([r["metrics"][m["name"]]["value"] for r in runs])
                       for m in bench["end_to_end"]}
-        traced = run_once(name, args.trace_seed, bench["run_seconds"], 1)
+        # the same times before scaling by the probe, to show what scaling buys
+        for metric, s in end_to_end.items():
+            if metric in runs[0]["meta"]["measured"]:
+                s["measured"] = summarize([r["meta"]["measured"][metric] for r in runs])
+        traced = run_once(name, TRACE_SEED, bench["run_seconds"], 1)
         entry["workloads"][name] = {
             "end_to_end": end_to_end,
             "attempted": [r["attempted"] for r in runs],
@@ -78,8 +74,10 @@ def main() -> int:
         entry["machine"] = {k: runs[0]["meta"][k]
                             for k in ("python", "platform", "machine", "nproc")}
         for metric, s in end_to_end.items():
+            unscaled = (f"  unscaled median {s['measured']['median']:.4g} "
+                        f"spread {s['measured']['spread']:.3f}" if "measured" in s else "")
             print(f"{name:14s} {metric:13s} median {s['median']:.4g} "
-                  f"spread {s['spread']:.3f}", flush=True)
+                  f"spread {s['spread']:.3f}{unscaled}", flush=True)
     trajectory = []
     if os.path.exists(TRAJECTORY):
         with open(TRAJECTORY, encoding="utf-8") as fh:

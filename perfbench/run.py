@@ -11,14 +11,16 @@ import time plus the median time to write them), then runs whole
 rounds of the request stream until --seconds have passed and at least
 MIN_CALLS calls were made, or the stream ends.  It reports end-to-end
 metrics; calls_per_s is the median over rounds of correct calls per second
-of call time.  Times are scaled to a reference host speed: the client times
-probe(), a fixed integer computation, after every call (and after every
-set-up), and multiplies each time by PROBE_REF_S / (median probe time),
-dividing the rate by it.  The unscaled values and the scales go to the
-metadata line.
+of call time.  Call times are scaled to a reference host speed: the client
+times probe(), a fixed integer computation, after every call, and multiplies
+each call time by PROBE_REF_S / (median probe time in the call's round).
+setup_s is not scaled: its spread across seeds was wider with the probe.
+The unscaled values and the scales go to the metadata line.
 
---trace 1 runs a fixed prefix of the stream twice, untraced and then with
-spans around every layer (see spans.py), and reports per-layer metrics.
+--trace 1 runs a fixed prefix of the stream three times, each in a fresh
+process started with --pass: untraced, with spans around every layer (see
+spans.py), and untraced again.  It reports per-layer metrics of the traced
+pass and its overhead over the mean of the two untraced ones.
 
 Both modes check every distinct output against a second route after the
 timed region (see checks.py) and require every repeat to be byte-identical
@@ -43,6 +45,7 @@ import re
 import resource
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -51,9 +54,10 @@ import checks
 import spans
 import workloads
 
-SETUP_REPS = 3          # setup_s: the import plus the median of this many set-ups
+SETUP_REPS = 5          # setup_s: the import plus the median of this many set-ups
 MIN_CALLS = 100         # so that at least 10 calls lie above the 90th percentile
 TRACE_ROUNDS = 3        # rounds of the stream a traced run replays
+TRACE_PASSES = ("plain", "traced", "plain")   # one fresh process each
 ORACLE_LEVEL = 8        # solve-bvp windows up to this N + M meet the determinant route
 PROBE_REF_S = 0.0008    # probe() time that defines the reference speed (median on
                         # a calm 2-vCPU x86-64 host, Python 3.11)
@@ -130,10 +134,10 @@ class Outputs:
         self.first: dict[str, tuple[str, int | None, str]] = {}   # key -> path, rc, digest
         self.calls: list[tuple[str, bool]] = []                   # key, same as first
 
-    def path(self, req, tag: str = "") -> str:
+    def path(self, req) -> str:
         if req.key in self.first:
-            return os.path.join(self.out_dir, f"repeat{tag}.json")
-        return os.path.join(self.out_dir, f"{req.rid}{tag}.json")
+            return os.path.join(self.out_dir, "repeat.json")
+        return os.path.join(self.out_dir, f"{req.rid}.json")
 
     def record(self, req, path: str, rc: int | None) -> bytes:
         data = b""
@@ -199,12 +203,11 @@ def call_failures(outputs: Outputs, verdicts) -> list[str | None]:
 
 def timed_run(workload, seed: int, seconds: float, src: str, run_dir: str):
     imported = import_hplax(src)
-    setups, setup_probes = [], []
+    setups = []
     for _ in range(SETUP_REPS):
         start = time.perf_counter()
         plan, docs = set_up(workload, seed, run_dir)
         setups.append(imported + time.perf_counter() - start)
-        setup_probes += [probe() for _ in range(10)]
     cli = sys.modules["hplax.cli"]
     out_dir = os.path.join(run_dir, "out")
     os.mkdir(out_dir)
@@ -238,35 +241,41 @@ def timed_run(workload, seed: int, seconds: float, src: str, run_dir: str):
     reasons = call_failures(outputs, verdicts)
     attempted = len(latencies)
     failed = attempted - reasons.count(None)
-    # throughput per round (every round has the same mix), median over rounds
-    rates = [reasons[i:i + per_round].count(None) / sum(latencies[i:i + per_round])
-             for i in range(0, attempted, per_round)]
+    # each call time scaled by the probe times of its round, where it ran
+    rounds = range(0, attempted, per_round)
+    scales = [PROBE_REF_S / statistics.median(probes[i:i + per_round]) for i in rounds]
+    scaled = [latency * scales[i // per_round] for i, latency in enumerate(latencies)]
+
+    def rate(times):
+        """Correct calls per second of call time in each round (every round
+        has the same mix), median over rounds."""
+        return statistics.median(reasons[i:i + per_round].count(None)
+                                 / sum(times[i:i + per_round]) for i in rounds)
+
     measured = {
         "setup_s": statistics.median(setups),
         "call_p50_s": statistics.median(latencies),
         "call_p90_s": statistics.quantiles(latencies, n=10)[8],
-        "calls_per_s": statistics.median(rates),
+        "calls_per_s": rate(latencies),
     }
-    setup_scale = PROBE_REF_S / statistics.median(setup_probes)
-    scale = PROBE_REF_S / statistics.median(probes)
     values = {
-        "setup_s": measured["setup_s"] * setup_scale,
-        "call_p50_s": measured["call_p50_s"] * scale,
-        "call_p90_s": measured["call_p90_s"] * scale,
-        "calls_per_s": measured["calls_per_s"] / scale,
+        "setup_s": measured["setup_s"],
+        "call_p50_s": statistics.median(scaled),
+        "call_p90_s": statistics.quantiles(scaled, n=10)[8],
+        "calls_per_s": rate(scaled),
         "peak_rss_mib": peak_rss,
     }
     metrics = {name: (value, E2E_UNITS[name]) for name, value in values.items()}
     meta = {
         "samples": {"setup_s": len(setups), "call_p50_s": attempted,
-                    "call_p90_s": attempted, "calls_per_s": len(rates),
+                    "call_p90_s": attempted, "calls_per_s": len(scales),
                     "peak_rss_mib": 1},
         "failed_frac": failed / attempted,
         "measured": measured,
-        "speed_scale": {"setup": setup_scale, "calls": scale},
+        "speed_scales": scales,
         "wall_s": wall,
         "check_s": checked,
-        "rounds": len(rates),
+        "rounds": len(scales),
         "distinct_requests": len(outputs.first),
         "repeat_share": 1 - len(outputs.first) / attempted,
         "planted": sum(r.planted_k is not None for r in executed),
@@ -298,62 +307,90 @@ def output_bits(data: bytes) -> list[int]:
     return bits
 
 
-def trace_run(workload, seed: int, src: str, run_dir: str, span_path: str):
+def trace_pass(workload, seed: int, src: str, run_dir: str, traced: bool,
+               span_path: str) -> dict:
+    """One pass over the first TRACE_ROUNDS rounds of the stream, in a
+    process that has served no request before it.
+
+    A traced pass wraps every layer (set-up included), then checks its
+    answers and computes the per-layer metrics; an untraced pass only
+    times the calls.  Both return every distinct answer's exit code and
+    digest, so the caller can compare the passes."""
     tracer = spans.Tracer()
     import_hplax(src)
-    tracer.install()
+    if traced:
+        tracer.install()
     try:
         plan, docs = set_up(workload, seed, run_dir)
+        cli = sys.modules["hplax.cli"]
+        requests = plan.requests[:TRACE_ROUNDS * len(workload.slots)]
+        out_dir = os.path.join(run_dir, "out")
+        os.mkdir(out_dir)
+        outputs = Outputs(out_dir)
+        wall, sizes, bits = 0.0, 0, []
+        stderr, sys.stderr = sys.stderr, io.StringIO()
+        try:
+            for req in requests:
+                path = outputs.path(req)
+                tracer.request = req.rid
+                latency, rc = call(cli, plan.argv(req, docs, path))
+                wall += latency
+                data = outputs.record(req, path, rc)
+                sizes += len(data)
+                bits += output_bits(data)
+        finally:
+            sys.stderr = stderr
+            tracer.request = spans.SETUP
     finally:
         tracer.uninstall()
-    cli = sys.modules["hplax.cli"]
-    requests = plan.requests[:TRACE_ROUNDS * len(workload.slots)]
-    out_dir = os.path.join(run_dir, "out")
-    os.mkdir(out_dir)
-    plain, traced = Outputs(out_dir), Outputs(out_dir)
-    walls = []
-    sizes, bits = 0, []
-    stderr, sys.stderr = sys.stderr, io.StringIO()
-    try:
-        for outputs, tag in ((plain, "-plain"), (traced, "")):
-            if outputs is traced:
-                tracer.install()
-            wall = 0.0
-            try:
-                for req in requests:
-                    path = outputs.path(req, tag)
-                    tracer.request = req.rid
-                    latency, rc = call(cli, plan.argv(req, docs, path))
-                    wall += latency
-                    data = outputs.record(req, path, rc)
-                    if outputs is traced:
-                        sizes += len(data)
-                        bits += output_bits(data)
-            finally:
-                tracer.request = spans.SETUP
-                tracer.uninstall()
-            walls.append(wall)
-    finally:
-        sys.stderr = stderr
+    result = {"wall_s": wall,
+              "answers": {key: [rc, digest] for key, (_, rc, digest) in outputs.first.items()}}
+    if not traced:
+        return result
     tracer.write(span_path)
-    verdicts = check_outputs(plan, traced, requests)
-    reasons = [r for r in call_failures(traced, verdicts) if r]
-    failed = len(reasons)
-    for key, (_, rc, digest) in plain.first.items():
-        _, rc_traced, digest_traced = traced.first[key]
-        if (rc, digest) != (rc_traced, digest_traced):
-            failed += 1
-            reasons.append(f"{key}: traced and untraced answers differ")
+    verdicts = check_outputs(plan, outputs, requests)
     values = spans.layer_metrics(tracer.finished())
     values["cli.out_bytes"] = sizes
     values["out.max_bits"] = max(bits, default=0)
     values["out.mean_bits"] = statistics.fmean(bits) if bits else 0.0
-    values["trace.overhead_frac"] = (walls[1] - walls[0]) / walls[0]
+    result.update({"calls": [[key, reason] for (key, _), reason
+                             in zip(outputs.calls, call_failures(outputs, verdicts))],
+                   "values": values, "spans": len(tracer.spans)})
+    return result
+
+
+def trace_run(name: str, seed: int):
+    """Untraced, traced and untraced passes, each in a fresh process.
+
+    A fresh process per pass keeps any memo or cache inside hplax from
+    serving the traced pass what an earlier pass computed, and the two
+    untraced passes around the traced one cancel a steady drift of the
+    host's speed out of trace.overhead_frac."""
+    passes = []
+    for kind in TRACE_PASSES:
+        cmd = [sys.executable, os.path.abspath(__file__), "--workload", name,
+               "--seed", str(seed), "--seconds", "0", "--trace", "1", "--pass", kind]
+        # three passes must end within the run limit of 180 s
+        done = subprocess.run(cmd, capture_output=True, text=True, timeout=55)
+        if done.returncode != 0:
+            raise SystemExit(f"{kind} pass failed:\n{done.stderr}")
+        passes.append(json.loads(done.stdout.splitlines()[-1]))
+    plain = [p for kind, p in zip(TRACE_PASSES, passes) if kind == "plain"]
+    traced = passes[TRACE_PASSES.index("traced")]
+    differ = {key for p in plain for key, answer in p["answers"].items()
+              if traced["answers"][key] != answer}
+    reasons = [reason or (f"{key}: traced and untraced answers differ" if key in differ
+                          else None)
+               for key, reason in traced["calls"]]
+    failures = [r for r in reasons if r]
+    untraced_wall = statistics.fmean(p["wall_s"] for p in plain)
+    values = traced["values"]
+    values["trace.overhead_frac"] = (traced["wall_s"] - untraced_wall) / untraced_wall
     metrics = {name: (value, layer_unit(name)) for name, value in values.items()}
-    meta = {"samples": {name: 1 for name in values}, "traced_requests": len(requests),
-            "spans": len(tracer.spans), "untraced_wall_s": walls[0],
-            "traced_wall_s": walls[1], "failures": reasons[:5]}
-    return len(requests), failed, metrics, meta
+    meta = {"samples": {name: 1 for name in values}, "traced_requests": len(reasons),
+            "spans": traced["spans"], "untraced_wall_s": [p["wall_s"] for p in plain],
+            "traced_wall_s": traced["wall_s"], "failures": failures[:5]}
+    return len(reasons), len(failures), metrics, meta
 
 
 E2E_UNITS = {"setup_s": "s", "call_p50_s": "s", "call_p90_s": "s",
@@ -378,6 +415,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--pass", dest="trace_pass", choices=("plain", "traced"),
+                        help="one pass of a traced run; --trace 1 starts each "
+                             "in a fresh process")
     args = parser.parse_args(argv)
 
     root = os.getcwd()
@@ -389,17 +429,20 @@ def main(argv=None) -> int:
     work = os.path.join(root, WORK_DIR)
     os.makedirs(work, exist_ok=True)
     workload = workloads.WORKLOADS[args.workload]
-    run_dir = tempfile.mkdtemp(prefix=f"{args.workload}-{args.seed}-", dir=work)
-    try:
-        if args.trace:
-            span_path = os.path.join(work, f"spans-{args.workload}-{args.seed}.jsonl")
-            attempted, failed, metrics, meta = trace_run(workload, args.seed, src,
-                                                         run_dir, span_path)
-        else:
+    if args.trace and not args.trace_pass:
+        attempted, failed, metrics, meta = trace_run(args.workload, args.seed)
+    else:
+        run_dir = tempfile.mkdtemp(prefix=f"{args.workload}-{args.seed}-", dir=work)
+        try:
+            if args.trace_pass:
+                span_path = os.path.join(work, f"spans-{args.workload}-{args.seed}.jsonl")
+                print(json.dumps(trace_pass(workload, args.seed, src, run_dir,
+                                            args.trace_pass == "traced", span_path)))
+                return 0
             attempted, failed, metrics, meta = timed_run(workload, args.seed,
                                                          args.seconds, src, run_dir)
-    finally:
-        shutil.rmtree(run_dir, ignore_errors=True)
+        finally:
+            shutil.rmtree(run_dir, ignore_errors=True)
     meta.update({
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "trace": args.trace, "loop": "closed, 1 client, in-process",

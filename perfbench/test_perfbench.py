@@ -40,7 +40,7 @@ def test_stream_shape(name):
     per_round = len(workload.slots)
     assert len(plan.requests) == workload.rounds * per_round
     keys = [r.key for r in plan.requests]
-    assert len(keys) - len(set(keys)) == (workload.rounds - 1) * workload.repeats_per_round
+    assert len(keys) - len(set(keys)) == (workload.rounds - 1) * workloads.REPEATS_PER_ROUND
     for r in range(workload.rounds):
         chunk = plan.requests[r * per_round:(r + 1) * per_round]
         assert sorted(map(repr, (q.slot for q in chunk))) == sorted(map(repr, workload.slots))

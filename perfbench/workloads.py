@@ -3,7 +3,7 @@
 A workload is one round of request slots, each a (subcommand, system family,
 window) triple, repeated for a fixed number of rounds.  Every round is
 shuffled by the seed, every slot draws a system from a seeded pool of
-distinct systems, and a fixed number of slots per round (after the first)
+distinct systems, and REPEATS_PER_ROUND slots per round (after the first)
 are exact repeats of an earlier request of the same slot.  So the mix of
 windows is the same for every seed, the systems differ, and the share of
 exact repeats is stated rather than left to chance.
@@ -22,6 +22,7 @@ from fractions import Fraction
 ANGELESCO = "angelesco"
 NIKISHIN = "nikishin"
 FAMILIES = (ANGELESCO, NIKISHIN)
+REPEATS_PER_ROUND = 1       # exact repeats planted in every round after the first
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,6 @@ class Workload:
     why: str
     slots: tuple[Slot, ...]    # one round; a slot may appear several times
     rounds: int                # length of the finite request stream, in rounds
-    repeats_per_round: int     # exact repeats planted in every round after the first
     pool: dict[str, int]       # distinct first and second measures per family;
                                # the pool pairs them into pool**2 systems
 
@@ -89,7 +89,7 @@ WORKLOADS: dict[str, Workload] = {w.name: w for w in (
                + _slots("verify", N, (4,), times=2)
                + _slots("verify", A, (5,)) + _slots("verify", N, (5,))
                + _slots("verify", A, (6,), times=4)),                # p90
-        rounds=14, repeats_per_round=1, pool={A: 8, N: 6}),
+        rounds=14, pool={A: 8, N: 6}),
     Workload(
         name="field-ladder",
         why="closed loop, 1 client: coeffs, table and qd emit large exact "
@@ -102,7 +102,7 @@ WORKLOADS: dict[str, Workload] = {w.name: w for w in (
                + _slots("qd", A, (5,)) + _slots("qd", N, (5,))
                + _slots("coeffs", N, (5,)) + _slots("table", N, (6,))
                + _slots("table", A, (8,), times=4)),                 # p90
-        rounds=14, repeats_per_round=1, pool={A: 8, N: 4}),
+        rounds=14, pool={A: 8, N: 4}),
     Workload(
         name="bvp-sweep",
         why="closed loop, 1 client: solve-bvp sweeps J-fraction boundaries "
@@ -118,7 +118,7 @@ WORKLOADS: dict[str, Workload] = {w.name: w for w in (
                + _slots("solve-bvp", N, (7, 8), spread=4)
                + _slots("solve-bvp", A, (13,), times=2, spread=4)
                + _slots("solve-bvp", A, (16,), times=4, spread=4)),  # p90
-        rounds=20, repeats_per_round=1, pool={A: 3, N: 2}),
+        rounds=20, pool={A: 3, N: 2}),
 )}
 
 
@@ -257,7 +257,7 @@ def plan_stream(workload: Workload, seed: int) -> Plan:
     for r in range(workload.rounds):
         slots = list(workload.slots)
         rng.shuffle(slots)
-        repeat_at = set(rng.sample(range(len(slots)), workload.repeats_per_round)
+        repeat_at = set(rng.sample(range(len(slots)), REPEATS_PER_ROUND)
                         if r else ())
         for i, slot in enumerate(slots):
             rid = len(requests)
