@@ -20,13 +20,16 @@ from .measures import JFraction, jfraction_to_moments, monic_orthogonal_polys
 class QdField:
     """Memoized shifted-Hankel values with the derived quotient-difference
     grids over one moment sequence; every stored V and W passed the
-    nonvanishing-denominator check when it was first computed."""
+    nonvanishing-denominator check when it was first computed.
+
+    The module functions below accept a QdField in place of a moment
+    sequence and then share its memo, so a grid of residuals takes each
+    Hankel determinant and each (V, W) pair once."""
 
     def __init__(self, moments):
         self.moments = [rat(x) for x in moments]
         self._hankel: dict[tuple[int, int], Fraction] = {}
-        self._v: dict[tuple[int, int], Fraction] = {}
-        self._w: dict[tuple[int, int], Fraction] = {}
+        self._vw: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
 
     def hankel(self, n: int, k: int) -> Fraction:
         key = (n, k)
@@ -34,17 +37,21 @@ class QdField:
             self._hankel[key] = hankel_shifted(self.moments, n, k)
         return self._hankel[key]
 
-    def v(self, n: int, k: int) -> Fraction:
+    def vw(self, n: int, k: int) -> tuple[Fraction, Fraction]:
         key = (n, k)
-        if key not in self._v:
-            self._v[key], self._w[key] = qd_vw(self.moments, n, k)
-        return self._v[key]
+        if key not in self._vw:
+            self._vw[key] = qd_vw(self, n, k)
+        return self._vw[key]
+
+    def v(self, n: int, k: int) -> Fraction:
+        return self.vw(n, k)[0]
 
     def w(self, n: int, k: int) -> Fraction:
-        key = (n, k)
-        if key not in self._w:
-            self._v[key], self._w[key] = qd_vw(self.moments, n, k)
-        return self._w[key]
+        return self.vw(n, k)[1]
+
+
+def _qd_field(moments) -> QdField:
+    return moments if isinstance(moments, QdField) else QdField(moments)
 
 
 def hankel_shifted(moments, n: int, k: int) -> Fraction:
@@ -59,12 +66,16 @@ def hankel_shifted(moments, n: int, k: int) -> Fraction:
 
 
 def qd_vw(moments, n: int, k: int) -> tuple[Fraction, Fraction]:
-    """The two quotient-difference ratios of shifted Hankel determinants."""
-    s_nk = hankel_shifted(moments, n, k)
-    s_nk1 = hankel_shifted(moments, n, k + 1)
-    s_n1k = hankel_shifted(moments, n + 1, k)
-    s_n1k1 = hankel_shifted(moments, n + 1, k + 1)
-    s_nk2 = hankel_shifted(moments, n, k + 2)
+    """The two quotient-difference ratios of shifted Hankel determinants.
+
+    ``moments`` is a moment sequence or a QdField, whose Hankel memo is used.
+    """
+    hankel = _qd_field(moments).hankel
+    s_nk = hankel(n, k)
+    s_nk1 = hankel(n, k + 1)
+    s_n1k = hankel(n + 1, k)
+    s_n1k1 = hankel(n + 1, k + 1)
+    s_nk2 = hankel(n, k + 2)
     if s_nk1 == 0 or s_n1k == 0 or s_nk2 == 0:
         raise DegeneracyError(
             f"vanishing Hankel denominator at (n, k) = ({n}, {k})")
@@ -88,17 +99,25 @@ def lax_m_num(v, w) -> MatPoly:
 
 
 def transition_2x2(moments, n: int, k: int) -> tuple[MatPoly, MatPoly]:
-    """The transition pair at (n, k); the second matrix is the 1/x numerator."""
-    v, w = qd_vw(moments, n, k)
-    v1, _ = qd_vw(moments, n, k + 1)
+    """The transition pair at (n, k); the second matrix is the 1/x numerator.
+
+    ``moments`` is a moment sequence or a QdField, whose memo is used.
+    """
+    qd = _qd_field(moments)
+    v, w = qd.vw(n, k)
+    v1, _ = qd.vw(n, k + 1)
     return lax_l(v, w, v1), lax_m_num(v, w)
 
 
 def zcc2_residual(moments, n: int, k: int) -> MatPoly:
-    """Zero-curvature residual with the common 1/x prefactor cleared."""
-    l_here, m_here = transition_2x2(moments, n, k)
-    l_up, _ = transition_2x2(moments, n, k + 1)
-    _, m_right = transition_2x2(moments, n + 1, k)
+    """Zero-curvature residual with the common 1/x prefactor cleared.
+
+    ``moments`` is a moment sequence or a QdField, whose memo is used.
+    """
+    qd = _qd_field(moments)
+    l_here, m_here = transition_2x2(qd, n, k)
+    l_up, _ = transition_2x2(qd, n, k + 1)
+    _, m_right = transition_2x2(qd, n + 1, k)
     return l_up * m_here - m_right * l_here
 
 

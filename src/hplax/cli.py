@@ -48,6 +48,14 @@ def _write_doc(doc: Any, path: str | None) -> None:
             fh.write(text + "\n")
 
 
+def window_size(text: str) -> int:
+    """argparse type of each --window value: a nonnegative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"window sizes are nonnegative, got {value}")
+    return value
+
+
 def _default_order(n: int, m: int) -> int:
     # covers the deepest remainder and continued-fraction checks with margin
     return 2 * (n + m) + 4
@@ -151,7 +159,7 @@ def _cmd_qd(args) -> int:
     residual_zero = True
     for n in range(n_max + 1):
         for k in range(k_max + 1):
-            if not classical.zcc2_residual(moments, n, k).is_zero:
+            if not classical.zcc2_residual(qd, n, k).is_zero:
                 residual_zero = False
     out = {
         "kind": "qd_field",
@@ -182,7 +190,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", dest="outfile", default=None,
                        help="output path (default: stdout)")
         if window:
-            p.add_argument("--window", nargs=2, type=int, required=True,
+            p.add_argument("--window", nargs=2, type=window_size, required=True,
                            metavar=("N", "M"))
         if order:
             p.add_argument("--order", type=int, default=None,
@@ -194,7 +202,7 @@ def _parser() -> argparse.ArgumentParser:
     add_common(p_gen, window=False)
     p_gen.add_argument("--order", type=int, default=None,
                        help="number of moments to generate")
-    p_gen.add_argument("--window", nargs=2, type=int, default=None,
+    p_gen.add_argument("--window", nargs=2, type=window_size, default=None,
                        metavar=("N", "M"),
                        help="alternatively: generate 2(N+M)+4 moments, enough "
                             "for this window")

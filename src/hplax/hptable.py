@@ -3,6 +3,11 @@
 Each polynomial is produced by two independent routes: a bordered-determinant
 formula and a direct linear solve of the orthogonality conditions.  The two
 must agree exactly at every normal index; they are each other's oracle.
+
+The bordered-determinant route is one fraction-free elimination per index
+(``kernel.bordered_solve``): it yields S(n, m) and all n + m + 1 bordered
+cofactors of P(n, m) at once, so ``s_det`` fills both memos whenever the
+moments reach the bordered depth, and takes a plain determinant only below it.
 """
 
 from __future__ import annotations
@@ -12,8 +17,8 @@ from fractions import Fraction
 
 from .errors import (DegeneracyError, IntegrityError, NotNormalError,
                      TruncationError, WindowError)
-from .kernel import (LaurentTail, Poly, det_exact, poly_from_series_product,
-                     solve_exact)
+from .kernel import (LaurentTail, Poly, bordered_solve, det_exact,
+                     poly_from_series_product, solve_exact)
 from .measures import MomentSystem
 
 
@@ -51,15 +56,19 @@ class HPTable:
             raise WindowError(
                 f"index ({n}, {m}) outside table window ({self.max_n}, {self.max_m})")
 
-    def _check_depth(self, n: int, m: int, bordered: bool) -> None:
+    def _depth_needed(self, n: int, m: int, bordered: bool) -> tuple[int, int]:
         extra = 1 if bordered else 0
-        need1 = max(2 * n + m - 1 + extra, 0)
-        need2 = max(n + 2 * m - 1 + extra, 0)
-        have = self.moments.count
-        if have < need1 or have < need2:
+        return max(2 * n + m - 1 + extra, 0), max(n + 2 * m - 1 + extra, 0)
+
+    def _has_depth(self, n: int, m: int, bordered: bool) -> bool:
+        return max(self._depth_needed(n, m, bordered)) <= self.moments.count
+
+    def _check_depth(self, n: int, m: int, bordered: bool) -> None:
+        if not self._has_depth(n, m, bordered):
+            need1, need2 = self._depth_needed(n, m, bordered)
             raise TruncationError(
                 f"index ({n}, {m}) needs {need1} moments of the first sequence and "
-                f"{need2} of the second, have {have}")
+                f"{need2} of the second, have {self.moments.count}")
 
     def _grid(self, n: int, m: int, rows: int) -> list[list[Fraction]]:
         s1, s2 = self.moments.s1, self.moments.s2
@@ -69,12 +78,27 @@ class HPTable:
     # -- determinants and normality ---------------------------------------
 
     def s_det(self, n: int, m: int) -> Fraction:
-        """Mixed Hankel-type determinant of size n + m; the empty case is 1."""
+        """Mixed Hankel-type determinant of size n + m; the empty case is 1.
+
+        With moments to the bordered depth, the same elimination also stores
+        the table polynomial P(n, m) when S(n, m) is nonzero.
+        """
         self._check_window(n, m)
         key = (n, m)
         if key not in self._s:
             self._check_depth(n, m, bordered=False)
-            self._s[key] = det_exact(self._grid(n, m, n + m))
+            size = n + m
+            if self._has_depth(n, m, bordered=True):
+                s, coeffs = bordered_solve(self._grid(n, m, size + 1))
+                if coeffs is not None:
+                    poly = Poly(coeffs)
+                    if poly.degree != size or not poly.is_monic:
+                        raise IntegrityError(f"bordered determinant at ({n}, {m}) "
+                                             f"is not monic of degree {size}")
+                    self._p[key] = poly
+                self._s[key] = s
+            else:
+                self._s[key] = det_exact(self._grid(n, m, size))
         return self._s[key]
 
     def is_normal(self, n: int, m: int) -> bool:
@@ -86,25 +110,11 @@ class HPTable:
         """Monic table polynomial via the bordered determinant, memoized."""
         self._check_window(n, m)
         key = (n, m)
-        if key in self._p:
-            return self._p[key]
-        s = self.s_det(n, m)
-        if s == 0:
-            raise NotNormalError(n, m)
-        self._check_depth(n, m, bordered=True)
-        grid = self._grid(n, m, n + m + 1)
-        size = n + m
-        coeffs = []
-        for i in range(size + 1):
-            minor = [grid[r] for r in range(size + 1) if r != i]
-            cof = det_exact(minor)
-            coeffs.append(cof if (i + size) % 2 == 0 else -cof)
-        poly = Poly(tuple(coeffs)) / s
-        if poly.degree != size or not poly.is_monic:
-            raise IntegrityError(
-                f"bordered determinant at ({n}, {m}) is not monic of degree {size}")
-        self._p[key] = poly
-        return poly
+        if key not in self._p:
+            if self.s_det(n, m) == 0:
+                raise NotNormalError(n, m)
+            self._check_depth(n, m, bordered=True)
+        return self._p[key]
 
     def hp_poly_solve(self, n: int, m: int) -> Poly:
         """Monic table polynomial via the orthogonality linear system.

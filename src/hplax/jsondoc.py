@@ -52,7 +52,8 @@ def need(doc: dict, key: str) -> Any:
 def _window(doc: dict) -> tuple[int, int]:
     win = need(doc, "window")
     if (not isinstance(win, list) or len(win) != 2
-            or not all(isinstance(v, int) and v >= 0 for v in win)):
+            or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0
+                       for v in win)):
         raise ParseError(f"bad window {win!r}")
     return win[0], win[1]
 

@@ -311,6 +311,45 @@ class MatPoly:
         return self.adjugate().scale(1 / d.coeff(0))
 
 
+def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values times the lcm of their denominators, as ints, and that lcm."""
+    mult = 1
+    for x in values:    # pairwise: lcm(*...) here raised peak memory by ~1.5 MiB
+        mult = lcm(mult, x.denominator)
+    return [x.numerator * (mult // x.denominator) for x in values], mult
+
+
+def _bareiss(m: list[list[int]]) -> int:
+    """Fraction-free elimination, in place, of the first len(m) columns of
+    the integer rows m, with a row swap on each zero pivot; every interior
+    division is exact.  Returns the sign of the swaps, or 0 when the leading
+    square block is singular.  Otherwise the final pivot m[-1][len(m) - 1]
+    times that sign is the determinant of the leading block.
+    """
+    n = len(m)
+    sign = 1
+    prev = 1
+    for c in range(n):
+        if m[c][c] == 0:
+            for i in range(c + 1, n):
+                if m[i][c] != 0:
+                    m[c], m[i] = m[i], m[c]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        top = m[c]
+        pivot = top[c]
+        for i in range(c + 1, n):
+            row = m[i]
+            lead = row[c]
+            for j in range(c + 1, len(row)):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+            row[c] = 0
+        prev = pivot
+    return sign
+
+
 def det_exact(rows: Sequence[Sequence[Ratlike]]) -> Fraction:
     """Exact determinant of a square grid of rationals.
 
@@ -329,28 +368,55 @@ def det_exact(rows: Sequence[Sequence[Ratlike]]) -> Fraction:
     scale = 1
     m: list[list[int]] = []
     for row in grid:
-        mult = 1
-        for x in row:
-            mult = lcm(mult, x.denominator)
+        ints, mult = _cleared(row)
         scale *= mult
-        m.append([int(x * mult) for x in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
+        m.append(ints)
+    sign = _bareiss(m)
     return Fraction(sign * m[n - 1][n - 1], scale)
+
+
+def bordered_solve(rows: Sequence[Sequence[Ratlike]]
+                   ) -> tuple[Fraction, tuple[Fraction, ...] | None]:
+    """Determinant and monic null vector of a (k+1) x k bordered grid.
+
+    Returns S = det(rows[:k]) and the coefficients p_0 .. p_k, with p_k = 1,
+    of the unique solution of sum_i p_i rows[i][j] = 0 for every column j.
+    They are the bordered cofactors (-1)^(i+k) det(rows without row i) over
+    S, all obtained from one elimination: the transposed system (one equation
+    per column, p_k moved to the right) is cleared of denominators equation
+    by equation, Bareiss elimination runs over plain integers with a row swap
+    on each zero pivot, and fraction-free back substitution yields the
+    integers S' * p_i, where S' is the final pivot; every division is exact.
+    S is that pivot over the clearing scale, with the sign of the swaps.  A
+    singular grid returns (0, None): there is no monic solution.
+    """
+    k = len(rows) - 1
+    if k < 0 or any(len(row) != k for row in rows):
+        raise DimensionError(f"bordered grid needs k + 1 rows of length k, got "
+                             f"{len(rows)} rows of lengths {[len(r) for r in rows]}")
+    if k == 0:
+        return Fraction(1), (Fraction(1),)
+    grid = [[rat(x) for x in row] for row in rows]
+    scale = 1
+    m: list[list[int]] = []
+    for j in range(k):
+        eq, mult = _cleared([row[j] for row in grid])
+        eq[k] = -eq[k]
+        scale *= mult
+        m.append(eq)
+    sign = _bareiss(m)
+    if sign == 0:
+        return Fraction(0), None
+    det = m[k - 1][k - 1]
+    scaled = [0] * k
+    for i in range(k - 1, -1, -1):
+        row = m[i]
+        acc = row[k] * det
+        for j in range(i + 1, k):
+            acc -= row[j] * scaled[j]
+        scaled[i] = acc // row[i]
+    return (Fraction(sign * det, scale),
+            tuple(Fraction(v, det) for v in scaled) + (Fraction(1),))
 
 
 def solve_exact(a: Sequence[Sequence[Ratlike]], b: Sequence[Ratlike]) -> list[Fraction]:

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from hplax import classical
 from hplax.classical import (QdField, cf_tail_eval, hankel_shifted, lax_l,
                              lax_m_num, qd_vw, three_term_check,
                              transition_2x2, zcc2_residual)
@@ -102,6 +103,30 @@ class TestZcc2:
         for n in range(2):
             for k in range(2):
                 assert zcc2_residual(moments, n, k).is_zero, (n, k)
+
+    def test_field_memo_takes_each_hankel_block_once(self, leb01, monkeypatch):
+        grids = []
+        original = classical.det_exact
+
+        def recording(rows):
+            grids.append(tuple(map(tuple, rows)))
+            return original(rows)
+
+        monkeypatch.setattr(classical, "det_exact", recording)
+        qd = QdField(leb01)
+        for n in range(3):
+            for k in range(3):
+                assert zcc2_residual(qd, n, k) == zcc2_residual(leb01, n, k)
+        grids.clear()
+        for n in range(3):
+            for k in range(3):
+                zcc2_residual(qd, n, k)
+        assert grids == []
+        qd = QdField(leb01)
+        for n in range(3):
+            for k in range(3):
+                zcc2_residual(qd, n, k)
+        assert grids and len(grids) == len(set(grids))
 
     def test_perturbed_v_breaks_it(self, leb01):
         # inject the bumped V into one matrix of the stencil: the residual

@@ -121,6 +121,14 @@ class TestTableAndCoeffs:
         })
         assert main(["coeffs", "--in", system, "--window", "1", "1"]) == 3
 
+    @pytest.mark.parametrize("command", ["table", "coeffs", "verify"])
+    def test_negative_window_exit_2(self, tmp_path, angelesco_input, command):
+        system = run_gen(tmp_path, angelesco_input)
+        out = tmp_path / "out.json"
+        assert main([command, "--in", str(system), "--window", "-1", "2",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_truncation_exit_5(self, tmp_path, angelesco_input):
         system = run_gen(tmp_path, angelesco_input, order=4)
         assert main(["table", "--in", str(system), "--window", "4", "4"]) == 5
@@ -187,6 +195,18 @@ class TestDocRoundtrips:
     def test_moment_system(self, system_a):
         doc = jsondoc.moment_system_to_doc(system_a)
         assert jsondoc.moment_system_from_doc(doc) == system_a
+
+    def test_window_rejects_booleans(self, tmp_path, angelesco_input):
+        system = run_gen(tmp_path, angelesco_input)
+        out = tmp_path / "table.json"
+        assert main(["table", "--in", str(system), "--window", "1", "1",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert jsondoc.table_from_doc(doc)[2] == (1, 1)
+        for window in ([True, 1], [1, False]):
+            doc["window"] = window
+            with pytest.raises(jsondoc.ParseError):
+                jsondoc.table_from_doc(doc)
 
     def test_rejects_floats(self):
         with pytest.raises(jsondoc.ParseError):

@@ -1,10 +1,16 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hplax import kernel
 from hplax.errors import NotNormalError, TruncationError, WindowError
 from hplax.hptable import HPTable
 from hplax.kernel import Poly, X, series_from_moments
+from hplax.measures import MeasureModel, MomentSystem, make_angelesco, make_nikishin
+from hplax.nnrr import field_from_table
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +96,77 @@ class TestPolyRoutes:
                     p = table.hp_poly_det(n, m)
                     assert p == table.hp_poly_solve(n, m)
                     assert p.degree == n + m and p.is_monic
+
+
+def assert_routes_agree(table):
+    for n in range(table.max_n + 1):
+        for m in range(table.max_m + 1):
+            if table.is_normal(n, m):
+                assert table.hp_poly_det(n, m) == table.hp_poly_solve(n, m), (n, m)
+                continue
+            for route in (table.hp_poly_det, table.hp_poly_solve):
+                with pytest.raises(NotNormalError):
+                    route(n, m)
+
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+class TestRoutesOnRandomSystems:
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(small_rationals, min_size=4, max_size=4, unique=True))
+    def test_angelesco_interval_pairs(self, ends):
+        lo1, hi1, lo2, hi2 = sorted(ends)
+        system = make_angelesco(MeasureModel.interval(lo1, hi1),
+                                MeasureModel.interval(lo2, hi2), 14)
+        assert_routes_agree(HPTable(system, 3, 3))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=6, unique=True),
+           st.lists(st.integers(-9, -1), min_size=1, max_size=4, unique=True),
+           st.lists(st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4),
+                    min_size=10, max_size=10))
+    def test_nikishin_atom_sets(self, nodes1, nodes2, weights):
+        sigma1 = MeasureModel.discrete(list(zip(nodes1, weights)))
+        sigma2 = MeasureModel.discrete(list(zip(nodes2, weights[6:])))
+        assert_routes_agree(HPTable(make_nikishin(sigma1, sigma2, 14), 3, 3))
+
+
+@pytest.fixture()
+def det_exact_orders(monkeypatch):
+    """Orders of the determinants det_exact is asked for, through any binding."""
+    orders = []
+    original = kernel.det_exact
+
+    def counting(rows):
+        orders.append(len(rows))
+        return original(rows)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hplax") and getattr(module, "det_exact", None) is original:
+            monkeypatch.setattr(module, "det_exact", counting)
+    return orders
+
+
+class TestWorkCount:
+    def test_field_takes_no_plain_determinant(self, system_a, det_exact_orders):
+        field_from_table(HPTable(system_a, 6, 6), 5, 5)
+        assert det_exact_orders == []
+
+    def test_plain_determinant_only_below_bordered_depth(self, system_a,
+                                                         det_exact_orders):
+        count = 9
+        system = MomentSystem(system_a.s1[:count], system_a.s2[:count])
+        table = HPTable(system, 5, 5)
+        shallow = []
+        for n in range(6):
+            for m in range(6):
+                if max(2 * n + m - 1, n + 2 * m - 1) > count:
+                    continue    # not even the plain determinant fits
+                table.s_det(n, m)
+                if max(2 * n + m, n + 2 * m) > count:
+                    shallow.append(n + m)
+        assert shallow and det_exact_orders == shallow
 
 
 class TestRemainder:

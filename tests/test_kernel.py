@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from hplax.errors import (DegeneracyError, DimensionError, IntegrityError,
                           TruncationError)
-from hplax.kernel import (LaurentTail, MatPoly, Poly, X, det_exact,
-                          poly_divmod, poly_from_series_product, poly_gcd,
-                          series_from_moments, series_of_ratio, solve_exact)
+from hplax.kernel import (LaurentTail, MatPoly, Poly, X, bordered_solve,
+                          det_exact, poly_divmod, poly_from_series_product,
+                          poly_gcd, series_from_moments, series_of_ratio,
+                          solve_exact)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -58,6 +59,61 @@ class TestDetExact:
                            min_size=n, max_size=n)))
     def test_matches_bruteforce(self, rows):
         assert det_exact(rows) == brute_det(rows)
+
+
+def per_minor(rows):
+    """S and the bordered cofactors over S, one determinant per minor."""
+    k = len(rows) - 1
+    s = det_exact(rows[:k])
+    return s, tuple((-1) ** (i + k) * det_exact(rows[:i] + rows[i + 1:]) / s
+                    for i in range(k + 1))
+
+
+# zeros often enough that leading pivots vanish and rows must be swapped
+nonzero = rationals.filter(lambda x: x != 0)
+sparse_rationals = st.one_of(st.just(F(0)), nonzero, nonzero, nonzero)
+
+
+@st.composite
+def bordered_grids(draw):
+    k = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(sparse_rationals, min_size=k, max_size=k),
+                         min_size=k + 1, max_size=k + 1))
+    if k >= 2 and draw(st.integers(0, 3)) == 0:
+        factor = draw(rationals)
+        for row in rows:    # a dependent column makes the grid singular
+            row[1] = factor * row[0]
+    return rows
+
+
+class TestBorderedSolve:
+    def test_empty_grid(self):
+        assert bordered_solve([[]]) == (1, (1,))
+
+    def test_pivot_swap(self):
+        # column 0 reads 0*p0 + 1*p1 + 2 = 0, column 1 reads p0 + 3 = 0
+        assert bordered_solve([[0, 1], [1, 0], [2, 3]]) == (-1, (-3, -2, 1))
+
+    def test_singular(self):
+        assert bordered_solve([[1, 2], [2, 4], [1, 1]]) == (0, None)
+        assert bordered_solve([[0, 0], [0, 1], [1, 0]]) == (0, None)
+
+    def test_shape(self):
+        with pytest.raises(DimensionError):
+            bordered_solve([[1, 2], [3, 4]])
+        with pytest.raises(DimensionError):
+            bordered_solve([])
+
+    @settings(max_examples=200, deadline=None)
+    @given(bordered_grids())
+    def test_matches_per_minor_formula(self, rows):
+        k = len(rows) - 1
+        s, coeffs = bordered_solve(rows)
+        assert s == det_exact(rows[:k])
+        if s == 0:
+            assert coeffs is None
+            return
+        assert (s, coeffs) == per_minor(rows)
 
 
 class TestSolveExact:
