@@ -5,7 +5,7 @@ problem for a pair of rational moment sequences."""
 from .errors import (DegeneracyError, DimensionError, DisjointSupportError,
                      HplaxError, IntegrityError, NonPerfectBoundaryError,
                      NotNormalError, PoleError, TruncationError, WindowError)
-from .kernel import (LaurentTail, MatPoly, Poly, Rat, X, det_exact,
+from .kernel import (LaurentTail, MatPoly, Poly, X, det_exact, moment_pairing,
                      poly_from_series_product, rat, series_from_moments,
                      series_of_ratio, solve_exact)
 from .measures import (JFraction, MeasureModel, MomentSystem,

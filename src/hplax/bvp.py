@@ -22,10 +22,8 @@ from .errors import (DegeneracyError, IntegrityError, NonPerfectBoundaryError,
 from .hptable import HPTable
 from .lax3 import build_transition, normalization_grid, zcc_residual
 from .measures import MomentSystem
-from .nnrr import (RecurrenceField, _a_value, _b_value, _c_value, _d_value,
+from .nnrr import (KINDS, RecurrenceField, a_value, b_value, c_value, d_value,
                    consistency_residuals, field_from_table)
-
-KINDS = ("a", "b", "c", "d")
 
 
 @dataclass(frozen=True)
@@ -99,10 +97,10 @@ def boundary_from_table(table: HPTable, levels: int) -> BoundaryData:
     values need the neighboring polynomial), nothing more.
     """
     return BoundaryData(
-        c_row=tuple(_c_value(table, n, 0) for n in range(levels + 1)),
-        a_row=tuple(_a_value(table, n, 0) for n in range(1, levels + 1)),
-        d_col=tuple(_d_value(table, 0, m) for m in range(levels + 1)),
-        b_col=tuple(_b_value(table, 0, m) for m in range(1, levels + 1)),
+        c_row=tuple(c_value(table, n, 0) for n in range(levels + 1)),
+        a_row=tuple(a_value(table, n, 0) for n in range(1, levels + 1)),
+        d_col=tuple(d_value(table, 0, m) for m in range(levels + 1)),
+        b_col=tuple(b_value(table, 0, m) for m in range(1, levels + 1)),
     )
 
 

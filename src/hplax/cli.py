@@ -3,8 +3,8 @@
 Subcommands: gen | table | coeffs | solve-bvp | verify | qd.  All inputs and
 outputs are the JSON documents of jsondoc; values are exact rational strings.
 
-Exit codes: 0 ok, 2 parse error, 3 not-normal index, 4 non-perfect boundary,
-5 insufficient truncation.
+Exit codes: 0 ok, 2 parse error, 3 not-normal index or degenerate data,
+4 non-perfect boundary, 5 insufficient truncation.
 """
 
 from __future__ import annotations
@@ -48,11 +48,11 @@ def _write_doc(doc: Any, path: str | None) -> None:
             fh.write(text + "\n")
 
 
-def window_size(text: str) -> int:
-    """argparse type of each --window value: a nonnegative integer."""
+def nonnegative(text: str) -> int:
+    """argparse type of each --window value and of --order."""
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"window sizes are nonnegative, got {value}")
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
     return value
 
 
@@ -184,25 +184,22 @@ def _parser() -> argparse.ArgumentParser:
                     "sequences.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, window=True, order=False):
+    def add_common(p, window=True):
         p.add_argument("--in", dest="infile", required=True,
                        help="input JSON document ('-' for stdin)")
         p.add_argument("--out", dest="outfile", default=None,
                        help="output path (default: stdout)")
         if window:
-            p.add_argument("--window", nargs=2, type=window_size, required=True,
+            p.add_argument("--window", nargs=2, type=nonnegative, required=True,
                            metavar=("N", "M"))
-        if order:
-            p.add_argument("--order", type=int, default=None,
-                           help="series/moment order (default: 2(N+M)+4)")
 
     p_gen = sub.add_parser("gen", help="generate a moment system document")
     p_gen.add_argument("--system", required=True,
                        choices=["angelesco", "nikishin", "moments", "jfraction"])
     add_common(p_gen, window=False)
-    p_gen.add_argument("--order", type=int, default=None,
+    p_gen.add_argument("--order", type=nonnegative, default=None,
                        help="number of moments to generate")
-    p_gen.add_argument("--window", nargs=2, type=window_size, default=None,
+    p_gen.add_argument("--window", nargs=2, type=nonnegative, default=None,
                        metavar=("N", "M"),
                        help="alternatively: generate 2(N+M)+4 moments, enough "
                             "for this window")

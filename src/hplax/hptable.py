@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import (DegeneracyError, IntegrityError, NotNormalError,
                      TruncationError, WindowError)
-from .kernel import (LaurentTail, Poly, bordered_solve, det_exact,
+from .kernel import (LaurentTail, Poly, bordered_solve, det_exact, moment_pairing,
                      poly_from_series_product, solve_exact)
 from .measures import MomentSystem
 
@@ -165,11 +165,5 @@ class HPTable:
     def orthogonality_residuals(self, n: int, m: int) -> tuple[list[Fraction], list[Fraction]]:
         """Pairings of P(n, m) with the first monomials; all must vanish."""
         p = self.hp_poly_det(n, m)
-        out = []
-        for seq, count in ((self.moments.s1, n), (self.moments.s2, m)):
-            res = []
-            for k in range(count):
-                res.append(sum((p.coeff(i) * seq[k + i] for i in range(p.degree + 1)),
-                               Fraction(0)))
-            out.append(res)
-        return out[0], out[1]
+        return ([moment_pairing(p, self.moments.s1, k) for k in range(n)],
+                [moment_pairing(p, self.moments.s2, k) for k in range(m)])

@@ -58,6 +58,15 @@ def _window(doc: dict) -> tuple[int, int]:
     return win[0], win[1]
 
 
+def _grid_rows(doc: dict, key: str, nw: int, mw: int) -> list:
+    """The rows of grid `key`, which must be nw + 1 lists of mw + 1 entries."""
+    rows = need(doc, key)
+    if (not isinstance(rows, list) or len(rows) != nw + 1
+            or any(not isinstance(r, list) or len(r) != mw + 1 for r in rows)):
+        raise ParseError(f"grid {key!r} does not match window [{nw}, {mw}]")
+    return rows
+
+
 # -- moment systems ----------------------------------------------------------
 
 
@@ -132,13 +141,9 @@ def table_from_doc(doc: dict) -> tuple[list[list[Fraction]], list[list[Poly]],
     if need(doc, "kind") != "hp_table":
         raise ParseError(f"expected an hp_table document, got {doc.get('kind')!r}")
     nw, mw = _window(doc)
-    s_rows = need(doc, "s")
-    p_rows = need(doc, "p")
-    if len(s_rows) != nw + 1 or len(p_rows) != nw + 1:
-        raise ParseError(f"grids do not match window [{nw}, {mw}]")
-    s_grid = [[rat_parse(v) for v in row] for row in s_rows]
+    s_grid = [[rat_parse(v) for v in row] for row in _grid_rows(doc, "s", nw, mw)]
     p_grid = [[Poly(tuple(rat_parse(c) for c in entry)) for entry in row]
-              for row in p_rows]
+              for row in _grid_rows(doc, "p", nw, mw)]
     return s_grid, p_grid, (nw, mw)
 
 
@@ -161,9 +166,7 @@ def field_from_doc(doc: dict) -> RecurrenceField:
     nw, mw = _window(doc)
     grids: dict[str, dict[tuple[int, int], Fraction]] = {}
     for kind in KINDS:
-        rows = need(doc, kind)
-        if len(rows) != nw + 1 or any(len(r) != mw + 1 for r in rows):
-            raise ParseError(f"grid {kind!r} does not match window [{nw}, {mw}]")
+        rows = _grid_rows(doc, kind, nw, mw)
         grids[kind] = {(n, m): rat_parse(rows[n][m])
                        for n in range(nw + 1) for m in range(mw + 1)}
     return RecurrenceField(grids, (nw, mw))

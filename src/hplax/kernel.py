@@ -1,9 +1,9 @@
 """Exact arithmetic substrate.
 
-Scalars are arbitrary-precision rationals (``fractions.Fraction``, re-exported
-as ``Rat``).  On top of them sit dense polynomials, truncated Laurent tails at
-infinity, and small square matrices of polynomials.  Every value is immutable
-after construction and safe to share between tasks.
+Scalars are arbitrary-precision rationals (``fractions.Fraction``).  On top
+of them sit dense polynomials, truncated Laurent tails at infinity, and small
+square matrices of polynomials.  Every value is immutable after construction
+and safe to share between tasks.
 """
 
 from __future__ import annotations
@@ -14,11 +14,6 @@ from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import DegeneracyError, DimensionError, IntegrityError, TruncationError
-
-#: Exact rational scalar type.  Stored in lowest terms with positive
-#: denominator; equality is canonical-form equality.  The stdlib type already
-#: guarantees all of that.
-Rat = Fraction
 
 Ratlike = Union[Fraction, int, str]
 
@@ -183,9 +178,6 @@ class LaurentTail:
             )
         return self.coeffs[:count]
 
-    def truncate(self, order: int) -> "LaurentTail":
-        return LaurentTail(self.head(min(order, len(self.coeffs))))
-
     def __add__(self, other: "LaurentTail") -> "LaurentTail":
         n = min(len(self.coeffs), len(other.coeffs))
         return LaurentTail(tuple(self.coeffs[i] + other.coeffs[i] for i in range(n)))
@@ -240,9 +232,6 @@ class MatPoly:
     @property
     def is_zero(self) -> bool:
         return all(e.is_zero for r in self.rows for e in r)
-
-    def max_degree(self) -> int:
-        return max((e.degree for r in self.rows for e in r), default=-1)
 
     def __mul__(self, other: "MatPoly") -> "MatPoly":
         if self.dim != other.dim:
@@ -444,6 +433,19 @@ def solve_exact(a: Sequence[Sequence[Ratlike]], b: Sequence[Ratlike]) -> list[Fr
     return out
 
 
+def moment_pairing(p: Poly, moments: Sequence[Fraction], shift: int = 0) -> Fraction:
+    """The moment functional L[x^k] = moments[k] applied to x^shift * p(x).
+
+    This is sum_i p_i * moments[shift + i]; it raises instead of reading past
+    the last moment.
+    """
+    if shift + p.degree >= len(moments):
+        raise TruncationError(
+            f"pairing needs moment index {shift + p.degree}, have {len(moments)}")
+    window = moments[shift:shift + len(p.coeffs)]
+    return sum((c * s for c, s in zip(p.coeffs, window)), Fraction(0))
+
+
 def series_from_moments(moments: Sequence[Ratlike]) -> LaurentTail:
     """Tail with coefficient of z^(-k-1) equal to the k-th moment."""
     return LaurentTail(tuple(rat(s) for s in moments))
@@ -469,14 +471,9 @@ def poly_from_series_product(f: LaurentTail, p: Poly) -> tuple[Poly, LaurentTail
             continue
         for k in range(i):
             poly_part[i - 1 - k] += pi * f.coeffs[k]
-    tail_len = f.truncation_order - d
-    tail = [Fraction(0)] * tail_len
-    for t in range(tail_len):
-        acc = Fraction(0)
-        for i in range(d + 1):
-            acc += p.coeff(i) * f.coeffs[i + t]
-        tail[t] = acc
-    return Poly(tuple(poly_part)), LaurentTail(tuple(tail))
+    tail = tuple(moment_pairing(p, f.coeffs, t)
+                 for t in range(f.truncation_order - d))
+    return Poly(tuple(poly_part)), LaurentTail(tail)
 
 
 def series_of_ratio(num: Poly, den: Poly, order: int) -> LaurentTail:

@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import IntegrityError, WindowError
-from .kernel import LaurentTail, MatPoly, Poly, X, poly_from_series_product
+from .kernel import (LaurentTail, MatPoly, Poly, X, moment_pairing,
+                     poly_from_series_product)
 from .hptable import HPTable
 from .nnrr import RecurrenceField
 
@@ -75,14 +76,8 @@ class WaveMatrix:
 
 def _pairing(table: HPTable, which: int, n: int, m: int) -> Fraction:
     """h1 (which=1) or h2 (which=2): pairing of P(n, m) with x^n resp. x^m."""
-    p = table.hp_poly_det(n, m)
-    seq = table.moments.sequence(which)
-    shift = n if which == 1 else m
-    if shift + p.degree >= len(seq):
-        raise WindowError(
-            f"pairing at ({n}, {m}) needs moment index {shift + p.degree}, "
-            f"have {len(seq)}")
-    return sum((p.coeff(i) * seq[shift + i] for i in range(p.degree + 1)), Fraction(0))
+    return moment_pairing(table.hp_poly_det(n, m), table.moments.sequence(which),
+                          n if which == 1 else m)
 
 
 def normalization_grid(table: HPTable, N: int, M: int) -> NormalizationGrid:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import (DegeneracyError, DisjointSupportError, PoleError,
                      TruncationError)
-from .kernel import Poly, Ratlike, rat
+from .kernel import Poly, Ratlike, X, moment_pairing, rat
 
 DISCRETE = "discrete"
 INTERVAL = "interval"
@@ -158,14 +158,6 @@ def make_nikishin(sigma1: MeasureModel, sigma2: MeasureModel, count: int) -> Mom
     return MomentSystem(tuple(s1), tuple(s2), label="nikishin")
 
 
-def _functional(s, p: Poly) -> Fraction:
-    """Apply the moment functional L[x^k] = s_k to a polynomial."""
-    if p.degree >= len(s):
-        raise TruncationError(
-            f"moment functional needs s up to index {p.degree}, have {len(s)}")
-    return sum((p.coeff(i) * s[i] for i in range(p.degree + 1)), Fraction(0))
-
-
 def monic_orthogonal_polys(s, upto: int) -> list[Poly]:
     """Monic orthogonal polynomials pi_0..pi_upto for the moment functional.
 
@@ -173,7 +165,6 @@ def monic_orthogonal_polys(s, upto: int) -> list[Poly]:
     recurrence with exactly computed c_j and a_j, which is the O(depth^2)
     Gram-Schmidt against the functional.
     """
-    from .kernel import X
     if upto < 0:
         return []
     s = [rat(x) for x in s]
@@ -186,13 +177,13 @@ def monic_orthogonal_polys(s, upto: int) -> list[Poly]:
     norms: list[Fraction] = []          # norms[j] = L[pi_j^2], j <= upto-1
     for j in range(upto):
         pj = polys[j]
-        nj = _functional(s, pj * pj)
+        nj = moment_pairing(pj * pj, s)
         if nj == 0:
             raise DegeneracyError(
                 f"moment functional degenerates at depth {j + 1} "
                 f"(norm of pi_{j} vanishes)")
         norms.append(nj)
-        cj = _functional(s, X * pj * pj) / nj
+        cj = moment_pairing(X * pj * pj, s) / nj
         nxt = (X - Poly.of(cj)) * pj
         if j >= 1:
             nxt = nxt - (norms[j] / norms[j - 1]) * polys[j - 1]
@@ -206,7 +197,6 @@ def moments_to_jfraction(s, depth: int) -> JFraction:
     Exact monic Stieltjes procedure; fails loudly (naming the depth) when a
     leading principal Hankel determinant vanishes.
     """
-    from .kernel import X
     s = [rat(x) for x in s]
     if depth < 1:
         raise DegeneracyError("J-fraction depth must be at least 1")
@@ -221,7 +211,7 @@ def moments_to_jfraction(s, depth: int) -> JFraction:
         if norm == 0:
             raise DegeneracyError(
                 f"vanishing Hankel determinant: functional degenerates at depth {j}")
-        cj = _functional(s, X * pi * pi) / norm
+        cj = moment_pairing(X * pi * pi, s) / norm
         c.append(cj)
         if j >= 1:
             a.append(norm / norm_prev)
@@ -231,7 +221,7 @@ def moments_to_jfraction(s, depth: int) -> JFraction:
         pi_prev, pi = pi, nxt
         norm_prev = norm
         if j + 1 < depth:
-            norm = _functional(s, pi * pi)
+            norm = moment_pairing(pi * pi, s)
     return JFraction(tuple(c), tuple(a), s[0])
 
 

@@ -32,9 +32,6 @@ class RecurrenceField:
         self._grids = {k: dict(v) for k, v in grids.items()}
         self.window = window
 
-    def has(self, kind: str, n: int, m: int) -> bool:
-        return (n, m) in self._grids[kind]
-
     def value(self, kind: str, n: int, m: int) -> Fraction:
         try:
             return self._grids[kind][(n, m)]
@@ -62,9 +59,6 @@ class RecurrenceField:
         grids = {k: dict(v) for k, v in self._grids.items()}
         grids[kind][(n, m)] = Fraction(value)
         return RecurrenceField(grids, self.window)
-
-    def grid_items(self, kind: str):
-        return self._grids[kind].items()
 
     def same_grids(self, other: "RecurrenceField") -> tuple[bool, tuple | None]:
         """Exact comparison on the intersection window; returns first diff."""
@@ -99,7 +93,8 @@ def _sub(p: Poly) -> Fraction:
     return p.coeff(p.degree - 1)
 
 
-def _a_value(table: HPTable, n: int, m: int) -> Fraction:
+def a_value(table: HPTable, n: int, m: int) -> Fraction:
+    """a(n, m) = S(n+1, m) S(n-1, m) / S(n, m)^2; zero on the axis n = 0."""
     if n == 0:
         return Fraction(0)
     s = table.s_det(n, m)
@@ -108,7 +103,8 @@ def _a_value(table: HPTable, n: int, m: int) -> Fraction:
     return table.s_det(n + 1, m) * table.s_det(n - 1, m) / s ** 2
 
 
-def _b_value(table: HPTable, n: int, m: int) -> Fraction:
+def b_value(table: HPTable, n: int, m: int) -> Fraction:
+    """b(n, m) = S(n, m+1) S(n, m-1) / S(n, m)^2; zero on the axis m = 0."""
     if m == 0:
         return Fraction(0)
     s = table.s_det(n, m)
@@ -117,11 +113,13 @@ def _b_value(table: HPTable, n: int, m: int) -> Fraction:
     return table.s_det(n, m + 1) * table.s_det(n, m - 1) / s ** 2
 
 
-def _c_value(table: HPTable, n: int, m: int) -> Fraction:
+def c_value(table: HPTable, n: int, m: int) -> Fraction:
+    """c(n, m) from the subleading coefficients of P(n, m) and P(n+1, m)."""
     return _sub(table.hp_poly_det(n, m)) - _sub(table.hp_poly_det(n + 1, m))
 
 
-def _d_value(table: HPTable, n: int, m: int) -> Fraction:
+def d_value(table: HPTable, n: int, m: int) -> Fraction:
+    """d(n, m) from the subleading coefficients of P(n, m) and P(n, m+1)."""
     return _sub(table.hp_poly_det(n, m)) - _sub(table.hp_poly_det(n, m + 1))
 
 
@@ -130,10 +128,10 @@ def field_from_table(table: HPTable, N: int, M: int) -> RecurrenceField:
     grids: dict[str, dict[tuple[int, int], Fraction]] = {k: {} for k in KINDS}
     for n in range(N + 1):
         for m in range(M + 1):
-            grids["a"][(n, m)] = _a_value(table, n, m)
-            grids["b"][(n, m)] = _b_value(table, n, m)
-            grids["c"][(n, m)] = _c_value(table, n, m)
-            grids["d"][(n, m)] = _d_value(table, n, m)
+            grids["a"][(n, m)] = a_value(table, n, m)
+            grids["b"][(n, m)] = b_value(table, n, m)
+            grids["c"][(n, m)] = c_value(table, n, m)
+            grids["d"][(n, m)] = d_value(table, n, m)
     return RecurrenceField(grids, (N, M))
 
 
@@ -206,15 +204,15 @@ def m_minus_series(table: HPTable, j: int, n: int, m: int, order: int) -> Lauren
         key = (jj, nn, mm)
         if key in memo:
             return memo[key]
-        diag = _c_value(table, nn, mm) if jj == 1 else _d_value(table, nn, mm)
+        diag = c_value(table, nn, mm) if jj == 1 else d_value(table, nn, mm)
         branch = [Fraction(0)] * order
         if nn >= 1:
-            av = _a_value(table, nn, mm)
+            av = a_value(table, nn, mm)
             prev = level(1, nn - 1, mm)
             for i in range(order):
                 branch[i] += av * prev[i]
         if mm >= 1:
-            bv = _b_value(table, nn, mm)
+            bv = b_value(table, nn, mm)
             prev = level(2, nn, mm - 1)
             for i in range(order):
                 branch[i] += bv * prev[i]

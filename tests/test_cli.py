@@ -2,11 +2,14 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hplax import jsondoc
 from hplax.bvp import BoundaryData, boundary_from_field, field_from_moments
 from hplax.cli import main
-from hplax.measures import moments_to_jfraction
+from hplax.hptable import HPTable
+from hplax.measures import MeasureModel, make_angelesco, moments_to_jfraction
 
 
 def write_json(path, doc):
@@ -129,6 +132,12 @@ class TestTableAndCoeffs:
                      "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_negative_order_exit_2(self, tmp_path, angelesco_input):
+        out = tmp_path / "out.json"
+        assert main(["gen", "--system", "angelesco", "--in", angelesco_input,
+                     "--order", "-1", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_truncation_exit_5(self, tmp_path, angelesco_input):
         system = run_gen(tmp_path, angelesco_input, order=4)
         assert main(["table", "--in", str(system), "--window", "4", "4"]) == 5
@@ -163,6 +172,19 @@ class TestSolveBvp:
         doc = json.loads(out.read_text())
         assert doc["status"] == "non_perfect_boundary"
         assert doc["failure_index"] == [0, 0]
+
+    def test_zero_subdiagonal_exit_3(self, tmp_path, system_a, capsys):
+        # BoundaryData refuses the document before any sweep, so there is no
+        # lattice index to report under exit 4
+        boundary = boundary_from_field(field_from_moments(system_a, 5, 5), 4)
+        doc = jsondoc.boundary_to_doc(boundary)
+        doc["a_row"][1] = "0"
+        inp = write_json(tmp_path / "bd.json", doc)
+        out = tmp_path / "report.json"
+        assert main(["solve-bvp", "--in", inp, "--window", "2", "2",
+                     "--out", str(out)]) == 3
+        assert "degenerate data" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerify:
@@ -207,6 +229,39 @@ class TestDocRoundtrips:
             doc["window"] = window
             with pytest.raises(jsondoc.ParseError):
                 jsondoc.table_from_doc(doc)
+
+    def test_table_rows_must_match_window(self, tmp_path, angelesco_input):
+        system = run_gen(tmp_path, angelesco_input)
+        out = tmp_path / "table.json"
+        assert main(["table", "--in", str(system), "--window", "1", "1",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        doc["s"][1].append(doc["s"][0].pop())          # row lengths 1 and 3
+        with pytest.raises(jsondoc.ParseError):
+            jsondoc.table_from_doc(doc)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=4),
+                    min_size=4, max_size=4, unique=True),
+           st.integers(0, 3), st.integers(0, 3), st.sampled_from(["s", "p", "c"]))
+    def test_random_angelesco_round_trips(self, ends, nw, mw, shortened):
+        lo1, hi1, lo2, hi2 = sorted(ends)
+        system = make_angelesco(MeasureModel.interval(lo1, hi1),
+                                MeasureModel.interval(lo2, hi2), 2 * (nw + mw) + 4)
+        table = HPTable(system, nw + 1, mw + 1)
+        s_grid = [[table.s_det(n, m) for m in range(mw + 1)] for n in range(nw + 1)]
+        p_grid = [[table.hp_poly_det(n, m) for m in range(mw + 1)] for n in range(nw + 1)]
+        table_doc = jsondoc.table_to_doc(s_grid, p_grid, (nw, mw))
+        assert jsondoc.table_from_doc(table_doc) == (s_grid, p_grid, (nw, mw))
+        field = field_from_moments(system, nw, mw)
+        field_doc = jsondoc.field_to_doc(field)
+        assert jsondoc.field_from_doc(field_doc).same_grids(field) == (True, None)
+
+        doc, decode = ((field_doc, jsondoc.field_from_doc) if shortened == "c"
+                       else (table_doc, jsondoc.table_from_doc))
+        doc[shortened][nw].pop()
+        with pytest.raises(jsondoc.ParseError):
+            decode(doc)
 
     def test_rejects_floats(self):
         with pytest.raises(jsondoc.ParseError):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from hplax.errors import (DegeneracyError, DimensionError, IntegrityError,
                           TruncationError)
 from hplax.kernel import (LaurentTail, MatPoly, Poly, X, bordered_solve,
-                          det_exact, poly_divmod, poly_from_series_product,
-                          poly_gcd, series_from_moments, series_of_ratio,
-                          solve_exact)
+                          det_exact, moment_pairing, poly_divmod,
+                          poly_from_series_product, poly_gcd,
+                          series_from_moments, series_of_ratio, solve_exact)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -199,6 +199,23 @@ class TestLaurentTail:
         a = LaurentTail.of(1, 2, 3)
         b = LaurentTail.of(1, 1)
         assert (a + b).truncation_order == 2
+
+
+class TestMomentPairing:
+    lebesgue_01 = [F(1, k + 1) for k in range(5)]
+
+    def test_values(self):
+        p = X - Poly.of(F(1, 2))
+        assert moment_pairing(p, self.lebesgue_01) == 0
+        assert moment_pairing(p, self.lebesgue_01, 1) == F(1, 3) - F(1, 4)
+        assert moment_pairing(Poly(), self.lebesgue_01, 5) == 0
+
+    def test_reaching_past_the_last_moment_raises(self):
+        assert moment_pairing(X * X, self.lebesgue_01, 2) == F(1, 5)
+        with pytest.raises(TruncationError):
+            moment_pairing(X * X, self.lebesgue_01, 3)
+        with pytest.raises(TruncationError):
+            moment_pairing(Poly.of(*range(1, 7)), self.lebesgue_01)
 
 
 class TestSeriesPolyProduct:

@@ -2,9 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from hplax.errors import WindowError
+from hplax.errors import TruncationError, WindowError
 from hplax.hptable import HPTable
 from hplax.kernel import MatPoly, Poly, X, series_from_moments
+from hplax.measures import MeasureModel, make_angelesco
 from hplax.lax3 import (assemble_l, assemble_m, build_transition,
                         det_transition, normalization_grid, path_transport,
                         propagate, reflect_index, wave_matrix, waves_agree,
@@ -70,6 +71,13 @@ class TestNormalizationGrid:
 
     def test_multiplicative_law_at_11(self, norms_a, field_a):
         assert norms_a.h1(1, 1) == field_a.a(1, 1) * norms_a.h1(0, 1)
+
+    def test_short_moments_raise_truncation(self):
+        # P(2, 1) is defined by 5 moments, but h1(2, 1) reads moment index 5
+        system = make_angelesco(MeasureModel.interval(-2, -1),
+                                MeasureModel.interval(1, 2), 5)
+        with pytest.raises(TruncationError):
+            normalization_grid(HPTable(system, 2, 1), 2, 1)
 
 
 class TestBuildTransition:

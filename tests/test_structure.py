@@ -1,0 +1,60 @@
+"""Structural rules of the hplax package, read from its source with ast.
+
+A module keeps its `_`-prefixed names to itself, and each module-level
+ALL_CAPS constant is assigned in one module only; the others import it.
+"""
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hplax"
+
+
+def modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def is_hplax(node: ast.ImportFrom) -> bool:
+    return node.level > 0 or (node.module or "").split(".")[0] == "hplax"
+
+
+def test_source_found():
+    assert {"kernel", "cli"} <= set(modules())
+
+
+def test_no_private_name_crosses_a_module():
+    offences = []
+    for name, tree in modules().items():
+        imported_modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and is_hplax(node):
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        offences.append(f"{name} imports {alias.name}")
+                    if node.module is None:         # from . import jsondoc
+                        imported_modules.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in imported_modules):
+                offences.append(f"{name} reads {node.value.id}.{node.attr}")
+    assert not offences
+
+
+def test_each_constant_has_one_home():
+    homes = defaultdict(list)
+    for name, tree in modules().items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name) and leaf.id.isupper():
+                        homes[leaf.id].append(name)
+    assert {k: v for k, v in homes.items() if len(v) > 1} == {}
