@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DegeneracyError, IntegrityError, NonPerfectBoundaryError,
-                     WindowError)
+                     TruncationError, WindowError)
 from .hptable import HPTable
 from .lax3 import build_transition, normalization_grid, zcc_residual
 from .measures import MomentSystem
@@ -114,7 +114,7 @@ def sweep_solve(boundary: BoundaryData, N: int, M: int) -> SweepReport:
     """
     lam = N + M
     if boundary.max_level < lam:
-        raise WindowError(
+        raise TruncationError(
             f"window ({N}, {M}) sweeps to level {lam}, boundary only "
             f"supports level {boundary.max_level}")
     a: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(0)}

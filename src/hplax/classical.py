@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegeneracyError, TruncationError, WindowError
-from .kernel import MatPoly, Poly, X, det_exact, poly_divmod, poly_gcd, rat
+from .kernel import MatPoly, Poly, X, det_exact, rat
 from .measures import JFraction, jfraction_to_moments, monic_orthogonal_polys
 
 
@@ -121,51 +121,48 @@ def zcc2_residual(moments, n: int, k: int) -> MatPoly:
     return l_up * m_here - m_right * l_here
 
 
-def three_term_check(j: JFraction, upto: int) -> list[Poly]:
-    """Residuals of the monic three-term recurrence against independently
-    built orthogonal polynomials.
+def _recurrence_polys(j: JFraction, upto: int) -> list[Poly]:
+    """pi_0..pi_upto from the monic three-term recurrence
+    pi_(t+1) = (x - c_t) pi_t - a_t pi_(t-1) on the J-fraction data."""
+    if j.depth < upto or len(j.a) < upto - 1:
+        raise WindowError(
+            f"pi_{upto} needs {upto} diagonal and {upto - 1} subdiagonal "
+            f"coefficients, have {j.depth} and {len(j.a)}")
+    polys = [Poly.of(1)]
+    for t in range(upto):
+        nxt = (X - Poly.of(j.c[t])) * polys[t]
+        if t >= 1:
+            nxt = nxt - j.a[t - 1] * polys[t - 1]
+        polys.append(nxt)
+    return polys
 
-    The polynomials come from Gram-Schmidt on moments recovered from the
-    continued-fraction data, so the two routes meet here; every residual must
-    be the zero polynomial.
+
+def three_term_check(j: JFraction, upto: int) -> list[Poly]:
+    """Residuals pi_t - rho_t, t = 1..upto, between two routes to the monic
+    orthogonal polynomials of a J-fraction.
+
+    rho_t runs the three-term recurrence on the coefficients; pi_t is the
+    determinant route (monic_orthogonal_polys, the Hankel null vector) on the
+    moments that jfraction_to_moments recovers from the same data.  Every
+    residual must be the zero polynomial.
     """
     if upto < 1:
         return []
-    if j.depth < upto or len(j.a) < upto - 1:
-        raise WindowError(
-            f"recurrence check to depth {upto} needs {upto} diagonal and "
-            f"{upto - 1} subdiagonal coefficients, have {j.depth} and {len(j.a)}")
-    moments = jfraction_to_moments(j, 2 * upto)
-    polys = monic_orthogonal_polys(moments, upto)
-    residuals = []
-    for t in range(upto):
-        rhs = (X - Poly.of(j.c[t])) * polys[t]
-        if t >= 1:
-            rhs = rhs - j.a[t - 1] * polys[t - 1]
-        residuals.append(polys[t + 1] - rhs)
-    return residuals
+    rho = _recurrence_polys(j, upto)
+    pi = monic_orthogonal_polys(jfraction_to_moments(j, 2 * upto), upto)
+    return [p - r for p, r in zip(pi[1:], rho[1:])]
 
 
 def cf_tail_eval(j: JFraction, depth: int) -> tuple[Poly, Poly]:
     """Finite continued fraction with diagonal c and partial numerators a,
-    evaluated bottom-up as an exact rational function (numerator, denominator,
-    coprime with monic denominator).
+    as the exact rational function (-pi_depth, pi_(depth+1)) of consecutive
+    recurrence polynomials: depth 0 gives -1/(x - c_0).
 
-    Equals the ratio -pi_depth / pi_(depth+1) of consecutive monic orthogonal
-    polynomials: depth 0 gives -1/(x - c_0).
+    The pair is coprime with monic denominator without any division: the a
+    are nonzero, so a common root of pi_depth and pi_(depth+1) would pass
+    down the recurrence to pi_0 = 1.
     """
     if depth < 0:
         raise WindowError("continued-fraction depth must be nonnegative")
-    if j.depth < depth + 1 or len(j.a) < depth:
-        raise WindowError(
-            f"depth {depth} needs {depth + 1} diagonal and {depth} subdiagonal "
-            f"coefficients, have {j.depth} and {len(j.a)}")
-    num_prev, num = Poly.of(1), X - Poly.of(j.c[0])
-    for t in range(1, depth + 1):
-        num_prev, num = num, (X - Poly.of(j.c[t])) * num - j.a[t - 1] * num_prev
-    g = poly_gcd(num_prev, num)
-    if g.degree > 0:
-        num_prev, _ = poly_divmod(num_prev, g)
-        num, _ = poly_divmod(num, g)
-    lead = num.leading
-    return -num_prev / lead, num / lead
+    polys = _recurrence_polys(j, depth + 1)
+    return -polys[depth], polys[depth + 1]

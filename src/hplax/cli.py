@@ -149,7 +149,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_qd(args) -> int:
     doc = _read_doc(args.infile)
-    moments = [jsondoc.rat_parse(x) for x in jsondoc.need(doc, "moments")]
+    moments = jsondoc.rat_list(jsondoc.need(doc, "moments"))
     n_max, k_max = args.window
     qd = classical.QdField(moments)
     v_grid = [[jsondoc.rat_str(qd.v(n, k)) for k in range(k_max + 1)]

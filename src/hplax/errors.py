@@ -31,11 +31,11 @@ class DegeneracyError(HplaxError):
     """A required denominator (Hankel value, determinant, series head) vanishes."""
 
 
-class DisjointSupportError(HplaxError):
+class DisjointSupportError(DegeneracyError):
     """Measure supports overlap where disjoint intervals are required."""
 
 
-class PoleError(HplaxError):
+class PoleError(DegeneracyError):
     """A Cauchy-transform weight is evaluated at one of its own poles."""
 
 

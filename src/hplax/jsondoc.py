@@ -142,8 +142,12 @@ def table_from_doc(doc: dict) -> tuple[list[list[Fraction]], list[list[Poly]],
         raise ParseError(f"expected an hp_table document, got {doc.get('kind')!r}")
     nw, mw = _window(doc)
     s_grid = [[rat_parse(v) for v in row] for row in _grid_rows(doc, "s", nw, mw)]
-    p_grid = [[Poly(tuple(rat_parse(c) for c in entry)) for entry in row]
+    p_grid = [[Poly(tuple(rat_list(entry))) for entry in row]
               for row in _grid_rows(doc, "p", nw, mw)]
+    for n, row in enumerate(p_grid):
+        for m, poly in enumerate(row):
+            if poly.degree != n + m or not poly.is_monic:
+                raise ParseError(f"p[{n}][{m}] is not monic of degree {n + m}")
     return s_grid, p_grid, (nw, mw)
 
 

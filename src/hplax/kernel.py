@@ -103,12 +103,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar: Ratlike) -> "Poly":
-        c = rat(scalar)
-        if c == 0:
-            raise ZeroDivisionError("division of polynomial by zero scalar")
-        return self * (1 / c)
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -495,36 +489,3 @@ def series_of_ratio(num: Poly, den: Poly, order: int) -> LaurentTail:
             acc -= den.coeff(dd - r + k) * out[k]
         out.append(acc / lead)
     return LaurentTail(tuple(out))
-
-
-def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Exact polynomial division with remainder."""
-    if den.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    q: dict[int, Fraction] = {}
-    rem = list(num.coeffs)
-    dd, lead = den.degree, den.leading
-    while len(rem) - 1 >= dd and any(c != 0 for c in rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dd:
-            break
-        k = len(rem) - 1 - dd
-        factor = rem[-1] / lead
-        q[k] = factor
-        for i in range(dd + 1):
-            rem[k + i] -= factor * den.coeff(i)
-    qc = [Fraction(0)] * (max(q) + 1 if q else 0)
-    for k, v in q.items():
-        qc[k] = v
-    return Poly(tuple(qc)), Poly(tuple(rem))
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm."""
-    while not b.is_zero:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a.is_zero:
-        return a
-    return a / a.leading

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import (DegeneracyError, DisjointSupportError, PoleError,
                      TruncationError)
-from .kernel import Poly, Ratlike, X, moment_pairing, rat
+from .kernel import Poly, Ratlike, X, bordered_solve, moment_pairing, rat
 
 DISCRETE = "discrete"
 INTERVAL = "interval"
@@ -161,9 +161,10 @@ def make_nikishin(sigma1: MeasureModel, sigma2: MeasureModel, count: int) -> Mom
 def monic_orthogonal_polys(s, upto: int) -> list[Poly]:
     """Monic orthogonal polynomials pi_0..pi_upto for the moment functional.
 
-    Stieltjes-style construction: each pi_(j+1) follows from the three-term
-    recurrence with exactly computed c_j and a_j, which is the O(depth^2)
-    Gram-Schmidt against the functional.
+    Determinant route, independent of the Stieltjes recurrence of
+    moments_to_jfraction: pi_n is the monic null vector of the (n + 1) x n
+    Hankel grid s[i + j] (i <= n, j < n), which is the table's P(n, 0) for
+    the single sequence s.  Each degree takes one fraction-free elimination.
     """
     if upto < 0:
         return []
@@ -173,21 +174,14 @@ def monic_orthogonal_polys(s, upto: int) -> list[Poly]:
         raise TruncationError(
             f"need {need} moments for orthogonal polynomials up to degree {upto}, "
             f"have {len(s)}")
-    polys = [Poly.of(1)]
-    norms: list[Fraction] = []          # norms[j] = L[pi_j^2], j <= upto-1
-    for j in range(upto):
-        pj = polys[j]
-        nj = moment_pairing(pj * pj, s)
-        if nj == 0:
+    polys = []
+    for n in range(upto + 1):
+        _, coeffs = bordered_solve([[s[i + j] for j in range(n)] for i in range(n + 1)])
+        if coeffs is None:
             raise DegeneracyError(
-                f"moment functional degenerates at depth {j + 1} "
-                f"(norm of pi_{j} vanishes)")
-        norms.append(nj)
-        cj = moment_pairing(X * pj * pj, s) / nj
-        nxt = (X - Poly.of(cj)) * pj
-        if j >= 1:
-            nxt = nxt - (norms[j] / norms[j - 1]) * polys[j - 1]
-        polys.append(nxt)
+                f"moment functional degenerates at depth {n} "
+                f"(Hankel determinant of order {n} vanishes)")
+        polys.append(Poly(coeffs))
     return polys
 
 

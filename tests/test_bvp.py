@@ -5,7 +5,7 @@ import pytest
 from hplax.bvp import (BoundaryData, boundary_from_field, cd_by_summation,
                        cross_validate, field_from_moments, sweep_solve)
 from hplax.errors import (DegeneracyError, NonPerfectBoundaryError,
-                          NotNormalError, WindowError)
+                          NotNormalError, TruncationError, WindowError)
 from hplax.hptable import HPTable
 from hplax.measures import moments_to_jfraction
 from hplax.nnrr import consistency_residuals, field_from_table
@@ -91,7 +91,7 @@ class TestSweepSolve:
         assert report.field.c(0, 0) == boundary_a.c_row[0]
 
     def test_boundary_too_short(self, boundary_a):
-        with pytest.raises(WindowError):
+        with pytest.raises(TruncationError):
             sweep_solve(boundary_a, 5, 5)
 
     def test_sweep_output_satisfies_consistency(self, boundary_a):

@@ -1,14 +1,17 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hplax import classical
 from hplax.classical import (QdField, cf_tail_eval, hankel_shifted, lax_l,
                              lax_m_num, qd_vw, three_term_check,
                              transition_2x2, zcc2_residual)
 from hplax.errors import DegeneracyError, TruncationError, WindowError
+from hplax.hptable import HPTable
 from hplax.kernel import Poly, X
-from hplax.measures import (MeasureModel, measure_moments,
+from hplax.measures import (MeasureModel, MomentSystem, measure_moments,
                             moments_to_jfraction, monic_orthogonal_polys)
 
 
@@ -194,3 +197,36 @@ class TestCfTailEval:
         j = moments_to_jfraction(moments, 1)
         with pytest.raises(WindowError):
             cf_tail_eval(j, 1)
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+atomic = st.lists(
+    st.tuples(small_rationals,
+              st.fractions(min_value=F(1, 5), max_value=2, max_denominator=5)),
+    min_size=1, max_size=4, unique_by=lambda atom: atom[0]
+).map(lambda atoms: (MeasureModel.discrete(atoms), len(atoms)))
+interval = st.tuples(
+    st.lists(small_rationals, min_size=2, max_size=2, unique=True),
+    st.integers(1, 4)
+).map(lambda ends_depth: (MeasureModel.interval(*sorted(ends_depth[0])),
+                          ends_depth[1]))
+
+
+class TestOracleOnRandomMeasures:
+    """Recurrence route against the determinant route on positive measures,
+    to a depth at which every Hankel determinant is nonzero."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(atomic, interval))
+    def test_recurrence_meets_determinant_route(self, measure_depth):
+        mu, depth = measure_depth
+        s = measure_moments(mu, 2 * depth)
+        j = moments_to_jfraction(s, depth)
+        assert all(r.is_zero for r in three_term_check(j, depth))
+        polys = monic_orthogonal_polys(s, depth)
+        for d in range(depth):
+            num, den = cf_tail_eval(j, d)
+            assert num * polys[d + 1] == -polys[d] * den
+        table = HPTable(MomentSystem(s, s), depth, 0)
+        for n in range(depth + 1):
+            assert polys[n] == table.hp_poly_solve(n, 0)

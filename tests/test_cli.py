@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hplax import jsondoc
-from hplax.bvp import BoundaryData, boundary_from_field, field_from_moments
+from hplax import bvp, jsondoc
+from hplax.bvp import (BoundaryData, SweepReport, boundary_from_field,
+                       field_from_moments)
 from hplax.cli import main
 from hplax.hptable import HPTable
-from hplax.measures import MeasureModel, make_angelesco, moments_to_jfraction
+from hplax.kernel import Poly
+from hplax.measures import (MeasureModel, MomentSystem, make_angelesco,
+                            moments_to_jfraction)
 
 
 def write_json(path, doc):
@@ -263,6 +266,15 @@ class TestDocRoundtrips:
         with pytest.raises(jsondoc.ParseError):
             decode(doc)
 
+    @pytest.mark.parametrize("entry", ["12", ["1", "2"], ["3"], ["1", "0", "1"]])
+    def test_table_p_entry_must_be_a_monic_list(self, entry):
+        doc = {"kind": "hp_table", "window": [0, 1], "s": [["1", "2"]],
+               "p": [[["1"], ["-2", "1"]]]}
+        assert jsondoc.table_from_doc(doc)[1][0][1] == Poly.of(-2, 1)
+        doc["p"][0][1] = entry
+        with pytest.raises(jsondoc.ParseError):
+            jsondoc.table_from_doc(doc)
+
     def test_rejects_floats(self):
         with pytest.raises(jsondoc.ParseError):
             jsondoc.rat_parse(0.5)
@@ -272,3 +284,89 @@ class TestDocRoundtrips:
         assert jsondoc.rat_parse("3") == 3
         assert jsondoc.rat_parse(3) == 3
         assert jsondoc.rat_parse("-3/2") == F(-3, 2)
+
+
+def boundary_doc(system):
+    return jsondoc.boundary_to_doc(
+        boundary_from_field(field_from_moments(system, 5, 5), 4))
+
+
+def bump_sweep(monkeypatch):
+    """Make the sweep route of verify return c[1, 1] off by one."""
+    sweep = bvp.sweep_solve
+
+    def bumped(boundary, n_max, m_max):
+        report = sweep(boundary, n_max, m_max)
+        field = report.field
+        return SweepReport(field.replace("c", 1, 1, field.c(1, 1) + 1),
+                           report.divisions_checked)
+
+    monkeypatch.setattr(bvp, "sweep_solve", bumped)
+
+
+def zero_subdiagonal(system):
+    doc = boundary_doc(system)
+    doc["a_row"][1] = "0"
+    return doc
+
+
+def planted(system):
+    doc = boundary_doc(system)
+    doc["c_row"][0] = doc["d_col"][0]       # c - d vanishes at the origin
+    return doc
+
+
+ANGELESCO = {"mu1": {"type": "interval", "lo": "-2", "hi": "-1"},
+             "mu2": {"type": "interval", "lo": "1", "hi": "2"}}
+DUPLICATED = [str(F(1, k + 1)) for k in range(12)]
+
+# (id, command, input document built from system_a, window, exit code,
+#  stderr fragment); every README exit code appears at least once
+EXIT_TABLE = [
+    ("gen", ["gen", "--system", "angelesco", "--order", "6"],
+     lambda s: ANGELESCO, None, 0, ""),
+    ("verify", ["verify"], jsondoc.moment_system_to_doc, (1, 1), 0, ""),
+    ("solve-bvp", ["solve-bvp"], boundary_doc, (2, 2), 0, ""),
+    ("qd", ["qd"], lambda s: {"moments": DUPLICATED}, (1, 1), 0, ""),
+    ("verify-mismatch", ["verify"], jsondoc.moment_system_to_doc, (2, 2), 1,
+     "disagree at c[1, 1]"),
+    ("negative-window", ["table"], jsondoc.moment_system_to_doc, (-1, 2), 2,
+     "nonnegative"),
+    ("qd-moments-string", ["qd"], lambda s: {"moments": "1111111"}, (1, 1), 2,
+     "parse error"),
+    ("not-normal", ["coeffs"],
+     lambda s: jsondoc.moment_system_to_doc(MomentSystem(DUPLICATED, DUPLICATED)),
+     (1, 1), 3, "not normal"),
+    ("overlapping-supports", ["gen", "--system", "angelesco", "--order", "4"],
+     lambda s: {"mu1": ANGELESCO["mu1"], "mu2": ANGELESCO["mu1"]}, None, 3,
+     "degenerate data"),
+    ("nikishin-pole", ["gen", "--system", "nikishin", "--order", "4"],
+     lambda s: {"sigma1": {"type": "discrete", "atoms": [["1", "1"], ["2", "1"]]},
+                "sigma2": {"type": "discrete", "atoms": [["2", "1"]]}},
+     None, 3, "degenerate data"),
+    ("zero-subdiagonal", ["solve-bvp"], zero_subdiagonal, (2, 2), 3,
+     "degenerate data"),
+    ("planted-boundary", ["solve-bvp"], planted, (2, 2), 4,
+     "non-perfect boundary"),
+    ("short-moments", ["table"],
+     lambda s: jsondoc.moment_system_to_doc(MomentSystem(s.s1[:4], s.s2[:4])),
+     (4, 4), 5, "truncation"),
+    ("short-boundary", ["solve-bvp"], boundary_doc, (3, 2), 5, "truncation"),
+]
+
+
+@pytest.mark.parametrize("argv, build, window, code, fragment",
+                         [case[1:] for case in EXIT_TABLE],
+                         ids=[case[0] for case in EXIT_TABLE])
+def test_exit_code_table(tmp_path, system_a, monkeypatch, capsys,
+                         argv, build, window, code, fragment):
+    if code == 1:
+        bump_sweep(monkeypatch)
+    argv = argv + ["--in", write_json(tmp_path / "in.json", build(system_a))]
+    if window is not None:
+        argv += ["--window", *map(str, window)]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == code
+    assert fragment in capsys.readouterr().err
+    if code in (2, 3, 5):
+        assert not out.exists()

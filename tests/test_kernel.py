@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from hplax.errors import (DegeneracyError, DimensionError, IntegrityError,
                           TruncationError)
 from hplax.kernel import (LaurentTail, MatPoly, Poly, X, bordered_solve,
-                          det_exact, moment_pairing, poly_divmod,
-                          poly_from_series_product, poly_gcd,
+                          det_exact, moment_pairing, poly_from_series_product,
                           series_from_moments, series_of_ratio, solve_exact)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
@@ -162,14 +161,6 @@ class TestPoly:
         assert p.evaluate(2) == 4 - F(7, 3)
         assert (p - p).is_zero
         assert (F(3) * Poly.of(1, 1)).coeffs == (3, 3)
-
-    def test_divmod_gcd(self):
-        a = (X - Poly.of(1)) * (X - Poly.of(2))
-        b = X - Poly.of(1)
-        q, r = poly_divmod(a, b)
-        assert r.is_zero and q == X - Poly.of(2)
-        assert poly_gcd(a, b) == b
-        assert poly_gcd(a, X - Poly.of(3)).degree == 0
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(rationals, max_size=5), st.lists(rationals, max_size=5),

@@ -1,14 +1,17 @@
 """Structural rules of the hplax package, read from its source with ast.
 
-A module keeps its `_`-prefixed names to itself, and each module-level
-ALL_CAPS constant is assigned in one module only; the others import it.
+A module keeps its `_`-prefixed names to itself, each module-level
+ALL_CAPS constant is assigned in one module only (the others import it), and
+each public module-level function or class has a user: some code in
+src/hplax or tests/ outside its own definition and the `__init__` re-exports.
 """
 
 import ast
 from collections import defaultdict
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "hplax"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "hplax"
 
 
 def modules() -> dict[str, ast.Module]:
@@ -58,3 +61,24 @@ def test_each_constant_has_one_home():
                     if isinstance(leaf, ast.Name) and leaf.id.isupper():
                         homes[leaf.id].append(name)
     assert {k: v for k, v in homes.items() if len(v) > 1} == {}
+
+
+def used_names(node: ast.AST) -> set[str]:
+    """Names read or called under node, as plain names or attributes."""
+    return ({leaf.id for leaf in ast.walk(node) if isinstance(leaf, ast.Name)}
+            | {leaf.attr for leaf in ast.walk(node) if isinstance(leaf, ast.Attribute)})
+
+
+def test_every_public_name_has_a_user():
+    defined, used = {}, set()
+    for name, tree in modules().items():
+        if name == "__init__":
+            continue
+        for node in tree.body:
+            own = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
+                defined[own] = name
+            used |= used_names(node) - {own}
+    for path in sorted(TESTS.glob("*.py")):
+        used |= used_names(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    assert {k: v for k, v in defined.items() if k not in used} == {}
