@@ -111,6 +111,9 @@ def sweep_solve(boundary: BoundaryData, N: int, M: int) -> SweepReport:
     The level order makes every read refer to an already-filled cell; the
     equations for the first off-axis a and b entries are never evaluated (they
     would reference level -1 data), the axis zeros being boundary conditions.
+    Each cell's gap c - d is subtracted once, on first use, and kept until
+    the sweep has passed the two levels that read it; every division by a gap
+    is still checked and counted in divisions_checked.
     """
     lam = N + M
     if boundary.max_level < lam:
@@ -121,11 +124,15 @@ def sweep_solve(boundary: BoundaryData, N: int, M: int) -> SweepReport:
     b: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(0)}
     c: dict[tuple[int, int], Fraction] = {(0, 0): boundary.c_row[0]}
     d: dict[tuple[int, int], Fraction] = {(0, 0): boundary.d_col[0]}
+    gaps: dict[tuple[int, int], Fraction] = {}
     divisions = 0
     failure: tuple[tuple[int, int], str] | None = None
 
     def gap(n: int, m: int) -> Fraction:
-        return c[(n, m)] - d[(n, m)]
+        g = gaps.get((n, m))
+        if g is None:
+            g = gaps[(n, m)] = c[(n, m)] - d[(n, m)]
+        return g
 
     def checked_gap(n: int, m: int) -> Fraction:
         nonlocal divisions
@@ -164,6 +171,8 @@ def sweep_solve(boundary: BoundaryData, N: int, M: int) -> SweepReport:
                     bracket = (a[(n, m)] + b[(n, m)]
                                - a[(n - 1, m + 1)] - b[(n - 1, m + 1)])
                     d[(n, m)] = d[(n - 1, m)] + bracket / checked_gap(n - 1, m)
+            for n in range(level - 1):                # level - 2 is read no more
+                del gaps[(n, level - 2 - n)]
     except _GapZero as exc:
         failure = (exc.index, f"(c - d) vanishes at {exc.index}")
 

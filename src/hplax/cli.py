@@ -81,8 +81,13 @@ def _cmd_gen(args) -> int:
                                jsondoc.measure_from_doc(jsondoc.need(doc, "sigma2")),
                                count)
     elif args.system == "moments":
-        system = MomentSystem(tuple(jsondoc.rat_list(jsondoc.need(doc, "s1"))),
-                              tuple(jsondoc.rat_list(jsondoc.need(doc, "s2"))),
+        s1 = jsondoc.rat_list(jsondoc.need(doc, "s1"))
+        s2 = jsondoc.rat_list(jsondoc.need(doc, "s2"))
+        if min(len(s1), len(s2)) < count:
+            raise TruncationError(
+                f"gen needs {count} moments of each sequence, the input has "
+                f"{len(s1)} and {len(s2)}")
+        system = MomentSystem(tuple(s1[:count]), tuple(s2[:count]),
                               label=str(doc.get("label", "moments")))
     elif args.system == "jfraction":
         j1 = jsondoc.jfraction_from_doc(jsondoc.need(doc, "f1"))

@@ -10,12 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import DegeneracyError, DimensionError, IntegrityError, TruncationError
 
 Ratlike = Union[Fraction, int, str]
+
+_ZERO = Fraction(0)
 
 
 def rat(x: Ratlike) -> Fraction:
@@ -80,11 +84,12 @@ class Poly:
         return acc
 
     def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
+        return Poly(tuple(a + b for a, b in zip_longest(self.coeffs, other.coeffs,
+                                                         fillvalue=_ZERO)))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return Poly(tuple(a - b for a, b in zip_longest(self.coeffs, other.coeffs,
+                                                         fillvalue=_ZERO)))
 
     def __neg__(self) -> "Poly":
         return Poly(tuple(-c for c in self.coeffs))
@@ -228,18 +233,34 @@ class MatPoly:
         return all(e.is_zero for r in self.rows for e in r)
 
     def __mul__(self, other: "MatPoly") -> "MatPoly":
+        """Matrix product.  Each output entry gathers every term of
+        sum_k self[i][k] * other[k][j] into one coefficient list, skipping
+        zero entries and zero coefficients: per power of x, the terms are
+        unnormalised numerator/denominator pairs that become one Fraction
+        (one integer sum over the lcm of their denominators), and the list
+        becomes one Poly at the end."""
         if self.dim != other.dim:
             raise DimensionError("matrix dimensions differ")
-        n = self.dim
+        cols = tuple(zip(*other.rows))
         out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = Poly()
-                for k in range(n):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(tuple(row))
+        for row in self.rows:
+            out_row = []
+            for col in cols:
+                powers: list[list[tuple[int, int]]] = []
+                for f, g in zip(row, col):
+                    if not f.coeffs or not g.coeffs:
+                        continue
+                    short = len(f.coeffs) + len(g.coeffs) - 1 - len(powers)
+                    if short > 0:
+                        powers.extend([] for _ in range(short))
+                    for i, a in enumerate(f.coeffs):
+                        if a:
+                            for j, b in enumerate(g.coeffs):
+                                if b:
+                                    powers[i + j].append((a.numerator * b.numerator,
+                                                          a.denominator * b.denominator))
+                out_row.append(Poly(tuple(_fraction_sum(t) for t in powers)))
+            out.append(tuple(out_row))
         return MatPoly(tuple(out))
 
     def __add__(self, other: "MatPoly") -> "MatPoly":
@@ -292,6 +313,16 @@ class MatPoly:
             raise IntegrityError(
                 "determinant is not x-independent; inverse is not polynomial")
         return self.adjugate().scale(1 / d.coeff(0))
+
+
+def _fraction_sum(terms: Sequence[tuple[int, int]]) -> Fraction:
+    """The sum of the fractions num/den, normalised once."""
+    if len(terms) == 1:
+        return Fraction(*terms[0])
+    scale = 1
+    for _, den in terms:
+        scale = lcm(scale, den)
+    return Fraction(sum(num * (scale // den) for num, den in terms), scale)
 
 
 def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -431,13 +462,16 @@ def moment_pairing(p: Poly, moments: Sequence[Fraction], shift: int = 0) -> Frac
     """The moment functional L[x^k] = moments[k] applied to x^shift * p(x).
 
     This is sum_i p_i * moments[shift + i]; it raises instead of reading past
-    the last moment.
+    the last moment.  The coefficients and the moment window are each cleared
+    of denominators, so the sum is one integer dot product over the product
+    of the two clearing scales, normalised once as one Fraction.
     """
     if shift + p.degree >= len(moments):
         raise TruncationError(
             f"pairing needs moment index {shift + p.degree}, have {len(moments)}")
-    window = moments[shift:shift + len(p.coeffs)]
-    return sum((c * s for c, s in zip(p.coeffs, window)), Fraction(0))
+    coeffs, p_scale = _cleared(p.coeffs)
+    window, s_scale = _cleared(moments[shift:shift + len(coeffs)])
+    return Fraction(sum(map(mul, coeffs, window)), p_scale * s_scale)
 
 
 def series_from_moments(moments: Sequence[Ratlike]) -> LaurentTail:

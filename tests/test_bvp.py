@@ -90,6 +90,55 @@ class TestSweepSolve:
         # level-0 data survive for diagnosis
         assert report.field.c(0, 0) == boundary_a.c_row[0]
 
+    @pytest.mark.parametrize("N, M", [(0, 0), (1, 0), (0, 3), (2, 5), (5, 2),
+                                      (3, 3), (7, 4)])
+    def test_division_count(self, system_a, N, M):
+        # level L holds L + 1 cells and checks 4L - 2 divisions (a and b
+        # off both axes, c off the n-axis, d off the m-axis): 2 (N + M)^2
+        lam = N + M
+        j1 = moments_to_jfraction(list(system_a.s1), lam + 1)
+        j2 = moments_to_jfraction(list(system_a.s2), lam + 1)
+        boundary = BoundaryData(c_row=j1.c, a_row=j1.a, d_col=j2.c, b_col=j2.a)
+        report = sweep_solve(boundary, N, M)
+        assert report.ok
+        assert report.divisions_checked == 2 * lam ** 2
+
+    def test_planted_zero_gap_stops_at_its_index(self, boundary_a, reference_field):
+        # d(0, k) := c(0, k) makes the gap at (0, k) vanish.  Levels up to k
+        # are filled exactly as in the reference field (but for the planted
+        # d); level k + 1 gets its a and b, then c(0, k + 1) divides by the
+        # gap: 2k^2 divisions for the complete levels, 2k in phase 1, one more.
+        k = 3
+        planted = reference_field.c(0, k)
+        bad = BoundaryData(
+            c_row=boundary_a.c_row,
+            a_row=boundary_a.a_row,
+            d_col=boundary_a.d_col[:k] + (planted,) + boundary_a.d_col[k + 1:],
+            b_col=boundary_a.b_col)
+        report = sweep_solve(bad, 2, 3)
+        assert report.failure == ((0, k), f"(c - d) vanishes at {(0, k)}")
+        assert report.divisions_checked == 2 * k * k + 2 * k + 1
+
+        def present(kind, n, m):
+            try:
+                return report.field.value(kind, n, m)
+            except WindowError:
+                return None
+
+        for level in range(k + 3):
+            for n in range(level + 1):
+                m = level - n
+                for kind in ("a", "b", "c", "d"):
+                    got = present(kind, n, m)
+                    if level > k + 1 or (level == k + 1 and kind in "cd"):
+                        assert got is None, (kind, n, m)
+                    elif (kind, n, m) == ("d", 0, k):
+                        assert got == planted
+                    elif (kind, n, m) == ("b", 1, k):
+                        assert got == 0     # b(0, k) times the vanished gap
+                    else:
+                        assert got == reference_field.value(kind, n, m), (kind, n, m)
+
     def test_boundary_too_short(self, boundary_a):
         with pytest.raises(TruncationError):
             sweep_solve(boundary_a, 5, 5)

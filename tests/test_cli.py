@@ -78,6 +78,31 @@ class TestGen:
         doc = json.loads(out.read_text())
         assert doc["s1"] == [str(x) for x in system_a.s1[:8]]
 
+    def test_moments_source_is_truncated(self, tmp_path, system_a):
+        inp = write_json(tmp_path / "m.json",
+                         jsondoc.moment_system_to_doc(system_a))
+        out = tmp_path / "system.json"
+        assert main(["gen", "--system", "moments", "--in", inp,
+                     "--order", "3", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["count"] == 3
+        assert doc["s2"] == [str(x) for x in system_a.s2[:3]]
+        assert main(["gen", "--system", "moments", "--in", inp,
+                     "--window", "1", "2", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["count"] == 2 * 3 + 4
+        assert doc["s1"] == [str(x) for x in system_a.s1[:10]]
+
+    def test_moments_source_too_short_exit_5(self, tmp_path, capsys):
+        inp = write_json(tmp_path / "m.json", {"s1": ["1", "2", "3", "4"],
+                                               "s2": ["1", "0", "1", "0"]})
+        out = tmp_path / "system.json"
+        for extra in (["--order", "5"], ["--window", "0", "1"]):
+            assert main(["gen", "--system", "moments", "--in", inp,
+                         "--out", str(out)] + extra) == 5
+            assert "truncation" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parse_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

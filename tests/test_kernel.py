@@ -12,6 +12,11 @@ from hplax.kernel import (LaurentTail, MatPoly, Poly, X, bordered_solve,
                           series_from_moments, series_of_ratio, solve_exact)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
+# polynomials of degree at most 2, many of them zero, with zero coefficients
+sparse_polys = st.one_of(
+    st.just(Poly()),
+    st.lists(st.one_of(st.just(F(0)), rationals), min_size=1, max_size=3)
+    .map(lambda c: Poly(tuple(c))))
 
 
 def brute_det(rows):
@@ -208,6 +213,21 @@ class TestMomentPairing:
         with pytest.raises(TruncationError):
             moment_pairing(Poly.of(*range(1, 7)), self.lebesgue_01)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.just(F(0)), rationals), max_size=6),
+           st.lists(st.one_of(rationals, st.integers(-10 ** 6, 10 ** 6)), max_size=8),
+           st.integers(0, 4))
+    def test_matches_fraction_sum(self, coeffs, moments, shift):
+        # zero polynomials, zero coefficients, int and negative moments
+        p = Poly(tuple(coeffs))
+        if shift + p.degree >= len(moments):
+            with pytest.raises(TruncationError):
+                moment_pairing(p, moments, shift)
+            return
+        got = moment_pairing(p, moments, shift)
+        want = sum((F(c) * F(s) for c, s in zip(p.coeffs, moments[shift:])), F(0))
+        assert type(got) is F and got == want
+
 
 class TestSeriesPolyProduct:
     def test_one_over_z_times_x(self):
@@ -303,3 +323,20 @@ class TestMatPoly:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             MatPoly(((X,), (X, X)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+        *(st.lists(st.lists(sparse_polys, min_size=n, max_size=n),
+                   min_size=n, max_size=n) for _ in range(2)))))
+    def test_mul_matches_entrywise_sum(self, pair):
+        left, right = pair
+        got = MatPoly(tuple(map(tuple, left))) * MatPoly(tuple(map(tuple, right)))
+        n = len(left)
+        for i in range(n):
+            for j in range(n):
+                want = Poly()
+                for k in range(n):
+                    want = want + left[i][k] * right[k][j]
+                entry = got.entry(i, j)
+                assert entry == want
+                assert all(type(c) is F for c in entry.coeffs)
