@@ -4,21 +4,30 @@ Each polynomial is produced by two independent routes: a bordered-determinant
 formula and a direct linear solve of the orthogonality conditions.  The two
 must agree exactly at every normal index; they are each other's oracle.
 
-The bordered-determinant route is one fraction-free elimination per index
-(``kernel.bordered_solve``): it yields S(n, m) and all n + m + 1 bordered
-cofactors of P(n, m) at once, so ``s_det`` fills both memos whenever the
-moments reach the bordered depth, and takes a plain determinant only below it.
+The bordered-determinant route clears each moment sequence of denominators
+once per table, D_j s_j, over the prefix its window can reach.  Column m of
+the table is one fraction-free elimination without row swaps
+(``kernel.LeadingMinors``) of the rows [s2 shifts 0..m-1, s1 shifts 0..], with
+one column per power of x; its leading minor of order n + m is
+(-1)^(nm) D1^n D2^m S(n, m), and it is extended only as deep as a call
+needs.  P(n, m) is the monic null vector of its leading n + m rows, read by
+back substitution on the first ``hp_poly_det`` call.  Past a zero pivot the
+column needs row swaps, so those indices take one pivoting bordered
+elimination each (``kernel.bordered_solve``), which yields S and P at once.
+Below the bordered depth S is a plain determinant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
+from typing import Iterable
 
 from .errors import (DegeneracyError, IntegrityError, NotNormalError,
                      TruncationError, WindowError)
-from .kernel import (LaurentTail, Poly, bordered_solve, det_exact, moment_pairing,
-                     poly_from_series_product, solve_exact)
+from .kernel import (LaurentTail, LeadingMinors, Poly, bordered_solve, cleared,
+                     det_exact, poly_from_series_product, solve_exact)
 from .measures import MomentSystem
 
 
@@ -38,8 +47,9 @@ class HPTriple:
 class HPTable:
     """Memoized grid of determinants S(n, m) and monic polynomials P(n, m).
 
-    Each memo cell is written once and never recomputed; concurrent fills of
-    distinct indices are safe because all inputs are immutable.
+    Each memo cell is written once and never recomputed.  The column
+    eliminations behind the memos are extended in place, so one table must
+    not be filled from several threads at once.
     """
 
     def __init__(self, moments: MomentSystem, max_n: int, max_m: int):
@@ -48,6 +58,11 @@ class HPTable:
         self.max_m = max_m
         self._s: dict[tuple[int, int], Fraction] = {}
         self._p: dict[tuple[int, int], Poly] = {}
+        self._p_ints: dict[tuple[int, int], tuple[list[int], int]] = {}
+        # D_j s_j over the moments the window reaches, P pairings included
+        self._c1, self._d1 = cleared(moments.s1[:2 * max_n + max_m + 1])
+        self._c2, self._d2 = cleared(moments.s2[:max_n + 2 * max_m + 1])
+        self._columns: dict[int, LeadingMinors] = {}
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -75,30 +90,50 @@ class HPTable:
         return [[s1[i + j] for j in range(n)] + [s2[i + j] for j in range(m)]
                 for i in range(rows)]
 
+    def _column(self, m: int) -> LeadingMinors:
+        """Elimination of the rows [D2 s2 shifts 0..m-1, D1 s1 shifts 0..]."""
+        if m not in self._columns:
+            c1, c2 = self._c1, self._c2
+
+            def row(r: int, start: int, stop: int) -> list[int]:
+                if r < m:
+                    return c2[r + start:r + stop]
+                return c1[r - m + start:r - m + stop]
+
+            self._columns[m] = LeadingMinors(row)
+        return self._columns[m]
+
+    def _store_p(self, n: int, m: int, coeffs: Iterable[Fraction]) -> None:
+        poly = Poly(coeffs)
+        if poly.degree != n + m or not poly.is_monic:
+            raise IntegrityError(f"bordered determinant at ({n}, {m}) "
+                                 f"is not monic of degree {n + m}")
+        self._p[(n, m)] = poly
+
     # -- determinants and normality ---------------------------------------
 
     def s_det(self, n: int, m: int) -> Fraction:
         """Mixed Hankel-type determinant of size n + m; the empty case is 1.
 
-        With moments to the bordered depth, the same elimination also stores
-        the table polynomial P(n, m) when S(n, m) is nonzero.
+        With moments to the bordered depth it is a leading minor of column
+        m's elimination; past a zero pivot of that column, the pivoting
+        bordered elimination also stores P(n, m) when S(n, m) is nonzero.
         """
         self._check_window(n, m)
         key = (n, m)
         if key not in self._s:
             self._check_depth(n, m, bordered=False)
             size = n + m
-            if self._has_depth(n, m, bordered=True):
+            if not self._has_depth(n, m, bordered=True):
+                self._s[key] = det_exact(self._grid(n, m, size))
+            elif (minor := self._column(m).minor(size)) is not None:
+                self._s[key] = Fraction(-minor if n * m % 2 else minor,
+                                        self._d1 ** n * self._d2 ** m)
+            else:
                 s, coeffs = bordered_solve(self._grid(n, m, size + 1))
                 if coeffs is not None:
-                    poly = Poly(coeffs)
-                    if poly.degree != size or not poly.is_monic:
-                        raise IntegrityError(f"bordered determinant at ({n}, {m}) "
-                                             f"is not monic of degree {size}")
-                    self._p[key] = poly
+                    self._store_p(n, m, coeffs)
                 self._s[key] = s
-            else:
-                self._s[key] = det_exact(self._grid(n, m, size))
         return self._s[key]
 
     def is_normal(self, n: int, m: int) -> bool:
@@ -111,9 +146,14 @@ class HPTable:
         self._check_window(n, m)
         key = (n, m)
         if key not in self._p:
-            if self.s_det(n, m) == 0:
-                raise NotNormalError(n, m)
-            self._check_depth(n, m, bordered=True)
+            # a nonzero S known at the bordered depth needs no second s_det call
+            if self._s.get(key, 0) == 0 or not self._has_depth(n, m, bordered=True):
+                if self.s_det(n, m) == 0:
+                    raise NotNormalError(n, m)
+                self._check_depth(n, m, bordered=True)
+            if key not in self._p:
+                ints = self._column(m).null_vector(n + m)
+                self._store_p(n, m, (Fraction(v, ints[-1]) for v in ints))
         return self._p[key]
 
     def hp_poly_solve(self, n: int, m: int) -> Poly:
@@ -162,8 +202,38 @@ class HPTable:
                         f"coefficient z^-{t + 1} of R{j} is {r.coeff(t)}")
         return HPTriple(n, m, p, q1, q2, r1, r2)
 
+    def _pairings(self, which: int, n: int, m: int, shifts: Iterable[int]
+                  ) -> list[Fraction]:
+        """L_which[x^t P(n, m)] for each t in shifts; P(n, m) must be stored.
+
+        One integer dot product of the cleared P with the cleared moments
+        per shift; it raises instead of reading past the last moment.
+        """
+        key = (n, m)
+        if key not in self._p_ints:
+            self._p_ints[key] = cleared(self._p[key].coeffs)
+        coeffs, p_scale = self._p_ints[key]
+        seq, scale = (self._c1, self._d1) if which == 1 else (self._c2, self._d2)
+        scale *= p_scale
+        out = []
+        for t in shifts:
+            last = t + len(coeffs) - 1
+            if last >= self.moments.count:
+                raise TruncationError(
+                    f"pairing needs moment index {last}, have {self.moments.count}")
+            if last >= len(seq):
+                raise WindowError(f"pairing at shift {t} of P({n}, {m}) reads "
+                                  f"past the moments of the table window")
+            out.append(Fraction(sum(map(mul, coeffs, seq[t:last + 1])), scale))
+        return out
+
+    def pairing(self, which: int, n: int, m: int, shift: int) -> Fraction:
+        """L_which[x^shift P(n, m)], the moment functional of sequence
+        ``which`` applied to x^shift P(n, m)."""
+        self.hp_poly_det(n, m)
+        return self._pairings(which, n, m, (shift,))[0]
+
     def orthogonality_residuals(self, n: int, m: int) -> tuple[list[Fraction], list[Fraction]]:
         """Pairings of P(n, m) with the first monomials; all must vanish."""
-        p = self.hp_poly_det(n, m)
-        return ([moment_pairing(p, self.moments.s1, k) for k in range(n)],
-                [moment_pairing(p, self.moments.s2, k) for k in range(m)])
+        self.hp_poly_det(n, m)
+        return self._pairings(1, n, m, range(n)), self._pairings(2, n, m, range(m))

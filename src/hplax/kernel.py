@@ -3,7 +3,8 @@
 Scalars are arbitrary-precision rationals (``fractions.Fraction``).  On top
 of them sit dense polynomials, truncated Laurent tails at infinity, and small
 square matrices of polynomials.  Every value is immutable after construction
-and safe to share between tasks.
+and safe to share between tasks, except a ``LeadingMinors`` elimination, which
+grows in place as deeper minors are read.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import DegeneracyError, DimensionError, IntegrityError, TruncationError
 
@@ -325,7 +326,7 @@ def _fraction_sum(terms: Sequence[tuple[int, int]]) -> Fraction:
     return Fraction(sum(num * (scale // den) for num, den in terms), scale)
 
 
-def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
+def cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """The values times the lcm of their denominators, as ints, and that lcm."""
     mult = 1
     for x in values:    # pairwise: lcm(*...) here raised peak memory by ~1.5 MiB
@@ -364,6 +365,90 @@ def _bareiss(m: list[list[int]]) -> int:
     return sign
 
 
+class LeadingMinors:
+    """Leading principal minors of an integer matrix, by fraction-free
+    (Bareiss) elimination without row swaps, extended on demand.
+
+    ``row(r, start, stop)`` reads the entries of row r in columns start to
+    stop - 1.  Rows are reduced in order: a new row goes through every
+    earlier step.  A wider read replays each stored row's steps on the new
+    columns, so row r keeps its multipliers row[c], c < r, where a one-shot
+    elimination would zero them.  Once reduced, rows[r][r] is the leading
+    (r + 1) x (r + 1) minor.  Past the first zero pivot the elimination would
+    need a row swap, so nothing deeper is read.
+    """
+
+    def __init__(self, row: Callable[[int, int, int], Sequence[int]]):
+        self._row = row
+        self._rows: list[list[int]] = []
+        self._pivots: list[int] = []    # rows[c][c]
+        self._prevs: list[int] = []     # the divisor of step c, rows[c-1][c-1] or 1
+        self._width = 0
+
+    def _read(self, r: int, start: int, stop: int) -> list[int]:
+        entries = list(self._row(r, start, stop))
+        if len(entries) != stop - start:
+            raise DimensionError(f"row {r} has no columns {start}..{stop - 1}")
+        return entries
+
+    def _reach(self, k: int, width: int) -> bool:
+        """Reduce k rows of at least `width` columns; False when a pivot
+        before row k - 1 vanishes."""
+        rows, pivots, prevs = self._rows, self._pivots, self._prevs
+        if width > self._width:
+            fresh = [self._read(r, self._width, width) for r in range(len(rows))]
+            for i in range(width - self._width):
+                col: list[int] = []
+                for row, entries in zip(rows, fresh):
+                    x = entries[i]
+                    for pivot, prev, lead, t in zip(pivots, prevs, row, col):
+                        x = (x * pivot - lead * t) // prev
+                    col.append(x)
+                for row, x in zip(rows, col):
+                    row.append(x)
+            self._width = width
+        while len(rows) < k:
+            r = len(rows)
+            if pivots and pivots[-1] == 0:
+                return False
+            row = self._read(r, 0, self._width)
+            for c in range(r):
+                top, pivot, prev, lead = rows[c], pivots[c], prevs[c], row[c]
+                row[c + 1:] = [(x * pivot - lead * t) // prev
+                               for x, t in zip(row[c + 1:], top[c + 1:])]
+            rows.append(row)
+            prevs.append(pivots[-1] if pivots else 1)
+            pivots.append(row[r])
+        return True
+
+    def minor(self, k: int) -> int | None:
+        """The leading k x k minor, or None when a smaller one vanishes."""
+        if k == 0:
+            return 1
+        return self._pivots[k - 1] if self._reach(k, k) else None
+
+    def null_vector(self, k: int) -> list[int]:
+        """Integers v_0 .. v_k, v_k the leading k x k minor, such that
+        sum_i v_i row_r[i] = 0 for every r < k; the minors up to k must not
+        vanish.  Fraction-free back substitution on the leading k rows with
+        column k as the right-hand side; every division is exact.
+        """
+        if k == 0:
+            return [1]
+        if not self._reach(k, k + 1) or self._pivots[k - 1] == 0:
+            raise DegeneracyError(f"a leading minor up to order {k} vanishes")
+        rows, det = self._rows, self._pivots[k - 1]
+        scaled = [0] * k
+        for i in range(k - 1, -1, -1):
+            row = rows[i]
+            acc = -row[k] * det
+            for j in range(i + 1, k):
+                acc -= row[j] * scaled[j]
+            scaled[i] = acc // row[i]
+        scaled.append(det)
+        return scaled
+
+
 def det_exact(rows: Sequence[Sequence[Ratlike]]) -> Fraction:
     """Exact determinant of a square grid of rationals.
 
@@ -382,7 +467,7 @@ def det_exact(rows: Sequence[Sequence[Ratlike]]) -> Fraction:
     scale = 1
     m: list[list[int]] = []
     for row in grid:
-        ints, mult = _cleared(row)
+        ints, mult = cleared(row)
         scale *= mult
         m.append(ints)
     sign = _bareiss(m)
@@ -414,7 +499,7 @@ def bordered_solve(rows: Sequence[Sequence[Ratlike]]
     scale = 1
     m: list[list[int]] = []
     for j in range(k):
-        eq, mult = _cleared([row[j] for row in grid])
+        eq, mult = cleared([row[j] for row in grid])
         eq[k] = -eq[k]
         scale *= mult
         m.append(eq)
@@ -469,8 +554,8 @@ def moment_pairing(p: Poly, moments: Sequence[Fraction], shift: int = 0) -> Frac
     if shift + p.degree >= len(moments):
         raise TruncationError(
             f"pairing needs moment index {shift + p.degree}, have {len(moments)}")
-    coeffs, p_scale = _cleared(p.coeffs)
-    window, s_scale = _cleared(moments[shift:shift + len(coeffs)])
+    coeffs, p_scale = cleared(p.coeffs)
+    window, s_scale = cleared(moments[shift:shift + len(coeffs)])
     return Fraction(sum(map(mul, coeffs, window)), p_scale * s_scale)
 
 

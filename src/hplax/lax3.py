@@ -18,8 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import IntegrityError, WindowError
-from .kernel import (LaurentTail, MatPoly, Poly, X, moment_pairing,
-                     poly_from_series_product)
+from .kernel import LaurentTail, MatPoly, Poly, X, poly_from_series_product
 from .hptable import HPTable
 from .nnrr import RecurrenceField
 
@@ -76,8 +75,7 @@ class WaveMatrix:
 
 def _pairing(table: HPTable, which: int, n: int, m: int) -> Fraction:
     """h1 (which=1) or h2 (which=2): pairing of P(n, m) with x^n resp. x^m."""
-    return moment_pairing(table.hp_poly_det(n, m), table.moments.sequence(which),
-                          n if which == 1 else m)
+    return table.pairing(which, n, m, n if which == 1 else m)
 
 
 def normalization_grid(table: HPTable, N: int, M: int) -> NormalizationGrid:

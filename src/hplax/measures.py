@@ -74,13 +74,6 @@ class MomentSystem:
     def count(self) -> int:
         return len(self.s1)
 
-    def sequence(self, j: int) -> tuple[Fraction, ...]:
-        if j == 1:
-            return self.s1
-        if j == 2:
-            return self.s2
-        raise DegeneracyError(f"sequence index must be 1 or 2, got {j}")
-
 
 @dataclass(frozen=True)
 class JFraction:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -11,7 +12,7 @@ from hplax.bvp import (BoundaryData, SweepReport, boundary_from_field,
 from hplax.cli import main
 from hplax.hptable import HPTable
 from hplax.kernel import Poly
-from hplax.measures import (MeasureModel, MomentSystem, make_angelesco,
+from hplax.measures import (MeasureModel, MomentSystem, make_angelesco, make_nikishin,
                             moments_to_jfraction)
 
 
@@ -395,3 +396,126 @@ def test_exit_code_table(tmp_path, system_a, monkeypatch, capsys,
     assert fragment in capsys.readouterr().err
     if code in (2, 3, 5):
         assert not out.exists()
+
+
+# -- pinned CLI bytes ----------------------------------------------------------
+
+
+def _angelesco(count):
+    return make_angelesco(MeasureModel.interval(-2, -1), MeasureModel.interval(1, 2),
+                          count)
+
+
+def _nikishin():
+    sigma1 = MeasureModel.discrete([(k, 1) for k in range(1, 15)])
+    sigma2 = MeasureModel.discrete([(-k, 1) for k in range(1, 8)])
+    return make_nikishin(sigma1, sigma2, 32)
+
+
+PINNED_SYSTEMS = {
+    "angelesco": lambda: _angelesco(30),
+    "nikishin": _nikishin,
+    "duplicated": lambda: MomentSystem(*[tuple(F(1, k + 1) for k in range(20))] * 2),
+    "short": lambda: _angelesco(8),
+    "long": lambda: _angelesco(60),
+    # S(0, 2), S(0, 3) and S(1, 2) vanish; deeper indices of those columns do not
+    "zero-laden": lambda: MomentSystem(
+        (2, 1, 1, 2, 0, -1, 0, 0, 0, 0, 1, -1, 0, -1, 2, 0),
+        (3, 0, 0, 0, -1, 1, 0, -1, 0, 0, 0, 3, 3, -1, 0, 0), label="zero-laden"),
+}
+
+# (system, command, window) -> (exit code, sha256 of stdout, sha256 of stderr)
+PINNED_CLI = {
+    ('angelesco', 'table', (3, 3)): (0,
+        'f40640181beb9d709fb8a565d22cf9458a8b64cce2ca16ea1646e33aba50f19b',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('angelesco', 'table', (5, 2)): (0,
+        '346aae64daf3df873c2352876641c1c9bc0373539e9ddc014cb205fc94378cab',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('angelesco', 'coeffs', (3, 3)): (0,
+        '0a1e9a44352eca88c1560cf712296396a42ad13c0c45782d29abf0b99b53a32d',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('angelesco', 'verify', (2, 2)): (0,
+        '6031d9401ff2b24b97d4def5874da108e8e8dce16949ff130ebb719e386b321c',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('nikishin', 'table', (3, 3)): (0,
+        '2282cf0ba75107801d0d2898bc72eb0de156d50edf1e88bf711a9e128d4b1611',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('nikishin', 'coeffs', (3, 3)): (0,
+        '31df8ab0f302cb60a1fa9b18c51395825a05ae58c50eb78f86eb838e0ecee381',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('nikishin', 'verify', (2, 2)): (0,
+        '6031d9401ff2b24b97d4def5874da108e8e8dce16949ff130ebb719e386b321c',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('duplicated', 'table', (2, 2)): (3,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '6d063d1e0721a755f530e09747cefba6b7d8e0b9f2a1b561ec8fa5016f23c6b2'),
+    ('duplicated', 'coeffs', (2, 2)): (3,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '6d063d1e0721a755f530e09747cefba6b7d8e0b9f2a1b561ec8fa5016f23c6b2'),
+    ('duplicated', 'verify', (1, 1)): (3,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '6d063d1e0721a755f530e09747cefba6b7d8e0b9f2a1b561ec8fa5016f23c6b2'),
+    ('short', 'table', (2, 2)): (0,
+        'bf5f4ed5ddd5f18b728fb80ba6ffd0b474dd2668ca003849abd7b9c9a323fa15',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('short', 'table', (3, 3)): (5,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'c4d6ff5f28340557339fc201ff27f8b9713324d81e85a28e47f2f74fe266b5f7'),
+    ('short', 'table', (4, 4)): (5,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '239d9d4f0910a3040677f94c5494cebb680ea375facc4a12bd91e75ab0dec732'),
+    ('short', 'coeffs', (2, 2)): (0,
+        '100930438e7817f483a1dc2866a57da6f4cde429e6c4404354c00c82506d9896',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('short', 'verify', (2, 2)): (5,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'eff2b9d661e6025973bfd90e0a06e1b6cf21d4a008b7c29365c592b9a80ba830'),
+    ('long', 'table', (4, 4)): (0,
+        'eab06eea7b0dc721c4d65707320e89016f5d281040fae7667dccb56a1eb335dc',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('long', 'coeffs', (4, 4)): (0,
+        '2e8ea2ffe0dbfd9559eca1d62cd9a2722d5fe303449185ce7cc4f78c3f4fd143',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('long', 'verify', (3, 3)): (0,
+        '55098f0cb35b0b98b3886315ae769bcc2bae2bdf0189d565b3376fe24522ba69',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('long', 'table', (8, 8)): (0,
+        '5258b5607698438ccd2243084283e26bc9db0603b87b2c8259f671c64eb14fd7',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('angelesco', 'verify', (3, 3)): (0,
+        '55098f0cb35b0b98b3886315ae769bcc2bae2bdf0189d565b3376fe24522ba69',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('nikishin', 'table', (6, 2)): (0,
+        'd9eeadea5b962c1641feedb652772c6548152f60f559e7f373e9c6a389bad2b4',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('zero-laden', 'table', (3, 3)): (3,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '0638b8b3fa61f5ec386486a69470a7a7fc73c6177580200ba6c9ebe11d1bc323'),
+    ('zero-laden', 'table', (4, 0)): (0,
+        '8b3844e221d1daa59d3c65f74ddc4e9d02fed2e012ebb16c3fe0922b2d19f985',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('zero-laden', 'coeffs', (2, 2)): (3,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '0638b8b3fa61f5ec386486a69470a7a7fc73c6177580200ba6c9ebe11d1bc323'),
+    ('zero-laden', 'verify', (1, 1)): (3,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '0638b8b3fa61f5ec386486a69470a7a7fc73c6177580200ba6c9ebe11d1bc323'),
+}
+
+
+def run_pinned(tmp_path, capsys, system, command, window):
+    """Exit code and the sha256 digests of stdout and stderr of one call."""
+    path = write_json(tmp_path / "in.json",
+                      jsondoc.moment_system_to_doc(PINNED_SYSTEMS[system]()))
+    capsys.readouterr()
+    code = main([command, "--in", path, "--window", *map(str, window)])
+    out, err = capsys.readouterr()
+    return (code, hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256(err.encode()).hexdigest())
+
+
+@pytest.mark.parametrize("case", list(PINNED_CLI),
+                         ids=["-".join(map(str, (s, c, *w))) for s, c, w in PINNED_CLI])
+def test_pinned_cli_bytes(tmp_path, capsys, case):
+    assert run_pinned(tmp_path, capsys, *case) == PINNED_CLI[case]

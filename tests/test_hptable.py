@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hplax import kernel
 from hplax.errors import NotNormalError, TruncationError, WindowError
 from hplax.hptable import HPTable
-from hplax.kernel import Poly, X, series_from_moments
+from hplax.kernel import Poly, X, det_exact, series_from_moments
+from hplax.lax3 import normalization_grid
 from hplax.measures import MeasureModel, MomentSystem, make_angelesco, make_nikishin
 from hplax.nnrr import field_from_table
 
@@ -132,26 +133,166 @@ class TestRoutesOnRandomSystems:
         assert_routes_agree(HPTable(make_nikishin(sigma1, sigma2, 14), 3, 3))
 
 
-@pytest.fixture()
-def det_exact_orders(monkeypatch):
-    """Orders of the determinants det_exact is asked for, through any binding."""
+def expected_entry(system, n, m):
+    """S(n, m) and P(n, m), each a value or the error type it must raise:
+    a plain determinant of the index's grid, and the orthogonality solve."""
+    count = system.count
+    if max(2 * n + m - 1, n + 2 * m - 1) > count:
+        return TruncationError, TruncationError
+    s = det_exact([[system.s1[i + j] for j in range(n)]
+                   + [system.s2[i + j] for j in range(m)] for i in range(n + m)])
+    if s == 0:
+        return s, NotNormalError
+    if max(2 * n + m, n + 2 * m) > count:
+        return s, TruncationError
+    return s, HPTable(system, n, m).hp_poly_solve(n, m)
+
+
+def read_or_error(read, n, m):
+    try:
+        return read(n, m)
+    except (NotNormalError, TruncationError) as exc:
+        if isinstance(exc, NotNormalError):
+            assert exc.index == (n, m)
+        return type(exc)
+
+
+def check_table_reads(system, order, rng):
+    """Read S and P of a fresh (4, 4) table in the given index order,
+    sometimes P first; every value and every raised error must match
+    expected_entry.  Every P pairs to zero with its orthogonality shifts,
+    and h1, h2 equal the plain sums or raise past the last moment."""
+    N, M = 4, 4
+    indices = [(n, m) for n in range(N + 1) for m in range(M + 1)]
+    if order == "columns":
+        indices.sort(key=lambda nm: (nm[1], nm[0]))
+    elif order == "shuffled":
+        rng.shuffle(indices)
+    table = HPTable(system, N, M)
+    for n, m in indices:
+        reads = [table.s_det, table.hp_poly_det]
+        if rng.random() < 0.5:
+            reads.reverse()
+        got = {read: read_or_error(read, n, m) for read in reads}
+        want_s, want_p = expected_entry(system, n, m)
+        assert got[table.s_det] == want_s, (n, m)
+        assert got[table.hp_poly_det] == want_p, (n, m)
+        if not isinstance(want_p, Poly):
+            continue
+        r1, r2 = table.orthogonality_residuals(n, m)
+        assert r1 == [0] * n and r2 == [0] * m
+        for which, seq, shift in ((1, system.s1, n), (2, system.s2, m)):   # h1, h2
+            if shift + n + m >= system.count:
+                with pytest.raises(TruncationError):
+                    table.pairing(which, n, m, shift)
+                continue
+            assert table.pairing(which, n, m, shift) == sum(
+                c * seq[shift + i] for i, c in enumerate(want_p.coeffs))
+
+
+small_ints = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+read_orders = st.sampled_from(["rows", "columns", "shuffled"])
+
+
+class TestTableReadsOnRandomSystems:
+    """Every read of the column eliminations against det_exact of the grid
+    and the orthogonality solve, in row-major, column-major and shuffled
+    order, with moment counts that cut the window short."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(small_rationals, min_size=4, max_size=4, unique=True),
+           st.integers(4, 14), read_orders, st.randoms(use_true_random=False))
+    def test_angelesco(self, ends, count, order, rng):
+        lo1, hi1, lo2, hi2 = sorted(ends)
+        system = make_angelesco(MeasureModel.interval(lo1, hi1),
+                                MeasureModel.interval(lo2, hi2), count)
+        check_table_reads(system, order, rng)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=6, unique=True),
+           st.lists(st.integers(-9, -1), min_size=1, max_size=4, unique=True),
+           st.integers(4, 14), read_orders, st.randoms(use_true_random=False))
+    def test_nikishin(self, nodes1, nodes2, count, order, rng):
+        sigma1 = MeasureModel.discrete([(x, 1) for x in nodes1])
+        sigma2 = MeasureModel.discrete([(x, 2) for x in nodes2])
+        check_table_reads(make_nikishin(sigma1, sigma2, count), order, rng)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(4, 14).flatmap(lambda k: st.tuples(
+               st.lists(small_ints, min_size=k, max_size=k),
+               st.lists(small_ints, min_size=k, max_size=k))),
+           st.booleans(), read_orders, st.randoms(use_true_random=False))
+    def test_small_integers_with_zero_minors(self, sequences, duplicated, order, rng):
+        s1, s2 = sequences
+        system = MomentSystem(s1, s1 if duplicated else s2)
+        check_table_reads(system, order, rng)
+
+
+def record_orders(monkeypatch, name, order):
+    """Orders of the grids kernel.<name> is asked for, through any binding."""
     orders = []
-    original = kernel.det_exact
+    original = getattr(kernel, name)
 
     def counting(rows):
-        orders.append(len(rows))
+        orders.append(order(rows))
         return original(rows)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("hplax") and getattr(module, "det_exact", None) is original:
-            monkeypatch.setattr(module, "det_exact", counting)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("hplax") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
     return orders
 
 
+@pytest.fixture()
+def det_exact_orders(monkeypatch):
+    return record_orders(monkeypatch, "det_exact", len)
+
+
+@pytest.fixture()
+def bordered_orders(monkeypatch):
+    """Orders k of the (k + 1) x k grids bordered_solve is asked for."""
+    return record_orders(monkeypatch, "bordered_solve", lambda rows: len(rows) - 1)
+
+
 class TestWorkCount:
-    def test_field_takes_no_plain_determinant(self, system_a, det_exact_orders):
+    def test_field_takes_no_plain_determinant(self, system_a, det_exact_orders,
+                                              bordered_orders):
         field_from_table(HPTable(system_a, 6, 6), 5, 5)
-        assert det_exact_orders == []
+        assert det_exact_orders == [] and bordered_orders == []
+
+    def test_bordered_solve_only_past_a_zero_pivot(self, dup_system, bordered_orders):
+        # column m eliminates the rows [s2 shifts 0..m-1, s1 shifts 0..n-1],
+        # whose leading minors are S(0, 1..m) and then S(0..n, m)
+        N, M = 4, 4
+        zero = {(n, m) for n in range(N + 1) for m in range(M + 1)
+                if expected_entry(dup_system, n, m)[0] == 0}
+        table = HPTable(dup_system, N, M)
+        for m in range(M + 1):
+            for n in range(N + 1):
+                past = (any((k, m) in zero for k in range(n))
+                        or any((0, k) in zero for k in range(1, m)))
+                calls = len(bordered_orders)
+                if table.is_normal(n, m):
+                    table.hp_poly_det(n, m)
+                assert (len(bordered_orders) > calls) == past, (n, m)
+        assert bordered_orders      # the duplicated system has zero pivots
+
+    def test_longer_document_gives_the_same_table(self):
+        # a (4, 4) window and its h1, h2 pairings read 13 moments of each sequence
+        N, M, need = 4, 4, 13
+        long = make_angelesco(MeasureModel.interval(-2, -1),
+                              MeasureModel.interval(1, 2), 3 * need)
+        short = MomentSystem(long.s1[:need], long.s2[:need])
+        tables = HPTable(long, N, M), HPTable(short, N, M)
+        norms = [normalization_grid(table, N, M) for table in tables]
+        for n in range(N + 1):
+            for m in range(M + 1):
+                a, b = tables
+                assert a.s_det(n, m) == b.s_det(n, m)
+                assert a.hp_poly_det(n, m) == b.hp_poly_det(n, m)
+                assert a.orthogonality_residuals(n, m) == b.orthogonality_residuals(n, m)
+                assert norms[0].h1(n, m) == norms[1].h1(n, m)
+                assert norms[0].h2(n, m) == norms[1].h2(n, m)
 
     def test_plain_determinant_only_below_bordered_depth(self, system_a,
                                                          det_exact_orders):
@@ -217,6 +358,11 @@ class TestOrthogonality:
 
     def test_21(self, table_a):
         assert table_a.orthogonality_residuals(2, 1) == ([0, 0], [0])
+
+    def test_reading_past_the_window_prefix_raises(self, system_a):
+        # a (2, 2) table clears s1[:7]; x^10 P(0, 0) reads s1[10] of 30
+        with pytest.raises(WindowError):
+            HPTable(system_a, 2, 2).pairing(1, 0, 0, 10)
 
     def test_window_all_zero(self, table_a, table_nik):
         for table in (table_a, table_nik):

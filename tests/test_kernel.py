@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from hplax.errors import (DegeneracyError, DimensionError, IntegrityError,
                           TruncationError)
-from hplax.kernel import (LaurentTail, MatPoly, Poly, X, bordered_solve,
-                          det_exact, moment_pairing, poly_from_series_product,
-                          series_from_moments, series_of_ratio, solve_exact)
+from hplax.kernel import (LaurentTail, LeadingMinors, MatPoly, Poly, X,
+                          bordered_solve, det_exact, moment_pairing,
+                          poly_from_series_product, series_from_moments,
+                          series_of_ratio, solve_exact)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 # polynomials of degree at most 2, many of them zero, with zero coefficients
@@ -118,6 +119,62 @@ class TestBorderedSolve:
             assert coeffs is None
             return
         assert (s, coeffs) == per_minor(rows)
+
+
+def leading_minors_of(matrix):
+    return LeadingMinors(lambda r, start, stop: matrix[r][start:stop])
+
+
+# square integer matrices of order 1-6 with many zero entries, plus one
+# spare column for the null vector of the full order
+small_matrices = st.integers(1, 6).flatmap(
+    lambda k: st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7]),
+                                min_size=k + 1, max_size=k + 1),
+                       min_size=k, max_size=k))
+
+
+class TestLeadingMinors:
+    def test_hand_example(self):
+        minors = leading_minors_of([[2, 1, 4], [1, 3, 5]])
+        assert minors.minor(2) == 5 and minors.minor(1) == 2
+        # 2 p0 + p1 + 4 = 0 and p0 + 3 p1 + 5 = 0: p = (-7/5, -6/5, 1)
+        assert minors.null_vector(2) == [-7, -6, 5]
+
+    def test_zero_pivot_stops_the_elimination(self):
+        minors = leading_minors_of([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        assert minors.minor(1) == 0
+        assert minors.minor(2) is None and minors.minor(3) is None
+        with pytest.raises(DegeneracyError):
+            minors.null_vector(1)
+
+    def test_short_row_raises(self):
+        with pytest.raises(DimensionError):
+            leading_minors_of([[1, 2], [3]]).minor(2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_matrices, st.randoms(use_true_random=False))
+    def test_lazy_reads_match_determinants(self, matrix, rng):
+        k = len(matrix)
+        minors = leading_minors_of(matrix)
+        requests = [(order, vector) for order in range(k + 1)
+                    for vector in (False, True)]
+        rng.shuffle(requests)
+        for order, vector in requests:
+            smaller = [det_exact([row[:j] for row in matrix[:j]]) for j in range(order)]
+            det = det_exact([row[:order] for row in matrix[:order]])
+            reachable = all(smaller[1:])
+            if not vector:
+                assert minors.minor(order) == (det if reachable else None)
+            elif reachable and det != 0:
+                ints = minors.null_vector(order)
+                grid = [list(col) for col in zip(*[row[:order + 1]
+                                                   for row in matrix[:order]])]
+                want = bordered_solve(grid or [[]])[1]
+                assert ints[-1] == det
+                assert tuple(F(v, det) for v in ints) == want
+            else:
+                with pytest.raises(DegeneracyError):
+                    minors.null_vector(order)
 
 
 class TestSolveExact:
