@@ -6,15 +6,14 @@ must agree exactly at every normal index; they are each other's oracle.
 
 The bordered-determinant route clears each moment sequence of denominators
 once per table, D_j s_j, over the prefix its window can reach.  Column m of
-the table is one fraction-free elimination without row swaps
+the table is one fraction-free elimination with row exchanges
 (``kernel.LeadingMinors``) of the rows [s2 shifts 0..m-1, s1 shifts 0..], with
 one column per power of x; its leading minor of order n + m is
-(-1)^(nm) D1^n D2^m S(n, m), and it is extended only as deep as a call
-needs.  P(n, m) is the monic null vector of its leading n + m rows, read by
-back substitution on the first ``hp_poly_det`` call.  Past a zero pivot the
-column needs row swaps, so those indices take one pivoting bordered
-elimination each (``kernel.bordered_solve``), which yields S and P at once.
-Below the bordered depth S is a plain determinant.
+(-1)^(nm) D1^n D2^m S(n, m), zero pivots included, and it is extended only as
+deep as a call needs.  P(n, m) is the monic null vector of its leading n + m
+rows, read by back substitution on the first ``hp_poly_det`` call.  The first
+m rows of column max_m are the s2 shifts 0..m-1 for every m <= max_m, so the
+reads at n = 0 all go to that one column.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ from typing import Iterable
 
 from .errors import (DegeneracyError, IntegrityError, NotNormalError,
                      TruncationError, WindowError)
-from .kernel import (LaurentTail, LeadingMinors, Poly, bordered_solve, cleared,
-                     det_exact, poly_from_series_product, solve_exact)
+from .kernel import (LaurentTail, LeadingMinors, Poly, cleared,
+                     poly_from_series_product, solve_exact)
 from .measures import MomentSystem
 
 
@@ -71,24 +70,13 @@ class HPTable:
             raise WindowError(
                 f"index ({n}, {m}) outside table window ({self.max_n}, {self.max_m})")
 
-    def _depth_needed(self, n: int, m: int, bordered: bool) -> tuple[int, int]:
-        extra = 1 if bordered else 0
-        return max(2 * n + m - 1 + extra, 0), max(n + 2 * m - 1 + extra, 0)
-
-    def _has_depth(self, n: int, m: int, bordered: bool) -> bool:
-        return max(self._depth_needed(n, m, bordered)) <= self.moments.count
-
     def _check_depth(self, n: int, m: int, bordered: bool) -> None:
-        if not self._has_depth(n, m, bordered):
-            need1, need2 = self._depth_needed(n, m, bordered)
+        extra = 1 if bordered else 0
+        need1, need2 = max(2 * n + m - 1 + extra, 0), max(n + 2 * m - 1 + extra, 0)
+        if max(need1, need2) > self.moments.count:
             raise TruncationError(
                 f"index ({n}, {m}) needs {need1} moments of the first sequence and "
                 f"{need2} of the second, have {self.moments.count}")
-
-    def _grid(self, n: int, m: int, rows: int) -> list[list[Fraction]]:
-        s1, s2 = self.moments.s1, self.moments.s2
-        return [[s1[i + j] for j in range(n)] + [s2[i + j] for j in range(m)]
-                for i in range(rows)]
 
     def _column(self, m: int) -> LeadingMinors:
         """Elimination of the rows [D2 s2 shifts 0..m-1, D1 s1 shifts 0..]."""
@@ -103,37 +91,20 @@ class HPTable:
             self._columns[m] = LeadingMinors(row)
         return self._columns[m]
 
-    def _store_p(self, n: int, m: int, coeffs: Iterable[Fraction]) -> None:
-        poly = Poly(coeffs)
-        if poly.degree != n + m or not poly.is_monic:
-            raise IntegrityError(f"bordered determinant at ({n}, {m}) "
-                                 f"is not monic of degree {n + m}")
-        self._p[(n, m)] = poly
-
     # -- determinants and normality ---------------------------------------
 
     def s_det(self, n: int, m: int) -> Fraction:
         """Mixed Hankel-type determinant of size n + m; the empty case is 1.
 
-        With moments to the bordered depth it is a leading minor of column
-        m's elimination; past a zero pivot of that column, the pivoting
-        bordered elimination also stores P(n, m) when S(n, m) is nonzero.
+        A leading minor of the column elimination that holds index (n, m).
         """
         self._check_window(n, m)
         key = (n, m)
         if key not in self._s:
             self._check_depth(n, m, bordered=False)
-            size = n + m
-            if not self._has_depth(n, m, bordered=True):
-                self._s[key] = det_exact(self._grid(n, m, size))
-            elif (minor := self._column(m).minor(size)) is not None:
-                self._s[key] = Fraction(-minor if n * m % 2 else minor,
-                                        self._d1 ** n * self._d2 ** m)
-            else:
-                s, coeffs = bordered_solve(self._grid(n, m, size + 1))
-                if coeffs is not None:
-                    self._store_p(n, m, coeffs)
-                self._s[key] = s
+            minor = self._column(m if n else self.max_m).minor(n + m)
+            self._s[key] = Fraction(-minor if n * m % 2 else minor,
+                                    self._d1 ** n * self._d2 ** m)
         return self._s[key]
 
     def is_normal(self, n: int, m: int) -> bool:
@@ -146,14 +117,15 @@ class HPTable:
         self._check_window(n, m)
         key = (n, m)
         if key not in self._p:
-            # a nonzero S known at the bordered depth needs no second s_det call
-            if self._s.get(key, 0) == 0 or not self._has_depth(n, m, bordered=True):
-                if self.s_det(n, m) == 0:
-                    raise NotNormalError(n, m)
-                self._check_depth(n, m, bordered=True)
-            if key not in self._p:
-                ints = self._column(m).null_vector(n + m)
-                self._store_p(n, m, (Fraction(v, ints[-1]) for v in ints))
+            if self.s_det(n, m) == 0:
+                raise NotNormalError(n, m)
+            self._check_depth(n, m, bordered=True)
+            ints = self._column(m if n else self.max_m).null_vector(n + m)
+            poly = Poly(Fraction(v, ints[-1]) for v in ints)
+            if poly.degree != n + m or not poly.is_monic:
+                raise IntegrityError(f"bordered determinant at ({n}, {m}) "
+                                     f"is not monic of degree {n + m}")
+            self._p[key] = poly
         return self._p[key]
 
     def hp_poly_solve(self, n: int, m: int) -> Poly:

@@ -334,55 +334,32 @@ def cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (mult // x.denominator) for x in values], mult
 
 
-def _bareiss(m: list[list[int]]) -> int:
-    """Fraction-free elimination, in place, of the first len(m) columns of
-    the integer rows m, with a row swap on each zero pivot; every interior
-    division is exact.  Returns the sign of the swaps, or 0 when the leading
-    square block is singular.  Otherwise the final pivot m[-1][len(m) - 1]
-    times that sign is the determinant of the leading block.
-    """
-    n = len(m)
-    sign = 1
-    prev = 1
-    for c in range(n):
-        if m[c][c] == 0:
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    m[c], m[i] = m[i], m[c]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        top = m[c]
-        pivot = top[c]
-        for i in range(c + 1, n):
-            row = m[i]
-            lead = row[c]
-            for j in range(c + 1, len(row)):
-                row[j] = (row[j] * pivot - lead * top[j]) // prev
-            row[c] = 0
-        prev = pivot
-    return sign
-
-
 class LeadingMinors:
     """Leading principal minors of an integer matrix, by fraction-free
-    (Bareiss) elimination without row swaps, extended on demand.
+    (Bareiss) elimination with row exchanges, extended on demand.
 
     ``row(r, start, stop)`` reads the entries of row r in columns start to
-    stop - 1.  Rows are reduced in order: a new row goes through every
-    earlier step.  A wider read replays each stored row's steps on the new
-    columns, so row r keeps its multipliers row[c], c < r, where a one-shot
-    elimination would zero them.  Once reduced, rows[r][r] is the leading
-    (r + 1) x (r + 1) minor.  Past the first zero pivot the elimination would
-    need a row swap, so nothing deeper is read.
+    stop - 1.  Step c fixes the row at position c as its pivot row and
+    divides by the pivot of step c - 1; every division is exact.  A stored
+    row at position i has gone through min(i, steps) steps and keeps its
+    multipliers row[c], c < i, where a one-shot elimination would zero them,
+    so a wider read replays its steps on the new columns (re-read through
+    the original index of the row at that position).  At a zero pivot, step
+    c exchanges in the first row at positions c + 1 .. k - 1 with a nonzero
+    entry in column c, k the order asked for; no row past k - 1 is read.
+    When there is none the elimination stops, and a deeper request searches
+    again.  The leading k x k minor is 0 when fewer than k steps finish or an
+    exchange at a step c < k brought in a row from a position r >= k (rows
+    c .. k - 1 are then zero in column c); otherwise it is the pivot of step
+    k - 1, negated once per exchange at a step below k.
     """
 
     def __init__(self, row: Callable[[int, int, int], Sequence[int]]):
         self._row = row
-        self._rows: list[list[int]] = []
-        self._pivots: list[int] = []    # rows[c][c]
-        self._prevs: list[int] = []     # the divisor of step c, rows[c-1][c-1] or 1
+        self._rows: list[list[int]] = []            # by position
+        self._origin: list[int] = []                # original index at each position
+        self._pivots: list[int] = []                # rows[c][c] of each finished step
+        self._swaps: list[tuple[int, int]] = []     # (c, r): step c took position r
         self._width = 0
 
     def _read(self, r: int, start: int, stop: int) -> list[int]:
@@ -391,52 +368,80 @@ class LeadingMinors:
             raise DimensionError(f"row {r} has no columns {start}..{stop - 1}")
         return entries
 
-    def _reach(self, k: int, width: int) -> bool:
-        """Reduce k rows of at least `width` columns; False when a pivot
-        before row k - 1 vanishes."""
-        rows, pivots, prevs = self._rows, self._pivots, self._prevs
-        if width > self._width:
-            fresh = [self._read(r, self._width, width) for r in range(len(rows))]
-            for i in range(width - self._width):
-                col: list[int] = []
-                for row, entries in zip(rows, fresh):
-                    x = entries[i]
-                    for pivot, prev, lead, t in zip(pivots, prevs, row, col):
-                        x = (x * pivot - lead * t) // prev
-                    col.append(x)
-                for row, x in zip(rows, col):
-                    row.append(x)
-            self._width = width
-        while len(rows) < k:
-            r = len(rows)
-            if pivots and pivots[-1] == 0:
-                return False
-            row = self._read(r, 0, self._width)
-            for c in range(r):
-                top, pivot, prev, lead = rows[c], pivots[c], prevs[c], row[c]
+    def _widen(self, width: int) -> None:
+        if width <= self._width:
+            return
+        rows, pivots = self._rows, self._pivots
+        prevs = [1] + pivots
+        fresh = [self._read(r, self._width, width) for r in self._origin]
+        for i in range(width - self._width):
+            col: list[int] = []
+            for row, entries in zip(rows, fresh):
+                x = entries[i]
+                for pivot, prev, lead, t in zip(pivots, prevs, row, col):
+                    x = (x * pivot - lead * t) // prev
+                col.append(x)
+            for row, x in zip(rows, col):
+                row.append(x)
+        self._width = width
+
+    def _at(self, r: int) -> list[int]:
+        """The row at position r, reading and reducing the rows up to it."""
+        rows, pivots = self._rows, self._pivots
+        while len(rows) <= r:
+            row = self._read(len(rows), 0, self._width)
+            for c, pivot in enumerate(pivots):
+                top, prev, lead = rows[c], pivots[c - 1] if c else 1, row[c]
                 row[c + 1:] = [(x * pivot - lead * t) // prev
                                for x, t in zip(row[c + 1:], top[c + 1:])]
+            self._origin.append(len(rows))
             rows.append(row)
-            prevs.append(pivots[-1] if pivots else 1)
-            pivots.append(row[r])
-        return True
+        return rows[r]
 
-    def minor(self, k: int) -> int | None:
-        """The leading k x k minor, or None when a smaller one vanishes."""
+    def _reach(self, k: int) -> int:
+        """Finish the steps below k, exchanging rows only among positions
+        below k; the number of finished steps."""
+        rows, pivots = self._rows, self._pivots
+        while (c := len(pivots)) < k:
+            r = next((r for r in range(c, k) if self._at(r)[c]), None)
+            if r is None:
+                break
+            if r != c:
+                rows[c], rows[r] = rows[r], rows[c]
+                self._origin[c], self._origin[r] = self._origin[r], self._origin[c]
+                self._swaps.append((c, r))
+            top, prev = rows[c], pivots[-1] if pivots else 1
+            pivot = top[c]
+            for row in rows[c + 1:]:
+                lead = row[c]
+                row[c + 1:] = [(x * pivot - lead * t) // prev
+                               for x, t in zip(row[c + 1:], top[c + 1:])]
+            pivots.append(pivot)
+        return len(pivots)
+
+    def minor(self, k: int) -> int:
+        """The leading k x k minor."""
         if k == 0:
             return 1
-        return self._pivots[k - 1] if self._reach(k, k) else None
+        self._widen(k)
+        if self._reach(k) < k:
+            return 0
+        below = [r for c, r in self._swaps if c < k]
+        if any(r >= k for r in below):
+            return 0
+        return -self._pivots[k - 1] if len(below) % 2 else self._pivots[k - 1]
 
     def null_vector(self, k: int) -> list[int]:
-        """Integers v_0 .. v_k, v_k the leading k x k minor, such that
-        sum_i v_i row_r[i] = 0 for every r < k; the minors up to k must not
-        vanish.  Fraction-free back substitution on the leading k rows with
-        column k as the right-hand side; every division is exact.
+        """Integers v_0 .. v_k, v_k = +-(the leading k x k minor), such that
+        sum_i v_i row_r[i] = 0 for every r < k; that minor must not vanish.
+        Fraction-free back substitution on the pivot rows at positions below
+        k, with column k as the right-hand side; every division is exact.
         """
         if k == 0:
             return [1]
-        if not self._reach(k, k + 1) or self._pivots[k - 1] == 0:
-            raise DegeneracyError(f"a leading minor up to order {k} vanishes")
+        self._widen(k + 1)
+        if self.minor(k) == 0:
+            raise DegeneracyError(f"the leading minor of order {k} vanishes")
         rows, det = self._rows, self._pivots[k - 1]
         scaled = [0] * k
         for i in range(k - 1, -1, -1):
@@ -453,9 +458,10 @@ def det_exact(rows: Sequence[Sequence[Ratlike]]) -> Fraction:
     """Exact determinant of a square grid of rationals.
 
     Denominators are cleared row by row, then fraction-free Bareiss
-    elimination runs over plain integers (every interior division is exact),
-    which sidesteps both float ill-conditioning and rational blow-up.  The
-    0x0 determinant is 1 by convention.
+    elimination, with a row swap on each zero pivot, runs over plain
+    integers (every interior division is exact), which sidesteps both float
+    ill-conditioning and rational blow-up.  The 0x0 determinant is 1 by
+    convention.
     """
     n = len(rows)
     if n == 0:
@@ -470,52 +476,26 @@ def det_exact(rows: Sequence[Sequence[Ratlike]]) -> Fraction:
         ints, mult = cleared(row)
         scale *= mult
         m.append(ints)
-    sign = _bareiss(m)
-    return Fraction(sign * m[n - 1][n - 1], scale)
-
-
-def bordered_solve(rows: Sequence[Sequence[Ratlike]]
-                   ) -> tuple[Fraction, tuple[Fraction, ...] | None]:
-    """Determinant and monic null vector of a (k+1) x k bordered grid.
-
-    Returns S = det(rows[:k]) and the coefficients p_0 .. p_k, with p_k = 1,
-    of the unique solution of sum_i p_i rows[i][j] = 0 for every column j.
-    They are the bordered cofactors (-1)^(i+k) det(rows without row i) over
-    S, all obtained from one elimination: the transposed system (one equation
-    per column, p_k moved to the right) is cleared of denominators equation
-    by equation, Bareiss elimination runs over plain integers with a row swap
-    on each zero pivot, and fraction-free back substitution yields the
-    integers S' * p_i, where S' is the final pivot; every division is exact.
-    S is that pivot over the clearing scale, with the sign of the swaps.  A
-    singular grid returns (0, None): there is no monic solution.
-    """
-    k = len(rows) - 1
-    if k < 0 or any(len(row) != k for row in rows):
-        raise DimensionError(f"bordered grid needs k + 1 rows of length k, got "
-                             f"{len(rows)} rows of lengths {[len(r) for r in rows]}")
-    if k == 0:
-        return Fraction(1), (Fraction(1),)
-    grid = [[rat(x) for x in row] for row in rows]
-    scale = 1
-    m: list[list[int]] = []
-    for j in range(k):
-        eq, mult = cleared([row[j] for row in grid])
-        eq[k] = -eq[k]
-        scale *= mult
-        m.append(eq)
-    sign = _bareiss(m)
-    if sign == 0:
-        return Fraction(0), None
-    det = m[k - 1][k - 1]
-    scaled = [0] * k
-    for i in range(k - 1, -1, -1):
-        row = m[i]
-        acc = row[k] * det
-        for j in range(i + 1, k):
-            acc -= row[j] * scaled[j]
-        scaled[i] = acc // row[i]
-    return (Fraction(sign * det, scale),
-            tuple(Fraction(v, det) for v in scaled) + (Fraction(1),))
+    sign = 1
+    prev = 1
+    for c in range(n):
+        if m[c][c] == 0:
+            for i in range(c + 1, n):
+                if m[i][c] != 0:
+                    m[c], m[i] = m[i], m[c]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        top = m[c]
+        pivot = top[c]
+        for i in range(c + 1, n):
+            row = m[i]
+            lead = row[c]
+            for j in range(c + 1, n):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return Fraction(sign * prev, scale)
 
 
 def solve_exact(a: Sequence[Sequence[Ratlike]], b: Sequence[Ratlike]) -> list[Fraction]:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import (DegeneracyError, DisjointSupportError, PoleError,
                      TruncationError)
-from .kernel import Poly, Ratlike, X, bordered_solve, moment_pairing, rat
+from .kernel import LeadingMinors, Poly, Ratlike, X, cleared, moment_pairing, rat
 
 DISCRETE = "discrete"
 INTERVAL = "interval"
@@ -155,26 +155,28 @@ def monic_orthogonal_polys(s, upto: int) -> list[Poly]:
     """Monic orthogonal polynomials pi_0..pi_upto for the moment functional.
 
     Determinant route, independent of the Stieltjes recurrence of
-    moments_to_jfraction: pi_n is the monic null vector of the (n + 1) x n
-    Hankel grid s[i + j] (i <= n, j < n), which is the table's P(n, 0) for
-    the single sequence s.  Each degree takes one fraction-free elimination.
+    moments_to_jfraction: pi_n is the monic null vector of the Hankel rows
+    s[r + j] (r < n, j <= n), which is the table's P(n, 0) for the single
+    sequence s.  One fraction-free elimination of the cleared moments serves
+    all degrees.
     """
     if upto < 0:
         return []
-    s = [rat(x) for x in s]
     need = max(2 * upto, 1)
     if len(s) < need:
         raise TruncationError(
             f"need {need} moments for orthogonal polynomials up to degree {upto}, "
             f"have {len(s)}")
+    ints, _ = cleared([rat(x) for x in s[:need]])
+    hankel = LeadingMinors(lambda r, start, stop: ints[r + start:r + stop])
     polys = []
     for n in range(upto + 1):
-        _, coeffs = bordered_solve([[s[i + j] for j in range(n)] for i in range(n + 1)])
-        if coeffs is None:
+        if hankel.minor(n) == 0:
             raise DegeneracyError(
                 f"moment functional degenerates at depth {n} "
                 f"(Hankel determinant of order {n} vanishes)")
-        polys.append(Poly(coeffs))
+        v = hankel.null_vector(n)
+        polys.append(Poly(Fraction(x, v[-1]) for x in v))
     return polys
 
 

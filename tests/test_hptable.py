@@ -248,34 +248,31 @@ def det_exact_orders(monkeypatch):
     return record_orders(monkeypatch, "det_exact", len)
 
 
-@pytest.fixture()
-def bordered_orders(monkeypatch):
-    """Orders k of the (k + 1) x k grids bordered_solve is asked for."""
-    return record_orders(monkeypatch, "bordered_solve", lambda rows: len(rows) - 1)
-
-
 class TestWorkCount:
-    def test_field_takes_no_plain_determinant(self, system_a, det_exact_orders,
-                                              bordered_orders):
+    def test_field_takes_no_plain_determinant(self, system_a, det_exact_orders):
         field_from_table(HPTable(system_a, 6, 6), 5, 5)
-        assert det_exact_orders == [] and bordered_orders == []
+        assert det_exact_orders == []
 
-    def test_bordered_solve_only_past_a_zero_pivot(self, dup_system, bordered_orders):
+    def test_bordered_solve_only_past_a_zero_pivot(self, dup_system,
+                                                    det_exact_orders):
         # column m eliminates the rows [s2 shifts 0..m-1, s1 shifts 0..n-1],
-        # whose leading minors are S(0, 1..m) and then S(0..n, m)
+        # whose leading minors are S(0, 1..m) and then S(0..n, m); an index
+        # past a zero one is read through a row exchange, with no plain
+        # determinant
         N, M = 4, 4
-        zero = {(n, m) for n in range(N + 1) for m in range(M + 1)
-                if expected_entry(dup_system, n, m)[0] == 0}
         table = HPTable(dup_system, N, M)
-        for m in range(M + 1):
-            for n in range(N + 1):
-                past = (any((k, m) in zero for k in range(n))
-                        or any((0, k) in zero for k in range(1, m)))
-                calls = len(bordered_orders)
-                if table.is_normal(n, m):
-                    table.hp_poly_det(n, m)
-                assert (len(bordered_orders) > calls) == past, (n, m)
-        assert bordered_orders      # the duplicated system has zero pivots
+        reads = {(n, m): (read_or_error(table.s_det, n, m),
+                          read_or_error(table.hp_poly_det, n, m))
+                 for n in range(N + 1) for m in range(M + 1)}
+        assert det_exact_orders == []
+        expected = {key: expected_entry(dup_system, *key) for key in reads}
+        zero = {key for key, (s, _) in expected.items() if s == 0}
+        past = {(n, m) for n, m in reads
+                if any((k, m) in zero for k in range(n))
+                or any((0, k) in zero for k in range(1, m))}
+        assert past     # the duplicated system has zero pivots
+        for key, read in reads.items():
+            assert read == expected[key], key
 
     def test_longer_document_gives_the_same_table(self):
         # a (4, 4) window and its h1, h2 pairings read 13 moments of each sequence
@@ -296,18 +293,20 @@ class TestWorkCount:
 
     def test_plain_determinant_only_below_bordered_depth(self, system_a,
                                                          det_exact_orders):
+        # 9 moments reach the plain depth of S but not the bordered depth of
+        # P at part of a (5, 5) window: there S reads and P must raise
         count = 9
         system = MomentSystem(system_a.s1[:count], system_a.s2[:count])
         table = HPTable(system, 5, 5)
-        shallow = []
-        for n in range(6):
-            for m in range(6):
-                if max(2 * n + m - 1, n + 2 * m - 1) > count:
-                    continue    # not even the plain determinant fits
-                table.s_det(n, m)
-                if max(2 * n + m, n + 2 * m) > count:
-                    shallow.append(n + m)
-        assert shallow and det_exact_orders == shallow
+        reads = {(n, m): (read_or_error(table.s_det, n, m),
+                          read_or_error(table.hp_poly_det, n, m))
+                 for n in range(6) for m in range(6)}
+        assert det_exact_orders == []
+        shallow = [key for key, (s, p) in reads.items()
+                   if s is not TruncationError and p is TruncationError]
+        assert shallow
+        for key, read in reads.items():
+            assert read == expected_entry(system, *key), key
 
 
 class TestRemainder:

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from hplax.errors import (DegeneracyError, DimensionError, IntegrityError,
                           TruncationError)
-from hplax.kernel import (LaurentTail, LeadingMinors, MatPoly, Poly, X,
-                          bordered_solve, det_exact, moment_pairing,
-                          poly_from_series_product, series_from_moments,
-                          series_of_ratio, solve_exact)
+from hplax.kernel import (LaurentTail, LeadingMinors, MatPoly, Poly, X, det_exact,
+                          moment_pairing, poly_from_series_product,
+                          series_from_moments, series_of_ratio, solve_exact)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 # polynomials of degree at most 2, many of them zero, with zero coefficients
@@ -74,53 +73,6 @@ def per_minor(rows):
                     for i in range(k + 1))
 
 
-# zeros often enough that leading pivots vanish and rows must be swapped
-nonzero = rationals.filter(lambda x: x != 0)
-sparse_rationals = st.one_of(st.just(F(0)), nonzero, nonzero, nonzero)
-
-
-@st.composite
-def bordered_grids(draw):
-    k = draw(st.integers(0, 5))
-    rows = draw(st.lists(st.lists(sparse_rationals, min_size=k, max_size=k),
-                         min_size=k + 1, max_size=k + 1))
-    if k >= 2 and draw(st.integers(0, 3)) == 0:
-        factor = draw(rationals)
-        for row in rows:    # a dependent column makes the grid singular
-            row[1] = factor * row[0]
-    return rows
-
-
-class TestBorderedSolve:
-    def test_empty_grid(self):
-        assert bordered_solve([[]]) == (1, (1,))
-
-    def test_pivot_swap(self):
-        # column 0 reads 0*p0 + 1*p1 + 2 = 0, column 1 reads p0 + 3 = 0
-        assert bordered_solve([[0, 1], [1, 0], [2, 3]]) == (-1, (-3, -2, 1))
-
-    def test_singular(self):
-        assert bordered_solve([[1, 2], [2, 4], [1, 1]]) == (0, None)
-        assert bordered_solve([[0, 0], [0, 1], [1, 0]]) == (0, None)
-
-    def test_shape(self):
-        with pytest.raises(DimensionError):
-            bordered_solve([[1, 2], [3, 4]])
-        with pytest.raises(DimensionError):
-            bordered_solve([])
-
-    @settings(max_examples=200, deadline=None)
-    @given(bordered_grids())
-    def test_matches_per_minor_formula(self, rows):
-        k = len(rows) - 1
-        s, coeffs = bordered_solve(rows)
-        assert s == det_exact(rows[:k])
-        if s == 0:
-            assert coeffs is None
-            return
-        assert (s, coeffs) == per_minor(rows)
-
-
 def leading_minors_of(matrix):
     return LeadingMinors(lambda r, start, stop: matrix[r][start:stop])
 
@@ -133,6 +85,35 @@ small_matrices = st.integers(1, 6).flatmap(
                        min_size=k, max_size=k))
 
 
+def ratios(ints):
+    return tuple(F(v, ints[-1]) for v in ints)
+
+
+def bordered(grid):
+    """LeadingMinors of a (k + 1) x k bordered grid: row j of the transpose
+    is the equation sum_i p_i grid[i][j] = 0 of the monic null vector p."""
+    return leading_minors_of([list(col) for col in zip(*grid)])
+
+
+class TestBorderedSolve:
+    def test_empty_grid(self):
+        minors = bordered([[]])
+        assert minors.minor(0) == 1 and minors.null_vector(0) == [1]
+
+    def test_pivot_swap(self):
+        # column 0 reads 0*p0 + 1*p1 + 2 = 0, column 1 reads p0 + 3 = 0
+        minors = bordered([[0, 1], [1, 0], [2, 3]])
+        assert minors.minor(2) == -1
+        assert ratios(minors.null_vector(2)) == (-3, -2, 1)
+
+    def test_singular(self):
+        for grid in ([[1, 2], [2, 4], [1, 1]], [[0, 0], [0, 1], [1, 0]]):
+            minors = bordered(grid)
+            assert minors.minor(2) == 0
+            with pytest.raises(DegeneracyError):
+                minors.null_vector(2)
+
+
 class TestLeadingMinors:
     def test_hand_example(self):
         minors = leading_minors_of([[2, 1, 4], [1, 3, 5]])
@@ -140,10 +121,9 @@ class TestLeadingMinors:
         # 2 p0 + p1 + 4 = 0 and p0 + 3 p1 + 5 = 0: p = (-7/5, -6/5, 1)
         assert minors.null_vector(2) == [-7, -6, 5]
 
-    def test_zero_pivot_stops_the_elimination(self):
+    def test_zero_pivot_takes_a_row_exchange(self):
         minors = leading_minors_of([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-        assert minors.minor(1) == 0
-        assert minors.minor(2) is None and minors.minor(3) is None
+        assert [minors.minor(k) for k in range(4)] == [1, 0, -1, 2]
         with pytest.raises(DegeneracyError):
             minors.null_vector(1)
 
@@ -156,22 +136,21 @@ class TestLeadingMinors:
     def test_lazy_reads_match_determinants(self, matrix, rng):
         k = len(matrix)
         minors = leading_minors_of(matrix)
+        dets = [brute_det([row[:j] for row in matrix[:j]]) for j in range(k + 1)]
         requests = [(order, vector) for order in range(k + 1)
                     for vector in (False, True)]
         rng.shuffle(requests)
         for order, vector in requests:
-            smaller = [det_exact([row[:j] for row in matrix[:j]]) for j in range(order)]
-            det = det_exact([row[:order] for row in matrix[:order]])
-            reachable = all(smaller[1:])
+            det = dets[order]
             if not vector:
-                assert minors.minor(order) == (det if reachable else None)
-            elif reachable and det != 0:
+                assert minors.minor(order) == det
+            elif det != 0:
                 ints = minors.null_vector(order)
+                for row in matrix[:order]:
+                    assert sum(v * x for v, x in zip(ints, row)) == 0
                 grid = [list(col) for col in zip(*[row[:order + 1]
                                                    for row in matrix[:order]])]
-                want = bordered_solve(grid or [[]])[1]
-                assert ints[-1] == det
-                assert tuple(F(v, det) for v in ints) == want
+                assert ratios(ints) == per_minor(grid or [[]])[1]
             else:
                 with pytest.raises(DegeneracyError):
                     minors.null_vector(order)

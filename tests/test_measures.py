@@ -168,3 +168,11 @@ class TestMonicOrthogonalPolys:
         moments = measure_moments(MeasureModel.discrete([(5, 1)]), 10)
         with pytest.raises(DegeneracyError):
             monic_orthogonal_polys(moments, 3)
+
+    def test_first_vanishing_hankel_determinant_names_the_depth(self):
+        # order 2: 1*1 - 1*1 = 0; order 3: -(s3 - 1)^2 = -1, so a row
+        # exchange would step past depth 2, which must still raise
+        moments = [1, 1, 1, 0, 0, 0]
+        assert monic_orthogonal_polys(moments, 1) == [Poly.of(1), X - Poly.of(1)]
+        with pytest.raises(DegeneracyError, match="depth 2 "):
+            monic_orthogonal_polys(moments, 3)

@@ -4,14 +4,18 @@ A module keeps its `_`-prefixed names to itself, each module-level
 ALL_CAPS constant is assigned in one module only (the others import it), and
 each public module-level function or class has a user: some code in
 src/hplax or tests/ outside its own definition and the `__init__` re-exports.
+Every name the benchmark wraps (perfbench/spans.py) still exists.
 """
 
 import ast
+import importlib
+import importlib.util
 from collections import defaultdict
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "hplax"
+SPANS = TESTS.parent / "perfbench" / "spans.py"
 
 
 def modules() -> dict[str, ast.Module]:
@@ -82,3 +86,18 @@ def test_every_public_name_has_a_user():
     for path in sorted(TESTS.glob("*.py")):
         used |= used_names(ast.parse(path.read_text(encoding="utf-8"), str(path)))
     assert {k: v for k, v in defined.items() if k not in used} == {}
+
+
+def test_benchmark_span_targets_exist():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for module_name, attr, _, _ in spans.TARGETS:
+        cls_name, _, name = attr.rpartition(".")
+        owner = vars(importlib.import_module(module_name))
+        if cls_name:
+            owner = vars(owner[cls_name]) if cls_name in owner else {}
+        if name not in owner:
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []
