@@ -35,7 +35,7 @@ def _read_doc(path: str) -> Any:
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:     # ValueError: bad JSON or bad UTF-8
         raise jsondoc.ParseError(f"cannot read {path}: {exc}") from exc
 
 

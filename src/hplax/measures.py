@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import (DegeneracyError, DisjointSupportError, PoleError,
                      TruncationError)
-from .kernel import LeadingMinors, Poly, Ratlike, X, cleared, moment_pairing, rat
+from .kernel import LeadingMinors, Poly, Ratlike, cleared, rat
 
 DISCRETE = "discrete"
 INTERVAL = "interval"
@@ -154,7 +154,7 @@ def make_nikishin(sigma1: MeasureModel, sigma2: MeasureModel, count: int) -> Mom
 def monic_orthogonal_polys(s, upto: int) -> list[Poly]:
     """Monic orthogonal polynomials pi_0..pi_upto for the moment functional.
 
-    Determinant route, independent of the Stieltjes recurrence of
+    Determinant route, independent of the Chebyshev recurrence of
     moments_to_jfraction: pi_n is the monic null vector of the Hankel rows
     s[r + j] (r < n, j <= n), which is the table's P(n, 0) for the single
     sequence s.  One fraction-free elimination of the cleared moments serves
@@ -183,8 +183,11 @@ def monic_orthogonal_polys(s, upto: int) -> list[Poly]:
 def moments_to_jfraction(s, depth: int) -> JFraction:
     """Three-term recurrence coefficients c_0..c_(depth-1), a_1..a_(depth-1).
 
-    Exact monic Stieltjes procedure; fails loudly (naming the depth) when a
-    leading principal Hankel determinant vanishes.
+    Chebyshev's algorithm on the mixed moments sigma_(k,l) = L[pi_k x^l]
+    (Gautschi 2004, section 2.1.7): row k follows from rows k - 1 and k - 2
+    by the recurrence itself, so no polynomial is formed.  Fails loudly
+    (naming the depth) at the first vanishing norm sigma_(k,k) = L[pi_k^2],
+    that is, where a leading principal Hankel determinant vanishes.
     """
     s = [rat(x) for x in s]
     if depth < 1:
@@ -194,23 +197,18 @@ def moments_to_jfraction(s, depth: int) -> JFraction:
             f"depth {depth} needs {2 * depth} moments, have {len(s)}")
     c: list[Fraction] = []
     a: list[Fraction] = []
-    pi_prev, pi = Poly(), Poly.of(1)
-    norm_prev, norm = None, s[0]
-    for j in range(depth):
-        if norm == 0:
+    # row k is read at l >= k only (sigma_(k,l) vanishes below); prev is row k - 1
+    prev, row = [0] * (2 * depth), s[:2 * depth]
+    for k in range(depth):
+        if row[k] == 0:
             raise DegeneracyError(
-                f"vanishing Hankel determinant: functional degenerates at depth {j}")
-        cj = moment_pairing(X * pi * pi, s) / norm
-        c.append(cj)
-        if j >= 1:
-            a.append(norm / norm_prev)
-        nxt = (X - Poly.of(cj)) * pi
-        if j >= 1:
-            nxt = nxt - a[-1] * pi_prev
-        pi_prev, pi = pi, nxt
-        norm_prev = norm
-        if j + 1 < depth:
-            norm = moment_pairing(pi * pi, s)
+                f"vanishing Hankel determinant: functional degenerates at depth {k}")
+        c.append(row[k + 1] / row[k] - (prev[k] / prev[k - 1] if k else 0))
+        if k:
+            a.append(row[k] / prev[k - 1])
+        ak = a[-1] if k else 0
+        prev, row = row, [row[l + 1] - c[k] * row[l] - ak * prev[l] if l > k else 0
+                          for l in range(2 * depth - k - 1)]
     return JFraction(tuple(c), tuple(a), s[0])
 
 
@@ -221,12 +219,13 @@ def jfraction_to_moments(j: JFraction, count: int) -> list[Fraction]:
     Exact left-inverse of moments_to_jfraction on its image for
     count <= 2 * depth.
     """
-    if count < 1:
-        raise DegeneracyError("moment count must be at least 1")
+    if count < 0:
+        raise DegeneracyError(f"moment count must be nonnegative, got {count}")
+    if count == 0:
+        return []
     d = j.depth
     # iterate v := T^k e_0 without forming T
-    v = [Fraction(0)] * d
-    v[0] = Fraction(1)
+    v = [Fraction(1)] + [Fraction(0)] * (d - 1)
     out = [j.s0 * v[0]]
     for _ in range(count - 1):
         w = [Fraction(0)] * d

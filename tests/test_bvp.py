@@ -1,13 +1,16 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hplax.bvp import (BoundaryData, boundary_from_field, cd_by_summation,
                        cross_validate, field_from_moments, sweep_solve)
 from hplax.errors import (DegeneracyError, NonPerfectBoundaryError,
                           NotNormalError, TruncationError, WindowError)
 from hplax.hptable import HPTable
-from hplax.measures import moments_to_jfraction
+from hplax.measures import (JFraction, MomentSystem, jfraction_to_moments,
+                            moments_to_jfraction)
 from hplax.nnrr import consistency_residuals, field_from_table
 
 
@@ -236,3 +239,48 @@ class TestCrossValidate:
             assert not equal and diff is not None
         else:
             assert report.failure is not None
+
+
+@st.composite
+def axis_jfractions(draw):
+    """Level lam in 2..6, a split (N, M) of it, and two J-fractions of depth
+    lam + 1 with c in [-2, 2], a in {-2, -1, 1, 2} and s0 = 1: mostly not
+    the data of any measure."""
+    lam = draw(st.integers(2, 6))
+    n = draw(st.integers(0, lam))
+
+    def jfraction():
+        c = draw(st.lists(st.integers(-2, 2), min_size=lam + 1, max_size=lam + 1))
+        a = draw(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=lam, max_size=lam))
+        return JFraction(tuple(c), tuple(a), 1)
+
+    return n, lam - n, jfraction(), jfraction()
+
+
+class TestConverse:
+    """The converse theorem on a finite window: any axis data with nonzero
+    subdiagonals are the J-fractions of the system their moments rebuild,
+    and the sweep over them completes exactly where that system is normal."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(axis_jfractions())
+    def test_sweep_meets_the_rebuilt_system(self, drawn):
+        N, M, j1, j2 = drawn
+        lam = N + M
+        system = MomentSystem(tuple(jfraction_to_moments(j1, 2 * lam + 4)),
+                              tuple(jfraction_to_moments(j2, 2 * lam + 4)))
+        assert moments_to_jfraction(system.s1, lam + 1) == j1
+        assert moments_to_jfraction(system.s2, lam + 1) == j2
+        report = sweep_solve(BoundaryData(j1.c, j1.a, j2.c, j2.a), N, M)
+        if report.ok:
+            equal, diff = report.field.same_grids(field_from_moments(system, N, M))
+            assert equal, diff
+            return
+        # d - c = S(n, m) S(n+1, m+1) / (S(n+1, m) S(n, m+1)): the first
+        # vanishing gap is the first non-normal index, in level order
+        (n, m), _ = report.failure
+        table = HPTable(system, n + m + 2, n + m + 2)
+        assert table.s_det(n + 1, m + 1) == 0
+        for level in range(2, n + m + 2):
+            for k in range(1, level):
+                assert table.s_det(k, level - k) != 0, (k, level - k)

@@ -17,7 +17,11 @@ from hplax.measures import (MeasureModel, MomentSystem, make_angelesco, make_nik
 
 
 def write_json(path, doc):
-    path.write_text(json.dumps(doc))
+    """Write doc as JSON text, or bytes as they are."""
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(json.dumps(doc))
     return str(path)
 
 
@@ -78,6 +82,15 @@ class TestGen:
                      "--order", "8", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["s1"] == [str(x) for x in system_a.s1[:8]]
+
+    def test_order_zero_writes_an_empty_system(self, tmp_path, system_a):
+        j = jsondoc.jfraction_to_doc(moments_to_jfraction(list(system_a.s1), 2))
+        inp = write_json(tmp_path / "jf.json", {"f1": j, "f2": j})
+        out = tmp_path / "system.json"
+        assert main(["gen", "--system", "jfraction", "--in", inp,
+                     "--order", "0", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["count"], doc["s1"], doc["s2"]) == (0, [], [])
 
     def test_moments_source_is_truncated(self, tmp_path, system_a):
         inp = write_json(tmp_path / "m.json",
@@ -360,6 +373,9 @@ EXIT_TABLE = [
      "nonnegative"),
     ("qd-moments-string", ["qd"], lambda s: {"moments": "1111111"}, (1, 1), 2,
      "parse error"),
+    ("not-utf-8", ["table"],
+     lambda s: b"\xff\xfe" + json.dumps(jsondoc.moment_system_to_doc(s)).encode("utf-16-le"),
+     (1, 1), 2, "parse error"),
     ("not-normal", ["coeffs"],
      lambda s: jsondoc.moment_system_to_doc(MomentSystem(DUPLICATED, DUPLICATED)),
      (1, 1), 3, "not normal"),

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from hplax.errors import (DegeneracyError, DisjointSupportError, PoleError,
                           TruncationError)
-from hplax.kernel import Poly, X
+from hplax import measures
+from hplax.kernel import Poly, X, det_exact
 from hplax.measures import (JFraction, MeasureModel, MomentSystem,
                             jfraction_to_moments, make_angelesco,
                             make_nikishin, measure_moments,
@@ -156,6 +157,50 @@ class TestJFraction:
         assert all(v > 0 for v in j.a)
         assert jfraction_to_moments(j, 2 * depth) == moments
 
+
+
+class TestChebyshevAlgorithm:
+    """moments_to_jfraction on arbitrary integer data, with its left inverse
+    jfraction_to_moments and Hankel determinants as the oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]), max_size=14),
+           st.integers(0, 7))
+    def test_value_or_the_first_vanishing_hankel_block(self, s, depth):
+        if depth < 1:
+            with pytest.raises(DegeneracyError, match="at least 1"):
+                moments_to_jfraction(s, depth)
+            return
+        if len(s) < 2 * depth:
+            with pytest.raises(TruncationError):
+                moments_to_jfraction(s, depth)
+            return
+        singular = [k for k in range(depth)
+                    if det_exact([[s[i + j] for j in range(k + 1)]
+                                  for i in range(k + 1)]) == 0]
+        if singular:
+            with pytest.raises(DegeneracyError, match=f"at depth {singular[0]}$"):
+                moments_to_jfraction(s, depth)
+        else:
+            j = moments_to_jfraction(s, depth)
+            assert jfraction_to_moments(j, 2 * depth) == s[:2 * depth]
+
+    def test_forms_no_polynomial(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("polynomial arithmetic")
+
+        moments = make_angelesco(MeasureModel.interval(-2, -1),
+                                 MeasureModel.interval(1, 2), 24).s1
+        monkeypatch.setattr(Poly, "__mul__", refuse)
+        monkeypatch.setattr(measures, "moment_pairing", refuse, raising=False)
+        j = moments_to_jfraction(moments, 12)
+        assert jfraction_to_moments(j, 24) == list(moments)
+
+    def test_zero_moments_from_a_jfraction(self):
+        j = JFraction((F(1, 2),), (), F(1))
+        assert jfraction_to_moments(j, 0) == []
+        with pytest.raises(DegeneracyError, match="nonnegative"):
+            jfraction_to_moments(j, -1)
 
 class TestMonicOrthogonalPolys:
     def test_lebesgue01(self):
