@@ -2,6 +2,10 @@
 2x2 transition matrices, three-term recurrences, and the finite
 continued-fraction identity for ratios of consecutive monic polynomials.
 
+The qd values come from the integer leading minors of one fraction-free
+elimination per Hankel shift (``QdField``); plain determinants of the Hankel
+blocks (``hankel_shifted``, ``qd_vw``) are their oracle.
+
 The recurrence is kept in monic form throughout (subdiagonal entries are the
 squared off-diagonal terms), which stays inside rational arithmetic; the
 continued-fraction identity is checked at the level of the rational function,
@@ -13,34 +17,59 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegeneracyError, TruncationError, WindowError
-from .kernel import MatPoly, Poly, X, det_exact, rat
+from .kernel import LeadingMinors, MatPoly, Poly, X, cleared, det_exact, rat
 from .measures import JFraction, jfraction_to_moments, monic_orthogonal_polys
 
 
 class QdField:
-    """Memoized shifted-Hankel values with the derived quotient-difference
-    grids over one moment sequence; every stored V and W passed the
-    nonvanishing-denominator check when it was first computed.
+    """Shifted-Hankel values with the derived quotient-difference grids and
+    2x2 transition pairs over one moment sequence, the production route.
+
+    The moments are cleared of denominators once (D s_j, D their lcm), and
+    D^n H(n, k) is the leading minor of order n of one fraction-free
+    elimination (``kernel.LeadingMinors``) of the Hankel rows at shift k,
+    extended only as deep as a call needs.  V and W are each one Fraction of
+    five such minors, whose powers of D cancel.  Every stored V and W passed
+    the nonvanishing-denominator check when it was first computed, and each
+    (V, W) and each transition pair is built once.
 
     The module functions below accept a QdField in place of a moment
-    sequence and then share its memo, so a grid of residuals takes each
-    Hankel determinant and each (V, W) pair once."""
+    sequence and then share its memo.  ``hankel_shifted`` and ``qd_vw`` are
+    the determinant route on plain sequences, kept as the oracle."""
 
     def __init__(self, moments):
         self.moments = [rat(x) for x in moments]
-        self._hankel: dict[tuple[int, int], Fraction] = {}
+        self._ints, self._scale = cleared(self.moments)
+        self._shifts: dict[int, LeadingMinors] = {}
         self._vw: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+        self._pairs: dict[tuple[int, int], tuple[MatPoly, MatPoly]] = {}
+
+    def minor(self, n: int, k: int) -> int:
+        """D^n H(n, k); raises as ``hankel_shifted`` does before any read."""
+        if n == 0:
+            return 1
+        _check_hankel_depth(self.moments, n, k)
+        if k not in self._shifts:
+            ints = self._ints
+            self._shifts[k] = LeadingMinors(
+                lambda r, start, stop: ints[k + r + start:k + r + stop])
+        return self._shifts[k].minor(n)
 
     def hankel(self, n: int, k: int) -> Fraction:
-        key = (n, k)
-        if key not in self._hankel:
-            self._hankel[key] = hankel_shifted(self.moments, n, k)
-        return self._hankel[key]
+        return Fraction(self.minor(n, k), self._scale ** n)
 
     def vw(self, n: int, k: int) -> tuple[Fraction, Fraction]:
         key = (n, k)
         if key not in self._vw:
-            self._vw[key] = qd_vw(self, n, k)
+            minor = self.minor
+            h_nk, h_nk1 = minor(n, k), minor(n, k + 1)
+            h_n1k, h_n1k1 = minor(n + 1, k), minor(n + 1, k + 1)
+            h_nk2 = minor(n, k + 2)
+            if h_nk1 == 0 or h_n1k == 0 or h_nk2 == 0:
+                raise DegeneracyError(
+                    f"vanishing Hankel denominator at (n, k) = ({n}, {k})")
+            self._vw[key] = (Fraction(h_n1k1 * h_nk, h_nk1 * h_n1k),
+                             Fraction(h_n1k1 * h_nk1, h_n1k * h_nk2))
         return self._vw[key]
 
     def v(self, n: int, k: int) -> Fraction:
@@ -49,33 +78,43 @@ class QdField:
     def w(self, n: int, k: int) -> Fraction:
         return self.vw(n, k)[1]
 
+    def transition(self, n: int, k: int) -> tuple[MatPoly, MatPoly]:
+        """The transition pair at (n, k); see ``transition_2x2``."""
+        key = (n, k)
+        if key not in self._pairs:
+            v, w = self.vw(n, k)
+            v1, _ = self.vw(n, k + 1)
+            self._pairs[key] = lax_l(v, w, v1), lax_m_num(v, w)
+        return self._pairs[key]
+
 
 def _qd_field(moments) -> QdField:
     return moments if isinstance(moments, QdField) else QdField(moments)
+
+
+def _check_hankel_depth(moments, n: int, k: int) -> None:
+    top = 2 * n + k - 2
+    if len(moments) <= top:
+        raise TruncationError(
+            f"Hankel block ({n}, {k}) needs moment index {top}, have {len(moments)}")
 
 
 def hankel_shifted(moments, n: int, k: int) -> Fraction:
     """Determinant of the n x n Hankel block starting at moment k; size 0 is 1."""
     if n == 0:
         return Fraction(1)
-    top = 2 * n + k - 2
-    if len(moments) <= top:
-        raise TruncationError(
-            f"Hankel block ({n}, {k}) needs moment index {top}, have {len(moments)}")
+    _check_hankel_depth(moments, n, k)
     return det_exact([[moments[k + i + j] for j in range(n)] for i in range(n)])
 
 
 def qd_vw(moments, n: int, k: int) -> tuple[Fraction, Fraction]:
-    """The two quotient-difference ratios of shifted Hankel determinants.
-
-    ``moments`` is a moment sequence or a QdField, whose Hankel memo is used.
-    """
-    hankel = _qd_field(moments).hankel
-    s_nk = hankel(n, k)
-    s_nk1 = hankel(n, k + 1)
-    s_n1k = hankel(n + 1, k)
-    s_n1k1 = hankel(n + 1, k + 1)
-    s_nk2 = hankel(n, k + 2)
+    """The two quotient-difference ratios of shifted Hankel determinants
+    (``hankel_shifted``) of a moment sequence."""
+    s_nk = hankel_shifted(moments, n, k)
+    s_nk1 = hankel_shifted(moments, n, k + 1)
+    s_n1k = hankel_shifted(moments, n + 1, k)
+    s_n1k1 = hankel_shifted(moments, n + 1, k + 1)
+    s_nk2 = hankel_shifted(moments, n, k + 2)
     if s_nk1 == 0 or s_n1k == 0 or s_nk2 == 0:
         raise DegeneracyError(
             f"vanishing Hankel denominator at (n, k) = ({n}, {k})")
@@ -103,10 +142,7 @@ def transition_2x2(moments, n: int, k: int) -> tuple[MatPoly, MatPoly]:
 
     ``moments`` is a moment sequence or a QdField, whose memo is used.
     """
-    qd = _qd_field(moments)
-    v, w = qd.vw(n, k)
-    v1, _ = qd.vw(n, k + 1)
-    return lax_l(v, w, v1), lax_m_num(v, w)
+    return _qd_field(moments).transition(n, k)
 
 
 def zcc2_residual(moments, n: int, k: int) -> MatPoly:
@@ -115,9 +151,9 @@ def zcc2_residual(moments, n: int, k: int) -> MatPoly:
     ``moments`` is a moment sequence or a QdField, whose memo is used.
     """
     qd = _qd_field(moments)
-    l_here, m_here = transition_2x2(qd, n, k)
-    l_up, _ = transition_2x2(qd, n, k + 1)
-    _, m_right = transition_2x2(qd, n + 1, k)
+    l_here, m_here = qd.transition(n, k)
+    l_up, _ = qd.transition(n, k + 1)
+    _, m_right = qd.transition(n + 1, k)
     return l_up * m_here - m_right * l_here
 
 

@@ -10,6 +10,7 @@ Exit codes: 0 ok, 2 parse error, 3 not-normal index or degenerate data,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -181,7 +182,10 @@ def _cmd_qd(args) -> int:
 # -- wiring ---------------------------------------------------------------------
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and building it costs more than many of the calls it serves."""
     parser = argparse.ArgumentParser(
         prog="hplax",
         description="Exact tables, recurrence fields, transition matrices, and "

@@ -9,11 +9,14 @@ once per table, D_j s_j, over the prefix its window can reach.  Column m of
 the table is one fraction-free elimination with row exchanges
 (``kernel.LeadingMinors``) of the rows [s2 shifts 0..m-1, s1 shifts 0..], with
 one column per power of x; its leading minor of order n + m is
-(-1)^(nm) D1^n D2^m S(n, m), zero pivots included, and it is extended only as
-deep as a call needs.  P(n, m) is the monic null vector of its leading n + m
-rows, read by back substitution on the first ``hp_poly_det`` call.  The first
-m rows of column max_m are the s2 shifts 0..m-1 for every m <= max_m, so the
-reads at n = 0 all go to that one column.
+(-1)^(nm) D1^n D2^m S(n, m), zero pivots included (``minor``), and it is
+extended only as deep as a call needs.  P(n, m) is the monic null vector of
+its leading n + m rows, read by back substitution on the first
+``hp_poly_det`` call.  The subleading coefficient of P(n, m), all that the
+recurrence field needs of it, is one entry of the pivot row at position
+n + m - 1 over that row's pivot (``subleading``), so the field forms no
+polynomial.  The first m rows of column max_m are the s2 shifts 0..m-1 for
+every m <= max_m, so the reads at n = 0 all go to that one column.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ class HPTable:
         self.moments = moments
         self.max_n = max_n
         self.max_m = max_m
+        self._k: dict[tuple[int, int], int] = {}
         self._s: dict[tuple[int, int], Fraction] = {}
         self._p: dict[tuple[int, int], Poly] = {}
         self._p_ints: dict[tuple[int, int], tuple[list[int], int]] = {}
@@ -93,16 +97,22 @@ class HPTable:
 
     # -- determinants and normality ---------------------------------------
 
-    def s_det(self, n: int, m: int) -> Fraction:
-        """Mixed Hankel-type determinant of size n + m; the empty case is 1.
-
-        A leading minor of the column elimination that holds index (n, m).
+    def minor(self, n: int, m: int) -> int:
+        """K(n, m) = (-1)^(nm) D1^n D2^m S(n, m), the integer leading minor
+        of the column elimination that holds index (n, m); the empty case is 1.
         """
-        self._check_window(n, m)
+        key = (n, m)
+        if key not in self._k:
+            self._check_window(n, m)
+            self._check_depth(n, m, bordered=False)
+            self._k[key] = self._column(m if n else self.max_m).minor(n + m)
+        return self._k[key]
+
+    def s_det(self, n: int, m: int) -> Fraction:
+        """Mixed Hankel-type determinant of size n + m; the empty case is 1."""
         key = (n, m)
         if key not in self._s:
-            self._check_depth(n, m, bordered=False)
-            minor = self._column(m if n else self.max_m).minor(n + m)
+            minor = self.minor(n, m)
             self._s[key] = Fraction(-minor if n * m % 2 else minor,
                                     self._d1 ** n * self._d2 ** m)
         return self._s[key]
@@ -112,21 +122,32 @@ class HPTable:
 
     # -- the two polynomial routes ----------------------------------------
 
+    def _p_column(self, n: int, m: int) -> LeadingMinors:
+        """The column elimination that holds P(n, m), after the window, the
+        normality and the bordered-depth checks, in that order."""
+        self._check_window(n, m)
+        if self.minor(n, m) == 0:
+            raise NotNormalError(n, m)
+        self._check_depth(n, m, bordered=True)
+        return self._column(m if n else self.max_m)
+
     def hp_poly_det(self, n: int, m: int) -> Poly:
         """Monic table polynomial via the bordered determinant, memoized."""
-        self._check_window(n, m)
         key = (n, m)
         if key not in self._p:
-            if self.s_det(n, m) == 0:
-                raise NotNormalError(n, m)
-            self._check_depth(n, m, bordered=True)
-            ints = self._column(m if n else self.max_m).null_vector(n + m)
+            ints = self._p_column(n, m).null_vector(n + m)
             poly = Poly(Fraction(v, ints[-1]) for v in ints)
             if poly.degree != n + m or not poly.is_monic:
                 raise IntegrityError(f"bordered determinant at ({n}, {m}) "
                                      f"is not monic of degree {n + m}")
             self._p[key] = poly
         return self._p[key]
+
+    def subleading(self, n: int, m: int) -> tuple[int, int]:
+        """Integers (u, w) with u/w the coefficient of x^(n+m-1) in P(n, m),
+        0/1 at the origin; read off the column elimination without forming
+        P, and raising what ``hp_poly_det`` raises."""
+        return self._p_column(n, m).null_tail(n + m)
 
     def hp_poly_solve(self, n: int, m: int) -> Poly:
         """Monic table polynomial via the orthogonality linear system.

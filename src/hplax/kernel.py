@@ -453,6 +453,18 @@ class LeadingMinors:
         scaled.append(det)
         return scaled
 
+    def null_tail(self, k: int) -> tuple[int, int]:
+        """(v_(k-1), v_k) of ``null_vector(k)``, (0, 1) at k = 0, with no
+        back substitution: the pivot row at position k - 1 has the pivot
+        v_k on its diagonal, so v_(k-1) is minus its entry in column k.
+        The same minor must not vanish."""
+        if k == 0:
+            return 0, 1
+        self._widen(k + 1)
+        if self.minor(k) == 0:
+            raise DegeneracyError(f"the leading minor of order {k} vanishes")
+        return -self._rows[k - 1][k], self._pivots[k - 1]
+
 
 def det_exact(rows: Sequence[Sequence[Ratlike]]) -> Fraction:
     """Exact determinant of a square grid of rationals.

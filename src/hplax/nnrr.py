@@ -1,7 +1,8 @@
 """Nearest-neighbor recurrence field and its branched continued fractions.
 
 The four coefficient grids come from determinant ratios (a, b) and from
-subleading polynomial coefficients (c, d).  Everything here is checkable
+subleading polynomial coefficients (c, d), each entry one Fraction built from
+the integers of the table's column eliminations.  Everything here is checkable
 against an independent route: determinant identities, direct recurrence
 residuals, consistency identities, and series round trips.
 """
@@ -88,39 +89,44 @@ class CFExtraction:
 # -- field extraction ------------------------------------------------------
 
 
-def _sub(p: Poly) -> Fraction:
-    """Coefficient of x^(deg - 1); zero for constants."""
-    return p.coeff(p.degree - 1)
-
-
 def a_value(table: HPTable, n: int, m: int) -> Fraction:
-    """a(n, m) = S(n+1, m) S(n-1, m) / S(n, m)^2; zero on the axis n = 0."""
+    """a(n, m) = S(n+1, m) S(n-1, m) / S(n, m)^2; zero on the axis n = 0.
+
+    One Fraction of the table's integer minors K, whose signs and moment
+    scales cancel in the ratio.
+    """
     if n == 0:
         return Fraction(0)
-    s = table.s_det(n, m)
-    if s == 0:
+    k = table.minor(n, m)
+    if k == 0:
         raise NotNormalError(n, m)
-    return table.s_det(n + 1, m) * table.s_det(n - 1, m) / s ** 2
+    return Fraction(table.minor(n + 1, m) * table.minor(n - 1, m), k * k)
 
 
 def b_value(table: HPTable, n: int, m: int) -> Fraction:
     """b(n, m) = S(n, m+1) S(n, m-1) / S(n, m)^2; zero on the axis m = 0."""
     if m == 0:
         return Fraction(0)
-    s = table.s_det(n, m)
-    if s == 0:
+    k = table.minor(n, m)
+    if k == 0:
         raise NotNormalError(n, m)
-    return table.s_det(n, m + 1) * table.s_det(n, m - 1) / s ** 2
+    return Fraction(table.minor(n, m + 1) * table.minor(n, m - 1), k * k)
+
+
+def _sub_difference(here: tuple[int, int], there: tuple[int, int]) -> Fraction:
+    """u/w - u'/w' of two subleading pairs, as one Fraction."""
+    (u, w), (u1, w1) = here, there
+    return Fraction(u * w1 - u1 * w, w * w1)
 
 
 def c_value(table: HPTable, n: int, m: int) -> Fraction:
     """c(n, m) from the subleading coefficients of P(n, m) and P(n+1, m)."""
-    return _sub(table.hp_poly_det(n, m)) - _sub(table.hp_poly_det(n + 1, m))
+    return _sub_difference(table.subleading(n, m), table.subleading(n + 1, m))
 
 
 def d_value(table: HPTable, n: int, m: int) -> Fraction:
     """d(n, m) from the subleading coefficients of P(n, m) and P(n, m+1)."""
-    return _sub(table.hp_poly_det(n, m)) - _sub(table.hp_poly_det(n, m + 1))
+    return _sub_difference(table.subleading(n, m), table.subleading(n, m + 1))
 
 
 def field_from_table(table: HPTable, N: int, M: int) -> RecurrenceField:

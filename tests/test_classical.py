@@ -10,7 +10,7 @@ from hplax.classical import (QdField, cf_tail_eval, hankel_shifted, lax_l,
                              transition_2x2, zcc2_residual)
 from hplax.errors import DegeneracyError, TruncationError, WindowError
 from hplax.hptable import HPTable
-from hplax.kernel import Poly, X
+from hplax.kernel import Poly, X, cleared
 from hplax.measures import (MeasureModel, MomentSystem, measure_moments,
                             moments_to_jfraction, monic_orthogonal_polys)
 
@@ -74,6 +74,34 @@ class TestQdField:
         assert qd.v(1, 1) is qd.v(1, 1)
 
 
+def outcome(read, *args):
+    """What a read returns, or the type and text of what it raises."""
+    try:
+        return read(*args)
+    except (DegeneracyError, TruncationError) as exc:
+        return type(exc), str(exc)
+
+
+class TestQdFieldOnRandomSequences:
+    """The leading-minor route against plain Hankel determinants on
+    zero-laden sequences of every length, read in shuffled order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, F(1, 2)]), max_size=12),
+           st.randoms(use_true_random=False))
+    def test_values_and_errors_meet_the_oracle(self, moments, rng):
+        qd = QdField(moments)
+        reads = [(kind, n, k) for kind in ("hankel", "v", "w")
+                 for n in range(5) for k in range(5)]
+        rng.shuffle(reads)
+        oracle = {"hankel": hankel_shifted,
+                  "v": lambda s, n, k: qd_vw(s, n, k)[0],
+                  "w": lambda s, n, k: qd_vw(s, n, k)[1]}
+        for kind, n, k in reads:
+            assert (outcome(getattr(qd, kind), n, k)
+                    == outcome(oracle[kind], moments, n, k)), (kind, n, k)
+
+
 class TestTransition2x2:
     def test_lebesgue_entries(self, leb01):
         l_mat, _ = transition_2x2(leb01, 0, 0)
@@ -108,28 +136,32 @@ class TestZcc2:
                 assert zcc2_residual(moments, n, k).is_zero, (n, k)
 
     def test_field_memo_takes_each_hankel_block_once(self, leb01, monkeypatch):
-        grids = []
-        original = classical.det_exact
+        made, built = [], []
+        eliminate, build = classical.LeadingMinors, classical.lax_l
 
-        def recording(rows):
-            grids.append(tuple(map(tuple, rows)))
-            return original(rows)
+        def recording_elimination(row):
+            made.append(row(0, 0, 1)[0])    # D s_k: the moments are distinct
+            return eliminate(row)
 
-        monkeypatch.setattr(classical, "det_exact", recording)
+        def recording_l(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(classical, "LeadingMinors", recording_elimination)
+        monkeypatch.setattr(classical, "lax_l", recording_l)
+        grid = [(n, k) for n in range(3) for k in range(3)]
         qd = QdField(leb01)
-        for n in range(3):
-            for k in range(3):
-                assert zcc2_residual(qd, n, k) == zcc2_residual(leb01, n, k)
-        grids.clear()
-        for n in range(3):
-            for k in range(3):
-                zcc2_residual(qd, n, k)
-        assert grids == []
-        qd = QdField(leb01)
-        for n in range(3):
-            for k in range(3):
-                zcc2_residual(qd, n, k)
-        assert grids and len(grids) == len(set(grids))
+        first = [zcc2_residual(qd, n, k) for n, k in grid]
+        ints, _ = cleared(leb01)
+        # V and W at (n, k) read the blocks at shifts k .. k + 2; the
+        # stencils reach the pair at (2, 3), whose V at (2, 4) reads shift 6
+        assert sorted(ints.index(x) for x in made) == list(range(7))
+        pairs = {(n + i, k + j) for n, k in grid for i, j in ((0, 0), (0, 1), (1, 0))}
+        assert len(built) == len(pairs)
+        made.clear()
+        built.clear()
+        assert [zcc2_residual(qd, n, k) for n, k in grid] == first
+        assert made == [] and built == []
 
     def test_perturbed_v_breaks_it(self, leb01):
         # inject the bumped V into one matrix of the stencil: the residual

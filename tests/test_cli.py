@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hplax import bvp, jsondoc
+from hplax import bvp, classical, jsondoc
 from hplax.bvp import (BoundaryData, SweepReport, boundary_from_field,
                        field_from_moments)
 from hplax.cli import main
@@ -517,13 +517,34 @@ PINNED_CLI = {
     ('zero-laden', 'verify', (1, 1)): (3,
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         '0638b8b3fa61f5ec386486a69470a7a7fc73c6177580200ba6c9ebe11d1bc323'),
+    # qd reads the first sequence of the system as its moments
+    ('angelesco', 'qd', (3, 3)): (0,
+        'a837977d916d579d20513ce0cf62a1931c9e4eb076309275ca7e7826a9868504',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('nikishin', 'qd', (2, 2)): (0,
+        '784585d0bd723faad4082a4d8a3f7e57dfba046e18b95d1d35be3caf77534348',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('short', 'qd', (1, 1)): (0,
+        'd8bc2820f895fdbc59d2d11ace7cefad280b84ef34a9f8d426e595a376d2df99',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('short', 'qd', (2, 2)): (5,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '6df4981e406cd0d067222ca45b83e0f4a0a198554c7a1aabbb2d5607f3ca676a'),
+    ('zero-laden', 'qd', (0, 0)): (0,
+        'eee5bad1639198a5dc7b8c8daecbbafd392f03b14e51290b69267bd8c64b0949',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('zero-laden', 'qd', (1, 1)): (3,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '025d2cb591070463047a84d2db19abb044177ce2014552add3c78199b824dae4'),
 }
 
 
 def run_pinned(tmp_path, capsys, system, command, window):
     """Exit code and the sha256 digests of stdout and stderr of one call."""
-    path = write_json(tmp_path / "in.json",
-                      jsondoc.moment_system_to_doc(PINNED_SYSTEMS[system]()))
+    system = PINNED_SYSTEMS[system]()
+    doc = ({"moments": [jsondoc.rat_str(x) for x in system.s1]} if command == "qd"
+           else jsondoc.moment_system_to_doc(system))
+    path = write_json(tmp_path / "in.json", doc)
     capsys.readouterr()
     code = main([command, "--in", path, "--window", *map(str, window)])
     out, err = capsys.readouterr()
@@ -534,4 +555,17 @@ def run_pinned(tmp_path, capsys, system, command, window):
 @pytest.mark.parametrize("case", list(PINNED_CLI),
                          ids=["-".join(map(str, (s, c, *w))) for s, c, w in PINNED_CLI])
 def test_pinned_cli_bytes(tmp_path, capsys, case):
+    assert run_pinned(tmp_path, capsys, *case) == PINNED_CLI[case]
+
+
+QD_PINNED = [case for case in PINNED_CLI if case[1] == "qd"]
+
+
+@pytest.mark.parametrize("case", QD_PINNED,
+                         ids=["-".join(map(str, (s, *w))) for s, _, w in QD_PINNED])
+def test_qd_takes_no_plain_determinant(tmp_path, capsys, monkeypatch, case):
+    def refuse(rows):
+        raise AssertionError("qd took a plain determinant")
+
+    monkeypatch.setattr(classical, "det_exact", refuse)
     assert run_pinned(tmp_path, capsys, *case) == PINNED_CLI[case]

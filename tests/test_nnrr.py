@@ -1,13 +1,17 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hplax.errors import DegeneracyError, NotNormalError, TruncationError
+from hplax.bvp import field_from_moments
+from hplax.errors import DegeneracyError, HplaxError, NotNormalError, TruncationError
 from hplax.hptable import HPTable
-from hplax.kernel import series_of_ratio
-from hplax.measures import MeasureModel, make_angelesco
-from hplax.nnrr import (cf_extract, check_dminusc, consistency_residuals,
-                        field_from_table, m_minus_series, recurrence_residuals)
+from hplax.kernel import LeadingMinors, series_of_ratio
+from hplax.measures import MeasureModel, MomentSystem, make_angelesco
+from hplax.nnrr import (KINDS, a_value, b_value, c_value, cf_extract, check_dminusc,
+                        consistency_residuals, d_value, field_from_table,
+                        m_minus_series, recurrence_residuals)
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +54,72 @@ class TestFieldFromTable:
         table = HPTable(dup_system, 4, 4)
         with pytest.raises(NotNormalError):
             field_from_table(table, 1, 1)
+
+
+def outcome(read, *args):
+    """What a read returns, or the type, text and index of what it raises."""
+    try:
+        return read(*args)
+    except HplaxError as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+
+
+STEPS = {"a": (1, 0), "b": (0, 1), "c": (1, 0), "d": (0, 1)}
+VALUES = {"a": a_value, "b": b_value, "c": c_value, "d": d_value}
+
+
+def subleading_by_solve(table, n, m):
+    p = table.hp_poly_solve(n, m)
+    return p.coeff(p.degree - 1)
+
+
+def entry_by_formula(table, kind, n, m):
+    """A field entry by the Fraction formulas on s_det and on the subleading
+    coefficients of hp_poly_solve, reading in the same order as the field."""
+    dn, dm = STEPS[kind]
+    if kind in ("a", "b"):
+        if (n, m)[kind == "b"] == 0:
+            return F(0)
+        s = table.s_det(n, m)
+        if s == 0:
+            raise NotNormalError(n, m)
+        return table.s_det(n + dn, m + dm) * table.s_det(n - dn, m - dm) / s ** 2
+    return subleading_by_solve(table, n, m) - subleading_by_solve(table, n + dn, m + dm)
+
+
+small_moments = st.sampled_from([0, 0, 0, 1, -1, 2, -3, F(1, 2)])
+
+
+class TestIntegerEntries:
+    """Each field entry is one Fraction of the column eliminations' integers;
+    on zero-laden and truncated systems, with reads past the window, it
+    equals the Fraction formulas or raises the same error at the same index."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 14).flatmap(lambda k: st.tuples(
+               st.lists(small_moments, min_size=k, max_size=k),
+               st.lists(small_moments, min_size=k, max_size=k))),
+           st.booleans(), st.integers(0, 3), st.integers(0, 3),
+           st.randoms(use_true_random=False))
+    def test_entries_meet_the_fraction_formulas(self, sequences, duplicated, N, M, rng):
+        s1, s2 = sequences
+        system = MomentSystem(s1, s1 if duplicated else s2)
+        fast, slow = HPTable(system, N, M), HPTable(system, N, M)
+        reads = [(kind, n, m) for kind in KINDS
+                 for n in range(-1, N + 2) for m in range(-1, M + 2)]
+        rng.shuffle(reads)
+        for kind, n, m in reads:
+            assert (outcome(VALUES[kind], fast, n, m)
+                    == outcome(entry_by_formula, slow, kind, n, m)), (kind, n, m)
+
+    def test_field_forms_no_polynomial(self, system_a, monkeypatch):
+        want = field_from_moments(system_a, 5, 5)
+
+        def refuse(self, k):
+            raise AssertionError("the field formed a table polynomial")
+
+        monkeypatch.setattr(LeadingMinors, "null_vector", refuse)
+        assert field_from_moments(system_a, 5, 5).same_grids(want) == (True, None)
 
 
 class TestDminusC:
