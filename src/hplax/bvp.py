@@ -3,10 +3,13 @@
 The nonlinear system couples the four coefficient grids through the
 denominators (c - d).  Given boundary rows along both axes, the sweep fills
 one anti-diagonal level at a time: first the multiplicative a/b updates
-(which only read completed levels), then the additive c/d updates (whose
-brackets need a and b of the level just filled).  A vanishing (c - d) in any
-needed denominator certifies that the boundary data do not come from a
-perfect system; the partially filled field is kept for diagnosis.
+(which only read completed levels), then the additive c/d updates, which
+share one quotient per lattice edge: the bracket (a + b)(n+1, m) -
+(a + b)(n, m+1) over gap(n, m) is at once c(n, m+1) - c(n, m) and
+d(n+1, m) - d(n, m), the first consistency identity of the field.  A
+vanishing (c - d) in any needed denominator certifies that the boundary
+data do not come from a perfect system; the partially filled field is kept
+for diagnosis.
 
 The independent route recovers the same field from moments through the
 determinant table; the two must agree grid point by grid point, exactly.
@@ -108,73 +111,96 @@ def sweep_solve(boundary: BoundaryData, N: int, M: int) -> SweepReport:
     """Fill the four grids over the triangle of levels up to N + M and report
     the (N, M) rectangle.
 
-    The level order makes every read refer to an already-filled cell; the
-    equations for the first off-axis a and b entries are never evaluated (they
-    would reference level -1 data), the axis zeros being boundary conditions.
-    Each cell's gap c - d is subtracted once, on first use, and kept until
-    the sweep has passed the two levels that read it; every division by a gap
-    is still checked and counted in divisions_checked.
+    Level L is filled in two phases, each walking n = 0..L.  Phase 1 sets
+    a(n, m) = a(n, m-1) gap(n, m-1) / gap(n-1, m-1) and b(n, m) likewise,
+    each one Fraction of the integers of its three operands, and the sum
+    s(n, m) = a + b; the axis entries are boundary data.  Phase 2 crosses
+    each edge from (n, m-1) on level L - 1 once: its quotient
+    q = (s(n+1, m-1) - s(n, m)) / gap(n, m-1) is both c(n, m) - c(n, m-1)
+    and d(n+1, m-1) - d(n, m-1).  Each cell's gap c - d is subtracted once,
+    and kept until the two levels above it have read it; nothing reads the
+    gaps on level N + M, so they are not formed.
+
+    divisions_checked counts equation divisions, as if each of a, b, c and
+    d divided on its own: two per interior cell in phase 1, and each q once
+    for c and once for d, 2 (N + M)^2 in a complete sweep.  A gap is tested
+    for zero where c first divides by it; phase 1 and d divide only by gaps
+    that passed that test.  A zero gap stops the sweep, and the report keeps
+    the entries filled so far.
     """
+    _check_window(N, M)
     lam = N + M
     if boundary.max_level < lam:
         raise TruncationError(
             f"window ({N}, {M}) sweeps to level {lam}, boundary only "
             f"supports level {boundary.max_level}")
-    a: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(0)}
-    b: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(0)}
-    c: dict[tuple[int, int], Fraction] = {(0, 0): boundary.c_row[0]}
-    d: dict[tuple[int, int], Fraction] = {(0, 0): boundary.d_col[0]}
-    gaps: dict[tuple[int, int], Fraction] = {}
+    zero = Fraction(0)
+    a: dict[tuple[int, int], Fraction] = {}
+    b: dict[tuple[int, int], Fraction] = {}
+    c: dict[tuple[int, int], Fraction] = {}
+    d: dict[tuple[int, int], Fraction] = {}
     divisions = 0
     failure: tuple[tuple[int, int], str] | None = None
-
-    def gap(n: int, m: int) -> Fraction:
-        g = gaps.get((n, m))
-        if g is None:
-            g = gaps[(n, m)] = c[(n, m)] - d[(n, m)]
-        return g
-
-    def checked_gap(n: int, m: int) -> Fraction:
-        nonlocal divisions
-        divisions += 1
-        g = gap(n, m)
-        if g == 0:
-            raise _GapZero((n, m))
-        return g
-
-    try:
-        for level in range(1, lam + 1):
-            points = [(n, level - n) for n in range(level + 1)]
-            for n, m in points:                       # phase 1: a and b
-                if n == 0:
-                    a[(n, m)] = Fraction(0)
-                elif m == 0:
-                    a[(n, m)] = boundary.a_row[n - 1]
-                else:
-                    a[(n, m)] = a[(n, m - 1)] * gap(n, m - 1) / checked_gap(n - 1, m - 1)
-                if m == 0:
-                    b[(n, m)] = Fraction(0)
-                elif n == 0:
-                    b[(n, m)] = boundary.b_col[m - 1]
-                else:
-                    b[(n, m)] = b[(n - 1, m)] * gap(n - 1, m) / checked_gap(n - 1, m - 1)
-            for n, m in points:                       # phase 2: c and d
-                if m == 0:
-                    c[(n, m)] = boundary.c_row[n]
-                else:
-                    bracket = (a[(n + 1, m - 1)] + b[(n + 1, m - 1)]
-                               - a[(n, m)] - b[(n, m)])
-                    c[(n, m)] = c[(n, m - 1)] + bracket / checked_gap(n, m - 1)
-                if n == 0:
-                    d[(n, m)] = boundary.d_col[m]
-                else:
-                    bracket = (a[(n, m)] + b[(n, m)]
-                               - a[(n - 1, m + 1)] - b[(n - 1, m + 1)])
-                    d[(n, m)] = d[(n - 1, m)] + bracket / checked_gap(n - 1, m)
-            for n in range(level - 1):                # level - 2 is read no more
-                del gaps[(n, level - 2 - n)]
-    except _GapZero as exc:
-        failure = (exc.index, f"(c - d) vanishes at {exc.index}")
+    # the level below and the one below it, indexed by n: a and b, and the
+    # gaps, as (numerator, denominator); c and d as Fractions
+    a_below = b_below = gap_below = gap_two_below = c_below = d_below = []
+    for level in range(lam + 1):
+        a_here, b_here, s_here = [], [], []
+        for n in range(level + 1):                    # phase 1: a, b and s
+            m = level - n
+            if n == 0:
+                a_nm, b_nm = zero, boundary.b_col[m - 1] if m else zero
+                s_nm = b_nm
+            elif m == 0:
+                a_nm, b_nm = boundary.a_row[n - 1], zero
+                s_nm = a_nm
+            else:
+                divisions += 2
+                hn, hd = gap_two_below[n - 1]
+                pn, pd = a_below[n]
+                gn, gd = gap_below[n]
+                a_nm = Fraction(pn * gn * hd, pd * gd * hn)
+                pn, pd = b_below[n - 1]
+                gn, gd = gap_below[n - 1]
+                b_nm = Fraction(pn * gn * hd, pd * gd * hn)
+                s_nm = a_nm + b_nm
+            a[(n, m)] = a_nm
+            b[(n, m)] = b_nm
+            a_here.append(a_nm.as_integer_ratio())
+            b_here.append(b_nm.as_integer_ratio())
+            s_here.append(s_nm)
+        c_here, d_here, gap_here = [], [], []
+        q = None        # the quotient of the last edge crossed
+        for n in range(level + 1):                    # phase 2: c and d
+            m = level - n
+            if m == 0:
+                c_nm = boundary.c_row[n]
+            else:
+                divisions += 1
+                gn, gd = gap_below[n]
+                if gn == 0:
+                    failure = ((n, m - 1), f"(c - d) vanishes at {(n, m - 1)}")
+                    break
+                bracket = s_here[n + 1] - s_here[n]
+                pn, pd = bracket.as_integer_ratio()
+                q = Fraction(pn * gd, pd * gn)
+                c_nm = c_below[n] + q
+            c[(n, m)] = c_nm
+            if n == 0:
+                d_nm = boundary.d_col[m]
+            else:                       # the edge from (n-1, m), crossed at n - 1
+                divisions += 1
+                d_nm = d_below[n - 1] + q_prev
+            d[(n, m)] = d_nm
+            c_here.append(c_nm)
+            d_here.append(d_nm)
+            if level < lam:
+                gap_here.append((c_nm - d_nm).as_integer_ratio())
+            q_prev = q
+        if failure is not None:
+            break
+        a_below, b_below, c_below, d_below = a_here, b_here, c_here, d_here
+        gap_two_below, gap_below = gap_below, gap_here
 
     if failure is None:
         grids = {kind: {} for kind in KINDS}
@@ -188,14 +214,14 @@ def sweep_solve(boundary: BoundaryData, N: int, M: int) -> SweepReport:
     return SweepReport(partial, divisions, failure)
 
 
-class _GapZero(Exception):
-    def __init__(self, index: tuple[int, int]):
-        self.index = index
-        super().__init__(str(index))
+def _check_window(N: int, M: int) -> None:
+    if N < 0 or M < 0:
+        raise WindowError(f"window ({N}, {M}) has a negative index")
 
 
 def field_from_moments(system: MomentSystem, N: int, M: int) -> RecurrenceField:
     """Reference oracle for the sweep: the same grids via the determinant table."""
+    _check_window(N, M)
     table = HPTable(system, N + 1, M + 1)
     return field_from_table(table, N, M)
 
@@ -248,6 +274,7 @@ def cross_validate(system: MomentSystem, N: int, M: int) -> CrossValidation:
     orthogonality over the window and the zero-curvature residual at every
     stencil it covers.  Any mismatch raises with the first differing index.
     """
+    _check_window(N, M)
     lam = N + M
     table = HPTable(system, lam + 1, lam + 1)
     reference = field_from_table(table, N, M)

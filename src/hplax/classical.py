@@ -22,8 +22,8 @@ from .measures import JFraction, jfraction_to_moments, monic_orthogonal_polys
 
 
 class QdField:
-    """Shifted-Hankel values with the derived quotient-difference grids and
-    2x2 transition pairs over one moment sequence, the production route.
+    """Shifted-Hankel values with the derived quotient-difference grids over
+    one moment sequence, the production route.
 
     The moments are cleared of denominators once (D s_j, D their lcm), and
     D^n H(n, k) is the leading minor of order n of one fraction-free
@@ -31,7 +31,7 @@ class QdField:
     extended only as deep as a call needs.  V and W are each one Fraction of
     five such minors, whose powers of D cancel.  Every stored V and W passed
     the nonvanishing-denominator check when it was first computed, and each
-    (V, W) and each transition pair is built once.
+    (V, W) is built once.
 
     The module functions below accept a QdField in place of a moment
     sequence and then share its memo.  ``hankel_shifted`` and ``qd_vw`` are
@@ -42,7 +42,6 @@ class QdField:
         self._ints, self._scale = cleared(self.moments)
         self._shifts: dict[int, LeadingMinors] = {}
         self._vw: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
-        self._pairs: dict[tuple[int, int], tuple[MatPoly, MatPoly]] = {}
 
     def minor(self, n: int, k: int) -> int:
         """D^n H(n, k); raises as ``hankel_shifted`` does before any read."""
@@ -77,15 +76,6 @@ class QdField:
 
     def w(self, n: int, k: int) -> Fraction:
         return self.vw(n, k)[1]
-
-    def transition(self, n: int, k: int) -> tuple[MatPoly, MatPoly]:
-        """The transition pair at (n, k); see ``transition_2x2``."""
-        key = (n, k)
-        if key not in self._pairs:
-            v, w = self.vw(n, k)
-            v1, _ = self.vw(n, k + 1)
-            self._pairs[key] = lax_l(v, w, v1), lax_m_num(v, w)
-        return self._pairs[key]
 
 
 def _qd_field(moments) -> QdField:
@@ -142,19 +132,35 @@ def transition_2x2(moments, n: int, k: int) -> tuple[MatPoly, MatPoly]:
 
     ``moments`` is a moment sequence or a QdField, whose memo is used.
     """
-    return _qd_field(moments).transition(n, k)
+    qd = _qd_field(moments)
+    v, w = qd.vw(n, k)
+    v1, _ = qd.vw(n, k + 1)
+    return lax_l(v, w, v1), lax_m_num(v, w)
 
 
 def zcc2_residual(moments, n: int, k: int) -> MatPoly:
-    """Zero-curvature residual with the common 1/x prefactor cleared.
+    """Zero-curvature residual L(n, k+1) M(n, k) - M(n+1, k) L(n, k) with the
+    common 1/x prefactor cleared, in closed form.
 
-    ``moments`` is a moment sequence or a QdField, whose memo is used.
+    Written out, the products leave only the second row, [V r, rho - r x]
+    with V = V(n, k),
+    r = W(n+1, k) - V(n+1, k) + V(n, k+2) - W(n, k+1) and
+    rho = W(n+1, k) (V(n, k+1) - W(n, k)) + W(n, k) (W(n, k+1) - V(n, k+2)),
+    so no transition matrix is formed; the ``transition_2x2`` products are
+    the oracle.  The qd values are read in the order the three transition
+    pairs read them, V(n+1, k+1) included, so a failing read raises the
+    same error.  ``moments`` is a moment sequence or a QdField, whose memo
+    is used.
     """
     qd = _qd_field(moments)
-    l_here, m_here = qd.transition(n, k)
-    l_up, _ = qd.transition(n, k + 1)
-    _, m_right = qd.transition(n + 1, k)
-    return l_up * m_here - m_right * l_here
+    v, w = qd.vw(n, k)
+    v1, w1 = qd.vw(n, k + 1)
+    v2, _ = qd.vw(n, k + 2)
+    v_right, w_right = qd.vw(n + 1, k)
+    qd.vw(n + 1, k + 1)         # read for its errors only
+    r = w_right - v_right + v2 - w1
+    rho = w_right * (v1 - w) + w * (w1 - v2)
+    return MatPoly(((Poly(), Poly()), (Poly.of(v * r), Poly.of(rho, -r))))
 
 
 def _recurrence_polys(j: JFraction, upto: int) -> list[Poly]:

@@ -11,7 +11,7 @@ from hplax.errors import (DegeneracyError, NonPerfectBoundaryError,
 from hplax.hptable import HPTable
 from hplax.measures import (JFraction, MomentSystem, jfraction_to_moments,
                             moments_to_jfraction)
-from hplax.nnrr import consistency_residuals, field_from_table
+from hplax.nnrr import KINDS, consistency_residuals, field_from_table
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +141,35 @@ class TestSweepSolve:
                         assert got == 0     # b(0, k) times the vanished gap
                     else:
                         assert got == reference_field.value(kind, n, m), (kind, n, m)
+
+    def test_fraction_operations_per_cell(self, boundary_a, monkeypatch):
+        # each interior cell adds a + b once; each edge from level L - 1
+        # subtracts one bracket, and its quotient is one Fraction added to
+        # c and to d; each cell below level N + M subtracts its gap once.
+        # No product or quotient of Fractions is formed.
+        counts = dict.fromkeys(("__add__", "__sub__", "__mul__", "__truediv__"), 0)
+        for name in counts:
+            def counted(x, y, _op=getattr(F, name), _name=name):
+                counts[_name] += 1
+                return _op(x, y)
+            monkeypatch.setattr(F, name, counted)
+        report = sweep_solve(boundary_a, 4, 4)
+        monkeypatch.undo()
+        assert report.ok and report.divisions_checked == 2 * 8 ** 2
+        interior = sum(level - 1 for level in range(2, 9))
+        edges = sum(level for level in range(1, 9))
+        below_top = sum(level + 1 for level in range(8))
+        assert counts == {"__add__": interior + 2 * edges,
+                          "__sub__": edges + below_top,
+                          "__mul__": 0, "__truediv__": 0}
+
+    @pytest.mark.parametrize("N, M", [(-1, 2), (2, -1), (-3, -3)])
+    def test_negative_window_rejected(self, system_a, boundary_a, N, M):
+        for call in (lambda: sweep_solve(boundary_a, N, M),
+                     lambda: field_from_moments(system_a, N, M),
+                     lambda: cross_validate(system_a, N, M)):
+            with pytest.raises(WindowError, match=rf"window \({N}, {M}\)"):
+                call()
 
     def test_boundary_too_short(self, boundary_a):
         with pytest.raises(TruncationError):
@@ -284,3 +313,134 @@ class TestConverse:
         for level in range(2, n + m + 2):
             for k in range(1, level):
                 assert table.s_det(k, level - k) != 0, (k, level - k)
+
+
+def equation_sweep(boundary: BoundaryData, N: int, M: int):
+    """The sweep as the four lattice equations read literally, one division
+    by a checked gap per equation: the parity oracle of ``sweep_solve``.
+    Returns the grids filled (over the whole triangle), the divisions
+    checked and the failure."""
+    lam = N + M
+    a, b = {(0, 0): F(0)}, {(0, 0): F(0)}
+    c, d = {(0, 0): boundary.c_row[0]}, {(0, 0): boundary.d_col[0]}
+    divisions = 0
+
+    class GapZero(Exception):
+        pass
+
+    def checked_gap(n, m):
+        nonlocal divisions
+        divisions += 1
+        g = c[(n, m)] - d[(n, m)]
+        if g == 0:
+            raise GapZero((n, m))
+        return g
+
+    try:
+        for level in range(1, lam + 1):
+            points = [(n, level - n) for n in range(level + 1)]
+            for n, m in points:
+                if n == 0:
+                    a[(n, m)] = F(0)
+                elif m == 0:
+                    a[(n, m)] = boundary.a_row[n - 1]
+                else:
+                    gap = c[(n, m - 1)] - d[(n, m - 1)]
+                    a[(n, m)] = a[(n, m - 1)] * gap / checked_gap(n - 1, m - 1)
+                if m == 0:
+                    b[(n, m)] = F(0)
+                elif n == 0:
+                    b[(n, m)] = boundary.b_col[m - 1]
+                else:
+                    gap = c[(n - 1, m)] - d[(n - 1, m)]
+                    b[(n, m)] = b[(n - 1, m)] * gap / checked_gap(n - 1, m - 1)
+            for n, m in points:
+                if m == 0:
+                    c[(n, m)] = boundary.c_row[n]
+                else:
+                    bracket = (a[(n + 1, m - 1)] + b[(n + 1, m - 1)]
+                               - a[(n, m)] - b[(n, m)])
+                    c[(n, m)] = c[(n, m - 1)] + bracket / checked_gap(n, m - 1)
+                if n == 0:
+                    d[(n, m)] = boundary.d_col[m]
+                else:
+                    bracket = (a[(n, m)] + b[(n, m)]
+                               - a[(n - 1, m + 1)] - b[(n - 1, m + 1)])
+                    d[(n, m)] = d[(n - 1, m)] + bracket / checked_gap(n - 1, m)
+    except GapZero as exc:
+        (index,) = exc.args
+        return {"a": a, "b": b, "c": c, "d": d}, divisions, (
+            index, f"(c - d) vanishes at {index}")
+    return {"a": a, "b": b, "c": c, "d": d}, divisions, None
+
+
+def with_entry(rows, t, x):
+    """Boundary rows with the J-fraction entry that first enters moment t of
+    the first sequence set to x: c_k for t = 2k + 1, a_k for t = 2k."""
+    c, a, d, b = (list(r) for r in rows)
+    if t % 2:
+        c[t // 2] = x
+    else:
+        a[t // 2 - 1] = x
+    return BoundaryData(c, a, d, b)
+
+
+@st.composite
+def planted_boundaries(draw):
+    """Small-integer boundary rows to level lam in 1..7 and a split (N, M),
+    mostly with a zero gap planted at an interior cell (n, m) below level
+    lam, in half of those off the cells next to the axes.
+
+    The gap at (n, m) is -S(n,m) S(n+1,m+1) / (S(n+1,m) S(n,m+1)) for the
+    system the rows rebuild (``TestConverse``).  Moment 2n + m + 1 of the
+    first sequence enters only S(n+1, m+1), and the J-fraction entry x that
+    first enters that moment enters it linearly, so the gap is affine in x:
+    two sweeps give its root.  The planted sweep stops at (n, m) unless a
+    lower gap vanishes first."""
+    lam = draw(st.integers(1, 7))
+    rows = (draw(st.lists(st.integers(-4, 4), min_size=lam + 1, max_size=lam + 1)),
+            draw(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=lam, max_size=lam)),
+            draw(st.lists(st.integers(-4, 4), min_size=lam + 1, max_size=lam + 1)),
+            draw(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=lam, max_size=lam)))
+    N = draw(st.integers(0, lam))
+    cells = [(n, m) for n in range(1, lam) for m in range(1, lam - n)]
+    deep = [(n, m) for n, m in cells if n > 1 and m > 1]
+    if cells and draw(st.integers(0, 3)):
+        n, m = draw(st.sampled_from(deep if deep and draw(st.booleans()) else cells))
+        t = 2 * n + m + 1
+        gaps = []
+        for x in (F(1), F(2)):
+            report = sweep_solve(with_entry(rows, t, x), n, m)
+            gaps.append(report.field.gap(n, m) if report.ok else None)
+        if None not in gaps and gaps[0] != gaps[1]:
+            root = 1 - gaps[0] / (gaps[1] - gaps[0])
+            if t % 2 or root:
+                return with_entry(rows, t, root), N, lam - N
+    return BoundaryData(*rows), N, lam - N
+
+
+class TestSweepParity:
+    """``sweep_solve`` against the four equations read one by one: the same
+    failure, division count and entries, filled or absent."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(planted_boundaries())
+    def test_shared_quotient_meets_the_equations(self, drawn):
+        boundary, N, M = drawn
+        report = sweep_solve(boundary, N, M)
+        grids, divisions, failure = equation_sweep(boundary, N, M)
+        assert report.failure == failure
+        assert report.divisions_checked == divisions
+        lam = N + M
+        if failure is None:
+            grids = {kind: {(n, m): grid[(n, m)] for n in range(N + 1)
+                            for m in range(M + 1)}
+                     for kind, grid in grids.items()}
+        for kind in KINDS:
+            for level in range(lam + 2):
+                for n in range(level + 1):
+                    try:
+                        got = report.field.value(kind, n, level - n)
+                    except WindowError:
+                        got = None
+                    assert got == grids[kind].get((n, level - n)), (kind, n, level - n)

@@ -102,6 +102,55 @@ class TestQdFieldOnRandomSequences:
                     == outcome(oracle[kind], moments, n, k)), (kind, n, k)
 
 
+class TestQdIdentities:
+    """The qd identities read in V and W on random sequences, wherever the
+    reads are defined.  With V(n, k) = q_(n+1)^(k) and
+    V(n, k) - W(n, k) = e_n^(k+1), the rhombus rules (Rutishauser 1954;
+    Henrici 1974, section 7.6) are r = 0 and
+    e_n^(k+1) q_(n+1)^(k+1) = q_n^(k+2) e_n^(k+2); rho = 0 follows.  The
+    J-fraction is c_n = q_(n+1)^(0) + e_n^(0) and a_n = q_n^(0) e_n^(0),
+    where e_n^(0) = V(n-1, 1) - W(n-1, 0) by the first rule."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.sampled_from([0, 1, -1, 2, -3, 3, F(1, 2)]),
+                    min_size=2, max_size=14))
+    def test_rhombus_rules_and_jfraction(self, moments):
+        qd = QdField(moments)
+
+        def vw(n, k):
+            try:
+                return qd.vw(n, k)
+            except (DegeneracyError, TruncationError):
+                return None
+
+        for n in range(5):
+            for k in range(5):
+                reads = [vw(n, k), vw(n, k + 1), vw(n, k + 2), vw(n + 1, k)]
+                if None in reads:
+                    continue
+                (v, w), (v1, w1), (v2, _), (v_right, w_right) = reads
+                assert w_right - v_right + v2 - w1 == 0, (n, k)
+                assert w_right * (v1 - w) + w * (w1 - v2) == 0, (n, k)
+                up = vw(n - 1, k + 2) if n else None
+                if up is not None:
+                    assert (v - w) * v1 == up[0] * (v1 - w1), (n, k)
+
+        for depth in range(len(moments) // 2, 0, -1):
+            try:
+                j = moments_to_jfraction(moments, depth)
+            except DegeneracyError:
+                continue
+            if vw(0, 0) is not None:
+                assert j.c[0] == vw(0, 0)[0]
+            for n in range(1, depth):
+                here, left, up = vw(n, 0), vw(n - 1, 0), vw(n - 1, 1)
+                if None not in (here, left, up):
+                    e_n = up[0] - left[1]
+                    assert j.c[n] == here[0] + e_n, n
+                    assert j.a[n - 1] == left[0] * e_n, n
+            break
+
+
 class TestTransition2x2:
     def test_lebesgue_entries(self, leb01):
         l_mat, _ = transition_2x2(leb01, 0, 0)
@@ -117,6 +166,28 @@ class TestTransition2x2:
         l_mat, _ = transition_2x2(atom_one, 0, 0)
         # V = W for atom moments, so the (2,2) entry collapses to x
         assert l_mat.entry(1, 1) == X
+
+
+small_values = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+class DrawnQd(QdField):
+    """A QdField whose V and W are given outright."""
+
+    def __init__(self, values):
+        super().__init__([])
+        self.values = values
+
+    def vw(self, n, k):
+        return self.values[(n, k)]
+
+
+def transition_residual(qd, n, k):
+    """The zero-curvature residual as two products of transition pairs."""
+    l_here, m_here = transition_2x2(qd, n, k)
+    l_up, _ = transition_2x2(qd, n, k + 1)
+    _, m_right = transition_2x2(qd, n + 1, k)
+    return l_up * m_here - m_right * l_here
 
 
 class TestZcc2:
@@ -154,14 +225,32 @@ class TestZcc2:
         first = [zcc2_residual(qd, n, k) for n, k in grid]
         ints, _ = cleared(leb01)
         # V and W at (n, k) read the blocks at shifts k .. k + 2; the
-        # stencils reach the pair at (2, 3), whose V at (2, 4) reads shift 6
+        # stencils reach V at (2, 4), which reads shift 6
         assert sorted(ints.index(x) for x in made) == list(range(7))
-        pairs = {(n + i, k + j) for n, k in grid for i, j in ((0, 0), (0, 1), (1, 0))}
-        assert len(built) == len(pairs)
+        assert built == []      # the closed form builds no transition pair
         made.clear()
-        built.clear()
         assert [zcc2_residual(qd, n, k) for n, k in grid] == first
         assert made == [] and built == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(small_values, small_values), min_size=12, max_size=12))
+    def test_closed_form_meets_the_products_on_any_values(self, values):
+        # V and W drawn freely at (0..2, 0..3), not from a sequence, so the
+        # residual is mostly not zero
+        qd = DrawnQd(dict(zip([(n, k) for n in range(3) for k in range(4)], values)))
+        for n in range(2):
+            for k in range(2):
+                assert zcc2_residual(qd, n, k) == transition_residual(qd, n, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, F(1, 2)]), max_size=12))
+    def test_closed_form_meets_the_products_on_sequences(self, moments):
+        # values or the same error: the reads come in the products' order
+        qd, oracle = QdField(moments), QdField(moments)
+        for n in range(4):
+            for k in range(4):
+                assert (outcome(zcc2_residual, qd, n, k)
+                        == outcome(transition_residual, oracle, n, k)), (n, k)
 
     def test_perturbed_v_breaks_it(self, leb01):
         # inject the bumped V into one matrix of the stencil: the residual
