@@ -18,8 +18,8 @@ from .nnrr import (CFExtraction, RecurrenceField, cf_extract, check_dminusc,
                    recurrence_residuals)
 from .lax3 import (NormalizationGrid, TransitionPair, WaveMatrix,
                    build_transition, det_transition, normalization_grid,
-                   path_transport, propagate, reflect_index, wave_matrix,
-                   waves_agree, zcc_residual)
+                   path_transport, propagate, wave_matrix, waves_agree,
+                   zcc_residual, zcc_stencil)
 from .classical import (QdField, cf_tail_eval, hankel_shifted, qd_vw,
                         three_term_check, transition_2x2, zcc2_residual)
 from .bvp import (BoundaryData, CrossValidation, SweepReport,

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DegeneracyError, IntegrityError, NonPerfectBoundaryError,
-                     TruncationError, WindowError)
+                     NotNormalError, TruncationError, WindowError)
 from .hptable import HPTable
-from .lax3 import build_transition, normalization_grid, zcc_residual
+from .lax3 import normalization_grid, zcc_stencil
 from .measures import MomentSystem
 from .nnrr import (KINDS, RecurrenceField, a_value, b_value, c_value, d_value,
                    consistency_residuals, field_from_table)
@@ -272,7 +272,9 @@ def cross_validate(system: MomentSystem, N: int, M: int) -> CrossValidation:
     supplies the axis rows beyond the rectangle), sweeps, and asserts exact
     equality of all four grids; then checks consistency residuals and
     orthogonality over the window and the zero-curvature residual at every
-    stencil it covers.  Any mismatch raises with the first differing index.
+    stencil it covers.  Any mismatch raises with the first differing index;
+    a sweep stopped by a zero gap (n, m) where S(n+1, m+1) vanishes (by the
+    converse theorem, the first zero minor in level order) is not normal.
     """
     _check_window(N, M)
     lam = N + M
@@ -281,9 +283,10 @@ def cross_validate(system: MomentSystem, N: int, M: int) -> CrossValidation:
     boundary = boundary_from_table(table, lam)
     report = sweep_solve(boundary, N, M)
     if not report.ok:
-        index, reason = report.failure
-        raise IntegrityError(
-            f"sweep failed on data from a normal window: {reason} at {index}")
+        (n, m), reason = report.failure
+        if table.minor(n + 1, m + 1) == 0:
+            raise NotNormalError(n + 1, m + 1)
+        raise IntegrityError(f"sweep failed on data from a normal window: {reason}")
     equal, diff = report.field.same_grids(reference)
     if not equal:
         kind, n, m, got, want = diff
@@ -307,12 +310,7 @@ def cross_validate(system: MomentSystem, N: int, M: int) -> CrossValidation:
     zcc_zero = True
     if N >= 1 and M >= 1:
         norms = normalization_grid(table, N, M)
-        pairs = {(n, m): build_transition(reference, norms, n, m)
-                 for n in range(N) for m in range(M)}
-        for n in range(N - 1):
-            for m in range(M - 1):
-                res = zcc_residual(pairs[(n, m)], pairs[(n + 1, m)], pairs[(n, m + 1)])
-                if not res.is_zero:
-                    zcc_zero = False
+        zcc_zero = not any(any(zcc_stencil(reference, norms, n, m))
+                           for n in range(N - 1) for m in range(M - 1))
     return CrossValidation((N, M), equal, cons_max, zcc_zero, orth_max,
                            report.divisions_checked)

@@ -45,9 +45,9 @@ class QdField:
 
     def minor(self, n: int, k: int) -> int:
         """D^n H(n, k); raises as ``hankel_shifted`` does before any read."""
+        _check_hankel(self.moments, n, k)
         if n == 0:
             return 1
-        _check_hankel_depth(self.moments, n, k)
         if k not in self._shifts:
             ints = self._ints
             self._shifts[k] = LeadingMinors(
@@ -82,18 +82,21 @@ def _qd_field(moments) -> QdField:
     return moments if isinstance(moments, QdField) else QdField(moments)
 
 
-def _check_hankel_depth(moments, n: int, k: int) -> None:
+def _check_hankel(moments, n: int, k: int) -> None:
+    """Reject a negative index, and a nonempty block past the last moment."""
+    if n < 0 or k < 0:
+        raise WindowError(f"Hankel block ({n}, {k}) has a negative index")
     top = 2 * n + k - 2
-    if len(moments) <= top:
+    if n and len(moments) <= top:
         raise TruncationError(
             f"Hankel block ({n}, {k}) needs moment index {top}, have {len(moments)}")
 
 
 def hankel_shifted(moments, n: int, k: int) -> Fraction:
     """Determinant of the n x n Hankel block starting at moment k; size 0 is 1."""
+    _check_hankel(moments, n, k)
     if n == 0:
         return Fraction(1)
-    _check_hankel_depth(moments, n, k)
     return det_exact([[moments[k + i + j] for j in range(n)] for i in range(n)])
 
 

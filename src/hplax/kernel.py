@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
-from operator import mul
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import DegeneracyError, DimensionError, IntegrityError, TruncationError
@@ -234,35 +233,16 @@ class MatPoly:
         return all(e.is_zero for r in self.rows for e in r)
 
     def __mul__(self, other: "MatPoly") -> "MatPoly":
-        """Matrix product.  Each output entry gathers every term of
-        sum_k self[i][k] * other[k][j] into one coefficient list, skipping
-        zero entries and zero coefficients: per power of x, the terms are
-        unnormalised numerator/denominator pairs that become one Fraction
-        (one integer sum over the lcm of their denominators), and the list
-        becomes one Poly at the end."""
+        """Matrix product: entry (i, j) is the sum over k of the Poly
+        products self[i][k] * other[k][j].  The production routes form no
+        product; it serves the oracles (zero-curvature residuals, transport
+        along lattice paths, wave propagation)."""
         if self.dim != other.dim:
             raise DimensionError("matrix dimensions differ")
         cols = tuple(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                powers: list[list[tuple[int, int]]] = []
-                for f, g in zip(row, col):
-                    if not f.coeffs or not g.coeffs:
-                        continue
-                    short = len(f.coeffs) + len(g.coeffs) - 1 - len(powers)
-                    if short > 0:
-                        powers.extend([] for _ in range(short))
-                    for i, a in enumerate(f.coeffs):
-                        if a:
-                            for j, b in enumerate(g.coeffs):
-                                if b:
-                                    powers[i + j].append((a.numerator * b.numerator,
-                                                          a.denominator * b.denominator))
-                out_row.append(Poly(tuple(_fraction_sum(t) for t in powers)))
-            out.append(tuple(out_row))
-        return MatPoly(tuple(out))
+        return MatPoly(tuple(tuple(sum((f * g for f, g in zip(row, col)), Poly())
+                                   for col in cols)
+                             for row in self.rows))
 
     def __add__(self, other: "MatPoly") -> "MatPoly":
         if self.dim != other.dim:
@@ -314,16 +294,6 @@ class MatPoly:
             raise IntegrityError(
                 "determinant is not x-independent; inverse is not polynomial")
         return self.adjugate().scale(1 / d.coeff(0))
-
-
-def _fraction_sum(terms: Sequence[tuple[int, int]]) -> Fraction:
-    """The sum of the fractions num/den, normalised once."""
-    if len(terms) == 1:
-        return Fraction(*terms[0])
-    scale = 1
-    for _, den in terms:
-        scale = lcm(scale, den)
-    return Fraction(sum(num * (scale // den) for num, den in terms), scale)
 
 
 def cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -420,7 +390,10 @@ class LeadingMinors:
         return len(pivots)
 
     def minor(self, k: int) -> int:
-        """The leading k x k minor."""
+        """The leading k x k minor; a negative order raises, here and in
+        ``null_vector`` and ``null_tail``, which read this minor first."""
+        if k < 0:
+            raise DimensionError(f"no leading minor of negative order {k}")
         if k == 0:
             return 1
         self._widen(k)
@@ -539,16 +512,13 @@ def moment_pairing(p: Poly, moments: Sequence[Fraction], shift: int = 0) -> Frac
     """The moment functional L[x^k] = moments[k] applied to x^shift * p(x).
 
     This is sum_i p_i * moments[shift + i]; it raises instead of reading past
-    the last moment.  The coefficients and the moment window are each cleared
-    of denominators, so the sum is one integer dot product over the product
-    of the two clearing scales, normalised once as one Fraction.
+    the last moment.  Only the oracles pair this way (through
+    ``poly_from_series_product``); the table pairs its cleared integers.
     """
     if shift + p.degree >= len(moments):
         raise TruncationError(
             f"pairing needs moment index {shift + p.degree}, have {len(moments)}")
-    coeffs, p_scale = cleared(p.coeffs)
-    window, s_scale = cleared(moments[shift:shift + len(coeffs)])
-    return Fraction(sum(map(mul, coeffs, window)), p_scale * s_scale)
+    return sum((c * s for c, s in zip(p.coeffs, moments[shift:])), Fraction(0))
 
 
 def series_from_moments(moments: Sequence[Ratlike]) -> LaurentTail:

@@ -9,6 +9,11 @@ entries collapse to (alpha2, alpha4) = (-h1(0, m), 0) and
 (alpha3, alpha5) = (-h2(n, 0), 0), which keeps a(0, m) = b(n, 0) = 0, keeps
 every transition matrix invertible with constant determinant, and keeps the
 propagation identities exact on the whole quarter lattice.
+
+The zero-curvature check runs on six scalars per stencil read straight from
+the field and the gauge entries (``zcc_stencil``), so it forms no matrix;
+the products of the ``build_transition`` pairs (``zcc_residual``) are its
+oracle.
 """
 
 from __future__ import annotations
@@ -170,6 +175,33 @@ def zcc_residual(pair_nm: TransitionPair, pair_right: TransitionPair,
     return pair_up.L * pair_nm.M - pair_right.M * pair_nm.L
 
 
+def zcc_stencil(field: RecurrenceField, norms: NormalizationGrid,
+                n: int, m: int) -> tuple[Fraction, ...]:
+    """The six entries of the zero-curvature residual at (n, m) that can be
+    nonzero, read off the field and the gauge entries without forming a
+    matrix: the x and constant terms of entry (0, 0), then entries (0, 1),
+    (0, 2), (1, 0) and (2, 0), with g = c(n, m) - d(n, m) and
+    e = d(n+1, m) - c(n, m+1).  ``zcc_residual`` of the ``build_transition``
+    pairs at (n, m), (n+1, m) and (n, m+1) has these entries; its x^2 term
+    and other entries cancel identically.
+    """
+    c, d = field.c(n, m), field.d(n, m)
+    c_up, d_right = field.c(n, m + 1), field.d(n + 1, m)
+    g, e = c - d, d_right - c_up
+    a2_up, a3_up = _alpha2(field, norms, n, m + 1), _alpha3(field, norms, n, m + 1)
+    a2_right = _alpha2(field, norms, n + 1, m)
+    a3_right = _alpha3(field, norms, n + 1, m)
+    a4_up, a5_up = _alpha4(norms, n, m + 1), _alpha5(norms, n, m + 1)
+    a4_right, a5_right = _alpha4(norms, n + 1, m), _alpha5(norms, n + 1, m)
+    return (g + e,
+            a2_up * a4_up - a2_right * a4_right + a3_up * a5_up
+            - a3_right * a5_right - c * d_right + c_up * d,
+            _alpha2(field, norms, n, m) * e + a2_up,
+            _alpha3(field, norms, n, m) * e - a3_right,
+            _alpha4(norms, n + 1, m + 1) * g - a4_right,
+            _alpha5(norms, n + 1, m + 1) * g + a5_up)
+
+
 def det_transition(pair: TransitionPair, which: str) -> Poly:
     """Determinant of L or M as a polynomial; x-independent on valid data."""
     if which not in ("L", "M"):
@@ -293,9 +325,3 @@ def _pair_at(pairs: Mapping[tuple[int, int], TransitionPair],
         return pairs[key]
     except KeyError:
         raise WindowError(f"no transition pair at {key}; path leaves the window") from None
-
-
-def reflect_index(n: int, m: int) -> tuple[int, int]:
-    """First-quadrant representative for wave-function lookups on the full
-    lattice; the wave field is symmetric under sign flips of either index."""
-    return abs(n), abs(m)

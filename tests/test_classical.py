@@ -78,13 +78,15 @@ def outcome(read, *args):
     """What a read returns, or the type and text of what it raises."""
     try:
         return read(*args)
-    except (DegeneracyError, TruncationError) as exc:
+    except (DegeneracyError, TruncationError, WindowError) as exc:
         return type(exc), str(exc)
 
 
 class TestQdFieldOnRandomSequences:
     """The leading-minor route against plain Hankel determinants on
-    zero-laden sequences of every length, read in shuffled order."""
+    zero-laden sequences of every length, read in shuffled order; a
+    negative index raises WindowError on both routes, also after deeper
+    reads have filled the eliminations."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, F(1, 2)]), max_size=12),
@@ -92,14 +94,16 @@ class TestQdFieldOnRandomSequences:
     def test_values_and_errors_meet_the_oracle(self, moments, rng):
         qd = QdField(moments)
         reads = [(kind, n, k) for kind in ("hankel", "v", "w")
-                 for n in range(5) for k in range(5)]
+                 for n in range(-1, 5) for k in range(-1, 5)]
         rng.shuffle(reads)
         oracle = {"hankel": hankel_shifted,
                   "v": lambda s, n, k: qd_vw(s, n, k)[0],
                   "w": lambda s, n, k: qd_vw(s, n, k)[1]}
         for kind, n, k in reads:
-            assert (outcome(getattr(qd, kind), n, k)
-                    == outcome(oracle[kind], moments, n, k)), (kind, n, k)
+            got = outcome(getattr(qd, kind), n, k)
+            assert got == outcome(oracle[kind], moments, n, k), (kind, n, k)
+            if min(n, k) < 0:
+                assert got[0] is WindowError, (kind, n, k)
 
 
 class TestQdIdentities:

@@ -1,17 +1,21 @@
+import contextlib
 import hashlib
+import io
 import json
+import re
+import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hplax import bvp, classical, jsondoc
+from hplax import bvp, classical, jsondoc, kernel
 from hplax.bvp import (BoundaryData, SweepReport, boundary_from_field,
                        field_from_moments)
 from hplax.cli import main
 from hplax.hptable import HPTable
-from hplax.kernel import Poly
+from hplax.kernel import MatPoly, Poly
 from hplax.measures import (MeasureModel, MomentSystem, make_angelesco, make_nikishin,
                             moments_to_jfraction)
 
@@ -240,6 +244,29 @@ class TestVerify:
         assert doc["zcc_max_residual_degree"] == "zero"
         assert doc["consistency_residuals"] == "0"
         assert doc["orthogonality_residuals"] == "0"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.integers(-3, 3), min_size=13, max_size=13),
+                    min_size=2, max_size=2),
+           st.sampled_from([(2, 1), (1, 2), (2, 2), (3, 1), (1, 3)]))
+    @example([[3, 1, -3, -2, -3, 2, 0, 3, -2, -2, 2, -3, 1],
+              [1, 2, 3, 2, 1, 2, 0, 0, -2, 0, 0, 1, 1]], (2, 1))
+    def test_never_exits_1_on_zero_laden_systems(self, tmp_path_factory, tails,
+                                                 window):
+        # s0 = 1 and small integers, so many minors vanish; exit 1 is for
+        # internal mismatches only.  The example is normal on the window,
+        # and the sweep to level N + M stops at gap (0, 2): S(1, 3) = 0.
+        system = MomentSystem((1, *tails[0]), (1, *tails[1]))
+        path = write_json(tmp_path_factory.mktemp("verify") / "in.json",
+                          jsondoc.moment_system_to_doc(system))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["verify", "--in", path, "--window", *map(str, window)])
+        assert code in (0, 3), err.getvalue()
+        named = re.search(r"index \((\d+), (\d+)\) is not normal", err.getvalue())
+        if named:
+            n, m = map(int, named.groups())
+            assert HPTable(system, n, m).s_det(n, m) == 0
 
 
 class TestQd:
@@ -569,3 +596,64 @@ def test_qd_takes_no_plain_determinant(tmp_path, capsys, monkeypatch, case):
 
     monkeypatch.setattr(classical, "det_exact", refuse)
     assert run_pinned(tmp_path, capsys, *case) == PINNED_CLI[case]
+
+
+def refuse_oracles(monkeypatch):
+    """Make MatPoly products, moment_pairing and det_exact raise, the last
+    two under every name an hplax module binds them to."""
+    def refuse(*args):
+        raise AssertionError("an oracle ran on a CLI route")
+
+    monkeypatch.setattr(MatPoly, "__mul__", refuse)
+    for original in (kernel.moment_pairing, kernel.det_exact):
+        for name, module in list(sys.modules.items()):
+            if name == "hplax" or name.startswith("hplax."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, refuse)
+
+
+def jfraction_doc(system):
+    return {f"f{j}": jsondoc.jfraction_to_doc(moments_to_jfraction(list(s), 4))
+            for j, s in ((1, system.s1), (2, system.s2))}
+
+
+# the subcommands PINNED_CLI does not cover: (argv, input document from system_a)
+UNPINNED_CLI = {
+    "gen-angelesco": (["gen", "--system", "angelesco", "--window", "3", "3"],
+                      lambda s: ANGELESCO),
+    "gen-nikishin": (["gen", "--system", "nikishin", "--order", "12"],
+                     lambda s: {"sigma1": {"type": "discrete",
+                                           "atoms": [["1", "1/2"], ["2", "1/2"]]},
+                                "sigma2": {"type": "discrete",
+                                           "atoms": [["-2", "1/2"], ["-1", "1/2"]]}}),
+    "gen-moments": (["gen", "--system", "moments", "--order", "6"],
+                    jsondoc.moment_system_to_doc),
+    "gen-jfraction": (["gen", "--system", "jfraction", "--order", "8"], jfraction_doc),
+    "solve-bvp": (["solve-bvp", "--window", "2", "2"], boundary_doc),
+    "solve-bvp-planted": (["solve-bvp", "--window", "2", "2"], planted),
+    "solve-bvp-short": (["solve-bvp", "--window", "3", "2"], boundary_doc),
+}
+
+
+def run_unpinned(tmp_path, capsys, system, case):
+    argv, build = UNPINNED_CLI[case]
+    path = write_json(tmp_path / "in.json", build(system))
+    capsys.readouterr()
+    code = main(argv + ["--in", path])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("case", list(PINNED_CLI) + list(UNPINNED_CLI),
+                         ids=["-".join(map(str, (s, c, *w))) for s, c, w in PINNED_CLI]
+                         + list(UNPINNED_CLI))
+def test_cli_runs_no_oracle(tmp_path, capsys, monkeypatch, system_a, case):
+    # MatPoly products, moment_pairing and det_exact serve only the tests
+    if case in UNPINNED_CLI:
+        want = run_unpinned(tmp_path, capsys, system_a, case)
+        refuse_oracles(monkeypatch)
+        assert run_unpinned(tmp_path, capsys, system_a, case) == want
+    else:
+        refuse_oracles(monkeypatch)
+        assert run_pinned(tmp_path, capsys, *case) == PINNED_CLI[case]

@@ -137,10 +137,16 @@ class TestLeadingMinors:
         k = len(matrix)
         minors = leading_minors_of(matrix)
         dets = [brute_det([row[:j] for row in matrix[:j]]) for j in range(k + 1)]
-        requests = [(order, vector) for order in range(k + 1)
+        requests = [(order, vector) for order in range(-2, k + 1)
                     for vector in (False, True)]
         rng.shuffle(requests)
         for order, vector in requests:
+            if order < 0:
+                # never a pivot read from the end of the list
+                for read in (minors.minor, minors.null_vector, minors.null_tail):
+                    with pytest.raises(DimensionError):
+                        read(order)
+                continue
             det = dets[order]
             if not vector:
                 assert minors.minor(order) == det

@@ -1,16 +1,18 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hplax.errors import TruncationError, WindowError
 from hplax.hptable import HPTable
 from hplax.kernel import MatPoly, Poly, X, series_from_moments
 from hplax.measures import MeasureModel, make_angelesco
-from hplax.lax3 import (assemble_l, assemble_m, build_transition,
-                        det_transition, normalization_grid, path_transport,
-                        propagate, reflect_index, wave_matrix, waves_agree,
-                        zcc_residual)
-from hplax.nnrr import field_from_table
+from hplax.lax3 import (NormalizationGrid, assemble_l, assemble_m,
+                        build_transition, det_transition, normalization_grid,
+                        path_transport, propagate, wave_matrix, waves_agree,
+                        zcc_residual, zcc_stencil)
+from hplax.nnrr import KINDS, RecurrenceField, field_from_table
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +129,65 @@ class TestZeroCurvature:
         residuals = [zcc_residual(pairs[(n, m)], pairs[(n + 1, m)], pairs[(n, m + 1)])
                      for n in range(2) for m in range(2)]
         assert any(not r.is_zero for r in residuals)
+
+
+def product_entries(field, norms, n, m):
+    """The six entries of the transition-pair residual at (n, m) that
+    ``zcc_stencil`` returns, after checking that its x^2 term and every other
+    entry vanish."""
+    pairs = {key: build_transition(field, norms, *key)
+             for key in ((n, m), (n + 1, m), (n, m + 1))}
+    res = zcc_residual(pairs[(n, m)], pairs[(n + 1, m)], pairs[(n, m + 1)])
+    for i in range(3):
+        for j in range(3):
+            bound = 1 if i == j == 0 else 0 if 0 in (i, j) else -1
+            assert res.entry(i, j).degree <= bound, (n, m, i, j)
+    top = res.entry(0, 0)
+    return (top.coeff(1), top.coeff(0), res.entry(0, 1).coeff(0),
+            res.entry(0, 2).coeff(0), res.entry(1, 0).coeff(0),
+            res.entry(2, 0).coeff(0))
+
+
+# a fixed pool of small rationals: drawing st.fractions for 68 entries per
+# example costs ten times as much
+small_values = st.sampled_from(sorted({F(k, d) for k in range(-6, 7) for d in (1, 2, 3)}))
+
+
+def grid(size):
+    return [(n, m) for n in range(size) for m in range(size)]
+
+
+class TestZccStencil:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(small_values, min_size=36, max_size=36),
+           st.lists(small_values.filter(bool), min_size=32, max_size=32))
+    def test_meets_the_products_on_any_values(self, values, pairings):
+        # field on (0..2, 0..2) and pairings on (0..3, 0..3), the window the
+        # three pairs of each stencil read, drawn freely, not from a system,
+        # so the residual is mostly not zero; the stencils at n = 0 or m = 0
+        # take the axis gauge
+        field = RecurrenceField({kind: dict(zip(grid(3), values[9 * i:9 * i + 9]))
+                                 for i, kind in enumerate(KINDS)}, (2, 2))
+        norms = NormalizationGrid(dict(zip(grid(4), pairings[:16])),
+                                  dict(zip(grid(4), pairings[16:])), (3, 3))
+        for n in range(2):
+            for m in range(2):
+                assert (zcc_stencil(field, norms, n, m)
+                        == product_entries(field, norms, n, m)), (n, m)
+
+    @pytest.mark.parametrize("kind", [None, "a", "b", "c", "d"])
+    def test_meets_the_products_on_a_bumped_field(self, field_a, norms_a, kind):
+        # a unit bump of one coefficient at (1, 1), as in acceptance
+        # criterion 3, over every stencil that reads it and some that do not
+        field = field_a if kind is None else field_a.replace(
+            kind, 1, 1, field_a.value(kind, 1, 1) + 1)
+        nonzero = 0
+        for n in range(3):
+            for m in range(3):
+                scalars = zcc_stencil(field, norms_a, n, m)
+                assert scalars == product_entries(field, norms_a, n, m), (n, m)
+                nonzero += any(scalars)
+        assert (nonzero == 0) == (kind is None)
 
 
 class TestDetTransition:
@@ -253,9 +314,3 @@ class TestPathTransport:
         with pytest.raises(WindowError):
             path_transport(pairs_a, [(1, 1)])
 
-
-class TestReflectIndex:
-    def test_examples(self):
-        assert reflect_index(-2, 3) == (2, 3)
-        assert reflect_index(0, 0) == (0, 0)
-        assert reflect_index(-1, -1) == (1, 1)
