@@ -23,6 +23,7 @@ from fractions import Fraction
 from .errors import (DegeneracyError, IntegrityError, NonPerfectBoundaryError,
                      NotNormalError, TruncationError, WindowError)
 from .hptable import HPTable
+from .kernel import ZERO
 from .lax3 import normalization_grid, zcc_stencil
 from .measures import MomentSystem
 from .nnrr import (KINDS, RecurrenceField, a_value, b_value, c_value, d_value,
@@ -134,7 +135,6 @@ def sweep_solve(boundary: BoundaryData, N: int, M: int) -> SweepReport:
         raise TruncationError(
             f"window ({N}, {M}) sweeps to level {lam}, boundary only "
             f"supports level {boundary.max_level}")
-    zero = Fraction(0)
     a: dict[tuple[int, int], Fraction] = {}
     b: dict[tuple[int, int], Fraction] = {}
     c: dict[tuple[int, int], Fraction] = {}
@@ -149,10 +149,10 @@ def sweep_solve(boundary: BoundaryData, N: int, M: int) -> SweepReport:
         for n in range(level + 1):                    # phase 1: a, b and s
             m = level - n
             if n == 0:
-                a_nm, b_nm = zero, boundary.b_col[m - 1] if m else zero
+                a_nm, b_nm = ZERO, boundary.b_col[m - 1] if m else ZERO
                 s_nm = b_nm
             elif m == 0:
-                a_nm, b_nm = boundary.a_row[n - 1], zero
+                a_nm, b_nm = boundary.a_row[n - 1], ZERO
                 s_nm = a_nm
             else:
                 divisions += 2
@@ -271,10 +271,11 @@ def cross_validate(system: MomentSystem, N: int, M: int) -> CrossValidation:
     Builds the reference field, reads its boundary to level N + M (the table
     supplies the axis rows beyond the rectangle), sweeps, and asserts exact
     equality of all four grids; then checks consistency residuals and
-    orthogonality over the window and the zero-curvature residual at every
-    stencil it covers.  Any mismatch raises with the first differing index;
-    a sweep stopped by a zero gap (n, m) where S(n+1, m+1) vanishes (by the
-    converse theorem, the first zero minor in level order) is not normal.
+    orthogonality over the window and the zero-curvature residual at each of
+    its N x M stencils (n < N, m < M).  Any mismatch raises with the first
+    differing index; a sweep stopped by a zero gap (n, m) where S(n+1, m+1)
+    vanishes (by the converse theorem, the first zero minor in level order)
+    is not normal.
     """
     _check_window(N, M)
     lam = N + M
@@ -294,23 +295,25 @@ def cross_validate(system: MomentSystem, N: int, M: int) -> CrossValidation:
             f"sweep and moment routes disagree at {kind}[{n}, {m}]: "
             f"{got} != {want}")
 
-    cons_max = Fraction(0)
+    cons_max = ZERO
     for n in range(N):
         for m in range(M):
             for r in consistency_residuals(reference, n, m):
-                cons_max = max(cons_max, abs(r))
+                if r:
+                    cons_max = max(cons_max, abs(r))
 
-    orth_max = Fraction(0)
+    orth_max = ZERO
     for n in range(N + 1):
         for m in range(M + 1):
             r1, r2 = table.orthogonality_residuals(n, m)
             for r in r1 + r2:
-                orth_max = max(orth_max, abs(r))
+                if r:
+                    orth_max = max(orth_max, abs(r))
 
     zcc_zero = True
     if N >= 1 and M >= 1:
         norms = normalization_grid(table, N, M)
         zcc_zero = not any(any(zcc_stencil(reference, norms, n, m))
-                           for n in range(N - 1) for m in range(M - 1))
+                           for n in range(N) for m in range(M))
     return CrossValidation((N, M), equal, cons_max, zcc_zero, orth_max,
                            report.divisions_checked)

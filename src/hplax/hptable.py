@@ -17,6 +17,11 @@ recurrence field needs of it, is one entry of the pivot row at position
 n + m - 1 over that row's pivot (``subleading``), so the field forms no
 polynomial.  The first m rows of column max_m are the s2 shifts 0..m-1 for
 every m <= max_m, so the reads at n = 0 all go to that one column.
+
+The pairings L_j[x^t P(n, m)] (orthogonality and the normalisations) pair
+the integer null vector v of index (n, m), memoized per index, with the
+cleared moments: dot(v, D_j s_j[t:]) / (v_k D_j), k = n + m.  So they form
+no polynomial either, and a pairing that vanishes costs no gcd.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import Iterable
 from .errors import (DegeneracyError, IntegrityError, NotNormalError,
                      TruncationError, WindowError)
 from .kernel import (LaurentTail, LeadingMinors, Poly, cleared,
-                     poly_from_series_product, solve_exact)
+                     poly_from_series_product, settle, solve_exact)
 from .measures import MomentSystem
 
 
@@ -61,7 +66,7 @@ class HPTable:
         self._k: dict[tuple[int, int], int] = {}
         self._s: dict[tuple[int, int], Fraction] = {}
         self._p: dict[tuple[int, int], Poly] = {}
-        self._p_ints: dict[tuple[int, int], tuple[list[int], int]] = {}
+        self._p_ints: dict[tuple[int, int], list[int]] = {}
         # D_j s_j over the moments the window reaches, P pairings included
         self._c1, self._d1 = cleared(moments.s1[:2 * max_n + max_m + 1])
         self._c2, self._d2 = cleared(moments.s2[:max_n + 2 * max_m + 1])
@@ -197,36 +202,42 @@ class HPTable:
 
     def _pairings(self, which: int, n: int, m: int, shifts: Iterable[int]
                   ) -> list[Fraction]:
-        """L_which[x^t P(n, m)] for each t in shifts; P(n, m) must be stored.
+        """L_which[x^t P(n, m)] for each t in shifts, after the checks of
+        ``_p_column``.
 
-        One integer dot product of the cleared P with the cleared moments
-        per shift; it raises instead of reading past the last moment.
+        P(n, m) is v / v_k for the integer null vector v_0 .. v_k, k = n + m,
+        of its column elimination, memoized per index; each pairing is one
+        integer dot product of v with the cleared moments over v_k D_which,
+        a Fraction only where it does not vanish.  It raises instead of
+        reading past the last moment.
         """
         key = (n, m)
         if key not in self._p_ints:
-            self._p_ints[key] = cleared(self._p[key].coeffs)
-        coeffs, p_scale = self._p_ints[key]
+            self._p_ints[key] = self._p_column(n, m).null_vector(n + m)
+        v = self._p_ints[key]
         seq, scale = (self._c1, self._d1) if which == 1 else (self._c2, self._d2)
-        scale *= p_scale
+        scale *= v[-1]
         out = []
         for t in shifts:
-            last = t + len(coeffs) - 1
+            last = t + len(v) - 1
             if last >= self.moments.count:
                 raise TruncationError(
                     f"pairing needs moment index {last}, have {self.moments.count}")
             if last >= len(seq):
                 raise WindowError(f"pairing at shift {t} of P({n}, {m}) reads "
                                   f"past the moments of the table window")
-            out.append(Fraction(sum(map(mul, coeffs, seq[t:last + 1])), scale))
+            out.append(settle((sum(map(mul, v, seq[t:last + 1])), scale)))
         return out
 
     def pairing(self, which: int, n: int, m: int, shift: int) -> Fraction:
         """L_which[x^shift P(n, m)], the moment functional of sequence
-        ``which`` applied to x^shift P(n, m)."""
-        self.hp_poly_det(n, m)
+        ``which`` (1 or 2) applied to x^shift P(n, m), shift >= 0."""
+        if which not in (1, 2):
+            raise WindowError(f"which must be 1 or 2, got {which!r}")
+        if shift < 0:
+            raise WindowError(f"pairing shift {shift} is negative")
         return self._pairings(which, n, m, (shift,))[0]
 
     def orthogonality_residuals(self, n: int, m: int) -> tuple[list[Fraction], list[Fraction]]:
         """Pairings of P(n, m) with the first monomials; all must vanish."""
-        self.hp_poly_det(n, m)
         return self._pairings(1, n, m, range(n)), self._pairings(2, n, m, range(m))

@@ -19,7 +19,7 @@ from .errors import DegeneracyError, DimensionError, IntegrityError, TruncationE
 
 Ratlike = Union[Fraction, int, str]
 
-_ZERO = Fraction(0)
+ZERO = Fraction(0)
 
 
 def rat(x: Ratlike) -> Fraction:
@@ -85,11 +85,11 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         return Poly(tuple(a + b for a, b in zip_longest(self.coeffs, other.coeffs,
-                                                         fillvalue=_ZERO)))
+                                                         fillvalue=ZERO)))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return Poly(tuple(a - b for a, b in zip_longest(self.coeffs, other.coeffs,
-                                                         fillvalue=_ZERO)))
+                                                         fillvalue=ZERO)))
 
     def __neg__(self) -> "Poly":
         return Poly(tuple(-c for c in self.coeffs))
@@ -302,6 +302,28 @@ def cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
     for x in values:    # pairwise: lcm(*...) here raised peak memory by ~1.5 MiB
         mult = lcm(mult, x.denominator)
     return [x.numerator * (mult // x.denominator) for x in values], mult
+
+
+def ratio_sum(*terms: tuple) -> tuple[int, int]:
+    """The sum of sign * x_1 * ... * x_k over the terms (sign, x_1, ..., x_k),
+    each x a (numerator, denominator) pair of ints, as one such pair: the
+    numerator over the product of every factor's denominator.  No gcd is
+    taken, so a sum that must vanish costs no reduction."""
+    num, den = 0, 1
+    for sign, *factors in terms:
+        tn, td = sign, 1
+        for p, q in factors:
+            tn *= p
+            td *= q
+        num, den = num * td + tn * den, den * td
+    return num, den
+
+
+def settle(pair: tuple[int, int]) -> Fraction:
+    """The Fraction of a (numerator, denominator) pair; ZERO, with no gcd
+    taken, when the numerator vanishes."""
+    num, den = pair
+    return Fraction(num, den) if num else ZERO
 
 
 class LeadingMinors:

@@ -11,9 +11,9 @@ every transition matrix invertible with constant determinant, and keeps the
 propagation identities exact on the whole quarter lattice.
 
 The zero-curvature check runs on six scalars per stencil read straight from
-the field and the gauge entries (``zcc_stencil``), so it forms no matrix;
-the products of the ``build_transition`` pairs (``zcc_residual``) are its
-oracle.
+the field and the gauge entries (``zcc_stencil``), each one integer
+numerator, so it forms no matrix and reduces no vanishing value; the products
+of the ``build_transition`` pairs (``zcc_residual``) are its oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import IntegrityError, WindowError
-from .kernel import LaurentTail, MatPoly, Poly, X, poly_from_series_product
+from .kernel import (LaurentTail, MatPoly, Poly, X, poly_from_series_product,
+                     ratio_sum, settle)
 from .hptable import HPTable
 from .nnrr import RecurrenceField
 
@@ -100,30 +101,54 @@ def normalization_grid(table: HPTable, N: int, M: int) -> NormalizationGrid:
 
 
 # -- gauge entries -----------------------------------------------------------
+#
+# Each as a (numerator, denominator) pair of ints, unreduced; a Fraction of
+# the pair is the gauge entry.
 
 
-def _alpha4(norms: NormalizationGrid, n: int, m: int) -> Fraction:
-    return Fraction(0) if n == 0 else Fraction(-1) / norms.h1(n - 1, m)
+def _inverse(h: Fraction, name: str, n: int, m: int) -> tuple[int, int]:
+    """-1 / h for h = name[n, m]; a zero h raises, as a Fraction division
+    would."""
+    num, den = h.as_integer_ratio()
+    if num == 0:
+        raise ZeroDivisionError(f"gauge entry -1 / {name}[{n}, {m}] with a zero {name}")
+    return -den, num
 
 
-def _alpha5(norms: NormalizationGrid, n: int, m: int) -> Fraction:
-    return Fraction(0) if m == 0 else Fraction(-1) / norms.h2(n, m - 1)
+def _alpha4(norms: NormalizationGrid, n: int, m: int) -> tuple[int, int]:
+    """alpha4 = -1 / h1(n-1, m); zero at n = 0."""
+    if n == 0:
+        return 0, 1
+    return _inverse(norms.h1(n - 1, m), "h1", n - 1, m)
+
+
+def _alpha5(norms: NormalizationGrid, n: int, m: int) -> tuple[int, int]:
+    """alpha5 = -1 / h2(n, m-1); zero at m = 0."""
+    if m == 0:
+        return 0, 1
+    return _inverse(norms.h2(n, m - 1), "h2", n, m - 1)
 
 
 def _alpha2(field: RecurrenceField, norms: NormalizationGrid,
-            n: int, m: int) -> Fraction:
-    """alpha2 at an index; axis convention at n = 0."""
+            n: int, m: int) -> tuple[int, int]:
+    """alpha2 = a(n, m) h1(n-1, m); axis convention -h1(0, m) at n = 0."""
     if n == 0:
-        return -norms.h1(0, m)
-    return field.a(n, m) * norms.h1(n - 1, m)
+        num, den = norms.h1(0, m).as_integer_ratio()
+        return -num, den
+    a, a_den = field.a(n, m).as_integer_ratio()
+    h, h_den = norms.h1(n - 1, m).as_integer_ratio()
+    return a * h, a_den * h_den
 
 
 def _alpha3(field: RecurrenceField, norms: NormalizationGrid,
-            n: int, m: int) -> Fraction:
-    """alpha3 at an index; axis convention at m = 0."""
+            n: int, m: int) -> tuple[int, int]:
+    """alpha3 = b(n, m) h2(n, m-1); axis convention -h2(n, 0) at m = 0."""
     if m == 0:
-        return -norms.h2(n, 0)
-    return field.b(n, m) * norms.h2(n, m - 1)
+        num, den = norms.h2(n, 0).as_integer_ratio()
+        return -num, den
+    b, b_den = field.b(n, m).as_integer_ratio()
+    h, h_den = norms.h2(n, m - 1).as_integer_ratio()
+    return b * h, b_den * h_den
 
 
 def assemble_l(alpha1, alpha2, alpha3, alpha4_next, alpha5_next) -> MatPoly:
@@ -150,14 +175,14 @@ def build_transition(field: RecurrenceField, norms: NormalizationGrid,
     the shifted indices (n+1, m) and (n, m+1)."""
     alpha1 = -field.c(n, m)
     beta1 = -field.d(n, m)
-    alpha2 = _alpha2(field, norms, n, m)
-    alpha3 = _alpha3(field, norms, n, m)
-    alpha4 = _alpha4(norms, n, m)
-    alpha5 = _alpha5(norms, n, m)
-    alpha4_next = _alpha4(norms, n + 1, m)
-    alpha5_next = _alpha5(norms, n + 1, m)
-    alpha4_up = _alpha4(norms, n, m + 1)
-    alpha5_up = _alpha5(norms, n, m + 1)
+    alpha2 = Fraction(*_alpha2(field, norms, n, m))
+    alpha3 = Fraction(*_alpha3(field, norms, n, m))
+    alpha4 = Fraction(*_alpha4(norms, n, m))
+    alpha5 = Fraction(*_alpha5(norms, n, m))
+    alpha4_next = Fraction(*_alpha4(norms, n + 1, m))
+    alpha5_next = Fraction(*_alpha5(norms, n + 1, m))
+    alpha4_up = Fraction(*_alpha4(norms, n, m + 1))
+    alpha5_up = Fraction(*_alpha5(norms, n, m + 1))
     return TransitionPair(
         n, m,
         L=assemble_l(alpha1, alpha2, alpha3, alpha4_next, alpha5_next),
@@ -184,22 +209,30 @@ def zcc_stencil(field: RecurrenceField, norms: NormalizationGrid,
     e = d(n+1, m) - c(n, m+1).  ``zcc_residual`` of the ``build_transition``
     pairs at (n, m), (n+1, m) and (n, m+1) has these entries; its x^2 term
     and other entries cancel identically.
+
+    Each entry is one integer numerator over the product of its operands'
+    denominators (``kernel.ratio_sum``), a Fraction only where it does not
+    vanish.  It reads the field inside (n+1, m+1) and the normalisations
+    inside (n+1, m+1) only, so every stencil with n < N and m < M stays in an
+    (N, M) window.
     """
-    c, d = field.c(n, m), field.d(n, m)
-    c_up, d_right = field.c(n, m + 1), field.d(n + 1, m)
-    g, e = c - d, d_right - c_up
+    c, d = field.c(n, m).as_integer_ratio(), field.d(n, m).as_integer_ratio()
+    c_up = field.c(n, m + 1).as_integer_ratio()
+    d_right = field.d(n + 1, m).as_integer_ratio()
+    g, e = ratio_sum((1, c), (-1, d)), ratio_sum((1, d_right), (-1, c_up))
     a2_up, a3_up = _alpha2(field, norms, n, m + 1), _alpha3(field, norms, n, m + 1)
     a2_right = _alpha2(field, norms, n + 1, m)
     a3_right = _alpha3(field, norms, n + 1, m)
     a4_up, a5_up = _alpha4(norms, n, m + 1), _alpha5(norms, n, m + 1)
     a4_right, a5_right = _alpha4(norms, n + 1, m), _alpha5(norms, n + 1, m)
-    return (g + e,
-            a2_up * a4_up - a2_right * a4_right + a3_up * a5_up
-            - a3_right * a5_right - c * d_right + c_up * d,
-            _alpha2(field, norms, n, m) * e + a2_up,
-            _alpha3(field, norms, n, m) * e - a3_right,
-            _alpha4(norms, n + 1, m + 1) * g - a4_right,
-            _alpha5(norms, n + 1, m + 1) * g + a5_up)
+    return tuple(map(settle, (
+        ratio_sum((1, g), (1, e)),
+        ratio_sum((1, a2_up, a4_up), (-1, a2_right, a4_right), (1, a3_up, a5_up),
+                  (-1, a3_right, a5_right), (-1, c, d_right), (1, c_up, d)),
+        ratio_sum((1, _alpha2(field, norms, n, m), e), (1, a2_up)),
+        ratio_sum((1, _alpha3(field, norms, n, m), e), (-1, a3_right)),
+        ratio_sum((1, _alpha4(norms, n + 1, m + 1), g), (-1, a4_right)),
+        ratio_sum((1, _alpha5(norms, n + 1, m + 1), g), (1, a5_up)))))
 
 
 def det_transition(pair: TransitionPair, which: str) -> Poly:

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hplax import bvp
 from hplax.bvp import (BoundaryData, boundary_from_field, cd_by_summation,
                        cross_validate, field_from_moments, sweep_solve)
 from hplax.errors import (DegeneracyError, NonPerfectBoundaryError,
                           NotNormalError, TruncationError, WindowError)
 from hplax.hptable import HPTable
-from hplax.measures import (JFraction, MomentSystem, jfraction_to_moments,
+from hplax.measures import (JFraction, MeasureModel, MomentSystem,
+                            jfraction_to_moments, make_angelesco,
                             moments_to_jfraction)
 from hplax.nnrr import KINDS, consistency_residuals, field_from_table
 
@@ -253,6 +255,23 @@ class TestCrossValidate:
     def test_duplicated_system_rejected(self, dup_system):
         with pytest.raises(NotNormalError):
             cross_validate(dup_system, 2, 2)
+
+    @pytest.mark.parametrize("window", [(0, 3), (1, 1), (3, 2), (4, 4)])
+    def test_zero_curvature_on_every_stencil(self, monkeypatch, window):
+        # each stencil (n, m) with n < N and m < M, edges included, once
+        system = make_angelesco(MeasureModel.interval(-3, -1),
+                                MeasureModel.interval(1, 2), 40)
+        seen = []
+
+        def recording(field, norms, n, m):
+            seen.append((n, m))
+            return zcc_stencil(field, norms, n, m)
+
+        zcc_stencil = bvp.zcc_stencil
+        monkeypatch.setattr(bvp, "zcc_stencil", recording)
+        N, M = window
+        assert cross_validate(system, N, M).zcc_all_zero
+        assert sorted(seen) == [(n, m) for n in range(N) for m in range(M)]
 
     def test_hand_perturbed_boundary_diverges(self, boundary_a, reference_field):
         # bump a deep axis value: the sweep stays alive but the grids differ

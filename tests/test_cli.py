@@ -598,6 +598,20 @@ def test_qd_takes_no_plain_determinant(tmp_path, capsys, monkeypatch, case):
     assert run_pinned(tmp_path, capsys, *case) == PINNED_CLI[case]
 
 
+VERIFY_PINNED = [case for case in PINNED_CLI if case[1] == "verify"]
+
+
+@pytest.mark.parametrize("case", VERIFY_PINNED,
+                         ids=["-".join(map(str, (s, *w))) for s, _, w in VERIFY_PINNED])
+def test_verify_forms_no_polynomial(tmp_path, capsys, monkeypatch, case):
+    # the pairings read the null vectors' integers, not P(n, m)
+    def refuse(self, n, m):
+        raise AssertionError("verify formed a table polynomial")
+
+    monkeypatch.setattr(HPTable, "hp_poly_det", refuse)
+    assert run_pinned(tmp_path, capsys, *case) == PINNED_CLI[case]
+
+
 def refuse_oracles(monkeypatch):
     """Make MatPoly products, moment_pairing and det_exact raise, the last
     two under every name an hplax module binds them to."""

@@ -371,6 +371,37 @@ class TestOrthogonality:
                     assert all(v == 0 for v in r1 + r2)
 
 
+class TestPairingArguments:
+    """A negative shift or a sequence other than 1 or 2 raises WindowError
+    before the table reads anything, even at an index outside its window."""
+
+    @pytest.fixture()
+    def table(self):
+        system = make_angelesco(MeasureModel.interval(-2, -1),
+                                MeasureModel.interval(1, 2), 20)
+        return HPTable(system, 3, 3)
+
+    @pytest.mark.parametrize("shift", [-1, -5])
+    def test_negative_shift(self, table, shift):
+        for which in (1, 2):
+            for n, m in ((1, 1), (9, 9)):
+                with pytest.raises(WindowError, match="shift"):
+                    table.pairing(which, n, m, shift)
+
+    @pytest.mark.parametrize("which", [0, 3, -1, "1"])
+    def test_invalid_sequence(self, table, which):
+        for n, m in ((1, 1), (9, 9)):
+            with pytest.raises(WindowError, match="which"):
+                table.pairing(which, n, m, 1)
+
+    def test_valid_arguments_still_pair(self, table):
+        # the same calls with a valid shift and sequence: L_1[x P(1, 1)]
+        p = table.hp_poly_det(1, 1)
+        s1 = table.moments.s1
+        assert table.pairing(1, 1, 1, 1) == sum(c * s1[1 + i] for i, c in enumerate(p.coeffs))
+        assert table.pairing(1, 1, 1, 0) == 0
+
+
 def count_sign_changes(p: Poly, lo: F, hi: F, grid: int = 64) -> int:
     signs = []
     for i in range(grid + 1):

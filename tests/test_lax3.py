@@ -189,6 +189,39 @@ class TestZccStencil:
                 nonzero += any(scalars)
         assert (nonzero == 0) == (kind is None)
 
+    @pytest.mark.parametrize("window", [(1, 1), (3, 2), (4, 4)])
+    def test_edge_stencils_stay_in_the_window(self, window):
+        # zcc_stencil on the (N, M) field and normalisations meets the
+        # products of transition pairs built on a window one larger, at the
+        # stencils n = N - 1 or m = M - 1 that read up to (N, M)
+        system = make_angelesco(MeasureModel.interval(-3, -1),
+                                MeasureModel.interval(1, 2), 40)
+        N, M = window
+        table = HPTable(system, N + 2, M + 2)
+        field, norms = field_from_table(table, N, M), normalization_grid(table, N, M)
+        wide_field = field_from_table(table, N + 1, M + 1)
+        wide_norms = normalization_grid(table, N + 1, M + 1)
+        edges = {(N - 1, m) for m in range(M)} | {(n, M - 1) for n in range(N)}
+        for n, m in sorted(edges):
+            scalars = zcc_stencil(field, norms, n, m)
+            assert scalars == product_entries(wide_field, wide_norms, n, m), (n, m)
+            assert not any(scalars), (n, m)
+
+
+@pytest.mark.parametrize("zero_at", [("h1", (0, 1)), ("h2", (1, 0))])
+def test_zcc_stencil_refuses_a_zero_pairing(zero_at):
+    # stencil (0, 0) divides by h1(0, 1) and h2(1, 0); with g = c - d = 0
+    # there the integer numerator of the last two entries would vanish too,
+    # so a zero pairing must raise rather than read as zero curvature
+    field = RecurrenceField({kind: {key: F(1) for key in grid(2)} for kind in KINDS},
+                            (1, 1))
+    h = {"h1": {key: F(1) for key in grid(2)}, "h2": {key: F(1) for key in grid(2)}}
+    name, key = zero_at
+    h[name][key] = F(0)
+    norms = NormalizationGrid(h["h1"], h["h2"], (1, 1))
+    with pytest.raises(ZeroDivisionError):
+        zcc_stencil(field, norms, 0, 0)
+
 
 class TestDetTransition:
     def test_interior_dets_are_one(self, pairs_a):

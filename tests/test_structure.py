@@ -4,7 +4,9 @@ A module keeps its `_`-prefixed names to itself, each module-level
 ALL_CAPS constant is assigned in one module only (the others import it), and
 each public module-level function or class has a user: some code in
 src/hplax or tests/ outside its own definition and the `__init__` re-exports.
-Every name the benchmark wraps (perfbench/spans.py) still exists.
+Every name the benchmark wraps (perfbench/spans.py) still exists.  No module
+touches the private internals of ``fractions.Fraction``, which differ between
+the Python versions the package supports.
 """
 
 import ast
@@ -48,6 +50,22 @@ def test_no_private_name_crosses_a_module():
                     and node.value.id in imported_modules):
                 offences.append(f"{name} reads {node.value.id}.{node.attr}")
     assert not offences
+
+
+FRACTION_INTERNALS = {"_numerator", "_denominator", "_from_coprime_ints"}
+
+
+def test_no_private_fraction_internals():
+    # Fraction(..., _normalize=False) is gone in 3.12 and _from_coprime_ints
+    # is new there; only numerator, denominator and the constructor are public
+    offences = []
+    for name, tree in modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in FRACTION_INTERNALS:
+                offences.append(f"{name} reads {node.attr} (line {node.lineno})")
+            if isinstance(node, ast.keyword) and node.arg == "_normalize":
+                offences.append(f"{name} passes _normalize= (line {node.lineno})")
+    assert offences == []
 
 
 def test_each_constant_has_one_home():
