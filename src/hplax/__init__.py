@@ -12,7 +12,7 @@ from .measures import (JFraction, MeasureModel, MomentSystem,
                        jfraction_to_moments, make_angelesco, make_nikishin,
                        measure_moments, moments_to_jfraction,
                        monic_orthogonal_polys)
-from .hptable import HPTable, HPTriple
+from .hptable import HPTable
 from .nnrr import (CFExtraction, RecurrenceField, cf_extract, check_dminusc,
                    consistency_residuals, field_from_table, m_minus_series,
                    recurrence_residuals)

@@ -6,17 +6,20 @@ must agree exactly at every normal index; they are each other's oracle.
 
 The bordered-determinant route clears each moment sequence of denominators
 once per table, D_j s_j, over the prefix its window can reach.  Column m of
-the table is one fraction-free elimination with row exchanges
+the table is a fraction-free elimination with row exchanges
 (``kernel.LeadingMinors``) of the rows [s2 shifts 0..m-1, s1 shifts 0..], with
 one column per power of x; its leading minor of order n + m is
 (-1)^(nm) D1^n D2^m S(n, m), zero pivots included (``minor``), and it is
-extended only as deep as a call needs.  P(n, m) is the monic null vector of
-its leading n + m rows, read by back substitution on the first
-``hp_poly_det`` call.  The subleading coefficient of P(n, m), all that the
-recurrence field needs of it, is one entry of the pivot row at position
-n + m - 1 over that row's pivot (``subleading``), so the field forms no
-polynomial.  The first m rows of column max_m are the s2 shifts 0..m-1 for
-every m <= max_m, so the reads at n = 0 all go to that one column.
+extended only as deep as a call needs.  Every column forks from one shared
+elimination of [s2 shifts 0..max_m-1, s1 shifts 0..] after the steps its
+first m rows allow, so the table eliminates the s2 Hankel block once and
+reduces each s1 row by each of those steps once (``LeadingMinors.fork``).
+The reads at n = 0, whose leading minors are the s2 block's, go to the
+shared elimination itself.  P(n, m) is the monic null vector of the leading
+n + m rows, read by back substitution on the first ``hp_poly_det`` call.
+The subleading coefficient of P(n, m), all that the recurrence field needs
+of it, is one entry of the pivot row at position n + m - 1 over that row's
+pivot (``subleading``), so the field forms no polynomial.
 
 The pairings L_j[x^t P(n, m)] (orthogonality and the normalisations) pair
 the integer null vector v of index (n, m), memoized per index, with the
@@ -26,7 +29,6 @@ no polynomial either, and a pairing that vanishes costs no gcd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable
@@ -36,19 +38,6 @@ from .errors import (DegeneracyError, IntegrityError, NotNormalError,
 from .kernel import (LaurentTail, LeadingMinors, Poly, cleared,
                      poly_from_series_product, settle, solve_exact)
 from .measures import MomentSystem
-
-
-@dataclass(frozen=True)
-class HPTriple:
-    """Table polynomial with its two numerators and remainder tails."""
-
-    n: int
-    m: int
-    p: Poly
-    q1: Poly
-    q2: Poly
-    r1: LaurentTail
-    r2: LaurentTail
 
 
 class HPTable:
@@ -70,6 +59,15 @@ class HPTable:
         # D_j s_j over the moments the window reaches, P pairings included
         self._c1, self._d1 = cleared(moments.s1[:2 * max_n + max_m + 1])
         self._c2, self._d2 = cleared(moments.s2[:max_n + 2 * max_m + 1])
+        # the shared elimination's rows: [D2 s2 shifts 0..max_m-1, D1 s1 shifts 0..]
+        c1, c2 = self._c1, self._c2
+
+        def row(r: int, start: int, stop: int) -> list[int]:
+            if r < max_m:
+                return c2[r + start:r + stop]
+            return c1[r - max_m + start:r - max_m + stop]
+
+        self._shared = LeadingMinors(row)
         self._columns: dict[int, LeadingMinors] = {}
 
     # -- bookkeeping ------------------------------------------------------
@@ -88,17 +86,16 @@ class HPTable:
                 f"{need2} of the second, have {self.moments.count}")
 
     def _column(self, m: int) -> LeadingMinors:
-        """Elimination of the rows [D2 s2 shifts 0..m-1, D1 s1 shifts 0..]."""
+        """Elimination of the rows [D2 s2 shifts 0..m-1, D1 s1 shifts 0..]:
+        the shared one's first m rows and its s1 rows, forked from it after
+        the steps it finishes among those m rows, on the first read at n >= 1."""
         if m not in self._columns:
-            c1, c2 = self._c1, self._c2
-
-            def row(r: int, start: int, stop: int) -> list[int]:
-                if r < m:
-                    return c2[r + start:r + stop]
-                return c1[r - m + start:r - m + stop]
-
-            self._columns[m] = LeadingMinors(row)
+            self._columns[m] = self._shared.fork(m, self.max_m)
         return self._columns[m]
+
+    def _holder(self, n: int, m: int) -> LeadingMinors:
+        """The elimination whose leading minor of order n + m is K(n, m)."""
+        return self._column(m) if n else self._shared
 
     # -- determinants and normality ---------------------------------------
 
@@ -110,7 +107,7 @@ class HPTable:
         if key not in self._k:
             self._check_window(n, m)
             self._check_depth(n, m, bordered=False)
-            self._k[key] = self._column(m if n else self.max_m).minor(n + m)
+            self._k[key] = self._holder(n, m).minor(n + m)
         return self._k[key]
 
     def s_det(self, n: int, m: int) -> Fraction:
@@ -134,7 +131,7 @@ class HPTable:
         if self.minor(n, m) == 0:
             raise NotNormalError(n, m)
         self._check_depth(n, m, bordered=True)
-        return self._column(m if n else self.max_m)
+        return self._holder(n, m)
 
     def hp_poly_det(self, n: int, m: int) -> Poly:
         """Monic table polynomial via the bordered determinant, memoized."""
@@ -181,8 +178,10 @@ class HPTable:
 
     # -- remainders and orthogonality --------------------------------------
 
-    def hp_remainder(self, f1: LaurentTail, f2: LaurentTail, n: int, m: int) -> HPTriple:
-        """Split f_j * P into numerator and remainder; enforce the order condition."""
+    def hp_remainder(self, f1: LaurentTail, f2: LaurentTail, n: int, m: int
+                     ) -> tuple[Poly, Poly, Poly, LaurentTail, LaurentTail]:
+        """(P, Q1, Q2, R1, R2) with f_j * P = Q_j + R_j: split each product
+        into numerator and remainder and enforce the order condition."""
         need = n + m + max(n, m) + 2
         for j, f in ((1, f1), (2, f2)):
             if f.truncation_order < need:
@@ -198,7 +197,7 @@ class HPTable:
                     raise IntegrityError(
                         f"remainder order condition fails at ({n}, {m}): "
                         f"coefficient z^-{t + 1} of R{j} is {r.coeff(t)}")
-        return HPTriple(n, m, p, q1, q2, r1, r2)
+        return p, q1, q2, r1, r2
 
     def _pairings(self, which: int, n: int, m: int, shifts: Iterable[int]
                   ) -> list[Fraction]:

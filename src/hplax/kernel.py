@@ -344,15 +344,34 @@ class LeadingMinors:
     exchange at a step c < k brought in a row from a position r >= k (rows
     c .. k - 1 are then zero in column c); otherwise it is the pivot of step
     k - 1, negated once per exchange at a step below k.
+
+    ``fork(k, tail)`` eliminates the matrix of this one's rows 0 .. k - 1,
+    tail, tail + 1, .., starting from this one's state after its first j
+    steps: those it finishes among its first k rows, cut before the first
+    exchange that brought in a row from a position >= k.  The fork takes
+    over the pivots and exchanges of those steps (``inherited`` counts
+    them); their pivot rows stay with the parent, which widens them when
+    the fork reads wider, so no entry of them is read twice.  Each row
+    tail + i the fork reaches comes from the parent as it stands after the
+    j steps (``_level``), and the fork runs only its own steps on it.  The
+    parent keeps such a row after every step count a fork asked for, so
+    forks at different j reduce it once, and never steps it further.  A
+    wider read of a fork's own row re-reads it and replays every step.
+    Neither holds a row list of the other, and neither's later steps,
+    exchanges or reads change the other's minors.  A fork is not forked.
     """
 
     def __init__(self, row: Callable[[int, int, int], Sequence[int]]):
         self._row = row
-        self._rows: list[list[int]] = []            # by position
+        # a fork's parent, its j, k and tail, and its order after j steps
+        self._parent: tuple[LeadingMinors, int, int, int, list[int]] | None = None
+        self.inherited = 0                          # steps taken over at a fork
+        self._rows: list[list[int]] = []            # by position; [] if inherited
         self._origin: list[int] = []                # original index at each position
         self._pivots: list[int] = []                # rows[c][c] of each finished step
         self._swaps: list[tuple[int, int]] = []     # (c, r): step c took position r
-        self._width = 0
+        self._width = 0                             # columns of every row but wider pivot rows
+        self._levels: dict[int, list[list[int]]] = {}   # row -> it after 0, 1, .. steps
 
     def _read(self, r: int, start: int, stop: int) -> list[int]:
         entries = list(self._row(r, start, stop))
@@ -360,33 +379,65 @@ class LeadingMinors:
             raise DimensionError(f"row {r} has no columns {start}..{stop - 1}")
         return entries
 
-    def _widen(self, width: int) -> None:
-        if width <= self._width:
+    def _inherited_rows(self, width: int) -> list[list[int]]:
+        """A fork's inherited pivot rows as its parent holds them, reaching
+        column width - 1; none for an elimination that is no fork."""
+        if self._parent is None:
+            return []
+        parent, j = self._parent[:2]
+        parent._widen(width, j)
+        return parent._rows[:j]
+
+    def _widen(self, width: int, upto: int | None = None) -> None:
+        """Extend the rows at positions below upto, all rows by default, to
+        width columns, one column at a time.  Only pivot rows are ever
+        extended alone, so no row is wider than a row above it."""
+        if width <= self._width or upto is not None and (
+                not upto or len(self._rows[upto - 1]) >= width):
             return
-        rows, pivots = self._rows, self._pivots
+        base, pivots = self.inherited, self._pivots
         prevs = [1] + pivots
-        fresh = [self._read(r, self._width, width) for r in self._origin]
-        for i in range(width - self._width):
-            col: list[int] = []
-            for row, entries in zip(rows, fresh):
-                x = entries[i]
-                for pivot, prev, lead, t in zip(pivots, prevs, row, col):
-                    x = (x * pivot - lead * t) // prev
+        heads = self._inherited_rows(width)
+        rows = self._rows[base:upto]
+        haves = [len(row) for row in rows]
+        fresh = [self._read(r, have, width) if have < width else []
+                 for r, have in zip(self._origin[base:], haves)]
+        for t in range(haves[-1] if rows else width, width):
+            col = [head[t] for head in heads]       # column t of the rows above
+            for row, have, new in zip(rows, haves, fresh):
+                if t < have:
+                    x = row[t]
+                else:
+                    x = new[t - have]
+                    for pivot, prev, lead, top in zip(pivots, prevs, row, col):
+                        x = (x * pivot - lead * top) // prev
+                    row.append(x)
                 col.append(x)
-            for row, x in zip(rows, col):
-                row.append(x)
-        self._width = width
+        if upto is None:
+            self._width = width
 
     def _at(self, r: int) -> list[int]:
         """The row at position r, reading and reducing the rows up to it."""
-        rows, pivots = self._rows, self._pivots
+        rows, pivots, base = self._rows, self._pivots, self.inherited
         while len(rows) <= r:
-            row = self._read(len(rows), 0, self._width)
-            for c, pivot in enumerate(pivots):
-                top, prev, lead = rows[c], pivots[c - 1] if c else 1, row[c]
+            i = origin = len(rows)
+            first, row = 0, None    # the first step the row has not gone through
+            if self._parent:
+                parent, j, k, tail, order = self._parent
+                if i < k:
+                    origin = order[i]
+                else:
+                    origin, first = tail + i - k, j
+                    row = parent._level(origin, j, self._width)
+            if row is None:
+                row = self._read(origin, 0, self._width)
+            tops = self._inherited_rows(self._width) + rows[base:] if first < base else rows
+            for c in range(first, len(pivots)):
+                top, prev, lead = tops[c], pivots[c - 1] if c else 1, row[c]
+                pivot = pivots[c]
                 row[c + 1:] = [(x * pivot - lead * t) // prev
                                for x, t in zip(row[c + 1:], top[c + 1:])]
-            self._origin.append(len(rows))
+            self._origin.append(origin)
             rows.append(row)
         return rows[r]
 
@@ -437,7 +488,8 @@ class LeadingMinors:
         self._widen(k + 1)
         if self.minor(k) == 0:
             raise DegeneracyError(f"the leading minor of order {k} vanishes")
-        rows, det = self._rows, self._pivots[k - 1]
+        rows = self._inherited_rows(k + 1) + self._rows[self.inherited:]
+        det = self._pivots[k - 1]
         scaled = [0] * k
         for i in range(k - 1, -1, -1):
             row = rows[i]
@@ -458,7 +510,58 @@ class LeadingMinors:
         self._widen(k + 1)
         if self.minor(k) == 0:
             raise DegeneracyError(f"the leading minor of order {k} vanishes")
-        return -self._rows[k - 1][k], self._pivots[k - 1]
+        rows = self._rows if k > self.inherited else self._inherited_rows(k + 1)
+        return -rows[k - 1][k], self._pivots[k - 1]
+
+    def fork(self, k: int, tail: int) -> "LeadingMinors":
+        """The elimination of this one's rows 0 .. k - 1, tail, tail + 1, ..,
+        started from this one's state after its first j steps (see the
+        class)."""
+        if self._parent is not None:
+            raise DimensionError("a fork is not forked")
+        self.minor(k)
+        j = min(k, len(self._pivots))
+        j = next((c for c, r in self._swaps if c < j and r >= k), j)
+        swaps = [(c, r) for c, r in self._swaps if c < j]
+        order = list(range(k))      # original index at each position after j steps
+        for c, r in swaps:
+            order[c], order[r] = order[r], order[c]
+        fork = LeadingMinors(self._row)     # its origins index this one's rows
+        fork._parent, fork.inherited = (self, j, k, tail, order), j
+        fork._rows = [[] for _ in range(j)]
+        fork._origin = order[:j]
+        fork._pivots = self._pivots[:j]
+        fork._swaps = swaps
+        fork._width = j
+        return fork
+
+    def _level(self, r: int, j: int, stop: int) -> list[int]:
+        """Columns 0..stop-1 of row r, which no step below j pivots on, after
+        the first j steps.  The row is kept after every step count asked
+        for: a new step count takes one pass over the row, a wider read one
+        pass per column down the step counts."""
+        self._widen(stop, j)
+        rows, pivots = self._rows, self._pivots
+        prevs = [1] + pivots
+        levels = self._levels.setdefault(r, [[]])
+        low = levels[0]
+        if len(low) < stop:
+            low += self._read(r, len(low), stop)
+        deep = min(j, len(levels) - 1)
+        for t in range(len(levels[deep]), stop):
+            s = deep - 1            # the most steps after which column t is kept
+            while len(levels[s]) <= t:
+                s -= 1
+            x = levels[s][t]
+            for c in range(s, deep):
+                x = (x * pivots[c] - levels[c][c] * rows[c][t]) // prevs[c]
+                levels[c + 1].append(x)
+        for c in range(len(levels) - 1, j):
+            low, pivot, prev, top = levels[c], pivots[c], prevs[c], rows[c]
+            lead = low[c]
+            levels.append(low[:c + 1] + [(x * pivot - lead * t) // prev
+                                         for x, t in zip(low[c + 1:stop], top[c + 1:stop])])
+        return levels[j][:stop]
 
 
 def det_exact(rows: Sequence[Sequence[Ratlike]]) -> Fraction:

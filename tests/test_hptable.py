@@ -1,14 +1,16 @@
+import random
 import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hplax import kernel
+from hplax import hptable, kernel
+from hplax.bvp import cross_validate, field_from_moments
 from hplax.errors import NotNormalError, TruncationError, WindowError
 from hplax.hptable import HPTable
-from hplax.kernel import Poly, X, det_exact, series_from_moments
+from hplax.kernel import LeadingMinors, Poly, X, det_exact, series_from_moments
 from hplax.lax3 import normalization_grid
 from hplax.measures import MeasureModel, MomentSystem, make_angelesco, make_nikishin
 from hplax.nnrr import field_from_table
@@ -157,12 +159,12 @@ def read_or_error(read, n, m):
         return type(exc)
 
 
-def check_table_reads(system, order, rng):
-    """Read S and P of a fresh (4, 4) table in the given index order,
+def check_table_reads(system, order, rng, window=(4, 4)):
+    """Read S and P of a fresh table of the window in the given index order,
     sometimes P first; every value and every raised error must match
     expected_entry.  Every P pairs to zero with its orthogonality shifts,
     and h1, h2 equal the plain sums or raise past the last moment."""
-    N, M = 4, 4
+    N, M = window
     indices = [(n, m) for n in range(N + 1) for m in range(M + 1)]
     if order == "columns":
         indices.sort(key=lambda nm: (nm[1], nm[0]))
@@ -228,6 +230,53 @@ class TestTableReadsOnRandomSystems:
         check_table_reads(system, order, rng)
 
 
+@st.composite
+def windowed_small_integer_systems(draw):
+    """A window up to (6, 6) and zero-laden small-integer sequences, from
+    half the bordered depth of its far corner to a little more than it."""
+    N, M = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    count = draw(st.integers(N + M, 2 * (N + M) + 2))
+    s1, s2 = (draw(st.lists(small_ints, min_size=count, max_size=count))
+              for _ in range(2))
+    return (N, M), s1, s2
+
+
+# S(0, 1) = 1, S(0, 2) = 0 and S(0, 3) = -1: the shared elimination cannot
+# finish step 1 among the first two s2 rows, so column 2 forks after one step
+PINNED_S1 = [1, 0, 2, -1, 1, 0, 3, 1, -3, 2, 0, 1, 1]
+PINNED_S2 = [1, 1, 1, 2, 3, -1, 0, 2, 1, 0, -3, 1, 2]
+
+
+class TestTableReadsWithForks:
+    """The reads of TestTableReadsOnRandomSystems on windows up to (6, 6) of
+    zero-laden systems, whose zero pivots make the shared s2 elimination
+    exchange rows before, at and after the steps its forks take over."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(windowed_small_integer_systems(), read_orders,
+           st.randoms(use_true_random=False))
+    @example(((3, 3), PINNED_S1, PINNED_S2), "shuffled", random.Random(5))
+    def test_small_integers_up_to_six(self, case, order, rng):
+        window, s1, s2 = case
+        check_table_reads(MomentSystem(s1, s2), order, rng, window)
+
+    @pytest.mark.parametrize("order", ["rows", "columns", "shuffled"])
+    def test_pinned_system_forks_column_two_below_it(self, monkeypatch, order):
+        forks = []
+        original = LeadingMinors.fork
+
+        def recording(self, k, tail):
+            fork = original(self, k, tail)
+            forks.append((k, fork.inherited))
+            return fork
+
+        monkeypatch.setattr(LeadingMinors, "fork", recording)
+        check_table_reads(MomentSystem(PINNED_S1, PINNED_S2), order,
+                          random.Random(5), (3, 3))
+        assert (2, 1) in forks
+        assert all(j <= k for k, j in forks)
+
+
 def record_orders(monkeypatch, name, order):
     """Orders of the grids kernel.<name> is asked for, through any binding."""
     orders = []
@@ -246,6 +295,23 @@ def record_orders(monkeypatch, name, order):
 @pytest.fixture()
 def det_exact_orders(monkeypatch):
     return record_orders(monkeypatch, "det_exact", len)
+
+
+class CountingList(list):
+    """A list that counts the entries its slices hand out."""
+
+    read = 0
+
+    def __getitem__(self, key):
+        entries = super().__getitem__(key)
+        if isinstance(key, slice):
+            self.read += len(entries)
+        return entries
+
+
+def angelesco_31(count):
+    return make_angelesco(MeasureModel.interval(-3, -1),
+                          MeasureModel.interval(1, 2), count)
 
 
 class TestWorkCount:
@@ -308,39 +374,73 @@ class TestWorkCount:
         for key, read in reads.items():
             assert read == expected_entry(system, *key), key
 
+    def test_table_reads_each_s2_entry_once(self, monkeypatch):
+        # the s2 rows 0..7 to column 16, the width of P(8, 8): 8 * 17 = 136;
+        # 528 when every column eliminated its own s2 rows
+        cleared = []
+
+        def counting(values):
+            ints, scale = kernel.cleared(values)
+            cleared.append(CountingList(ints))
+            return cleared[-1], scale
+
+        monkeypatch.setattr(hptable, "cleared", counting)
+        table = HPTable(angelesco_31(36), 8, 8)
+        for n in range(9):
+            for m in range(9):
+                table.s_det(n, m)
+                table.hp_poly_det(n, m)
+        assert cleared[1].read == 136
+
+    @pytest.mark.parametrize("run, before", [
+        (lambda: cross_validate(angelesco_31(28), 6, 6), 1288),
+        (lambda: field_from_moments(angelesco_31(24), 5, 5), 634)])
+    def test_row_entries_read_no_more_than_before(self, monkeypatch, run, before):
+        # before: each column eliminated its own s2 rows and s1 rows
+        read = []
+        original = LeadingMinors._read
+
+        def counting(self, r, start, stop):
+            read.append(stop - start)
+            return original(self, r, start, stop)
+
+        monkeypatch.setattr(LeadingMinors, "_read", counting)
+        run()
+        assert sum(read) <= before
+
 
 class TestRemainder:
     def test_origin_vacuous(self, table_a, system_a):
         f1 = series_from_moments(system_a.s1)
         f2 = series_from_moments(system_a.s2)
-        triple = table_a.hp_remainder(f1, f2, 0, 0)
-        assert triple.q1.is_zero and triple.q2.is_zero
-        assert triple.r1.coeffs == f1.coeffs
+        _, q1, q2, r1, _ = table_a.hp_remainder(f1, f2, 0, 0)
+        assert q1.is_zero and q2.is_zero
+        assert r1.coeffs == f1.coeffs
 
     def test_10_leading_r1(self, table_a, system_a):
         f1 = series_from_moments(system_a.s1)
         f2 = series_from_moments(system_a.s2)
-        triple = table_a.hp_remainder(f1, f2, 1, 0)
-        assert triple.r1.coeff(0) == 0
-        assert triple.r1.coeff(1) == F(1, 12)
+        _, _, _, r1, _ = table_a.hp_remainder(f1, f2, 1, 0)
+        assert r1.coeff(0) == 0
+        assert r1.coeff(1) == F(1, 12)
 
     def test_11_order_condition(self, table_a, system_a):
         f1 = series_from_moments(system_a.s1)
         f2 = series_from_moments(system_a.s2)
-        triple = table_a.hp_remainder(f1, f2, 1, 1)
-        assert triple.r2.coeff(0) == 0
-        assert triple.r1.coeff(0) == 0
+        _, _, _, r1, r2 = table_a.hp_remainder(f1, f2, 1, 1)
+        assert r2.coeff(0) == 0
+        assert r1.coeff(0) == 0
 
     def test_order_condition_window(self, table_a, system_a):
         f1 = series_from_moments(system_a.s1)
         f2 = series_from_moments(system_a.s2)
         for n in range(4):
             for m in range(4):
-                triple = table_a.hp_remainder(f1, f2, n, m)
-                assert all(triple.r1.coeff(t) == 0 for t in range(n))
-                assert all(triple.r2.coeff(t) == 0 for t in range(m))
+                p, _, _, r1, r2 = table_a.hp_remainder(f1, f2, n, m)
+                assert all(r1.coeff(t) == 0 for t in range(n))
+                assert all(r2.coeff(t) == 0 for t in range(m))
                 # defining identity: f_j * P - Q_j = R_j
-                assert triple.p == table_a.hp_poly_det(n, m)
+                assert p == table_a.hp_poly_det(n, m)
 
     def test_truncation_pre(self, table_a):
         f_short = series_from_moments([1, 1, 1])

@@ -162,6 +162,99 @@ class TestLeadingMinors:
                     minors.null_vector(order)
 
 
+def fork_reads(minors, matrix, order):
+    """minor, null_vector and null_tail of order, each checked against
+    det_exact of matrix; the integers as read, for comparison."""
+    det = det_exact([row[:order] for row in matrix[:order]])
+    assert minors.minor(order) == det
+    if det == 0:
+        for read in (minors.null_vector, minors.null_tail):
+            with pytest.raises(DegeneracyError):
+                read(order)
+        return det, None, None
+    ints = minors.null_vector(order)
+    for row in matrix[:order]:
+        assert sum(v * x for v, x in zip(ints, row)) == 0
+    tail = minors.null_tail(order)
+    assert tail == ((ints[-2], ints[-1]) if order else (0, 1))
+    return det, ints, tail
+
+
+def normalized(read):
+    """A fork_reads triple up to the sign its exchanges give the integers."""
+    det, ints, tail = read
+    return det, ints and ratios(ints), tail and F(*tail)
+
+
+# a parent of head rows and tail rows, zero-laden, three columns wider than
+# it is tall; the fork keeps k head rows and all tail rows
+fork_cases = st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 3)).flatmap(
+    lambda sizes: st.tuples(
+        st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]),
+                          min_size=sum(sizes) + 3, max_size=sum(sizes) + 3),
+                 min_size=sum(sizes), max_size=sum(sizes)),
+        st.just(sizes[0]), st.just(sizes[0] + sizes[1])))
+
+
+class TestFork:
+    """A fork of an elimination after j steps reads as a fresh elimination of
+    its own rows, whatever was read of either before or after the fork."""
+
+    def test_exchange_before_the_fork_point(self):
+        # step 0 takes row 1 in; the fork keeps both rows, so it starts
+        # after two steps and inherits the exchange
+        parent = leading_minors_of([[0, 1, 2, 1], [1, 0, 1, 3], [5, 7, 1, 2], [2, 1, 1, 1]])
+        parent.minor(2)
+        fork = parent.fork(2, 3)
+        assert fork.inherited == 2
+        matrix = [[0, 1, 2, 1], [1, 0, 1, 3], [2, 1, 1, 1]]
+        for order in range(4):
+            assert normalized(fork_reads(fork, matrix, order)) == normalized(
+                fork_reads(leading_minors_of(matrix), matrix, order))
+
+    def test_exchange_from_past_the_kept_rows_cuts_the_fork(self):
+        # rows 0 and 1 are zero in column 0, so step 0 takes row 2 in; a
+        # fork that keeps two rows cannot reuse that step and starts at 0
+        parent = leading_minors_of([[0, 1, 1, 1], [0, 2, 1, 1], [3, 1, 0, 1], [1, 1, 1, 1]])
+        parent.minor(3)
+        fork = parent.fork(2, 3)
+        assert fork.inherited == 0
+        matrix = [[0, 1, 1, 1], [0, 2, 1, 1], [1, 1, 1, 1]]
+        for order in range(4):
+            assert normalized(fork_reads(fork, matrix, order)) == normalized(
+                fork_reads(leading_minors_of(matrix), matrix, order))
+
+    def test_fork_of_a_fork_is_refused(self):
+        parent = leading_minors_of([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(DimensionError):
+            parent.fork(1, 1).fork(1, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fork_cases, st.integers(0, 4), st.randoms(use_true_random=False))
+    def test_fork_reads_as_a_fresh_elimination(self, case, warm, rng):
+        matrix, k, tail = case
+        head = matrix[:tail]
+        kept = head[:k] + matrix[tail:]
+        parent = leading_minors_of(matrix)
+        for order in range(min(warm, len(matrix)) + 1):     # exchanges, maybe from >= k
+            fork_reads(parent, matrix, order)
+        fork = parent.fork(k, tail)
+        assert 0 <= fork.inherited <= k
+        requests = ([("fork", order) for order in range(len(kept) + 1)]
+                    + [("parent", order) for order in range(len(matrix) + 1)])
+        rng.shuffle(requests)
+        seen = {}
+        for who, order in requests:
+            minors, rows = (fork, kept) if who == "fork" else (parent, matrix)
+            seen[who, order] = fork_reads(minors, rows, order)
+        # every later step and wider read of either leaves the other's reads
+        for (who, order), read in seen.items():
+            minors, rows = (fork, kept) if who == "fork" else (parent, matrix)
+            assert fork_reads(minors, rows, order) == read
+            assert normalized(read) == normalized(
+                fork_reads(leading_minors_of(rows), rows, order))
+
+
 class TestSolveExact:
     def test_small_system(self):
         sol = solve_exact([[1, 1], [1, -1]], [1, 0])
