@@ -11,6 +11,12 @@ vanishing (c - d) in any needed denominator certifies that the boundary
 data do not come from a perfect system; the partially filled field is kept
 for diagnosis.
 
+The (N, M) rectangle reads only a cone of the triangle of levels up to
+N + M, so only the cone is computed in Fractions.  The other cells are
+needed only to show that their gaps do not vanish, and are swept modulo a
+prime: a nonzero residue proves a nonzero gap.  Any zero, exact or modular,
+reruns the whole triangle exactly, so reports do not depend on the prime.
+
 The independent route recovers the same field from moments through the
 determinant table; the two must agree grid point by grid point, exactly.
 """
@@ -28,6 +34,10 @@ from .lax3 import normalization_grid, zcc_stencil
 from .measures import MomentSystem
 from .nnrr import (KINDS, RecurrenceField, a_value, b_value, c_value, d_value,
                    consistency_residuals, field_from_table)
+
+# the prime of the residue shell (a Mersenne prime); as long as it is prime,
+# reports do not depend on it
+_P = 2 ** 61 - 1
 
 
 @dataclass(frozen=True)
@@ -62,7 +72,12 @@ class BoundaryData:
 @dataclass(frozen=True)
 class SweepReport:
     """Sweep outcome: the field, how many divisions were checked, and the
-    failure location (with reason) when the data turn out non-perfect."""
+    failure location (with reason) when the data turn out non-perfect.
+
+    A division is checked when its divisor, a gap c - d, is shown nonzero:
+    exactly, or in the residue shell by a nonzero residue modulo a prime.
+    A complete sweep checks every division of the triangle to level N + M,
+    a failed one every division up to and including the zero it found."""
 
     field: RecurrenceField
     divisions_checked: int
@@ -112,22 +127,21 @@ def sweep_solve(boundary: BoundaryData, N: int, M: int) -> SweepReport:
     """Fill the four grids over the triangle of levels up to N + M and report
     the (N, M) rectangle.
 
-    Level L is filled in two phases, each walking n = 0..L.  Phase 1 sets
-    a(n, m) = a(n, m-1) gap(n, m-1) / gap(n-1, m-1) and b(n, m) likewise,
-    each one Fraction of the integers of its three operands, and the sum
-    s(n, m) = a + b; the axis entries are boundary data.  Phase 2 crosses
-    each edge from (n, m-1) on level L - 1 once: its quotient
-    q = (s(n+1, m-1) - s(n, m)) / gap(n, m-1) is both c(n, m) - c(n, m-1)
-    and d(n+1, m-1) - d(n, m-1).  Each cell's gap c - d is subtracted once,
-    and kept until the two levels above it have read it; nothing reads the
-    gaps on level N + M, so they are not formed.
+    Only the cone of cells the rectangle reads (``cone_range``) is computed
+    exactly.  The shell, every other cell of the triangle, is swept by the
+    same equations modulo the prime _P, as projective residue pairs
+    (``_Residue``): while no divisor vanishes modulo _P, each residue is the
+    image of the exact value under the ring homomorphism Z_(P) -> F_P, so a
+    nonzero gap residue proves the exact gap nonzero.  A gap that vanishes,
+    exactly or modulo _P, or a denominator that does, sends the call to the
+    full exact sweep, the same loop with every cell in range, whose report
+    keeps every entry filled up to the first zero gap.
 
     divisions_checked counts equation divisions, as if each of a, b, c and
-    d divided on its own: two per interior cell in phase 1, and each q once
-    for c and once for d, 2 (N + M)^2 in a complete sweep.  A gap is tested
-    for zero where c first divides by it; phase 1 and d divide only by gaps
-    that passed that test.  A zero gap stops the sweep, and the report keeps
-    the entries filled so far.
+    d divided on its own: two per interior cell in phase 1, and each
+    quotient once for c and once for d, 2 (N + M)^2 in a complete sweep.  A
+    division is checked when the gap it divides by is shown nonzero: by its
+    exact value in the cone, by its residue in the shell.
     """
     _check_window(N, M)
     lam = N + M
@@ -135,6 +149,47 @@ def sweep_solve(boundary: BoundaryData, N: int, M: int) -> SweepReport:
         raise TruncationError(
             f"window ({N}, {M}) sweeps to level {lam}, boundary only "
             f"supports level {boundary.max_level}")
+    try:
+        report = _sweep(boundary, N, M,
+                        [cone_range(N, M, level) for level in range(lam + 1)])
+    except _ResidueVanished:
+        report = None
+    if report is None or not report.ok:
+        report = _sweep(boundary, N, M, [(0, level) for level in range(lam + 1)])
+    return report
+
+
+def cone_range(N: int, M: int, level: int) -> tuple[int, int]:
+    """The n-range lo..hi of the cells (n, level - n) whose c, d and gap the
+    (N, M) rectangle reads: the rectangle itself, the cells with m > M and
+    2 (m - M) <= N - n, and those with n > N and 2 (n - N) <= M - m.  Its
+    a, b and s reads reach one cell further on each side.  This is the
+    closure of the sweep's reads from the rectangle, level by level."""
+    return max(0, 2 * (level - M) - N), min(level, 2 * N + M - level)
+
+
+def _sweep(boundary: BoundaryData, N: int, M: int,
+           ranges: list[tuple[int, int]]) -> SweepReport:
+    """The level sweep: on level L, c, d and the gap are Fractions on n in
+    ranges[L] = lo..hi, a, b and s on lo - 1..hi + 1, and every other entry
+    is a residue modulo _P.  With ranges[L] = (0, L) it is the exact sweep.
+
+    Level L is filled in two phases, each walking n = 0..L.  Phase 1 sets
+    a(n, m) = a(n, m-1) gap(n, m-1) / gap(n-1, m-1) and b(n, m) likewise,
+    each one Fraction of the integers of its three operands, and the sum
+    s(n, m) = a + b; the axis entries are boundary data.  Phase 2 crosses
+    each edge from (n, m-1) on level L - 1 once: its quotient
+    q = (s(n+1, m-1) - s(n, m)) / gap(n, m-1) is both c(n, m) - c(n, m-1)
+    and d(n+1, m-1) - d(n, m-1), so it is exact when either of those is.
+    Each cell's gap c - d is subtracted once, and kept until the two levels
+    above it have read it; nothing reads the gaps on level N + M, so they
+    are not formed.  A residue entry reduces the Fractions it reads; a
+    Fraction entry reads only Fractions (``cone_range``).  A gap is tested
+    for zero where c first divides by it; phase 1 and d divide only by gaps
+    that passed that test.  A zero gap stops the sweep, and the report keeps
+    the entries filled so far.
+    """
+    lam = N + M
     a: dict[tuple[int, int], Fraction] = {}
     b: dict[tuple[int, int], Fraction] = {}
     c: dict[tuple[int, int], Fraction] = {}
@@ -142,9 +197,10 @@ def sweep_solve(boundary: BoundaryData, N: int, M: int) -> SweepReport:
     divisions = 0
     failure: tuple[tuple[int, int], str] | None = None
     # the level below and the one below it, indexed by n: a and b, and the
-    # gaps, as (numerator, denominator); c and d as Fractions
+    # gaps, as (numerator, denominator); c and d as Fractions or residues
     a_below = b_below = gap_below = gap_two_below = c_below = d_below = []
     for level in range(lam + 1):
+        lo, hi = ranges[level]
         a_here, b_here, s_here = [], [], []
         for n in range(level + 1):                    # phase 1: a, b and s
             m = level - n
@@ -156,13 +212,14 @@ def sweep_solve(boundary: BoundaryData, N: int, M: int) -> SweepReport:
                 s_nm = a_nm
             else:
                 divisions += 2
+                ratio = Fraction if lo - 1 <= n <= hi + 1 else _Residue
                 hn, hd = gap_two_below[n - 1]
                 pn, pd = a_below[n]
                 gn, gd = gap_below[n]
-                a_nm = Fraction(pn * gn * hd, pd * gd * hn)
+                a_nm = ratio(pn * gn * hd, pd * gd * hn)
                 pn, pd = b_below[n - 1]
                 gn, gd = gap_below[n - 1]
-                b_nm = Fraction(pn * gn * hd, pd * gd * hn)
+                b_nm = ratio(pn * gn * hd, pd * gd * hn)
                 s_nm = a_nm + b_nm
             a[(n, m)] = a_nm
             b[(n, m)] = b_nm
@@ -173,6 +230,7 @@ def sweep_solve(boundary: BoundaryData, N: int, M: int) -> SweepReport:
         q = None        # the quotient of the last edge crossed
         for n in range(level + 1):                    # phase 2: c and d
             m = level - n
+            exact = lo <= n <= hi
             if m == 0:
                 c_nm = boundary.c_row[n]
             else:
@@ -181,21 +239,25 @@ def sweep_solve(boundary: BoundaryData, N: int, M: int) -> SweepReport:
                 if gn == 0:
                     failure = ((n, m - 1), f"(c - d) vanishes at {(n, m - 1)}")
                     break
-                bracket = s_here[n + 1] - s_here[n]
-                pn, pd = bracket.as_integer_ratio()
-                q = Fraction(pn * gd, pd * gn)
-                c_nm = c_below[n] + q
+                if lo - 1 <= n <= hi:       # c here or d at n + 1 is exact
+                    pn, pd = (s_here[n + 1] - s_here[n]).as_integer_ratio()
+                    q = Fraction(pn * gd, pd * gn)
+                else:
+                    pn, pd = (_residue(s_here[n + 1]) - s_here[n]).as_integer_ratio()
+                    q = _Residue(pn * gd, pd * gn)
+                c_nm = (c_below[n] if exact else _residue(c_below[n])) + q
             c[(n, m)] = c_nm
             if n == 0:
                 d_nm = boundary.d_col[m]
             else:                       # the edge from (n-1, m), crossed at n - 1
                 divisions += 1
-                d_nm = d_below[n - 1] + q_prev
+                d_nm = (d_below[n - 1] if exact else _residue(d_below[n - 1])) + q_prev
             d[(n, m)] = d_nm
             c_here.append(c_nm)
             d_here.append(d_nm)
             if level < lam:
-                gap_here.append((c_nm - d_nm).as_integer_ratio())
+                gap = (c_nm if exact else _residue(c_nm)) - d_nm
+                gap_here.append(gap.as_integer_ratio())
             q_prev = q
         if failure is not None:
             break
@@ -212,6 +274,41 @@ def sweep_solve(boundary: BoundaryData, N: int, M: int) -> SweepReport:
         return SweepReport(RecurrenceField(grids, (N, M)), divisions)
     partial = RecurrenceField({"a": a, "b": b, "c": c, "d": d}, (N, M))
     return SweepReport(partial, divisions, failure)
+
+
+class _ResidueVanished(ArithmeticError):
+    """A denominator of the shell sweep is zero modulo _P."""
+
+
+class _Residue:
+    """A rational modulo _P as a projective pair (num, den), den nonzero:
+    the image of x in F_P when x lies in Z_(P).  Sums and differences with
+    Fractions or residues are residues; no modular inverse is formed."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int):
+        den %= _P
+        if not den:
+            raise _ResidueVanished
+        self.num = num % _P
+        self.den = den
+
+    def as_integer_ratio(self) -> tuple[int, int]:
+        return self.num, self.den
+
+    def __add__(self, other):
+        on, od = other.as_integer_ratio()
+        return _Residue(self.num * od + on * self.den, self.den * od)
+
+    def __sub__(self, other):
+        on, od = other.as_integer_ratio()
+        return _Residue(self.num * od - on * self.den, self.den * od)
+
+
+def _residue(x) -> _Residue:
+    """x modulo _P: a Fraction reduced, a residue as it is."""
+    return x if type(x) is _Residue else _Residue(x.numerator, x.denominator)
 
 
 def _check_window(N: int, M: int) -> None:

@@ -137,8 +137,7 @@ class HPTable:
         """Monic table polynomial via the bordered determinant, memoized."""
         key = (n, m)
         if key not in self._p:
-            ints = self._p_column(n, m).null_vector(n + m)
-            poly = Poly(Fraction(v, ints[-1]) for v in ints)
+            poly = Poly.monic(self._p_column(n, m).null_vector(n + m))
             if poly.degree != n + m or not poly.is_monic:
                 raise IntegrityError(f"bordered determinant at ({n}, {m}) "
                                      f"is not monic of degree {n + m}")

@@ -55,6 +55,15 @@ class Poly:
     def of(*coeffs: Ratlike) -> "Poly":
         return Poly(coeffs)
 
+    @staticmethod
+    def monic(ints: Sequence[int]) -> "Poly":
+        """The polynomial sum ints[i] / ints[-1] x^i, ints[-1] nonzero: its
+        coefficients are built once, already exact and trimmed."""
+        lead = ints[-1]
+        poly = object.__new__(Poly)
+        object.__setattr__(poly, "coeffs", tuple(Fraction(v, lead) for v in ints))
+        return poly
+
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

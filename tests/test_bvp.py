@@ -145,9 +145,11 @@ class TestSweepSolve:
                         assert got == reference_field.value(kind, n, m), (kind, n, m)
 
     def test_fraction_operations_per_cell(self, boundary_a, monkeypatch):
-        # each interior cell adds a + b once; each edge from level L - 1
-        # subtracts one bracket, and its quotient is one Fraction added to
-        # c and to d; each cell below level N + M subtracts its gap once.
+        # Fractions serve the cone only: each exact interior cell adds a + b
+        # once; each edge whose quotient is exact subtracts one bracket, and
+        # the quotient is one Fraction added to each exact c and d; each
+        # exact cell below level N + M subtracts its gap once.  Sweeping the
+        # whole triangle exactly took 100 additions and 72 subtractions.
         # No product or quotient of Fractions is formed.
         counts = dict.fromkeys(("__add__", "__sub__", "__mul__", "__truediv__"), 0)
         for name in counts:
@@ -158,12 +160,7 @@ class TestSweepSolve:
         report = sweep_solve(boundary_a, 4, 4)
         monkeypatch.undo()
         assert report.ok and report.divisions_checked == 2 * 8 ** 2
-        interior = sum(level - 1 for level in range(2, 9))
-        edges = sum(level for level in range(1, 9))
-        below_top = sum(level + 1 for level in range(8))
-        assert counts == {"__add__": interior + 2 * edges,
-                          "__sub__": edges + below_top,
-                          "__mul__": 0, "__truediv__": 0}
+        assert counts == {"__add__": 76, "__sub__": 60, "__mul__": 0, "__truediv__": 0}
 
     @pytest.mark.parametrize("N, M", [(-1, 2), (2, -1), (-3, -3)])
     def test_negative_window_rejected(self, system_a, boundary_a, N, M):
@@ -463,3 +460,127 @@ class TestSweepParity:
                     except WindowError:
                         got = None
                     assert got == grids[kind].get((n, level - n)), (kind, n, level - n)
+
+
+def meets_the_equations(boundary, N, M):
+    """Assert that ``sweep_solve`` reports what ``equation_sweep`` fills:
+    the same failure, division count and entries, filled or absent."""
+    report = sweep_solve(boundary, N, M)
+    grids, divisions, failure = equation_sweep(boundary, N, M)
+    assert report.failure == failure
+    assert report.divisions_checked == divisions
+    if failure is None:
+        grids = {kind: {(n, m): grid[(n, m)] for n in range(N + 1)
+                        for m in range(M + 1)}
+                 for kind, grid in grids.items()}
+    for kind in KINDS:
+        for level in range(N + M + 2):
+            for n in range(level + 1):
+                try:
+                    got = report.field.value(kind, n, level - n)
+                except WindowError:
+                    got = None
+                assert got == grids[kind].get((n, level - n)), (kind, n, level - n)
+    return report
+
+
+def read_closure(N, M):
+    """Every (kind, n, m) that the (N, M) rectangle of a, b, c and d reads,
+    by the sweep's equations one read at a time; kind s is a + b and g the
+    gap c - d."""
+    def reads(kind, n, m):
+        if kind == "a":
+            return [("a", n, m - 1), ("g", n, m - 1), ("g", n - 1, m - 1)] if n and m else []
+        if kind == "b":
+            return [("b", n - 1, m), ("g", n - 1, m), ("g", n - 1, m - 1)] if n and m else []
+        if kind == "s":
+            return [("a", n, m), ("b", n, m)]
+        if kind == "c":
+            return [("c", n, m - 1), ("s", n + 1, m - 1), ("s", n, m), ("g", n, m - 1)] if m else []
+        if kind == "d":
+            return [("d", n - 1, m), ("s", n, m), ("s", n - 1, m + 1), ("g", n - 1, m)] if n else []
+        return [("c", n, m), ("d", n, m)]
+
+    todo = [(kind, n, m) for kind in "abcd" for n in range(N + 1) for m in range(M + 1)]
+    seen = set(todo)
+    while todo:
+        for read in reads(*todo.pop()):
+            if read not in seen:
+                seen.add(read)
+                todo.append(read)
+    return seen
+
+
+def exact_cells(N, M):
+    """Cells of the triangle with an exact entry: a, b and s reach one cell
+    past the cone on each side."""
+    total = 0
+    for level in range(N + M + 1):
+        lo, hi = bvp.cone_range(N, M, level)
+        total += min(level, hi + 1) - max(0, lo - 1) + 1
+    return total
+
+
+# gap(1, 0) = c(1, 0) - d(0, 0) - (a(1, 0) - b(0, 1)) / gap(0, 0) = 0 with
+# gap(0, 1) = -3: the zero lies in the (0, 2) cone, but c(1, 1), the one
+# cell that divides by it, does not
+ZERO_GAP_IN_CONE = BoundaryData(c_row=(1, -1, 0), a_row=(1, 1),
+                                d_col=(0, 3, 0), b_col=(2, 1))
+
+
+class TestCone:
+    """The exact cone and the residue shell of ``sweep_solve``."""
+
+    @pytest.mark.parametrize("N", range(13))
+    def test_ranges_are_the_read_closure(self, N):
+        # c, d and the gap on cone_range, a, b and s one cell wider: exactly
+        # the cells the rectangle reads, level by level
+        for M in range(13):
+            seen = read_closure(N, M)
+            for level in range(N + M + 1):
+                lo, hi = bvp.cone_range(N, M, level)
+                for kinds, want in (("cdg", range(lo, hi + 1)),
+                                    ("abs", range(max(0, lo - 1), min(level, hi + 1) + 1))):
+                    got = {n for kind, n, m in seen if kind in kinds and n + m == level}
+                    assert got == set(want), (N, M, level, kinds)
+
+    @pytest.mark.parametrize("window, count", [((16, 16), 433), ((12, 20), 425),
+                                               ((20, 12), 425), ((10, 10), 181)])
+    def test_exact_cell_count(self, window, count):
+        # of 561 cells to level 32, and 231 to level 20
+        assert exact_cells(*window) == count
+
+    @pytest.mark.parametrize("prime", [2, 3, 5])
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=planted_boundaries())
+    def test_small_prime_meets_the_equations(self, prime, drawn):
+        # residue zeros are common modulo a small prime: every one of them
+        # sends the call to the full exact sweep, and every nonzero residue
+        # still proves its gap nonzero
+        boundary, N, M = drawn
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bvp, "_P", prime)
+            meets_the_equations(boundary, N, M)
+
+    def test_zero_gap_read_only_by_the_shell(self):
+        report = meets_the_equations(ZERO_GAP_IN_CONE, 0, 2)
+        assert report.failure == ((1, 0), "(c - d) vanishes at (1, 0)")
+        assert report.divisions_checked == 6
+
+    def test_gap_divisible_by_the_prime(self, monkeypatch):
+        # gap(1, 0) = _P: nonzero, but its residue vanishes where the shell
+        # divides by it, so the full exact sweep runs and completes
+        c_row = list(ZERO_GAP_IN_CONE.c_row)
+        c_row[1] += bvp._P
+        boundary = BoundaryData(c_row, ZERO_GAP_IN_CONE.a_row,
+                                ZERO_GAP_IN_CONE.d_col, ZERO_GAP_IN_CONE.b_col)
+        ranges = []
+        sweep = bvp._sweep
+
+        def recording(boundary, N, M, levels):
+            ranges.append(levels)
+            return sweep(boundary, N, M, levels)
+
+        monkeypatch.setattr(bvp, "_sweep", recording)
+        assert meets_the_equations(boundary, 0, 2).ok
+        assert ranges == [[(0, 0), (0, 1), (0, 0)], [(0, 0), (0, 1), (0, 2)]]

@@ -585,6 +585,51 @@ def test_pinned_cli_bytes(tmp_path, capsys, case):
     assert run_pinned(tmp_path, capsys, *case) == PINNED_CLI[case]
 
 
+def pinned_boundary(window, plant):
+    """J-fraction rows of the pinned Angelesco system to level N + M; with
+    plant = k, c_row[k] is d(k, 0) of the moment route, so the gap (k, 0)
+    vanishes and the sweep must exit 4 there."""
+    system = PINNED_SYSTEMS["angelesco"]()
+    lam = sum(window)
+    j1 = moments_to_jfraction(list(system.s1), lam + 1)
+    j2 = moments_to_jfraction(list(system.s2), lam + 1)
+    c_row = list(j1.c)
+    if plant is not None:
+        c_row[plant] = field_from_moments(system, plant, 0).d(plant, 0)
+    return BoundaryData(c_row, j1.a, j2.c, j2.a)
+
+
+# (window, planted k) -> (exit code, sha256 of stdout, sha256 of stderr); the
+# plant at (5, 0) of window (3, 3) lies outside the cells the output reads
+BVP_PINNED = {
+    ((4, 4), None): (0,
+        '157dc01f935a2447c49a9605dddffa2d5eb24806f21aaa3cee578b91a993ad1e',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ((1, 5), None): (0,
+        '9ea6cafcfaf589963401966c42fbba6e8c0f35e863c323fb51033aba4ffe0288',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ((5, 1), None): (0,
+        '2cbfa6601c35a5a8128668b07765f430617e7e1cf7fc4b62cee18bf1aac2ae80',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ((3, 3), 5): (4,
+        'e73ec3034652738000538f4f256d14d8e67884ec43490a64d5121f63442be3a9',
+        '927d89023d9365da3349c1f77b6db897644c6e751adad6af7c4acc27f244ba3e'),
+}
+
+
+@pytest.mark.parametrize("case", list(BVP_PINNED),
+                         ids=[f"{w[0]}-{w[1]}-plant{k}" for w, k in BVP_PINNED])
+def test_pinned_solve_bvp_bytes(tmp_path, capsys, case):
+    window, plant = case
+    path = write_json(tmp_path / "in.json",
+                      jsondoc.boundary_to_doc(pinned_boundary(window, plant)))
+    capsys.readouterr()
+    code = main(["solve-bvp", "--in", path, "--window", *map(str, window)])
+    out, err = capsys.readouterr()
+    assert (code, hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256(err.encode()).hexdigest()) == BVP_PINNED[case]
+
+
 QD_PINNED = [case for case in PINNED_CLI if case[1] == "qd"]
 
 

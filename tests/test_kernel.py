@@ -302,6 +302,13 @@ class TestPoly:
         assert (p - p).is_zero
         assert (F(3) * Poly.of(1, 1)).coeffs == (3, 3)
 
+    @pytest.mark.parametrize("ints", [[1], [0, -3], [4, 0, -6, 2], [-6, 4, 0, -3]])
+    def test_monic_equals_the_coerced_quotient(self, ints):
+        p = Poly.monic(ints)
+        assert p == Poly(tuple(F(v, ints[-1]) for v in ints))
+        assert p.is_monic and p.degree == len(ints) - 1
+        assert all(type(c) is F for c in p.coeffs)
+
     @settings(max_examples=80, deadline=None)
     @given(st.lists(rationals, max_size=5), st.lists(rationals, max_size=5),
            st.lists(rationals, max_size=5))

@@ -6,7 +6,8 @@ each public module-level function or class has a user: some code in
 src/hplax or tests/ outside its own definition and the `__init__` re-exports.
 Every name the benchmark wraps (perfbench/spans.py) still exists.  No module
 touches the private internals of ``fractions.Fraction``, which differ between
-the Python versions the package supports.
+the Python versions the package supports, and none reads the environment:
+behaviour is set by the arguments of a call alone.
 """
 
 import ast
@@ -65,6 +66,21 @@ def test_no_private_fraction_internals():
                 offences.append(f"{name} reads {node.attr} (line {node.lineno})")
             if isinstance(node, ast.keyword) and node.arg == "_normalize":
                 offences.append(f"{name} passes _normalize= (line {node.lineno})")
+    assert offences == []
+
+
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    offences = []
+    for name, tree in modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS:
+                offences.append(f"{name} reads .{node.attr} (line {node.lineno})")
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                offences += [f"{name} imports {alias.name} (line {node.lineno})"
+                             for alias in node.names if alias.name in ENVIRONMENT_READS]
     assert offences == []
 
 
