@@ -15,7 +15,8 @@ The (N, M) rectangle reads only a cone of the triangle of levels up to
 N + M, so only the cone is computed in Fractions.  The other cells are
 needed only to show that their gaps do not vanish, and are swept modulo a
 prime: a nonzero residue proves a nonzero gap.  Any zero, exact or modular,
-reruns the whole triangle exactly, so reports do not depend on the prime.
+reruns the whole triangle exactly, unless every level up to it was exact
+already, so reports do not depend on the prime.
 
 The independent route recovers the same field from moments through the
 determinant table; the two must agree grid point by grid point, exactly.
@@ -135,7 +136,10 @@ def sweep_solve(boundary: BoundaryData, N: int, M: int) -> SweepReport:
     nonzero gap residue proves the exact gap nonzero.  A gap that vanishes,
     exactly or modulo _P, or a denominator that does, sends the call to the
     full exact sweep, the same loop with every cell in range, whose report
-    keeps every entry filled up to the first zero gap.
+    keeps every entry filled up to the first zero gap.  There is one
+    exception: a zero gap divided by on a level whose range is full.  Full
+    ranges are a prefix of the levels, so that run was already the exact
+    sweep, entry for entry.
 
     divisions_checked counts equation divisions, as if each of a, b, c and
     d divided on its own: two per interior cell in phase 1, and each
@@ -149,13 +153,16 @@ def sweep_solve(boundary: BoundaryData, N: int, M: int) -> SweepReport:
         raise TruncationError(
             f"window ({N}, {M}) sweeps to level {lam}, boundary only "
             f"supports level {boundary.max_level}")
+    exact = [(0, level) for level in range(lam + 1)]
+    ranges = [cone_range(N, M, level) for level in range(lam + 1)]
     try:
-        report = _sweep(boundary, N, M,
-                        [cone_range(N, M, level) for level in range(lam + 1)])
+        report = _sweep(boundary, N, M, ranges)
     except _ResidueVanished:
-        report = None
-    if report is None or not report.ok:
-        report = _sweep(boundary, N, M, [(0, level) for level in range(lam + 1)])
+        return _sweep(boundary, N, M, exact)
+    if not report.ok:
+        level = sum(report.failure[0]) + 1      # the level that divides by the zero
+        if ranges[level] != exact[level]:
+            report = _sweep(boundary, N, M, exact)
     return report
 
 
@@ -365,24 +372,26 @@ class CrossValidation:
 def cross_validate(system: MomentSystem, N: int, M: int) -> CrossValidation:
     """Moment route vs sweep route, plus the residual batteries.
 
-    Builds the reference field, reads its boundary to level N + M (the table
-    supplies the axis rows beyond the rectangle), sweeps, and asserts exact
-    equality of all four grids; then checks consistency residuals and
-    orthogonality over the window and the zero-curvature residual at each of
-    its N x M stencils (n < N, m < M).  Any mismatch raises with the first
-    differing index; a sweep stopped by a zero gap (n, m) where S(n+1, m+1)
-    vanishes (by the converse theorem, the first zero minor in level order)
-    is not normal.
+    Builds the reference field from an (N + 1, M + 1) table and reads the
+    boundary to level N + M off the axes of a second, (N + M + 1)-square
+    table, of which only the shared elimination and column 0 are built
+    unless the sweep fails; so no elimination is wider than its own table's
+    reads.  Sweeps, and asserts exact equality of all four grids; then
+    checks consistency residuals and orthogonality over the window and the
+    zero-curvature residual at each of its N x M stencils (n < N, m < M).
+    Any mismatch raises with the first differing index; a sweep stopped by
+    a zero gap (n, m) where S(n+1, m+1) vanishes (by the converse theorem,
+    the first zero minor in level order) is not normal.
     """
     _check_window(N, M)
     lam = N + M
-    table = HPTable(system, lam + 1, lam + 1)
+    table, axes = HPTable(system, N + 1, M + 1), HPTable(system, lam + 1, lam + 1)
     reference = field_from_table(table, N, M)
-    boundary = boundary_from_table(table, lam)
+    boundary = boundary_from_table(axes, lam)
     report = sweep_solve(boundary, N, M)
     if not report.ok:
         (n, m), reason = report.failure
-        if table.minor(n + 1, m + 1) == 0:
+        if axes.minor(n + 1, m + 1) == 0:
             raise NotNormalError(n + 1, m + 1)
         raise IntegrityError(f"sweep failed on data from a normal window: {reason}")
     equal, diff = report.field.same_grids(reference)

@@ -27,8 +27,9 @@ class QdField:
 
     The moments are cleared of denominators once (D s_j, D their lcm), and
     D^n H(n, k) is the leading minor of order n of one fraction-free
-    elimination (``kernel.LeadingMinors``) of the Hankel rows at shift k,
-    extended only as deep as a call needs.  V and W are each one Fraction of
+    elimination (``kernel.LeadingMinors``) of the Hankel rows at shift k, as
+    wide as the deepest block the moments hold at that shift and extended
+    only as deep as a call needs.  V and W are each one Fraction of
     five such minors, whose powers of D cancel.  Every stored V and W passed
     the nonvanishing-denominator check when it was first computed, and each
     (V, W) is built once.
@@ -49,9 +50,8 @@ class QdField:
         if n == 0:
             return 1
         if k not in self._shifts:
-            ints = self._ints
-            self._shifts[k] = LeadingMinors(
-                lambda r, start, stop: ints[k + r + start:k + r + stop])
+            ints, width = self._ints, (len(self._ints) - k + 1) // 2
+            self._shifts[k] = LeadingMinors(lambda r: ints[k + r:k + r + width], width)
         return self._shifts[k].minor(n)
 
     def hankel(self, n: int, k: int) -> Fraction:

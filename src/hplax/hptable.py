@@ -7,22 +7,23 @@ must agree exactly at every normal index; they are each other's oracle.
 The bordered-determinant route clears each moment sequence of denominators
 once per table, D_j s_j, over the prefix its window can reach.  Column m of
 the table is a fraction-free elimination with row exchanges
-(``kernel.LeadingMinors``) of the rows [s2 shifts 0..m-1, s1 shifts 0..], with
-one column per power of x; its leading minor of order n + m is
-(-1)^(nm) D1^n D2^m S(n, m), zero pivots included (``minor``), and it is
-extended only as deep as a call needs.  Every column forks from one shared
-elimination of [s2 shifts 0..max_m-1, s1 shifts 0..] after the steps its
-first m rows allow, so the table eliminates the s2 Hankel block once and
-reduces each s1 row by each of those steps once (``LeadingMinors.fork``).
-The reads at n = 0, whose leading minors are the s2 block's, go to the
-shared elimination itself.  P(n, m) is the monic null vector of the leading
-n + m rows, read by back substitution on the first ``hp_poly_det`` call.
+(``kernel.LeadingMinors``) of the rows [s2 shifts 0..m-1, s1 shifts 0..],
+one column per power of x up to x^(max_n + m), the degree of the column's
+deepest P.  Its leading minor of order n + m is (-1)^(nm) D1^n D2^m S(n, m),
+zero pivots included (``minor``), and it is extended only as deep as a call
+needs.  Every column forks from one shared elimination of
+[s2 shifts 0..max_m-1, s1 shifts 0..], max_n + max_m + 1 columns wide, after
+the steps its first m rows allow, so the table eliminates the s2 Hankel
+block once and reduces each s1 row by each of those steps once
+(``LeadingMinors.fork``).  The reads at n = 0, whose leading minors are the
+s2 block's, go to the shared elimination itself.  P(n, m) is the monic null
+vector of the leading n + m rows, read by back substitution once per index.
 The subleading coefficient of P(n, m), all that the recurrence field needs
 of it, is one entry of the pivot row at position n + m - 1 over that row's
 pivot (``subleading``), so the field forms no polynomial.
 
 The pairings L_j[x^t P(n, m)] (orthogonality and the normalisations) pair
-the integer null vector v of index (n, m), memoized per index, with the
+the integer null vector v of index (n, m), the one P is built from, with the
 cleared moments: dot(v, D_j s_j[t:]) / (v_k D_j), k = n + m.  So they form
 no polynomial either, and a pairing that vanishes costs no gcd.
 """
@@ -61,13 +62,16 @@ class HPTable:
         self._c2, self._d2 = cleared(moments.s2[:max_n + 2 * max_m + 1])
         # the shared elimination's rows: [D2 s2 shifts 0..max_m-1, D1 s1 shifts 0..]
         c1, c2 = self._c1, self._c2
+        width = max_n + max_m + 1
 
-        def row(r: int, start: int, stop: int) -> list[int]:
-            if r < max_m:
-                return c2[r + start:r + stop]
-            return c1[r - max_m + start:r - max_m + stop]
+        def row(r: int) -> list[int]:
+            # zeros past the cleared moments: column t of a reduced row depends
+            # only on columns <= t, so no read that passes _check_depth sees them
+            seq, shift = (c2, r) if r < max_m else (c1, r - max_m)
+            entries = seq[shift:shift + width]
+            return entries + [0] * (width - len(entries))
 
-        self._shared = LeadingMinors(row)
+        self._shared = LeadingMinors(row, width)
         self._columns: dict[int, LeadingMinors] = {}
 
     # -- bookkeeping ------------------------------------------------------
@@ -86,11 +90,12 @@ class HPTable:
                 f"{need2} of the second, have {self.moments.count}")
 
     def _column(self, m: int) -> LeadingMinors:
-        """Elimination of the rows [D2 s2 shifts 0..m-1, D1 s1 shifts 0..]:
-        the shared one's first m rows and its s1 rows, forked from it after
-        the steps it finishes among those m rows, on the first read at n >= 1."""
+        """Elimination of the rows [D2 s2 shifts 0..m-1, D1 s1 shifts 0..],
+        max_n + m + 1 columns wide: the shared one's first m rows and its s1
+        rows, forked from it after the steps it finishes among those m rows,
+        on the first read at n >= 1."""
         if m not in self._columns:
-            self._columns[m] = self._shared.fork(m, self.max_m)
+            self._columns[m] = self._shared.fork(m, self.max_m, self.max_n + m + 1)
         return self._columns[m]
 
     def _holder(self, n: int, m: int) -> LeadingMinors:
@@ -137,12 +142,21 @@ class HPTable:
         """Monic table polynomial via the bordered determinant, memoized."""
         key = (n, m)
         if key not in self._p:
-            poly = Poly.monic(self._p_column(n, m).null_vector(n + m))
+            poly = Poly.monic(self._null_vector(n, m))
             if poly.degree != n + m or not poly.is_monic:
                 raise IntegrityError(f"bordered determinant at ({n}, {m}) "
                                      f"is not monic of degree {n + m}")
             self._p[key] = poly
         return self._p[key]
+
+    def _null_vector(self, n: int, m: int) -> list[int]:
+        """The integer null vector v_0 .. v_k, k = n + m, of the column
+        elimination that holds P(n, m) = v / v_k, memoized per index, after
+        the checks of ``_p_column``."""
+        key = (n, m)
+        if key not in self._p_ints:
+            self._p_ints[key] = self._p_column(n, m).null_vector(n + m)
+        return self._p_ints[key]
 
     def subleading(self, n: int, m: int) -> tuple[int, int]:
         """Integers (u, w) with u/w the coefficient of x^(n+m-1) in P(n, m),
@@ -203,16 +217,12 @@ class HPTable:
         """L_which[x^t P(n, m)] for each t in shifts, after the checks of
         ``_p_column``.
 
-        P(n, m) is v / v_k for the integer null vector v_0 .. v_k, k = n + m,
-        of its column elimination, memoized per index; each pairing is one
-        integer dot product of v with the cleared moments over v_k D_which,
-        a Fraction only where it does not vanish.  It raises instead of
-        reading past the last moment.
+        P(n, m) is v / v_k for the integer null vector v (``_null_vector``);
+        each pairing is one integer dot product of v with the cleared moments
+        over v_k D_which, a Fraction only where it does not vanish.  It
+        raises instead of reading past the last moment.
         """
-        key = (n, m)
-        if key not in self._p_ints:
-            self._p_ints[key] = self._p_column(n, m).null_vector(n + m)
-        v = self._p_ints[key]
+        v = self._null_vector(n, m)
         seq, scale = (self._c1, self._d1) if which == 1 else (self._c2, self._d2)
         scale *= v[-1]
         out = []

@@ -4,7 +4,7 @@ Scalars are arbitrary-precision rationals (``fractions.Fraction``).  On top
 of them sit dense polynomials, truncated Laurent tails at infinity, and small
 square matrices of polynomials.  Every value is immutable after construction
 and safe to share between tasks, except a ``LeadingMinors`` elimination, which
-grows in place as deeper minors are read.
+grows in place, in depth only, as deeper minors are read.
 """
 
 from __future__ import annotations
@@ -336,17 +336,18 @@ def settle(pair: tuple[int, int]) -> Fraction:
 
 
 class LeadingMinors:
-    """Leading principal minors of an integer matrix, by fraction-free
-    (Bareiss) elimination with row exchanges, extended on demand.
+    """Leading principal minors of an integer matrix of ``width`` columns,
+    by fraction-free (Bareiss) elimination with row exchanges, extended in
+    depth on demand.
 
-    ``row(r, start, stop)`` reads the entries of row r in columns start to
-    stop - 1.  Step c fixes the row at position c as its pivot row and
-    divides by the pivot of step c - 1; every division is exact.  A stored
-    row at position i has gone through min(i, steps) steps and keeps its
-    multipliers row[c], c < i, where a one-shot elimination would zero them,
-    so a wider read replays its steps on the new columns (re-read through
-    the original index of the row at that position).  At a zero pivot, step
-    c exchanges in the first row at positions c + 1 .. k - 1 with a nonzero
+    ``row(r)`` gives row r, of which the first width entries are read, once,
+    when a step first needs the row; a shorter row raises.  Minors reach
+    order width, null vectors order width - 1.  Step c fixes the row at
+    position c as its pivot row and divides by the pivot of step c - 1;
+    every division is exact (``_step``).  A stored row at position i has
+    gone through min(i, steps) steps and keeps its multipliers row[c], c < i,
+    where a one-shot elimination would zero them.  At a zero pivot, step c
+    exchanges in the first row at positions c + 1 .. k - 1 with a nonzero
     entry in column c, k the order asked for; no row past k - 1 is read.
     When there is none the elimination stops, and a deeper request searches
     again.  The leading k x k minor is 0 when fewer than k steps finish or an
@@ -354,101 +355,64 @@ class LeadingMinors:
     c .. k - 1 are then zero in column c); otherwise it is the pivot of step
     k - 1, negated once per exchange at a step below k.
 
-    ``fork(k, tail)`` eliminates the matrix of this one's rows 0 .. k - 1,
-    tail, tail + 1, .., starting from this one's state after its first j
-    steps: those it finishes among its first k rows, cut before the first
-    exchange that brought in a row from a position >= k.  The fork takes
-    over the pivots and exchanges of those steps (``inherited`` counts
-    them); their pivot rows stay with the parent, which widens them when
-    the fork reads wider, so no entry of them is read twice.  Each row
-    tail + i the fork reaches comes from the parent as it stands after the
-    j steps (``_level``), and the fork runs only its own steps on it.  The
-    parent keeps such a row after every step count a fork asked for, so
-    forks at different j reduce it once, and never steps it further.  A
-    wider read of a fork's own row re-reads it and replays every step.
-    Neither holds a row list of the other, and neither's later steps,
-    exchanges or reads change the other's minors.  A fork is not forked.
+    ``fork(k, tail, width)`` eliminates the matrix of this one's rows
+    0 .. k - 1, tail, tail + 1, .., at a width no wider than this one's,
+    starting from this one's state after its first j steps: those it
+    finishes among its first k rows, cut before the first exchange that
+    brought in a row from a position >= k.  The fork takes over the pivots,
+    pivot rows and exchanges of those steps (``inherited`` counts them).
+    Each row tail + i the fork reaches comes from the parent as it stands
+    after the j steps (``_level``), cut to the fork's width, and the fork
+    runs only its own steps on it.  The parent keeps such a row after every
+    step count a fork asked for, so forks at different j reduce it once, and
+    never steps it further.  Neither's later steps, exchanges or reads change
+    the other's minors.  A fork is not forked.
     """
 
-    def __init__(self, row: Callable[[int, int, int], Sequence[int]]):
+    def __init__(self, row: Callable[[int], Sequence[int]], width: int):
         self._row = row
-        # a fork's parent, its j, k and tail, and its order after j steps
-        self._parent: tuple[LeadingMinors, int, int, int, list[int]] | None = None
+        self.width = width
+        # a fork's parent, its k and tail, and its order after its inherited steps
+        self._parent: tuple[LeadingMinors, int, int, list[int]] | None = None
         self.inherited = 0                          # steps taken over at a fork
-        self._rows: list[list[int]] = []            # by position; [] if inherited
-        self._origin: list[int] = []                # original index at each position
+        self._rows: list[list[int]] = []            # by position
         self._pivots: list[int] = []                # rows[c][c] of each finished step
         self._swaps: list[tuple[int, int]] = []     # (c, r): step c took position r
-        self._width = 0                             # columns of every row but wider pivot rows
         self._levels: dict[int, list[list[int]]] = {}   # row -> it after 0, 1, .. steps
 
-    def _read(self, r: int, start: int, stop: int) -> list[int]:
-        entries = list(self._row(r, start, stop))
-        if len(entries) != stop - start:
-            raise DimensionError(f"row {r} has no columns {start}..{stop - 1}")
+    def _read(self, r: int) -> list[int]:
+        entries = list(self._row(r)[:self.width])
+        if len(entries) != self.width:
+            raise DimensionError(f"row {r} has fewer than {self.width} columns")
         return entries
 
-    def _inherited_rows(self, width: int) -> list[list[int]]:
-        """A fork's inherited pivot rows as its parent holds them, reaching
-        column width - 1; none for an elimination that is no fork."""
-        if self._parent is None:
-            return []
-        parent, j = self._parent[:2]
-        parent._widen(width, j)
-        return parent._rows[:j]
+    @staticmethod
+    def _step(row: list[int], top: list[int], c: int, pivot: int, prev: int) -> None:
+        """Step c on a row below its pivot row top, in place: each entry x
+        past column c becomes (x pivot - row[c] top[t]) / prev, exactly, prev
+        the pivot of step c - 1 (1 at c = 0)."""
+        lead = row[c]
+        row[c + 1:] = [(x * pivot - lead * t) // prev
+                       for x, t in zip(row[c + 1:], top[c + 1:])]
 
-    def _widen(self, width: int, upto: int | None = None) -> None:
-        """Extend the rows at positions below upto, all rows by default, to
-        width columns, one column at a time.  Only pivot rows are ever
-        extended alone, so no row is wider than a row above it."""
-        if width <= self._width or upto is not None and (
-                not upto or len(self._rows[upto - 1]) >= width):
-            return
-        base, pivots = self.inherited, self._pivots
-        prevs = [1] + pivots
-        heads = self._inherited_rows(width)
-        rows = self._rows[base:upto]
-        haves = [len(row) for row in rows]
-        fresh = [self._read(r, have, width) if have < width else []
-                 for r, have in zip(self._origin[base:], haves)]
-        for t in range(haves[-1] if rows else width, width):
-            col = [head[t] for head in heads]       # column t of the rows above
-            for row, have, new in zip(rows, haves, fresh):
-                if t < have:
-                    x = row[t]
-                else:
-                    x = new[t - have]
-                    for pivot, prev, lead, top in zip(pivots, prevs, row, col):
-                        x = (x * pivot - lead * top) // prev
-                    row.append(x)
-                col.append(x)
-        if upto is None:
-            self._width = width
-
-    def _at(self, r: int) -> list[int]:
-        """The row at position r, reading and reducing the rows up to it."""
-        rows, pivots, base = self._rows, self._pivots, self.inherited
-        while len(rows) <= r:
-            i = origin = len(rows)
-            first, row = 0, None    # the first step the row has not gone through
+    def _at(self, i: int) -> list[int]:
+        """The row at position i, reading and reducing the rows up to it."""
+        rows, pivots = self._rows, self._pivots
+        while len(rows) <= i:
+            origin, first, row = len(rows), 0, None     # first: its first step
             if self._parent:
-                parent, j, k, tail, order = self._parent
-                if i < k:
-                    origin = order[i]
+                parent, k, tail, order = self._parent
+                if origin < k:
+                    origin = order[origin]
                 else:
-                    origin, first = tail + i - k, j
-                    row = parent._level(origin, j, self._width)
+                    origin, first = tail + origin - k, self.inherited
+                    row = parent._level(origin, first)[:self.width]
             if row is None:
-                row = self._read(origin, 0, self._width)
-            tops = self._inherited_rows(self._width) + rows[base:] if first < base else rows
+                row = self._read(origin)
             for c in range(first, len(pivots)):
-                top, prev, lead = tops[c], pivots[c - 1] if c else 1, row[c]
-                pivot = pivots[c]
-                row[c + 1:] = [(x * pivot - lead * t) // prev
-                               for x, t in zip(row[c + 1:], top[c + 1:])]
-            self._origin.append(origin)
+                self._step(row, rows[c], c, pivots[c], pivots[c - 1] if c else 1)
             rows.append(row)
-        return rows[r]
+        return rows[i]
 
     def _reach(self, k: int) -> int:
         """Finish the steps below k, exchanging rows only among positions
@@ -460,25 +424,20 @@ class LeadingMinors:
                 break
             if r != c:
                 rows[c], rows[r] = rows[r], rows[c]
-                self._origin[c], self._origin[r] = self._origin[r], self._origin[c]
                 self._swaps.append((c, r))
             top, prev = rows[c], pivots[-1] if pivots else 1
-            pivot = top[c]
             for row in rows[c + 1:]:
-                lead = row[c]
-                row[c + 1:] = [(x * pivot - lead * t) // prev
-                               for x, t in zip(row[c + 1:], top[c + 1:])]
-            pivots.append(pivot)
+                self._step(row, top, c, top[c], prev)
+            pivots.append(top[c])
         return len(pivots)
 
     def minor(self, k: int) -> int:
-        """The leading k x k minor; a negative order raises, here and in
-        ``null_vector`` and ``null_tail``, which read this minor first."""
-        if k < 0:
-            raise DimensionError(f"no leading minor of negative order {k}")
+        """The leading k x k minor, 0 <= k <= width; any other order raises,
+        here and in ``null_vector`` and ``null_tail``."""
+        if not 0 <= k <= self.width:
+            raise DimensionError(f"no leading minor of order {k} in {self.width} columns")
         if k == 0:
             return 1
-        self._widen(k)
         if self._reach(k) < k:
             return 0
         below = [r for c, r in self._swaps if c < k]
@@ -486,19 +445,23 @@ class LeadingMinors:
             return 0
         return -self._pivots[k - 1] if len(below) % 2 else self._pivots[k - 1]
 
+    def _pivot_rows(self, k: int) -> list[list[int]]:
+        """The pivot rows at positions below k, whose leading minor must not
+        vanish, and column k must exist."""
+        if k >= self.width:
+            raise DimensionError(f"no column {k} in {self.width} columns")
+        if self.minor(k) == 0:
+            raise DegeneracyError(f"the leading minor of order {k} vanishes")
+        return self._rows[:k]
+
     def null_vector(self, k: int) -> list[int]:
         """Integers v_0 .. v_k, v_k = +-(the leading k x k minor), such that
         sum_i v_i row_r[i] = 0 for every r < k; that minor must not vanish.
         Fraction-free back substitution on the pivot rows at positions below
         k, with column k as the right-hand side; every division is exact.
         """
-        if k == 0:
-            return [1]
-        self._widen(k + 1)
-        if self.minor(k) == 0:
-            raise DegeneracyError(f"the leading minor of order {k} vanishes")
-        rows = self._inherited_rows(k + 1) + self._rows[self.inherited:]
-        det = self._pivots[k - 1]
+        rows = self._pivot_rows(k)
+        det = self._pivots[k - 1] if k else 1
         scaled = [0] * k
         for i in range(k - 1, -1, -1):
             row = rows[i]
@@ -514,20 +477,17 @@ class LeadingMinors:
         back substitution: the pivot row at position k - 1 has the pivot
         v_k on its diagonal, so v_(k-1) is minus its entry in column k.
         The same minor must not vanish."""
-        if k == 0:
-            return 0, 1
-        self._widen(k + 1)
-        if self.minor(k) == 0:
-            raise DegeneracyError(f"the leading minor of order {k} vanishes")
-        rows = self._rows if k > self.inherited else self._inherited_rows(k + 1)
-        return -rows[k - 1][k], self._pivots[k - 1]
+        rows = self._pivot_rows(k)
+        return (-rows[k - 1][k], self._pivots[k - 1]) if k else (0, 1)
 
-    def fork(self, k: int, tail: int) -> "LeadingMinors":
-        """The elimination of this one's rows 0 .. k - 1, tail, tail + 1, ..,
-        started from this one's state after its first j steps (see the
-        class)."""
+    def fork(self, k: int, tail: int, width: int) -> "LeadingMinors":
+        """The elimination of this one's rows 0 .. k - 1, tail, tail + 1, ..
+        at width columns, started from this one's state after its first j
+        steps (see the class)."""
         if self._parent is not None:
             raise DimensionError("a fork is not forked")
+        if width > self.width:
+            raise DimensionError(f"a fork of {width} columns outgrows its parent's {self.width}")
         self.minor(k)
         j = min(k, len(self._pivots))
         j = next((c for c, r in self._swaps if c < j and r >= k), j)
@@ -535,42 +495,26 @@ class LeadingMinors:
         order = list(range(k))      # original index at each position after j steps
         for c, r in swaps:
             order[c], order[r] = order[r], order[c]
-        fork = LeadingMinors(self._row)     # its origins index this one's rows
-        fork._parent, fork.inherited = (self, j, k, tail, order), j
-        fork._rows = [[] for _ in range(j)]
-        fork._origin = order[:j]
+        fork = LeadingMinors(self._row, width)     # it reads this one's rows
+        fork._parent, fork.inherited = (self, k, tail, order), j
+        fork._rows = self._rows[:j]
         fork._pivots = self._pivots[:j]
         fork._swaps = swaps
-        fork._width = j
         return fork
 
-    def _level(self, r: int, j: int, stop: int) -> list[int]:
-        """Columns 0..stop-1 of row r, which no step below j pivots on, after
-        the first j steps.  The row is kept after every step count asked
-        for: a new step count takes one pass over the row, a wider read one
-        pass per column down the step counts."""
-        self._widen(stop, j)
+    def _level(self, r: int, j: int) -> list[int]:
+        """Row r, which no step below j pivots on, after the first j steps.
+        The row is kept after every step count asked for, so a deeper step
+        count steps on from the deepest one kept."""
+        levels = self._levels.get(r)
+        if levels is None:
+            levels = self._levels[r] = [self._read(r)]
         rows, pivots = self._rows, self._pivots
-        prevs = [1] + pivots
-        levels = self._levels.setdefault(r, [[]])
-        low = levels[0]
-        if len(low) < stop:
-            low += self._read(r, len(low), stop)
-        deep = min(j, len(levels) - 1)
-        for t in range(len(levels[deep]), stop):
-            s = deep - 1            # the most steps after which column t is kept
-            while len(levels[s]) <= t:
-                s -= 1
-            x = levels[s][t]
-            for c in range(s, deep):
-                x = (x * pivots[c] - levels[c][c] * rows[c][t]) // prevs[c]
-                levels[c + 1].append(x)
         for c in range(len(levels) - 1, j):
-            low, pivot, prev, top = levels[c], pivots[c], prevs[c], rows[c]
-            lead = low[c]
-            levels.append(low[:c + 1] + [(x * pivot - lead * t) // prev
-                                         for x, t in zip(low[c + 1:stop], top[c + 1:stop])])
-        return levels[j][:stop]
+            row = list(levels[c])
+            self._step(row, rows[c], c, pivots[c], pivots[c - 1] if c else 1)
+            levels.append(row)
+        return levels[j]
 
 
 def det_exact(rows: Sequence[Sequence[Ratlike]]) -> Fraction:

@@ -168,7 +168,7 @@ def monic_orthogonal_polys(s, upto: int) -> list[Poly]:
             f"need {need} moments for orthogonal polynomials up to degree {upto}, "
             f"have {len(s)}")
     ints, _ = cleared([rat(x) for x in s[:need]])
-    hankel = LeadingMinors(lambda r, start, stop: ints[r + start:r + stop])
+    hankel = LeadingMinors(lambda r: ints[r:r + upto + 1], upto + 1)
     polys = []
     for n in range(upto + 1):
         if hankel.minor(n) == 0:

@@ -584,3 +584,26 @@ class TestCone:
         monkeypatch.setattr(bvp, "_sweep", recording)
         assert meets_the_equations(boundary, 0, 2).ok
         assert ranges == [[(0, 0), (0, 1), (0, 0)], [(0, 0), (0, 1), (0, 2)]]
+
+    def test_a_zero_on_a_full_range_level_is_not_rerun(self, boundary_a,
+                                                        reference_field, monkeypatch):
+        # gap (2, 0) = 0 is divided by on level 3, where the (4, 4) cone is
+        # the whole level, as on every level below: the ranged run was the
+        # exact sweep.  The pinned (0, 2) zero is divided by on level 2,
+        # where the (0, 2) cone is (0, 0), so the exact sweep reruns.
+        runs = []
+        sweep = bvp._sweep
+
+        def counting(boundary, N, M, levels):
+            runs.append(levels)
+            return sweep(boundary, N, M, levels)
+
+        monkeypatch.setattr(bvp, "_sweep", counting)
+        c_row = list(boundary_a.c_row)
+        c_row[2] = reference_field.d(2, 0)
+        low = BoundaryData(c_row, boundary_a.a_row, boundary_a.d_col, boundary_a.b_col)
+        assert meets_the_equations(low, 4, 4).failure[0] == (2, 0)
+        assert len(runs) == 1
+        runs.clear()
+        assert meets_the_equations(ZERO_GAP_IN_CONE, 0, 2).failure[0] == (1, 0)
+        assert len(runs) == 2

@@ -214,9 +214,9 @@ class TestZcc2:
         made, built = [], []
         eliminate, build = classical.LeadingMinors, classical.lax_l
 
-        def recording_elimination(row):
-            made.append(row(0, 0, 1)[0])    # D s_k: the moments are distinct
-            return eliminate(row)
+        def recording_elimination(row, width):
+            made.append(row(0)[0])          # D s_k: the moments are distinct
+            return eliminate(row, width)
 
         def recording_l(*args):
             built.append(args)

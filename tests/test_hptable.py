@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hplax import hptable, kernel
 from hplax.bvp import cross_validate, field_from_moments
-from hplax.errors import NotNormalError, TruncationError, WindowError
+from hplax.errors import HplaxError, NotNormalError, TruncationError, WindowError
 from hplax.hptable import HPTable
 from hplax.kernel import LeadingMinors, Poly, X, det_exact, series_from_moments
 from hplax.lax3 import normalization_grid
@@ -265,8 +265,8 @@ class TestTableReadsWithForks:
         forks = []
         original = LeadingMinors.fork
 
-        def recording(self, k, tail):
-            fork = original(self, k, tail)
+        def recording(self, k, tail, width):
+            fork = original(self, k, tail, width)
             forks.append((k, fork.inherited))
             return fork
 
@@ -295,6 +295,32 @@ def record_orders(monkeypatch, name, order):
 @pytest.fixture()
 def det_exact_orders(monkeypatch):
     return record_orders(monkeypatch, "det_exact", len)
+
+
+def outcome(read, table):
+    """read(table), or the type of the error it raises with its index, if any."""
+    try:
+        return read(table)
+    except HplaxError as exc:
+        return type(exc), getattr(exc, "index", None)
+
+
+@st.composite
+def cut_documents(draw):
+    """A window up to (6, 6), a long Angelesco or zero-laden small-integer
+    system, and a moment count from the plain depth of the window's far
+    corner to the full need of its reads."""
+    N, M = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    need = max(2 * N + M, N + 2 * M) + 1
+    if draw(st.booleans()):
+        lo1, hi1, lo2, hi2 = sorted(draw(st.lists(small_rationals, min_size=4,
+                                                  max_size=4, unique=True)))
+        long = make_angelesco(MeasureModel.interval(lo1, hi1),
+                              MeasureModel.interval(lo2, hi2), need + 3)
+    else:
+        long = MomentSystem(*(draw(st.lists(small_ints, min_size=need + 3,
+                                            max_size=need + 3)) for _ in range(2)))
+    return (N, M), long, draw(st.integers(need - 2, need))
 
 
 class CountingList(list):
@@ -340,22 +366,37 @@ class TestWorkCount:
         for key, read in reads.items():
             assert read == expected[key], key
 
-    def test_longer_document_gives_the_same_table(self):
-        # a (4, 4) window and its h1, h2 pairings read 13 moments of each sequence
-        N, M, need = 4, 4, 13
-        long = make_angelesco(MeasureModel.interval(-2, -1),
-                              MeasureModel.interval(1, 2), 3 * need)
-        short = MomentSystem(long.s1[:need], long.s2[:need])
+    @settings(max_examples=40, deadline=None)
+    @given(cut_documents(), st.randoms(use_true_random=False))
+    @example(((4, 4), make_angelesco(MeasureModel.interval(-2, -1),
+                                     MeasureModel.interval(1, 2), 39), 13),
+             random.Random(0))
+    def test_longer_document_gives_the_same_table(self, case, rng):
+        # an (N, M) window and its h1, h2 pairings read max(2N + M, N + 2M) + 1
+        # moments of each sequence, (4, 4) 13; the rows past a cut document's
+        # last moment are zeros, which no read that passes its depth check
+        # sees: each read gives the long document's value or error, or raises
+        # TruncationError where the cut is below its depth
+        (N, M), long, count = case
+        short = MomentSystem(long.s1[:count], long.s2[:count])
         tables = HPTable(long, N, M), HPTable(short, N, M)
-        norms = [normalization_grid(table, N, M) for table in tables]
+        reads = [(max(2 * N + M, N + 2 * M) + 1,      # every h1 and h2
+                  lambda table: vars(normalization_grid(table, N, M)))]
         for n in range(N + 1):
             for m in range(M + 1):
-                a, b = tables
-                assert a.s_det(n, m) == b.s_det(n, m)
-                assert a.hp_poly_det(n, m) == b.hp_poly_det(n, m)
-                assert a.orthogonality_residuals(n, m) == b.orthogonality_residuals(n, m)
-                assert norms[0].h1(n, m) == norms[1].h1(n, m)
-                assert norms[0].h2(n, m) == norms[1].h2(n, m)
+                bordered = max(2 * n + m, n + 2 * m)
+                reads += [
+                    (bordered - 1, lambda table, n=n, m=m: table.s_det(n, m)),
+                    (bordered, lambda table, n=n, m=m: table.hp_poly_det(n, m)),
+                    (bordered, lambda table, n=n, m=m: F(*table.subleading(n, m))),
+                    (bordered, lambda table, n=n, m=m: table.orthogonality_residuals(n, m))]
+                reads += [(max(bordered, t + n + m + 1),
+                           lambda table, n=n, m=m, which=which, t=t: table.pairing(which, n, m, t))
+                          for which in (1, 2) for t in range(max(n, m) + 2)]
+        rng.shuffle(reads)
+        for need, read in reads:
+            want, got = (outcome(read, table) for table in tables)
+            assert got == want or got == (TruncationError, None) and count < need
 
     def test_plain_determinant_only_below_bordered_depth(self, system_a,
                                                          det_exact_orders):
@@ -393,16 +434,18 @@ class TestWorkCount:
         assert cleared[1].read == 136
 
     @pytest.mark.parametrize("run, before", [
-        (lambda: cross_validate(angelesco_31(28), 6, 6), 1288),
-        (lambda: field_from_moments(angelesco_31(24), 5, 5), 634)])
+        (lambda: cross_validate(angelesco_31(28), 6, 6), 912),
+        (lambda: field_from_moments(angelesco_31(24), 5, 5), 156)])
     def test_row_entries_read_no_more_than_before(self, monkeypatch, run, before):
-        # before: each column eliminated its own s2 rows and s1 rows
+        # before: each row read once, at its elimination's width; 1,288 and
+        # 634 when each column eliminated its own s2 rows and s1 rows
         read = []
         original = LeadingMinors._read
 
-        def counting(self, r, start, stop):
-            read.append(stop - start)
-            return original(self, r, start, stop)
+        def counting(self, r):
+            entries = original(self, r)
+            read.append(len(entries))
+            return entries
 
         monkeypatch.setattr(LeadingMinors, "_read", counting)
         run()

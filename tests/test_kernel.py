@@ -73,8 +73,10 @@ def per_minor(rows):
                     for i in range(k + 1))
 
 
-def leading_minors_of(matrix):
-    return LeadingMinors(lambda r, start, stop: matrix[r][start:stop])
+def leading_minors_of(matrix, width=None):
+    """The elimination of the rows of matrix, as wide as its first row by
+    default."""
+    return LeadingMinors(matrix.__getitem__, len(matrix[0]) if width is None else width)
 
 
 # square integer matrices of order 1-6 with many zero entries, plus one
@@ -92,7 +94,7 @@ def ratios(ints):
 def bordered(grid):
     """LeadingMinors of a (k + 1) x k bordered grid: row j of the transpose
     is the equation sum_i p_i grid[i][j] = 0 of the monic null vector p."""
-    return leading_minors_of([list(col) for col in zip(*grid)])
+    return leading_minors_of([list(col) for col in zip(*grid)], len(grid))
 
 
 class TestBorderedSolve:
@@ -135,17 +137,20 @@ class TestLeadingMinors:
     @given(small_matrices, st.randoms(use_true_random=False))
     def test_lazy_reads_match_determinants(self, matrix, rng):
         k = len(matrix)
-        minors = leading_minors_of(matrix)
+        read = []
+        minors = LeadingMinors(lambda r: read.append(r) or matrix[r], k + 1)
         dets = [brute_det([row[:j] for row in matrix[:j]]) for j in range(k + 1)]
-        requests = [(order, vector) for order in range(-2, k + 1)
-                    for vector in (False, True)]
+        # the minor of order k + 1 = width would read a row the matrix lacks
+        requests = [(order, vector) for order in range(-2, k + 3)
+                    for vector in (False, True) if (order, vector) != (k + 1, False)]
         rng.shuffle(requests)
         for order, vector in requests:
-            if order < 0:
-                # never a pivot read from the end of the list
-                for read in (minors.minor, minors.null_vector, minors.null_tail):
+            if order < 0 or order > k:
+                # never a pivot read from the end of the list, nor past the width
+                for read_at in ((minors.null_vector, minors.null_tail) if vector
+                                else (minors.minor,)):
                     with pytest.raises(DimensionError):
-                        read(order)
+                        read_at(order)
                 continue
             det = dets[order]
             if not vector:
@@ -160,6 +165,7 @@ class TestLeadingMinors:
             else:
                 with pytest.raises(DegeneracyError):
                     minors.null_vector(order)
+        assert len(read) == len(set(read))      # each row read once
 
 
 def fork_reads(minors, matrix, order):
@@ -205,7 +211,7 @@ class TestFork:
         # after two steps and inherits the exchange
         parent = leading_minors_of([[0, 1, 2, 1], [1, 0, 1, 3], [5, 7, 1, 2], [2, 1, 1, 1]])
         parent.minor(2)
-        fork = parent.fork(2, 3)
+        fork = parent.fork(2, 3, 4)
         assert fork.inherited == 2
         matrix = [[0, 1, 2, 1], [1, 0, 1, 3], [2, 1, 1, 1]]
         for order in range(4):
@@ -217,7 +223,7 @@ class TestFork:
         # fork that keeps two rows cannot reuse that step and starts at 0
         parent = leading_minors_of([[0, 1, 1, 1], [0, 2, 1, 1], [3, 1, 0, 1], [1, 1, 1, 1]])
         parent.minor(3)
-        fork = parent.fork(2, 3)
+        fork = parent.fork(2, 3, 4)
         assert fork.inherited == 0
         matrix = [[0, 1, 1, 1], [0, 2, 1, 1], [1, 1, 1, 1]]
         for order in range(4):
@@ -227,18 +233,26 @@ class TestFork:
     def test_fork_of_a_fork_is_refused(self):
         parent = leading_minors_of([[1, 2, 3], [4, 5, 6]])
         with pytest.raises(DimensionError):
-            parent.fork(1, 1).fork(1, 1)
+            parent.fork(1, 1, 3).fork(1, 1, 3)
+
+    def test_fork_wider_than_its_parent_is_refused(self):
+        parent = leading_minors_of([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(DimensionError):
+            parent.fork(1, 1, 4)
 
     @settings(max_examples=200, deadline=None)
-    @given(fork_cases, st.integers(0, 4), st.randoms(use_true_random=False))
-    def test_fork_reads_as_a_fresh_elimination(self, case, warm, rng):
+    @given(fork_cases, st.integers(0, 4), st.integers(1, 3),
+           st.randoms(use_true_random=False))
+    def test_fork_reads_as_a_fresh_elimination(self, case, warm, spare, rng):
+        # the fork has spare - 1 columns more than its null vectors need,
+        # and at most as many as its parent
         matrix, k, tail = case
         head = matrix[:tail]
         kept = head[:k] + matrix[tail:]
-        parent = leading_minors_of(matrix)
+        parent = leading_minors_of(matrix, len(matrix) + 3)
         for order in range(min(warm, len(matrix)) + 1):     # exchanges, maybe from >= k
             fork_reads(parent, matrix, order)
-        fork = parent.fork(k, tail)
+        fork = parent.fork(k, tail, len(kept) + spare)
         assert 0 <= fork.inherited <= k
         requests = ([("fork", order) for order in range(len(kept) + 1)]
                     + [("parent", order) for order in range(len(matrix) + 1)])
@@ -247,12 +261,12 @@ class TestFork:
         for who, order in requests:
             minors, rows = (fork, kept) if who == "fork" else (parent, matrix)
             seen[who, order] = fork_reads(minors, rows, order)
-        # every later step and wider read of either leaves the other's reads
+        # every later step and deeper read of either leaves the other's reads
         for (who, order), read in seen.items():
             minors, rows = (fork, kept) if who == "fork" else (parent, matrix)
             assert fork_reads(minors, rows, order) == read
             assert normalized(read) == normalized(
-                fork_reads(leading_minors_of(rows), rows, order))
+                fork_reads(leading_minors_of(rows, minors.width), rows, order))
 
 
 class TestSolveExact:
