@@ -33,8 +33,8 @@ from .hptable import HPTable
 from .kernel import ZERO
 from .lax3 import normalization_grid, zcc_stencil
 from .measures import MomentSystem
-from .nnrr import (KINDS, RecurrenceField, a_value, b_value, c_value, d_value,
-                   consistency_residuals, field_from_table)
+from .nnrr import (KINDS, RecurrenceField, a_value, axis_values, b_value, c_value,
+                   consistency_residuals, d_value, field_from_table)
 
 # the prime of the residue shell (a Mersenne prime); as long as it is prime,
 # reports do not depend on it
@@ -122,6 +122,13 @@ def boundary_from_table(table: HPTable, levels: int) -> BoundaryData:
         d_col=tuple(d_value(table, 0, m) for m in range(levels + 1)),
         b_col=tuple(b_value(table, 0, m) for m in range(1, levels + 1)),
     )
+
+
+def boundary_from_moments(system: MomentSystem, levels: int) -> BoundaryData:
+    """Boundary rows for the given maximal anti-diagonal from each sequence
+    alone (``axis_values``): c and a off s1, then d and b off s2, read in
+    the order ``boundary_from_table`` reads them, so the two raise alike."""
+    return BoundaryData(*axis_values(system, 1, levels), *axis_values(system, 2, levels))
 
 
 def sweep_solve(boundary: BoundaryData, N: int, M: int) -> SweepReport:
@@ -372,26 +379,25 @@ class CrossValidation:
 def cross_validate(system: MomentSystem, N: int, M: int) -> CrossValidation:
     """Moment route vs sweep route, plus the residual batteries.
 
-    Builds the reference field from an (N + 1, M + 1) table and reads the
-    boundary to level N + M off the axes of a second, (N + M + 1)-square
-    table, of which only the shared elimination and column 0 are built
-    unless the sweep fails; so no elimination is wider than its own table's
-    reads.  Sweeps, and asserts exact equality of all four grids; then
-    checks consistency residuals and orthogonality over the window and the
-    zero-curvature residual at each of its N x M stencils (n < N, m < M).
-    Any mismatch raises with the first differing index; a sweep stopped by
-    a zero gap (n, m) where S(n+1, m+1) vanishes (by the converse theorem,
-    the first zero minor in level order) is not normal.
+    Builds the reference field from an (N + 1, M + 1) table, the one table
+    of a passing call, and reads the boundary to level N + M from the two
+    sequences alone (``boundary_from_moments``): one Hankel elimination
+    each, N + M + 2 columns wide, so the sweep's input does not pass
+    through the table's eliminations.  Sweeps, and asserts exact equality
+    of all four grids; then checks consistency residuals and orthogonality
+    over the window and the zero-curvature residual at each of its N x M
+    stencils (n < N, m < M).  Any mismatch raises with the first differing
+    index; a sweep stopped by a zero gap (n, m) where S(n+1, m+1) vanishes
+    (by the converse theorem, the first zero minor in level order) is not
+    normal, which a table of window (n + 1, m + 1), built only then, tells.
     """
     _check_window(N, M)
-    lam = N + M
-    table, axes = HPTable(system, N + 1, M + 1), HPTable(system, lam + 1, lam + 1)
+    table = HPTable(system, N + 1, M + 1)
     reference = field_from_table(table, N, M)
-    boundary = boundary_from_table(axes, lam)
-    report = sweep_solve(boundary, N, M)
+    report = sweep_solve(boundary_from_moments(system, N + M), N, M)
     if not report.ok:
         (n, m), reason = report.failure
-        if axes.minor(n + 1, m + 1) == 0:
+        if HPTable(system, n + 1, m + 1).minor(n + 1, m + 1) == 0:
             raise NotNormalError(n + 1, m + 1)
         raise IntegrityError(f"sweep failed on data from a normal window: {reason}")
     equal, diff = report.field.same_grids(reference)

@@ -3,8 +3,11 @@
 continued-fraction identity for ratios of consecutive monic polynomials.
 
 The qd values come from the integer leading minors of one fraction-free
-elimination per Hankel shift (``QdField``); plain determinants of the Hankel
-blocks (``hankel_shifted``, ``qd_vw``) are their oracle.
+elimination per Hankel shift (``QdField``, on ``measures.HankelMinors``);
+plain determinants of the Hankel blocks (``hankel_shifted``, ``qd_vw``) are
+their oracle.  The 2x2 zero-curvature residual is three scalars in V and W
+(``zcc2_residual``); the products of the transition pairs
+(``transition_2x2``) are its oracle.
 
 The recurrence is kept in monic form throughout (subdiagonal entries are the
 squared off-diagonal terms), which stays inside rational arithmetic; the
@@ -17,22 +20,23 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegeneracyError, TruncationError, WindowError
-from .kernel import LeadingMinors, MatPoly, Poly, X, cleared, det_exact, rat
-from .measures import JFraction, jfraction_to_moments, monic_orthogonal_polys
+from .kernel import MatPoly, Poly, X, det_exact, rat
+from .measures import (HankelMinors, JFraction, jfraction_to_moments,
+                       monic_orthogonal_polys)
 
 
 class QdField:
     """Shifted-Hankel values with the derived quotient-difference grids over
     one moment sequence, the production route.
 
-    The moments are cleared of denominators once (D s_j, D their lcm), and
-    D^n H(n, k) is the leading minor of order n of one fraction-free
-    elimination (``kernel.LeadingMinors``) of the Hankel rows at shift k, as
-    wide as the deepest block the moments hold at that shift and extended
-    only as deep as a call needs.  V and W are each one Fraction of
-    five such minors, whose powers of D cancel.  Every stored V and W passed
-    the nonvanishing-denominator check when it was first computed, and each
-    (V, W) is built once.
+    D^n H(n, k) is the leading minor of order n of the elimination of the
+    Hankel rows at shift k (``measures.HankelMinors``, D the lcm of the
+    moments' denominators), as wide as the deepest block the moments hold
+    at that shift and extended only as deep as a call needs; so a caller
+    sizes the eliminations by the moments it passes.  V and W are each one
+    Fraction of five such minors, whose powers of D cancel.  Every stored
+    V and W passed the nonvanishing-denominator check when it was first
+    computed, and each (V, W) is built once.
 
     The module functions below accept a QdField in place of a moment
     sequence and then share its memo.  ``hankel_shifted`` and ``qd_vw`` are
@@ -40,8 +44,7 @@ class QdField:
 
     def __init__(self, moments):
         self.moments = [rat(x) for x in moments]
-        self._ints, self._scale = cleared(self.moments)
-        self._shifts: dict[int, LeadingMinors] = {}
+        self._hankel = HankelMinors(self.moments)
         self._vw: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
 
     def minor(self, n: int, k: int) -> int:
@@ -49,13 +52,10 @@ class QdField:
         _check_hankel(self.moments, n, k)
         if n == 0:
             return 1
-        if k not in self._shifts:
-            ints, width = self._ints, (len(self._ints) - k + 1) // 2
-            self._shifts[k] = LeadingMinors(lambda r: ints[k + r:k + r + width], width)
-        return self._shifts[k].minor(n)
+        return self._hankel.shift(k, (len(self.moments) - k + 1) // 2).minor(n)
 
     def hankel(self, n: int, k: int) -> Fraction:
-        return Fraction(self.minor(n, k), self._scale ** n)
+        return Fraction(self.minor(n, k), self._hankel.scale ** n)
 
     def vw(self, n: int, k: int) -> tuple[Fraction, Fraction]:
         key = (n, k)
@@ -141,19 +141,20 @@ def transition_2x2(moments, n: int, k: int) -> tuple[MatPoly, MatPoly]:
     return lax_l(v, w, v1), lax_m_num(v, w)
 
 
-def zcc2_residual(moments, n: int, k: int) -> MatPoly:
+def zcc2_residual(moments, n: int, k: int) -> tuple[Fraction, Fraction, Fraction]:
     """Zero-curvature residual L(n, k+1) M(n, k) - M(n+1, k) L(n, k) with the
-    common 1/x prefactor cleared, in closed form.
+    common 1/x prefactor cleared, in closed form, as the scalars (V r, rho, r).
 
     Written out, the products leave only the second row, [V r, rho - r x]
     with V = V(n, k),
     r = W(n+1, k) - V(n+1, k) + V(n, k+2) - W(n, k+1) and
     rho = W(n+1, k) (V(n, k+1) - W(n, k)) + W(n, k) (W(n, k+1) - V(n, k+2)),
-    so no transition matrix is formed; the ``transition_2x2`` products are
-    the oracle.  The qd values are read in the order the three transition
-    pairs read them, V(n+1, k+1) included, so a failing read raises the
-    same error.  ``moments`` is a moment sequence or a QdField, whose memo
-    is used.
+    so the residual vanishes exactly when all three scalars do, and no
+    transition matrix or polynomial is formed; the ``transition_2x2``
+    products are the oracle.  The qd values are read in the order the three
+    transition pairs read them, V(n+1, k+1) included, so a failing read
+    raises the same error.  ``moments`` is a moment sequence or a QdField,
+    whose memo is used.
     """
     qd = _qd_field(moments)
     v, w = qd.vw(n, k)
@@ -163,7 +164,7 @@ def zcc2_residual(moments, n: int, k: int) -> MatPoly:
     qd.vw(n + 1, k + 1)         # read for its errors only
     r = w_right - v_right + v2 - w1
     rho = w_right * (v1 - w) + w * (w1 - v2)
-    return MatPoly(((Poly(), Poly()), (Poly.of(v * r), Poly.of(rho, -r))))
+    return v * r, rho, r
 
 
 def _recurrence_polys(j: JFraction, upto: int) -> list[Poly]:

@@ -157,7 +157,9 @@ def _cmd_qd(args) -> int:
     doc = _read_doc(args.infile)
     moments = jsondoc.rat_list(jsondoc.need(doc, "moments"))
     n_max, k_max = args.window
-    qd = classical.QdField(moments)
+    # the deepest read, minor(n_max + 2, k_max + 2) of zcc2_residual, ends at
+    # moment index 2 n_max + k_max + 4
+    qd = classical.QdField(moments[:2 * n_max + k_max + 5])
     v_grid = [[jsondoc.rat_str(qd.v(n, k)) for k in range(k_max + 1)]
               for n in range(n_max + 1)]
     w_grid = [[jsondoc.rat_str(qd.w(n, k)) for k in range(k_max + 1)]
@@ -165,7 +167,7 @@ def _cmd_qd(args) -> int:
     residual_zero = True
     for n in range(n_max + 1):
         for k in range(k_max + 1):
-            if not classical.zcc2_residual(qd, n, k).is_zero:
+            if any(classical.zcc2_residual(qd, n, k)):
                 residual_zero = False
     out = {
         "kind": "qd_field",

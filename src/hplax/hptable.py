@@ -66,7 +66,7 @@ class HPTable:
 
         def row(r: int) -> list[int]:
             # zeros past the cleared moments: column t of a reduced row depends
-            # only on columns <= t, so no read that passes _check_depth sees them
+            # only on columns <= t, so no read that passes check_depth sees them
             seq, shift = (c2, r) if r < max_m else (c1, r - max_m)
             entries = seq[shift:shift + width]
             return entries + [0] * (width - len(entries))
@@ -80,14 +80,6 @@ class HPTable:
         if n < 0 or m < 0 or n > self.max_n or m > self.max_m:
             raise WindowError(
                 f"index ({n}, {m}) outside table window ({self.max_n}, {self.max_m})")
-
-    def _check_depth(self, n: int, m: int, bordered: bool) -> None:
-        extra = 1 if bordered else 0
-        need1, need2 = max(2 * n + m - 1 + extra, 0), max(n + 2 * m - 1 + extra, 0)
-        if max(need1, need2) > self.moments.count:
-            raise TruncationError(
-                f"index ({n}, {m}) needs {need1} moments of the first sequence and "
-                f"{need2} of the second, have {self.moments.count}")
 
     def _column(self, m: int) -> LeadingMinors:
         """Elimination of the rows [D2 s2 shifts 0..m-1, D1 s1 shifts 0..],
@@ -111,7 +103,7 @@ class HPTable:
         key = (n, m)
         if key not in self._k:
             self._check_window(n, m)
-            self._check_depth(n, m, bordered=False)
+            self.moments.check_depth(n, m, bordered=False)
             self._k[key] = self._holder(n, m).minor(n + m)
         return self._k[key]
 
@@ -135,7 +127,7 @@ class HPTable:
         self._check_window(n, m)
         if self.minor(n, m) == 0:
             raise NotNormalError(n, m)
-        self._check_depth(n, m, bordered=True)
+        self.moments.check_depth(n, m, bordered=True)
         return self._holder(n, m)
 
     def hp_poly_det(self, n: int, m: int) -> Poly:
@@ -172,7 +164,7 @@ class HPTable:
         self._check_window(n, m)
         if self.s_det(n, m) == 0:
             raise NotNormalError(n, m)
-        self._check_depth(n, m, bordered=True)
+        self.moments.check_depth(n, m, bordered=True)
         size = n + m
         if size == 0:
             return Poly.of(1)

@@ -74,6 +74,16 @@ class MomentSystem:
     def count(self) -> int:
         return len(self.s1)
 
+    def check_depth(self, n: int, m: int, bordered: bool) -> None:
+        """Raise unless both sequences hold the moments that S(n, m), or with
+        ``bordered`` P(n, m), is built from."""
+        extra = 1 if bordered else 0
+        need1, need2 = max(2 * n + m - 1 + extra, 0), max(n + 2 * m - 1 + extra, 0)
+        if max(need1, need2) > self.count:
+            raise TruncationError(
+                f"index ({n}, {m}) needs {need1} moments of the first sequence and "
+                f"{need2} of the second, have {self.count}")
+
 
 @dataclass(frozen=True)
 class JFraction:
@@ -87,6 +97,8 @@ class JFraction:
         object.__setattr__(self, "c", tuple(rat(x) for x in self.c))
         object.__setattr__(self, "a", tuple(rat(x) for x in self.a))
         object.__setattr__(self, "s0", rat(self.s0))
+        if not self.c:
+            raise DegeneracyError("J-fraction depth must be at least 1")
         if len(self.a) not in (len(self.c) - 1, len(self.c)):
             raise DegeneracyError(
                 f"J-fraction lengths inconsistent: {len(self.c)} diagonal, "
@@ -151,14 +163,50 @@ def make_nikishin(sigma1: MeasureModel, sigma2: MeasureModel, count: int) -> Mom
     return MomentSystem(tuple(s1), tuple(s2), label="nikishin")
 
 
+class HankelMinors:
+    """The Hankel blocks of one moment sequence, as integer leading minors.
+
+    The moments are cleared of denominators once (D s_j, D their lcm).
+    ``shift(k, width)`` is one fraction-free elimination
+    (``kernel.LeadingMinors``) of the Hankel rows D s[k + r:k + r + width],
+    made on the first request for that shift and width and kept.  Its
+    leading minor of order n is D^n H(n, k), the determinant of the block
+    [s_(k+i+j)], i, j < n, and its null vector of order n holds the monic
+    orthogonal polynomial of degree n of the functional x^k s, scaled.  Each
+    caller fixes the width from its own reads: a minor of order n needs n
+    columns, a null vector or ``null_tail`` of order n needs n + 1.
+
+    The rows are zero-padded past the last moment, as ``HPTable``'s are:
+    column t of a reduced row depends only on columns <= t, so a read
+    whose moments exist, up to index k + 2n - 2 for a minor and
+    k + 2n - 1 for a null vector, never sees the padding.
+    """
+
+    def __init__(self, moments):
+        self._ints, self.scale = cleared([rat(x) for x in moments])
+        self._eliminations: dict[tuple[int, int], LeadingMinors] = {}
+
+    def shift(self, k: int, width: int) -> LeadingMinors:
+        key = (k, width)
+        if key not in self._eliminations:
+            ints = self._ints
+
+            def row(r: int) -> list[int]:
+                entries = ints[k + r:k + r + width]
+                return entries + [0] * (width - len(entries))
+
+            self._eliminations[key] = LeadingMinors(row, width)
+        return self._eliminations[key]
+
+
 def monic_orthogonal_polys(s, upto: int) -> list[Poly]:
     """Monic orthogonal polynomials pi_0..pi_upto for the moment functional.
 
     Determinant route, independent of the Chebyshev recurrence of
     moments_to_jfraction: pi_n is the monic null vector of the Hankel rows
     s[r + j] (r < n, j <= n), which is the table's P(n, 0) for the single
-    sequence s.  One fraction-free elimination of the cleared moments serves
-    all degrees.
+    sequence s.  One elimination of the Hankel rows (``HankelMinors``),
+    upto + 1 columns wide, serves all degrees.
     """
     if upto < 0:
         return []
@@ -167,8 +215,7 @@ def monic_orthogonal_polys(s, upto: int) -> list[Poly]:
         raise TruncationError(
             f"need {need} moments for orthogonal polynomials up to degree {upto}, "
             f"have {len(s)}")
-    ints, _ = cleared([rat(x) for x in s[:need]])
-    hankel = LeadingMinors(lambda r: ints[r:r + upto + 1], upto + 1)
+    hankel = HankelMinors(s[:need]).shift(0, upto + 1)
     polys = []
     for n in range(upto + 1):
         if hankel.minor(n) == 0:

@@ -157,7 +157,7 @@ def test_criterion_7_classical_baseline():
     assert v == F(1, 2) and w == F(1, 2)
     for n in range(3):
         for k in range(3):
-            assert zcc2_residual(moments, n, k).is_zero, (n, k)
+            assert not any(zcc2_residual(moments, n, k)), (n, k)
     j = moments_to_jfraction(moments, 5)
     assert jfraction_to_moments(j, 10) == moments[:10]
     polys = monic_orthogonal_polys(moments, 6)

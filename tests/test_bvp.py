@@ -1,13 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hplax import bvp
-from hplax.bvp import (BoundaryData, boundary_from_field, cd_by_summation,
-                       cross_validate, field_from_moments, sweep_solve)
-from hplax.errors import (DegeneracyError, NonPerfectBoundaryError,
+from hplax import bvp, measures
+from hplax.bvp import (BoundaryData, boundary_from_field, boundary_from_moments,
+                       boundary_from_table, cd_by_summation, cross_validate,
+                       field_from_moments, sweep_solve)
+from hplax.errors import (DegeneracyError, HplaxError, NonPerfectBoundaryError,
                           NotNormalError, TruncationError, WindowError)
 from hplax.hptable import HPTable
 from hplax.measures import (JFraction, MeasureModel, MomentSystem,
@@ -284,6 +285,73 @@ class TestCrossValidate:
             assert not equal and diff is not None
         else:
             assert report.failure is not None
+
+
+@st.composite
+def axis_systems(draw):
+    """A level lam up to 6 and a system of up to two moments more or fewer
+    than the boundary's 2 lam + 2.  Each sequence is rebuilt from a random
+    J-fraction (normal along its axis) or is zero-laden small integers."""
+    lam = draw(st.integers(0, 6))
+    count = max(2 * lam + 2 + draw(st.sampled_from([-2, -1, 0, 0, 1, 2])), 0)
+
+    def sequence():
+        if draw(st.booleans()):
+            c = draw(st.lists(st.integers(-2, 2), min_size=lam + 3, max_size=lam + 3))
+            a = draw(st.lists(st.sampled_from([-2, -1, 1, 2]),
+                              min_size=lam + 2, max_size=lam + 2))
+            s0 = draw(st.sampled_from([1, F(1, 2), -3]))
+            return tuple(jfraction_to_moments(JFraction(tuple(c), tuple(a), s0), count))
+        return tuple(draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, F(1, 2)]),
+                                   min_size=count, max_size=count)))
+
+    return lam, MomentSystem(sequence(), sequence())
+
+
+def outcome(read, *args):
+    """What a read returns, or the type and text of what it raises."""
+    try:
+        return read(*args)
+    except HplaxError as exc:
+        return type(exc), str(exc)
+
+
+class TestBoundaryFromMoments:
+    """The boundary of ``cross_validate``, one Hankel elimination per
+    sequence, against the axes of a table and against Chebyshev's
+    recurrence."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(axis_systems())
+    # S(0, 4) vanishes: the axis read past the (2, 1) window of the pinned
+    # verify call that exits 3
+    @example((3, MomentSystem((2, 1, -1, 0, 0, 1, 0, 1, 2, 0),
+                              (1, -1, 2, 1, 2, 0, -1, -1, -1, 0))))
+    def test_meets_the_table_axes_and_chebyshev(self, drawn):
+        lam, system = drawn
+        got = outcome(boundary_from_moments, system, lam)
+        table = HPTable(system, lam + 1, lam + 1)
+        assert got == outcome(boundary_from_table, table, lam)
+        try:
+            j1 = moments_to_jfraction(system.s1, lam + 1)
+            j2 = moments_to_jfraction(system.s2, lam + 1)
+        except (DegeneracyError, TruncationError):
+            assert not isinstance(got, BoundaryData)
+        else:
+            assert got == BoundaryData(j1.c, j1.a, j2.c, j2.a)
+
+    @pytest.mark.parametrize("lam", [0, 1, 4, 8])
+    def test_one_elimination_per_sequence(self, system_a, monkeypatch, lam):
+        widths = []
+        eliminate = measures.LeadingMinors
+
+        def recording(row, width):
+            widths.append(width)
+            return eliminate(row, width)
+
+        monkeypatch.setattr(measures, "LeadingMinors", recording)
+        boundary_from_moments(system_a, lam)
+        assert widths == [lam + 2, lam + 2]
 
 
 @st.composite

@@ -10,14 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hplax import bvp, classical, jsondoc, kernel
+from hplax import bvp, classical, jsondoc, kernel, measures
 from hplax.bvp import (BoundaryData, SweepReport, boundary_from_field,
                        field_from_moments)
 from hplax.cli import main
 from hplax.hptable import HPTable
 from hplax.kernel import MatPoly, Poly
 from hplax.measures import (MeasureModel, MomentSystem, make_angelesco, make_nikishin,
-                            moments_to_jfraction)
+                            measure_moments, moments_to_jfraction)
 
 
 def write_json(path, doc):
@@ -415,6 +415,9 @@ EXIT_TABLE = [
      None, 3, "degenerate data"),
     ("zero-subdiagonal", ["solve-bvp"], zero_subdiagonal, (2, 2), 3,
      "degenerate data"),
+    ("jfraction-depth-zero", ["gen", "--system", "jfraction", "--order", "3"],
+     lambda s: {"f1": {"c": [], "a": [], "s0": "1"},
+                "f2": {"c": ["1"], "a": [], "s0": "1"}}, None, 3, "degenerate data"),
     ("planted-boundary", ["solve-bvp"], planted, (2, 2), 4,
      "non-perfect boundary"),
     ("short-moments", ["table"],
@@ -465,6 +468,12 @@ PINNED_SYSTEMS = {
     "zero-laden": lambda: MomentSystem(
         (2, 1, 1, 2, 0, -1, 0, 0, 0, 0, 1, -1, 0, -1, 2, 0),
         (3, 0, 0, 0, -1, 1, 0, -1, 0, 0, 0, 3, 3, -1, 0, 0), label="zero-laden"),
+    # the (2, 1) window is normal; S(0, 4), read for the boundary, is not
+    "axis-zero": lambda: MomentSystem((2, 1, -1, 0, 0, 1, 0, 1, 2, 0),
+                                      (1, -1, 2, 1, 2, 0, -1, -1, -1, 0)),
+    # at window (1, 2) the sweep stops at gap (2, 0), and S(3, 1) vanishes
+    "gap-zero": lambda: MomentSystem((2, 1, -1, -1, 2, -1, 1, 1, 0, 2),
+                                     (-1, 0, -1, 2, -1, 2, 1, 2, 2, -1)),
 }
 
 # (system, command, window) -> (exit code, sha256 of stdout, sha256 of stderr)
@@ -544,6 +553,12 @@ PINNED_CLI = {
     ('zero-laden', 'verify', (1, 1)): (3,
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         '0638b8b3fa61f5ec386486a69470a7a7fc73c6177580200ba6c9ebe11d1bc323'),
+    ('axis-zero', 'verify', (2, 1)): (3,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'a0cc6a314b51ea29248fc178111ba02a488a632d202f785c7c9c5a76ebfabbee'),
+    ('gap-zero', 'verify', (1, 2)): (3,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'dda59f14505240dac2521d4087b333e0baa193b6530ad72ee2368d4f9d7a24fa'),
     # qd reads the first sequence of the system as its moments
     ('angelesco', 'qd', (3, 3)): (0,
         'a837977d916d579d20513ce0cf62a1931c9e4eb076309275ca7e7826a9868504',
@@ -641,6 +656,41 @@ def test_qd_takes_no_plain_determinant(tmp_path, capsys, monkeypatch, case):
 
     monkeypatch.setattr(classical, "det_exact", refuse)
     assert run_pinned(tmp_path, capsys, *case) == PINNED_CLI[case]
+
+
+def run_qd(tmp_path, capsys, moments, window):
+    """Exit code, stdout and stderr of one qd call, and the width of each
+    Hankel shift's elimination."""
+    widths = {}
+    shift = measures.HankelMinors.shift
+
+    def recording(self, k, width):
+        widths[k] = width
+        return shift(self, k, width)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures.HankelMinors, "shift", recording)
+        path = write_json(tmp_path / "in.json",
+                          {"moments": [jsondoc.rat_str(x) for x in moments]})
+        capsys.readouterr()
+        code = main(["qd", "--in", path, "--window", *map(str, window)])
+        out, err = capsys.readouterr()
+    return (code, out, err), widths
+
+
+@pytest.mark.parametrize("window", [(0, 0), (1, 4), (3, 3), (5, 2)])
+@pytest.mark.parametrize("moments", [
+    measure_moments(MeasureModel.interval(-3, -1), 80),
+    [(-1) ** (j // 3) * (j % 4) for j in range(80)],
+], ids=["interval", "zero-laden"])
+def test_qd_reads_only_the_moments_its_window_needs(tmp_path, capsys, moments, window):
+    # its deepest read, minor(n + 2, k + 2), ends at moment 2 n + k + 4
+    n, k = window
+    long, long_widths = run_qd(tmp_path, capsys, moments, window)
+    cut, cut_widths = run_qd(tmp_path, capsys, moments[:2 * n + k + 5], window)
+    assert long == cut
+    assert set(long_widths) == set(cut_widths)
+    assert all(long_widths[s] <= cut_widths[s] for s in cut_widths)
 
 
 VERIFY_PINNED = [case for case in PINNED_CLI if case[1] == "verify"]

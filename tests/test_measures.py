@@ -125,6 +125,10 @@ class TestJFraction:
         with pytest.raises(DegeneracyError):
             JFraction((F(0), F(0)), (F(0),), F(1))
 
+    def test_depth_zero_rejected(self):
+        with pytest.raises(DegeneracyError, match="depth must be at least 1"):
+            JFraction((), (), F(1))
+
     @pytest.mark.parametrize("measure", [
         MeasureModel.interval(0, 1),
         MeasureModel.interval(-2, -1),

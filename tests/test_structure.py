@@ -7,7 +7,9 @@ src/hplax or tests/ outside its own definition and the `__init__` re-exports.
 Every name the benchmark wraps (perfbench/spans.py) still exists.  No module
 touches the private internals of ``fractions.Fraction``, which differ between
 the Python versions the package supports, and none reads the environment:
-behaviour is set by the arguments of a call alone.
+behaviour is set by the arguments of a call alone.  Only the kernel, the
+table and the single-sequence Hankel type construct an elimination, and a
+passing ``cross_validate`` builds one table (a rule checked by running it).
 """
 
 import ast
@@ -135,3 +137,35 @@ def test_benchmark_span_targets_exist():
         if name not in owner:
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+ELIMINATION_HOMES = {"kernel", "hptable", "measures"}
+
+
+def test_only_the_elimination_homes_construct_one():
+    offences = []
+    for name, tree in modules().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and name not in ELIMINATION_HOMES
+                    and "LeadingMinors" in used_names(node.func)):
+                offences.append(f"{name} calls LeadingMinors (line {node.lineno})")
+    assert offences == []
+
+
+def test_a_passing_cross_validate_builds_one_table(monkeypatch, system_a, nikishin_system):
+    from hplax.bvp import cross_validate
+    from hplax.hptable import HPTable
+
+    windows = []
+    init = HPTable.__init__
+
+    def counting(self, moments, max_n, max_m):
+        windows.append((max_n, max_m))
+        init(self, moments, max_n, max_m)
+
+    monkeypatch.setattr(HPTable, "__init__", counting)
+    for system in (system_a, nikishin_system):
+        for N, M in ((0, 0), (2, 1), (3, 3)):
+            windows.clear()
+            cross_validate(system, N, M)
+            assert windows == [(N + 1, M + 1)]
