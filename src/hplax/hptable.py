@@ -13,11 +13,12 @@ deepest P.  Its leading minor of order n + m is (-1)^(nm) D1^n D2^m S(n, m),
 zero pivots included (``minor``), and it is extended only as deep as a call
 needs.  Every column forks from one shared elimination of
 [s2 shifts 0..max_m-1, s1 shifts 0..], max_n + max_m + 1 columns wide, after
-the steps its first m rows allow, so the table eliminates the s2 Hankel
-block once and reduces each s1 row by each of those steps once
-(``LeadingMinors.fork``).  The reads at n = 0, whose leading minors are the
-s2 block's, go to the shared elimination itself.  P(n, m) is the monic null
-vector of the leading n + m rows, read by back substitution once per index.
+the steps it finishes among its first m rows before its first row exchange,
+so the table eliminates the s2 Hankel block once and reduces each s1 row by
+each of those steps once (``LeadingMinors.fork``).  The shared elimination
+is only that prefix: it answers no read, and every read, n = 0 included,
+goes through its column.  P(n, m) is the monic null vector of the leading
+n + m rows, read by back substitution once per index.
 The subleading coefficient of P(n, m), all that the recurrence field needs
 of it, is one entry of the pivot row at position n + m - 1 over that row's
 pivot (``subleading``), so the field forms no polynomial.
@@ -42,11 +43,13 @@ from .measures import MomentSystem
 
 
 class HPTable:
-    """Memoized grid of determinants S(n, m) and monic polynomials P(n, m).
+    """Grid of determinants S(n, m) and monic polynomials P(n, m).
 
-    Each memo cell is written once and never recomputed.  The column
-    eliminations behind the memos are extended in place, so one table must
-    not be filled from several threads at once.
+    The memos hold integers only, the minors K(n, m) and the null vectors
+    of P(n, m); each cell is written once and never recomputed, and each S
+    and P is built from them when read.  The column eliminations behind the
+    memos are extended in place, so one table must not be filled from
+    several threads at once.
     """
 
     def __init__(self, moments: MomentSystem, max_n: int, max_m: int):
@@ -54,8 +57,6 @@ class HPTable:
         self.max_n = max_n
         self.max_m = max_m
         self._k: dict[tuple[int, int], int] = {}
-        self._s: dict[tuple[int, int], Fraction] = {}
-        self._p: dict[tuple[int, int], Poly] = {}
         self._p_ints: dict[tuple[int, int], list[int]] = {}
         # D_j s_j over the moments the window reaches, P pairings included
         self._c1, self._d1 = cleared(moments.s1[:2 * max_n + max_m + 1])
@@ -84,37 +85,29 @@ class HPTable:
     def _column(self, m: int) -> LeadingMinors:
         """Elimination of the rows [D2 s2 shifts 0..m-1, D1 s1 shifts 0..],
         max_n + m + 1 columns wide: the shared one's first m rows and its s1
-        rows, forked from it after the steps it finishes among those m rows,
-        on the first read at n >= 1."""
+        rows, forked from its exchange-free steps among those m rows on the
+        column's first read."""
         if m not in self._columns:
             self._columns[m] = self._shared.fork(m, self.max_m, self.max_n + m + 1)
         return self._columns[m]
-
-    def _holder(self, n: int, m: int) -> LeadingMinors:
-        """The elimination whose leading minor of order n + m is K(n, m)."""
-        return self._column(m) if n else self._shared
 
     # -- determinants and normality ---------------------------------------
 
     def minor(self, n: int, m: int) -> int:
         """K(n, m) = (-1)^(nm) D1^n D2^m S(n, m), the integer leading minor
-        of the column elimination that holds index (n, m); the empty case is 1.
+        of column m's elimination; the empty case is 1.
         """
         key = (n, m)
         if key not in self._k:
             self._check_window(n, m)
             self.moments.check_depth(n, m, bordered=False)
-            self._k[key] = self._holder(n, m).minor(n + m)
+            self._k[key] = self._column(m).minor(n + m)
         return self._k[key]
 
     def s_det(self, n: int, m: int) -> Fraction:
         """Mixed Hankel-type determinant of size n + m; the empty case is 1."""
-        key = (n, m)
-        if key not in self._s:
-            minor = self.minor(n, m)
-            self._s[key] = Fraction(-minor if n * m % 2 else minor,
-                                    self._d1 ** n * self._d2 ** m)
-        return self._s[key]
+        minor = self.minor(n, m)
+        return Fraction(-minor if n * m % 2 else minor, self._d1 ** n * self._d2 ** m)
 
     def is_normal(self, n: int, m: int) -> bool:
         return self.s_det(n, m) != 0
@@ -122,28 +115,22 @@ class HPTable:
     # -- the two polynomial routes ----------------------------------------
 
     def _p_column(self, n: int, m: int) -> LeadingMinors:
-        """The column elimination that holds P(n, m), after the window, the
-        normality and the bordered-depth checks, in that order."""
+        """Column m's elimination, which holds P(n, m), after the window,
+        the normality and the bordered-depth checks, in that order."""
         self._check_window(n, m)
         if self.minor(n, m) == 0:
             raise NotNormalError(n, m)
         self.moments.check_depth(n, m, bordered=True)
-        return self._holder(n, m)
+        return self._column(m)
 
     def hp_poly_det(self, n: int, m: int) -> Poly:
-        """Monic table polynomial via the bordered determinant, memoized."""
-        key = (n, m)
-        if key not in self._p:
-            poly = Poly.monic(self._null_vector(n, m))
-            if poly.degree != n + m or not poly.is_monic:
-                raise IntegrityError(f"bordered determinant at ({n}, {m}) "
-                                     f"is not monic of degree {n + m}")
-            self._p[key] = poly
-        return self._p[key]
+        """Monic table polynomial via the bordered determinant: the memoized
+        null vector over its last entry."""
+        return Poly.monic(self._null_vector(n, m))
 
     def _null_vector(self, n: int, m: int) -> list[int]:
-        """The integer null vector v_0 .. v_k, k = n + m, of the column
-        elimination that holds P(n, m) = v / v_k, memoized per index, after
+        """The integer null vector v_0 .. v_k, k = n + m, of column m's
+        elimination, P(n, m) = v / v_k, memoized per index, after
         the checks of ``_p_column``."""
         key = (n, m)
         if key not in self._p_ints:

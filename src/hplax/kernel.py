@@ -165,10 +165,6 @@ class LaurentTail:
     def truncation_order(self) -> int:
         return len(self.coeffs)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def coeff(self, k: int) -> Fraction:
         if k < 0:
             raise DimensionError("Laurent tail has no nonnegative powers")
@@ -190,23 +186,11 @@ class LaurentTail:
         n = min(len(self.coeffs), len(other.coeffs))
         return LaurentTail(tuple(self.coeffs[i] + other.coeffs[i] for i in range(n)))
 
-    def __sub__(self, other: "LaurentTail") -> "LaurentTail":
-        return self + (-other)
-
-    def __neg__(self) -> "LaurentTail":
-        return LaurentTail(tuple(-c for c in self.coeffs))
-
     def __mul__(self, scalar: Ratlike) -> "LaurentTail":
         c = rat(scalar)
         return LaurentTail(tuple(c * a for a in self.coeffs))
 
     __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "O(empty)"
-        terms = " + ".join(f"({c})/z^{k + 1}" for k, c in enumerate(self.coeffs) if c != 0)
-        return (terms or "0") + f" + O(z^-{len(self.coeffs) + 1})"
 
 
 @dataclass(frozen=True)
@@ -252,12 +236,6 @@ class MatPoly:
         return MatPoly(tuple(tuple(sum((f * g for f, g in zip(row, col)), Poly())
                                    for col in cols)
                              for row in self.rows))
-
-    def __add__(self, other: "MatPoly") -> "MatPoly":
-        if self.dim != other.dim:
-            raise DimensionError("matrix dimensions differ")
-        return MatPoly(tuple(tuple(a + b for a, b in zip(ra, rb))
-                             for ra, rb in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "MatPoly") -> "MatPoly":
         if self.dim != other.dim:
@@ -357,23 +335,25 @@ class LeadingMinors:
 
     ``fork(k, tail, width)`` eliminates the matrix of this one's rows
     0 .. k - 1, tail, tail + 1, .., at a width no wider than this one's,
-    starting from this one's state after its first j steps: those it
-    finishes among its first k rows, cut before the first exchange that
-    brought in a row from a position >= k.  The fork takes over the pivots,
-    pivot rows and exchanges of those steps (``inherited`` counts them).
-    Each row tail + i the fork reaches comes from the parent as it stands
-    after the j steps (``_level``), cut to the fork's width, and the fork
-    runs only its own steps on it.  The parent keeps such a row after every
-    step count a fork asked for, so forks at different j reduce it once, and
-    never steps it further.  Neither's later steps, exchanges or reads change
-    the other's minors.  A fork is not forked.
+    starting from this one's exchange-free prefix: its first j steps, j the
+    least of k, the steps it finishes among its first k rows, and the step
+    of its first exchange.  No exchange precedes step j, so those steps'
+    pivot rows are rows 0 .. j - 1 as they stand: the fork takes them over
+    with their pivots (``inherited`` counts the steps), and reads its rows
+    j .. k - 1 afresh, as a fresh elimination would, running the j steps on
+    each.  Each row tail + i the fork reaches comes from the parent as it
+    stands after the j steps (``_level``), cut to the fork's width, and the
+    fork runs only its own steps on it.  The parent keeps such a row after
+    every step count a fork asked for, so forks at different j reduce it
+    once, and never steps it further.  Neither's later steps, exchanges or
+    reads change the other's minors.  A fork is not forked.
     """
 
     def __init__(self, row: Callable[[int], Sequence[int]], width: int):
         self._row = row
         self.width = width
-        # a fork's parent, its k and tail, and its order after its inherited steps
-        self._parent: tuple[LeadingMinors, int, int, list[int]] | None = None
+        # a fork's parent, its k and its tail
+        self._parent: tuple[LeadingMinors, int, int] | None = None
         self.inherited = 0                          # steps taken over at a fork
         self._rows: list[list[int]] = []            # by position
         self._pivots: list[int] = []                # rows[c][c] of each finished step
@@ -399,16 +379,13 @@ class LeadingMinors:
         """The row at position i, reading and reducing the rows up to it."""
         rows, pivots = self._rows, self._pivots
         while len(rows) <= i:
-            origin, first, row = len(rows), 0, None     # first: its first step
-            if self._parent:
-                parent, k, tail, order = self._parent
-                if origin < k:
-                    origin = order[origin]
-                else:
-                    origin, first = tail + origin - k, self.inherited
-                    row = parent._level(origin, first)[:self.width]
-            if row is None:
-                row = self._read(origin)
+            r = len(rows)
+            if self._parent and r >= self._parent[1]:
+                parent, k, tail = self._parent
+                first = self.inherited                  # the row's first step
+                row = parent._level(tail + r - k, first)[:self.width]
+            else:
+                first, row = 0, self._read(r)
             for c in range(first, len(pivots)):
                 self._step(row, rows[c], c, pivots[c], pivots[c - 1] if c else 1)
             rows.append(row)
@@ -482,24 +459,19 @@ class LeadingMinors:
 
     def fork(self, k: int, tail: int, width: int) -> "LeadingMinors":
         """The elimination of this one's rows 0 .. k - 1, tail, tail + 1, ..
-        at width columns, started from this one's state after its first j
-        steps (see the class)."""
+        at width columns, started from this one's exchange-free prefix of
+        at most k steps (see the class)."""
         if self._parent is not None:
             raise DimensionError("a fork is not forked")
         if width > self.width:
             raise DimensionError(f"a fork of {width} columns outgrows its parent's {self.width}")
         self.minor(k)
-        j = min(k, len(self._pivots))
-        j = next((c for c, r in self._swaps if c < j and r >= k), j)
-        swaps = [(c, r) for c, r in self._swaps if c < j]
-        order = list(range(k))      # original index at each position after j steps
-        for c, r in swaps:
-            order[c], order[r] = order[r], order[c]
+        first_exchange = self._swaps[0][0] if self._swaps else k
+        j = min(k, len(self._pivots), first_exchange)
         fork = LeadingMinors(self._row, width)     # it reads this one's rows
-        fork._parent, fork.inherited = (self, k, tail, order), j
+        fork._parent, fork.inherited = (self, k, tail), j
         fork._rows = self._rows[:j]
         fork._pivots = self._pivots[:j]
-        fork._swaps = swaps
         return fork
 
     def _level(self, r: int, j: int) -> list[int]:

@@ -222,8 +222,7 @@ def monic_orthogonal_polys(s, upto: int) -> list[Poly]:
             raise DegeneracyError(
                 f"moment functional degenerates at depth {n} "
                 f"(Hankel determinant of order {n} vanishes)")
-        v = hankel.null_vector(n)
-        polys.append(Poly(Fraction(x, v[-1]) for x in v))
+        polys.append(Poly.monic(hankel.null_vector(n)))
     return polys
 
 

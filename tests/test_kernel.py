@@ -207,12 +207,12 @@ class TestFork:
     its own rows, whatever was read of either before or after the fork."""
 
     def test_exchange_before_the_fork_point(self):
-        # step 0 takes row 1 in; the fork keeps both rows, so it starts
-        # after two steps and inherits the exchange
+        # step 0 takes row 1 in; a fork inherits only the steps before the
+        # parent's first exchange, so it starts at 0 and reads both rows afresh
         parent = leading_minors_of([[0, 1, 2, 1], [1, 0, 1, 3], [5, 7, 1, 2], [2, 1, 1, 1]])
         parent.minor(2)
         fork = parent.fork(2, 3, 4)
-        assert fork.inherited == 2
+        assert fork.inherited == 0
         matrix = [[0, 1, 2, 1], [1, 0, 1, 3], [2, 1, 1, 1]]
         for order in range(4):
             assert normalized(fork_reads(fork, matrix, order)) == normalized(
@@ -254,6 +254,8 @@ class TestFork:
             fork_reads(parent, matrix, order)
         fork = parent.fork(k, tail, len(kept) + spare)
         assert 0 <= fork.inherited <= k
+        # the fork's prefix is exchange-free: it ends at the parent's first exchange
+        assert all(fork.inherited <= c for c, _ in parent._swaps[:1])
         requests = ([("fork", order) for order in range(len(kept) + 1)]
                     + [("parent", order) for order in range(len(matrix) + 1)])
         rng.shuffle(requests)

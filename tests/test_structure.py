@@ -10,6 +10,8 @@ the Python versions the package supports, and none reads the environment:
 behaviour is set by the arguments of a call alone.  Only the kernel, the
 table and the single-sequence Hankel type construct an elimination, and a
 passing ``cross_validate`` builds one table (a rule checked by running it).
+The table's shared elimination is a prefix its columns fork from, and
+answers no read itself.
 """
 
 import ast
@@ -149,6 +151,23 @@ def test_only_the_elimination_homes_construct_one():
             if (isinstance(node, ast.Call) and name not in ELIMINATION_HOMES
                     and "LeadingMinors" in used_names(node.func)):
                 offences.append(f"{name} calls LeadingMinors (line {node.lineno})")
+    assert offences == []
+
+
+def test_the_shared_elimination_answers_no_table_read():
+    # assigned in HPTable.__init__, read by _column alone, so every read
+    # goes through a column elimination
+    offences = []
+    for top in modules()["hptable"].body:
+        methods = top.body if isinstance(top, ast.ClassDef) else [top]
+        for fn in methods:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for leaf in ast.walk(fn):
+                if isinstance(leaf, ast.Attribute) and leaf.attr == "_shared":
+                    home = "__init__" if isinstance(leaf.ctx, ast.Store) else "_column"
+                    if fn.name != home:
+                        offences.append(f"{fn.name} uses _shared (line {leaf.lineno})")
     assert offences == []
 
 
