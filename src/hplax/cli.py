@@ -3,8 +3,10 @@
 Subcommands: gen | table | coeffs | solve-bvp | verify | qd.  All inputs and
 outputs are the JSON documents of jsondoc; values are exact rational strings.
 
-Exit codes: 0 ok, 2 parse error, 3 not-normal index or degenerate data,
-4 non-perfect boundary, 5 insufficient truncation.
+Exit codes: 0 ok, 1 when ``verify`` or ``qd`` finds a nonzero residual, 2
+on a usage error.  A library error exits with the ``exit_code`` of its
+class, and stderr names it by the class's ``label``: see ``errors`` and
+``jsondoc.ParseError``.
 """
 
 from __future__ import annotations
@@ -17,17 +19,13 @@ from typing import Any
 
 from . import classical, jsondoc
 from .bvp import cross_validate, field_from_moments, sweep_solve
-from .errors import (DegeneracyError, HplaxError, NonPerfectBoundaryError,
-                     NotNormalError, TruncationError)
+from .errors import HplaxError, TruncationError
 from .hptable import HPTable
 from .measures import (MomentSystem, jfraction_to_moments, make_angelesco,
                        make_nikishin)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
-EXIT_NOT_NORMAL = 3
-EXIT_NON_PERFECT = 4
-EXIT_TRUNCATION = 5
 
 
 def _read_doc(path: str) -> Any:
@@ -126,10 +124,7 @@ def _cmd_solve_bvp(args) -> int:
     n_max, m_max = args.window
     report = sweep_solve(boundary, n_max, m_max)
     _write_doc(jsondoc.sweep_report_to_doc(report, (n_max, m_max)), args.outfile)
-    if not report.ok:
-        index, reason = report.failure
-        print(f"non-perfect boundary: {reason}", file=sys.stderr)
-        return EXIT_NON_PERFECT
+    report.field_or_raise()
     return EXIT_OK
 
 
@@ -195,19 +190,16 @@ def _parser() -> argparse.ArgumentParser:
                     "sequences.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, window=True):
+    def add_common(p):
         p.add_argument("--in", dest="infile", required=True,
                        help="input JSON document ('-' for stdin)")
         p.add_argument("--out", dest="outfile", default=None,
                        help="output path (default: stdout)")
-        if window:
-            p.add_argument("--window", nargs=2, type=nonnegative, required=True,
-                           metavar=("N", "M"))
 
     p_gen = sub.add_parser("gen", help="generate a moment system document")
     p_gen.add_argument("--system", required=True,
                        choices=["angelesco", "nikishin", "moments", "jfraction"])
-    add_common(p_gen, window=False)
+    add_common(p_gen)
     p_gen.add_argument("--order", type=nonnegative, default=None,
                        help="number of moments to generate")
     p_gen.add_argument("--window", nargs=2, type=nonnegative, default=None,
@@ -216,25 +208,17 @@ def _parser() -> argparse.ArgumentParser:
                             "for this window")
     p_gen.set_defaults(func=_cmd_gen)
 
-    p_table = sub.add_parser("table", help="determinant and polynomial grids")
-    add_common(p_table)
-    p_table.set_defaults(func=_cmd_table)
-
-    p_coeffs = sub.add_parser("coeffs", help="recurrence coefficient grids")
-    add_common(p_coeffs)
-    p_coeffs.set_defaults(func=_cmd_coeffs)
-
-    p_bvp = sub.add_parser("solve-bvp", help="sweep the boundary-value problem")
-    add_common(p_bvp)
-    p_bvp.set_defaults(func=_cmd_solve_bvp)
-
-    p_verify = sub.add_parser("verify", help="cross-validate all routes")
-    add_common(p_verify)
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_qd = sub.add_parser("qd", help="qd coefficient grids and 2x2 residuals")
-    add_common(p_qd)
-    p_qd.set_defaults(func=_cmd_qd)
+    for name, func, text in (
+            ("table", _cmd_table, "determinant and polynomial grids"),
+            ("coeffs", _cmd_coeffs, "recurrence coefficient grids"),
+            ("solve-bvp", _cmd_solve_bvp, "sweep the boundary-value problem"),
+            ("verify", _cmd_verify, "cross-validate all routes"),
+            ("qd", _cmd_qd, "qd coefficient grids and 2x2 residuals")):
+        p = sub.add_parser(name, help=text)
+        add_common(p)
+        p.add_argument("--window", nargs=2, type=nonnegative, required=True,
+                       metavar=("N", "M"))
+        p.set_defaults(func=func)
     return parser
 
 
@@ -247,24 +231,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except jsondoc.ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotNormalError as exc:
-        print(f"not normal: {exc}", file=sys.stderr)
-        return EXIT_NOT_NORMAL
-    except NonPerfectBoundaryError as exc:
-        print(f"non-perfect boundary: {exc}", file=sys.stderr)
-        return EXIT_NON_PERFECT
-    except TruncationError as exc:
-        print(f"truncation: {exc}", file=sys.stderr)
-        return EXIT_TRUNCATION
-    except DegeneracyError as exc:
-        print(f"degenerate data: {exc}", file=sys.stderr)
-        return EXIT_NOT_NORMAL
     except HplaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,10 +1,17 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules.
+
+Each class carries the exit code and the stderr label the command line
+reports it with; a subclass inherits both unless it sets its own.
+"""
 
 from __future__ import annotations
 
 
 class HplaxError(Exception):
     """Base class for all library errors."""
+
+    exit_code = 1               # an internal mismatch: unreachable on valid data
+    label = "error"
 
 
 class DimensionError(HplaxError):
@@ -14,6 +21,8 @@ class DimensionError(HplaxError):
 class TruncationError(HplaxError):
     """An operation would read series or moment data past its validity."""
 
+    exit_code, label = 5, "truncation"
+
 
 class WindowError(HplaxError):
     """A lattice index outside the covered window was requested."""
@@ -22,6 +31,8 @@ class WindowError(HplaxError):
 class NotNormalError(HplaxError):
     """The determinant at a multi-index vanishes, so no monic table entry exists."""
 
+    exit_code, label = 3, "not normal"
+
     def __init__(self, n: int, m: int, message: str | None = None):
         self.index = (n, m)
         super().__init__(message or f"index ({n}, {m}) is not normal")
@@ -29,6 +40,8 @@ class NotNormalError(HplaxError):
 
 class DegeneracyError(HplaxError):
     """A required denominator (Hankel value, determinant, series head) vanishes."""
+
+    exit_code, label = 3, "degenerate data"
 
 
 class DisjointSupportError(DegeneracyError):
@@ -45,6 +58,8 @@ class IntegrityError(HplaxError):
 
 class NonPerfectBoundaryError(HplaxError):
     """Boundary data hit a zero denominator: it does not come from a perfect system."""
+
+    exit_code, label = 4, "non-perfect boundary"
 
     def __init__(self, n: int, m: int, message: str | None = None):
         self.index = (n, m)

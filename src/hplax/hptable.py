@@ -11,14 +11,14 @@ the table is a fraction-free elimination with row exchanges
 one column per power of x up to x^(max_n + m), the degree of the column's
 deepest P.  Its leading minor of order n + m is (-1)^(nm) D1^n D2^m S(n, m),
 zero pivots included (``minor``), and it is extended only as deep as a call
-needs.  Every column forks from one shared elimination of
-[s2 shifts 0..max_m-1, s1 shifts 0..], max_n + max_m + 1 columns wide, after
-the steps it finishes among its first m rows before its first row exchange,
-so the table eliminates the s2 Hankel block once and reduces each s1 row by
-each of those steps once (``LeadingMinors.fork``).  The shared elimination
-is only that prefix: it answers no read, and every read, n = 0 included,
-goes through its column.  P(n, m) is the monic null vector of the leading
-n + m rows, read by back substitution once per index.
+needs.  Every column forks from one exchange-free prefix
+(``kernel.SharedPrefix``) of the rows [s2 shifts 0..max_m-1, s1 shifts 0..],
+max_n + max_m + 1 columns wide, after the steps it takes among the first m
+rows before its first zero pivot, so the table eliminates the s2 Hankel
+block once and reduces each row by each of those steps once.  The shared
+prefix answers no read: every read, n = 0 included, goes through its
+column.  P(n, m) is the monic null vector of the leading n + m rows, read
+by back substitution once per index.
 The subleading coefficient of P(n, m), all that the recurrence field needs
 of it, is one entry of the pivot row at position n + m - 1 over that row's
 pivot (``subleading``), so the field forms no polynomial.
@@ -37,9 +37,9 @@ from typing import Iterable
 
 from .errors import (DegeneracyError, IntegrityError, NotNormalError,
                      TruncationError, WindowError)
-from .kernel import (LaurentTail, LeadingMinors, Poly, cleared,
+from .kernel import (LaurentTail, LeadingMinors, Poly, SharedPrefix, cleared,
                      poly_from_series_product, settle, solve_exact)
-from .measures import MomentSystem
+from .measures import MomentSystem, hankel_row
 
 
 class HPTable:
@@ -61,18 +61,13 @@ class HPTable:
         # D_j s_j over the moments the window reaches, P pairings included
         self._c1, self._d1 = cleared(moments.s1[:2 * max_n + max_m + 1])
         self._c2, self._d2 = cleared(moments.s2[:max_n + 2 * max_m + 1])
-        # the shared elimination's rows: [D2 s2 shifts 0..max_m-1, D1 s1 shifts 0..]
+        # the shared prefix's rows: [D2 s2 shifts 0..max_m-1, D1 s1 shifts 0..],
+        # whose padding no read that passes check_depth sees
         c1, c2 = self._c1, self._c2
         width = max_n + max_m + 1
-
-        def row(r: int) -> list[int]:
-            # zeros past the cleared moments: column t of a reduced row depends
-            # only on columns <= t, so no read that passes check_depth sees them
-            seq, shift = (c2, r) if r < max_m else (c1, r - max_m)
-            entries = seq[shift:shift + width]
-            return entries + [0] * (width - len(entries))
-
-        self._shared = LeadingMinors(row, width)
+        self._shared = SharedPrefix(
+            lambda r: (hankel_row(c2, r, width) if r < max_m
+                       else hankel_row(c1, r - max_m, width)), width)
         self._columns: dict[int, LeadingMinors] = {}
 
     # -- bookkeeping ------------------------------------------------------
@@ -84,9 +79,9 @@ class HPTable:
 
     def _column(self, m: int) -> LeadingMinors:
         """Elimination of the rows [D2 s2 shifts 0..m-1, D1 s1 shifts 0..],
-        max_n + m + 1 columns wide: the shared one's first m rows and its s1
-        rows, forked from its exchange-free steps among those m rows on the
-        column's first read."""
+        max_n + m + 1 columns wide: the shared prefix's first m rows and its
+        s1 rows, forked from its steps before its first zero pivot among
+        those m rows on the column's first read."""
         if m not in self._columns:
             self._columns[m] = self._shared.fork(m, self.max_m, self.max_n + m + 1)
         return self._columns[m]

@@ -23,6 +23,8 @@ CONVENTION = "cauchy"
 class ParseError(HplaxError):
     """A document does not match its schema."""
 
+    exit_code, label = 2, "parse error"
+
 
 def rat_str(x: Fraction) -> str:
     return str(x)

@@ -3,8 +3,9 @@
 Scalars are arbitrary-precision rationals (``fractions.Fraction``).  On top
 of them sit dense polynomials, truncated Laurent tails at infinity, and small
 square matrices of polynomials.  Every value is immutable after construction
-and safe to share between tasks, except a ``LeadingMinors`` elimination, which
-grows in place, in depth only, as deeper minors are read.
+and safe to share between tasks, except the eliminations: a ``LeadingMinors``
+grows in place, in depth only, as deeper minors are read, and a
+``SharedPrefix`` takes steps and keeps rows as its forks ask for them.
 """
 
 from __future__ import annotations
@@ -333,32 +334,18 @@ class LeadingMinors:
     c .. k - 1 are then zero in column c); otherwise it is the pivot of step
     k - 1, negated once per exchange at a step below k.
 
-    ``fork(k, tail, width)`` eliminates the matrix of this one's rows
-    0 .. k - 1, tail, tail + 1, .., at a width no wider than this one's,
-    starting from this one's exchange-free prefix: its first j steps, j the
-    least of k, the steps it finishes among its first k rows, and the step
-    of its first exchange.  No exchange precedes step j, so those steps'
-    pivot rows are rows 0 .. j - 1 as they stand: the fork takes them over
-    with their pivots (``inherited`` counts the steps), and reads its rows
-    j .. k - 1 afresh, as a fresh elimination would, running the j steps on
-    each.  Each row tail + i the fork reaches comes from the parent as it
-    stands after the j steps (``_level``), cut to the fork's width, and the
-    fork runs only its own steps on it.  The parent keeps such a row after
-    every step count a fork asked for, so forks at different j reduce it
-    once, and never steps it further.  Neither's later steps, exchanges or
-    reads change the other's minors.  A fork is not forked.
+    An elimination forked from a ``SharedPrefix`` starts with that prefix's
+    first ``inherited`` steps taken, and ``row(r)`` gives its rows as they
+    stand after those steps; a plain one starts with none.
     """
 
     def __init__(self, row: Callable[[int], Sequence[int]], width: int):
         self._row = row
         self.width = width
-        # a fork's parent, its k and its tail
-        self._parent: tuple[LeadingMinors, int, int] | None = None
-        self.inherited = 0                          # steps taken over at a fork
+        self.inherited = 0                          # steps each row arrives through
         self._rows: list[list[int]] = []            # by position
         self._pivots: list[int] = []                # rows[c][c] of each finished step
         self._swaps: list[tuple[int, int]] = []     # (c, r): step c took position r
-        self._levels: dict[int, list[list[int]]] = {}   # row -> it after 0, 1, .. steps
 
     def _read(self, r: int) -> list[int]:
         entries = list(self._row(r)[:self.width])
@@ -379,14 +366,8 @@ class LeadingMinors:
         """The row at position i, reading and reducing the rows up to it."""
         rows, pivots = self._rows, self._pivots
         while len(rows) <= i:
-            r = len(rows)
-            if self._parent and r >= self._parent[1]:
-                parent, k, tail = self._parent
-                first = self.inherited                  # the row's first step
-                row = parent._level(tail + r - k, first)[:self.width]
-            else:
-                first, row = 0, self._read(r)
-            for c in range(first, len(pivots)):
+            row = self._read(len(rows))
+            for c in range(self.inherited, len(pivots)):
                 self._step(row, rows[c], c, pivots[c], pivots[c - 1] if c else 1)
             rows.append(row)
         return rows[i]
@@ -457,36 +438,64 @@ class LeadingMinors:
         rows = self._pivot_rows(k)
         return (-rows[k - 1][k], self._pivots[k - 1]) if k else (0, 1)
 
-    def fork(self, k: int, tail: int, width: int) -> "LeadingMinors":
-        """The elimination of this one's rows 0 .. k - 1, tail, tail + 1, ..
-        at width columns, started from this one's exchange-free prefix of
-        at most k steps (see the class)."""
-        if self._parent is not None:
-            raise DimensionError("a fork is not forked")
-        if width > self.width:
-            raise DimensionError(f"a fork of {width} columns outgrows its parent's {self.width}")
-        self.minor(k)
-        first_exchange = self._swaps[0][0] if self._swaps else k
-        j = min(k, len(self._pivots), first_exchange)
-        fork = LeadingMinors(self._row, width)     # it reads this one's rows
-        fork._parent, fork.inherited = (self, k, tail), j
-        fork._rows = self._rows[:j]
-        fork._pivots = self._pivots[:j]
-        return fork
+
+class SharedPrefix:
+    """The exchange-free prefix of a fraction-free elimination of the rows
+    ``row(0), row(1), ..`` at ``width`` columns, kept for the
+    ``LeadingMinors`` eliminations forked from it.
+
+    Step c pivots on row c as it stands after c steps.  It is taken only
+    while that pivot, the leading minor of order c + 1, is nonzero: at the
+    first zero pivot the prefix stops for good, so it never exchanges rows.
+    Each row is read once, as ``LeadingMinors`` reads it, and kept after
+    every step count a fork asks for, so the forks share each step on it.
+
+    ``fork(k, tail, width)`` eliminates the rows 0 .. k - 1, tail,
+    tail + 1, .. at width columns, no wider than the prefix.  It starts
+    from the first j = min(k, steps before the first zero pivot) steps,
+    with their pivot rows and pivots, and every row it reads is the
+    prefix's row after those j steps, cut to its width, rows j .. k - 1
+    included.  It reads as a fresh elimination of its rows would, and
+    neither its steps nor its exchanges change the prefix.
+    """
+
+    def __init__(self, row: Callable[[int], Sequence[int]], width: int):
+        self._row = row
+        self.width = width
+        self._rows: list[list[int]] = []            # pivot row of each step
+        self._pivots: list[int] = []
+        self._levels: dict[int, list[list[int]]] = {}   # row -> it after 0, 1, .. steps
+
+    _read = LeadingMinors._read
 
     def _level(self, r: int, j: int) -> list[int]:
-        """Row r, which no step below j pivots on, after the first j steps.
-        The row is kept after every step count asked for, so a deeper step
-        count steps on from the deepest one kept."""
+        """Row r after the first j steps, j no more than the steps taken,
+        stepped on from the deepest step count kept."""
         levels = self._levels.get(r)
         if levels is None:
             levels = self._levels[r] = [self._read(r)]
         rows, pivots = self._rows, self._pivots
         for c in range(len(levels) - 1, j):
             row = list(levels[c])
-            self._step(row, rows[c], c, pivots[c], pivots[c - 1] if c else 1)
+            LeadingMinors._step(row, rows[c], c, pivots[c], pivots[c - 1] if c else 1)
             levels.append(row)
         return levels[j]
+
+    def fork(self, k: int, tail: int, width: int) -> LeadingMinors:
+        """The elimination of the rows 0 .. k - 1, tail, tail + 1, .. at
+        width columns, started from this prefix's first j steps (see the
+        class)."""
+        if max(k, width) > self.width:
+            raise DimensionError(f"a fork of {k} rows and {width} columns outgrows "
+                                 f"the prefix's {self.width} columns")
+        rows, pivots = self._rows, self._pivots
+        while (c := len(pivots)) < k and (top := self._level(c, c))[c]:
+            rows.append(top)
+            pivots.append(top[c])
+        j = min(k, len(pivots))
+        fork = LeadingMinors(lambda r: self._level(r if r < k else tail + r - k, j), width)
+        fork.inherited, fork._rows, fork._pivots = j, rows[:j], pivots[:j]
+        return fork
 
 
 def det_exact(rows: Sequence[Sequence[Ratlike]]) -> Fraction:

@@ -163,6 +163,16 @@ def make_nikishin(sigma1: MeasureModel, sigma2: MeasureModel, count: int) -> Mom
     return MomentSystem(tuple(s1), tuple(s2), label="nikishin")
 
 
+def hankel_row(ints: list[int], start: int, width: int) -> list[int]:
+    """The Hankel row ints[start:start + width] of a cleared moment sequence,
+    zero-padded past its last moment to width entries.  Column t of a row
+    reduced by fraction-free steps depends only on the columns <= t of it
+    and of its pivot rows, so a read whose moments all exist never sees the
+    padding."""
+    entries = ints[start:start + width]
+    return entries + [0] * (width - len(entries))
+
+
 class HankelMinors:
     """The Hankel blocks of one moment sequence, as integer leading minors.
 
@@ -174,12 +184,10 @@ class HankelMinors:
     [s_(k+i+j)], i, j < n, and its null vector of order n holds the monic
     orthogonal polynomial of degree n of the functional x^k s, scaled.  Each
     caller fixes the width from its own reads: a minor of order n needs n
-    columns, a null vector or ``null_tail`` of order n needs n + 1.
-
-    The rows are zero-padded past the last moment, as ``HPTable``'s are:
-    column t of a reduced row depends only on columns <= t, so a read
-    whose moments exist, up to index k + 2n - 2 for a minor and
-    k + 2n - 1 for a null vector, never sees the padding.
+    columns, a null vector or ``null_tail`` of order n needs n + 1.  The
+    rows are ``hankel_row``s, so a read whose moments exist, up to index
+    k + 2n - 2 for a minor and k + 2n - 1 for a null vector, never sees
+    their padding.
     """
 
     def __init__(self, moments):
@@ -190,12 +198,8 @@ class HankelMinors:
         key = (k, width)
         if key not in self._eliminations:
             ints = self._ints
-
-            def row(r: int) -> list[int]:
-                entries = ints[k + r:k + r + width]
-                return entries + [0] * (width - len(entries))
-
-            self._eliminations[key] = LeadingMinors(row, width)
+            self._eliminations[key] = LeadingMinors(
+                lambda r: hankel_row(ints, k + r, width), width)
         return self._eliminations[key]
 
 

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hplax import hptable, kernel
+from hplax import hptable, kernel, measures
 from hplax.bvp import cross_validate, field_from_moments
 from hplax.errors import HplaxError, NotNormalError, TruncationError, WindowError
 from hplax.hptable import HPTable
-from hplax.kernel import LeadingMinors, Poly, X, det_exact, series_from_moments
+from hplax.kernel import Poly, SharedPrefix, X, det_exact, series_from_moments
 from hplax.lax3 import normalization_grid
 from hplax.measures import MeasureModel, MomentSystem, make_angelesco, make_nikishin
 from hplax.nnrr import field_from_table
@@ -241,16 +241,17 @@ def windowed_small_integer_systems(draw):
     return (N, M), s1, s2
 
 
-# S(0, 1) = 1, S(0, 2) = 0 and S(0, 3) = -1: the shared elimination cannot
-# finish step 1 among the first two s2 rows, so column 2 forks after one step
+# S(0, 1) = 1, S(0, 2) = 0 and S(0, 3) = -1: the shared prefix stops at its
+# zero pivot of step 1, so column 2 forks after one step
 PINNED_S1 = [1, 0, 2, -1, 1, 0, 3, 1, -3, 2, 0, 1, 1]
 PINNED_S2 = [1, 1, 1, 2, 3, -1, 0, 2, 1, 0, -3, 1, 2]
 
 
 class TestTableReadsWithForks:
     """The reads of TestTableReadsOnRandomSystems on windows up to (6, 6) of
-    zero-laden systems, whose zero pivots make the shared s2 elimination
-    exchange rows before, at and after the steps its forks take over."""
+    zero-laden systems, whose zero pivots stop the shared prefix and make
+    the column eliminations exchange rows before, at and after the steps
+    they take over."""
 
     @settings(max_examples=60, deadline=None)
     @given(windowed_small_integer_systems(), read_orders,
@@ -263,18 +264,29 @@ class TestTableReadsWithForks:
     @pytest.mark.parametrize("order", ["rows", "columns", "shuffled"])
     def test_pinned_system_forks_column_two_below_it(self, monkeypatch, order):
         forks = []
-        original = LeadingMinors.fork
+        original = SharedPrefix.fork
 
         def recording(self, k, tail, width):
             fork = original(self, k, tail, width)
             forks.append((k, fork.inherited))
             return fork
 
-        monkeypatch.setattr(LeadingMinors, "fork", recording)
+        monkeypatch.setattr(SharedPrefix, "fork", recording)
         check_table_reads(MomentSystem(PINNED_S1, PINNED_S2), order,
                           random.Random(5), (3, 3))
         assert (2, 1) in forks
         assert all(j <= k for k, j in forks)
+
+    def test_pinned_system_prefix_stops_at_its_first_zero_pivot(self):
+        # every column of the full (3, 3) table has been read; an elimination
+        # that exchanged rows at the zero pivot would take further steps
+        table = HPTable(MomentSystem(PINNED_S1, PINNED_S2), 3, 3)
+        for n in range(4):
+            for m in range(4):
+                table.s_det(n, m)
+                if table.is_normal(n, m):
+                    table.hp_poly_det(n, m)
+        assert len(table._shared._pivots) == 1
 
 
 def record_orders(monkeypatch, name, order):
@@ -438,16 +450,18 @@ class TestWorkCount:
         (lambda: field_from_moments(angelesco_31(24), 5, 5), 156)])
     def test_row_entries_read_no_more_than_before(self, monkeypatch, run, before):
         # before: each row read once, at its elimination's width; 1,288 and
-        # 634 when each column eliminated its own s2 rows and s1 rows
+        # 634 when each column eliminated its own s2 rows and s1 rows.  The
+        # entries are counted where the moment rows are built.
         read = []
-        original = LeadingMinors._read
+        original = measures.hankel_row
 
-        def counting(self, r):
-            entries = original(self, r)
+        def counting(ints, start, width):
+            entries = original(ints, start, width)
             read.append(len(entries))
             return entries
 
-        monkeypatch.setattr(LeadingMinors, "_read", counting)
+        for module in (measures, hptable):
+            monkeypatch.setattr(module, "hankel_row", counting)
         run()
         assert sum(read) <= before
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from hplax.errors import (DegeneracyError, DimensionError, IntegrityError,
                           TruncationError)
-from hplax.kernel import (LaurentTail, LeadingMinors, MatPoly, Poly, X, det_exact,
-                          moment_pairing, poly_from_series_product,
+from hplax.kernel import (LaurentTail, LeadingMinors, MatPoly, Poly, SharedPrefix, X,
+                          det_exact, moment_pairing, poly_from_series_product,
                           series_from_moments, series_of_ratio, solve_exact)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
@@ -192,8 +192,22 @@ def normalized(read):
     return det, ints and ratios(ints), tail and F(*tail)
 
 
-# a parent of head rows and tail rows, zero-laden, three columns wider than
-# it is tall; the fork keeps k head rows and all tail rows
+def prefix_of(matrix, width=None):
+    """The shared prefix of the rows of matrix, as wide as its first row by
+    default."""
+    return SharedPrefix(matrix.__getitem__, len(matrix[0]) if width is None else width)
+
+
+def steps_before_a_zero_pivot(matrix):
+    """The least c whose leading minor of order c + 1 vanishes, or the
+    number of rows if none does: a no-exchange elimination's step c pivots
+    on that minor."""
+    return next((c for c in range(len(matrix))
+                 if det_exact([row[:c + 1] for row in matrix[:c + 1]]) == 0), len(matrix))
+
+
+# a matrix of head rows and tail rows, zero-laden, three columns wider than
+# it is tall; a fork keeps k head rows and all tail rows
 fork_cases = st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 3)).flatmap(
     lambda sizes: st.tuples(
         st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]),
@@ -203,72 +217,79 @@ fork_cases = st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 3)).
 
 
 class TestFork:
-    """A fork of an elimination after j steps reads as a fresh elimination of
-    its own rows, whatever was read of either before or after the fork."""
+    """A fork of a shared prefix after j steps reads as a fresh elimination
+    of its own rows, whatever was read of it or of the other forks before
+    or after."""
 
     def test_exchange_before_the_fork_point(self):
-        # step 0 takes row 1 in; a fork inherits only the steps before the
-        # parent's first exchange, so it starts at 0 and reads both rows afresh
-        parent = leading_minors_of([[0, 1, 2, 1], [1, 0, 1, 3], [5, 7, 1, 2], [2, 1, 1, 1]])
-        parent.minor(2)
-        fork = parent.fork(2, 3, 4)
-        assert fork.inherited == 0
+        # step 0's pivot is zero, so the prefix takes no step and the fork
+        # starts at 0; its own step 0 takes row 1 in
+        prefix = prefix_of([[0, 1, 2, 1], [1, 0, 1, 3], [5, 7, 1, 2], [2, 1, 1, 1]])
+        fork = prefix.fork(2, 3, 4)
+        assert fork.inherited == 0 and prefix._pivots == []
         matrix = [[0, 1, 2, 1], [1, 0, 1, 3], [2, 1, 1, 1]]
         for order in range(4):
             assert normalized(fork_reads(fork, matrix, order)) == normalized(
                 fork_reads(leading_minors_of(matrix), matrix, order))
 
     def test_exchange_from_past_the_kept_rows_cuts_the_fork(self):
-        # rows 0 and 1 are zero in column 0, so step 0 takes row 2 in; a
-        # fork that keeps two rows cannot reuse that step and starts at 0
-        parent = leading_minors_of([[0, 1, 1, 1], [0, 2, 1, 1], [3, 1, 0, 1], [1, 1, 1, 1]])
-        parent.minor(3)
-        fork = parent.fork(2, 3, 4)
+        # rows 0 and 1 are zero in column 0, so a plain elimination would
+        # take row 2 in at step 0; the prefix stops there and the fork,
+        # which keeps two rows, starts at 0
+        prefix = prefix_of([[0, 1, 1, 1], [0, 2, 1, 1], [3, 1, 0, 1], [1, 1, 1, 1]])
+        fork = prefix.fork(2, 3, 4)
         assert fork.inherited == 0
         matrix = [[0, 1, 1, 1], [0, 2, 1, 1], [1, 1, 1, 1]]
         for order in range(4):
             assert normalized(fork_reads(fork, matrix, order)) == normalized(
                 fork_reads(leading_minors_of(matrix), matrix, order))
 
-    def test_fork_of_a_fork_is_refused(self):
-        parent = leading_minors_of([[1, 2, 3], [4, 5, 6]])
-        with pytest.raises(DimensionError):
-            parent.fork(1, 1, 3).fork(1, 1, 3)
+    def test_prefix_stops_at_its_first_zero_pivot(self):
+        # pivots 1, then 1 * 1 - 1 * 1 = 0: the prefix takes one step and no
+        # more, whichever forks follow, and reads no row past the zero pivot's
+        matrix = [[1, 1, 2, 3, 1], [1, 1, 0, 1, 2], [2, 0, 1, 1, 1], [0, 1, 1, 2, -1]]
+        read = []
+        prefix = SharedPrefix(lambda r: read.append(r) or matrix[r], 5)
+        assert [prefix.fork(k, 3, 5).inherited for k in (3, 1, 2, 0, 3)] == [1, 1, 1, 0, 1]
+        assert prefix._pivots == [1] and sorted(set(read)) == [0, 1]
+        fork = prefix.fork(3, 3, 5)
+        for order in range(5):
+            assert normalized(fork_reads(fork, matrix, order)) == normalized(
+                fork_reads(leading_minors_of(matrix), matrix, order))
 
     def test_fork_wider_than_its_parent_is_refused(self):
-        parent = leading_minors_of([[1, 2, 3], [4, 5, 6]])
+        prefix = prefix_of([[1, 2, 3], [4, 5, 6]])
         with pytest.raises(DimensionError):
-            parent.fork(1, 1, 4)
+            prefix.fork(1, 1, 4)
 
     @settings(max_examples=200, deadline=None)
     @given(fork_cases, st.integers(0, 4), st.integers(1, 3),
            st.randoms(use_true_random=False))
     def test_fork_reads_as_a_fresh_elimination(self, case, warm, spare, rng):
-        # the fork has spare - 1 columns more than its null vectors need,
-        # and at most as many as its parent
+        # each fork has spare - 1 columns more than its null vectors need,
+        # and at most as many as its prefix
         matrix, k, tail = case
-        head = matrix[:tail]
-        kept = head[:k] + matrix[tail:]
-        parent = leading_minors_of(matrix, len(matrix) + 3)
-        for order in range(min(warm, len(matrix)) + 1):     # exchanges, maybe from >= k
-            fork_reads(parent, matrix, order)
-        fork = parent.fork(k, tail, len(kept) + spare)
-        assert 0 <= fork.inherited <= k
-        # the fork's prefix is exchange-free: it ends at the parent's first exchange
-        assert all(fork.inherited <= c for c, _ in parent._swaps[:1])
-        requests = ([("fork", order) for order in range(len(kept) + 1)]
-                    + [("parent", order) for order in range(len(matrix) + 1)])
+        prefix = prefix_of(matrix, len(matrix) + 3)
+        if warm <= tail:                    # steps an earlier fork took
+            prefix.fork(warm, tail, 1)
+        forks = {}
+        for keep in sorted({k, tail // 2, tail}):
+            kept = matrix[:keep] + matrix[tail:]
+            forks[keep] = prefix.fork(keep, tail, len(kept) + spare), kept
+            assert forks[keep][0].inherited == min(keep, steps_before_a_zero_pivot(matrix[:tail]))
+        requests = [(keep, order) for keep, (_, kept) in forks.items()
+                    for order in range(len(kept) + 1)]
         rng.shuffle(requests)
         seen = {}
-        for who, order in requests:
-            minors, rows = (fork, kept) if who == "fork" else (parent, matrix)
-            seen[who, order] = fork_reads(minors, rows, order)
-        # every later step and deeper read of either leaves the other's reads
-        for (who, order), read in seen.items():
-            minors, rows = (fork, kept) if who == "fork" else (parent, matrix)
-            assert fork_reads(minors, rows, order) == read
+        for keep, order in requests:
+            fork, kept = forks[keep]
+            seen[keep, order] = fork_reads(fork, kept, order)
+        # every later step and deeper read of any fork leaves the others' reads
+        for (keep, order), read in seen.items():
+            fork, kept = forks[keep]
+            assert fork_reads(fork, kept, order) == read
             assert normalized(read) == normalized(
-                fork_reads(leading_minors_of(rows, minors.width), rows, order))
+                fork_reads(leading_minors_of(kept, fork.width), kept, order))
 
 
 class TestSolveExact:

@@ -11,7 +11,8 @@ behaviour is set by the arguments of a call alone.  Only the kernel, the
 table and the single-sequence Hankel type construct an elimination, and a
 passing ``cross_validate`` builds one table (a rule checked by running it).
 The table's shared elimination is a prefix its columns fork from, and
-answers no read itself.
+answers no read itself.  The command line maps every library error to its
+exit code in one clause, through the error's class.
 """
 
 import ast
@@ -188,3 +189,20 @@ def test_a_passing_cross_validate_builds_one_table(monkeypatch, system_a, nikish
             windows.clear()
             cross_validate(system, N, M)
             assert windows == [(N + 1, M + 1)]
+
+
+def test_cli_catches_library_errors_in_one_clause():
+    # the exit code and label live on the error classes, so cli needs no
+    # clause per error and cannot decide an exit code of its own
+    from hplax.cli import HplaxError
+
+    library = set()
+    pending = [HplaxError]
+    while pending:
+        cls = pending.pop()
+        library.add(cls.__name__)
+        pending += cls.__subclasses__()
+    caught = [sorted(used_names(node.type) & library)
+              for node in ast.walk(modules()["cli"])
+              if isinstance(node, ast.ExceptHandler) and node.type is not None]
+    assert [names for names in caught if names] == [["HplaxError"]]
