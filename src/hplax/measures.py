@@ -112,12 +112,28 @@ class JFraction:
 
 
 def measure_moments(mu: MeasureModel, count: int) -> list[Fraction]:
-    """Exact power moments: entry k is the integral of x^k against mu."""
+    """Exact power moments: entry k is the integral of x^k against mu.
+
+    A discrete measure's moments are integer power sums over one
+    denominator (``_power_sums``)."""
     if mu.kind == INTERVAL:
         return [(mu.hi ** (k + 1) - mu.lo ** (k + 1)) / (k + 1) for k in range(count)]
+    return _power_sums(mu.atoms, count)
+
+
+def _power_sums(atoms, count: int) -> list[Fraction]:
+    """sum w t^k over the atoms (t, w), for k < count.
+
+    The nodes and the weights are cleared of denominators once (t = P / Q,
+    w = W / L), so moment k is the one Fraction sum W P^k / (L Q^k) of
+    running integer powers W P^k."""
+    nodes, q = cleared([t for t, _ in atoms])
+    terms, scale = cleared([w for _, w in atoms])
     out = []
-    for k in range(count):
-        out.append(sum((w * t ** k for t, w in mu.atoms), Fraction(0)))
+    for _ in range(count):
+        out.append(Fraction(sum(terms), scale))
+        terms = [w * p for w, p in zip(terms, nodes)]
+        scale *= q
     return out
 
 
@@ -142,7 +158,10 @@ def make_nikishin(sigma1: MeasureModel, sigma2: MeasureModel, count: int) -> Mom
 
     The second sequence carries the moments of the measure obtained by
     weighting sigma1 with the Cauchy transform of sigma2; both component
-    measures must be discrete so the weights stay rational.
+    measures must be discrete so the weights stay rational.  The weighted
+    atom v sum_t w / (x - t) at each node x of sigma1 is formed once, with
+    |sigma1| x |sigma2| Fraction divisions whatever the count, and both
+    sequences are integer power sums over one denominator (``_power_sums``).
     """
     if sigma1.kind != DISCRETE or sigma2.kind != DISCRETE:
         raise DegeneracyError("Nikishin generators must both be discrete")
@@ -152,14 +171,10 @@ def make_nikishin(sigma1: MeasureModel, sigma2: MeasureModel, count: int) -> Mom
             raise PoleError(f"sigma2 has an atom at node {x} of sigma1")
     if sigma2.atoms:
         _require_disjoint(sigma1, sigma2)
+    weighted = [(x, v * sum((w / (x - t) for t, w in sigma2.atoms), Fraction(0)))
+                for x, v in sigma1.atoms]
     s1 = measure_moments(sigma1, count)
-    s2 = []
-    for k in range(count):
-        acc = Fraction(0)
-        for x, v in sigma1.atoms:
-            weight = sum((w / (x - t) for t, w in sigma2.atoms), Fraction(0))
-            acc += v * x ** k * weight
-        s2.append(acc)
+    s2 = _power_sums(weighted, count)
     return MomentSystem(tuple(s1), tuple(s2), label="nikishin")
 
 
@@ -267,25 +282,27 @@ def jfraction_to_moments(j: JFraction, count: int) -> list[Fraction]:
     tridiagonal matrix with diagonal c and subdiagonal a.
 
     Exact left-inverse of moments_to_jfraction on its image for
-    count <= 2 * depth.
+    count <= 2 * depth.  The matrix is scaled by L, the lcm of the
+    denominators of the c and a it reads, so v := (L T) v runs in ints and
+    moment k is s0 v_0 / L^k.  Step k computes only the rows below k + 1,
+    where T^k e_0 can be nonzero, and below count - k, from which v_0 can
+    still be reached.
     """
     if count < 0:
         raise DegeneracyError(f"moment count must be nonnegative, got {count}")
     if count == 0:
         return []
     d = j.depth
-    # iterate v := T^k e_0 without forming T
-    v = [Fraction(1)] + [Fraction(0)] * (d - 1)
-    out = [j.s0 * v[0]]
-    for _ in range(count - 1):
-        w = [Fraction(0)] * d
-        for i in range(d):
-            acc = j.c[i] * v[i]
-            if i + 1 < d:
-                acc += v[i + 1]            # superdiagonal of the monic matrix is 1
-            if i >= 1 and i - 1 < len(j.a):
-                acc += j.a[i - 1] * v[i - 1]
-            w[i] = acc
-        v = w
-        out.append(j.s0 * v[0])
+    ints, scale = cleared(j.c + j.a[:d - 1])
+    c, a = ints[:d], ints[d:]
+    num, den = j.s0.numerator, j.s0.denominator
+    v = [1]
+    out = [j.s0]
+    for k in range(1, count):
+        rows = min(d, k + 1, count - k)
+        v += [0] * (rows + 1 - len(v))
+        v = [c[i] * v[i] + scale * v[i + 1] + (a[i - 1] * v[i - 1] if i else 0)
+             for i in range(rows)]
+        den *= scale
+        out.append(Fraction(num * v[0], den))
     return out

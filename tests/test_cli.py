@@ -645,6 +645,44 @@ def test_pinned_solve_bvp_bytes(tmp_path, capsys, case):
             hashlib.sha256(err.encode()).hexdigest()) == BVP_PINNED[case]
 
 
+# gen cases: id -> (argv, input document, sha256 of stdout); each exits 0
+# with an empty stderr.  The nodes and weights mix denominators, and a
+# J-fraction is read past twice its depth.
+GEN_PINNED = {
+    "nikishin-mixed-denominators": (
+        ["gen", "--system", "nikishin", "--order", "40"],
+        {"sigma1": {"type": "discrete",
+                    "atoms": [["1/2", "2/7"], ["3", "1"], ["5/3", "-3/4"]]},
+         "sigma2": {"type": "discrete", "atoms": [["-1/4", "1/3"], ["-2", "2/5"]]}},
+        'd0a2bae010e51d217d46fb592a53455b13ca930ef078358c51623c0ce3b6b668'),
+    "angelesco-half-integer-intervals": (
+        ["gen", "--system", "angelesco", "--window", "5", "4"],
+        {"mu1": {"type": "interval", "lo": "-5/2", "hi": "-1/2"},
+         "mu2": {"type": "interval", "lo": "1/2", "hi": "3/2"}},
+        '2ce2616828004fe863cadcf7b7c99ab3838b4ecc889beb35c3aab46d3edaa785'),
+    "angelesco-discrete-mixed-denominators": (
+        ["gen", "--system", "angelesco", "--order", "25"],
+        {"mu1": {"type": "discrete", "atoms": [["-7/2", "1/3"], ["-1", "2"]]},
+         "mu2": {"type": "discrete", "atoms": [["0", "5/6"], ["4/3", "-1/2"]]}},
+        '592c9938dc494cb86cd7a6ad8eb5365aa7a10a5a6ee469ebae98b739866cd9da'),
+    "jfraction-past-twice-the-depth": (
+        ["gen", "--system", "jfraction", "--order", "11"],
+        {"f1": {"c": ["1/2", "-3", "2/3"], "a": ["1/4", "5"], "s0": "3/2"},
+         "f2": {"c": ["-1", "7/5"], "a": ["2/3", "-1/6"], "s0": "1"}},
+        'ce6648b606eebf11a8e5b4bbfffb3787b94b64b27aa3cb212029366fe42a95a3'),
+}
+
+
+@pytest.mark.parametrize("case", list(GEN_PINNED))
+def test_pinned_gen_bytes(tmp_path, capsys, case):
+    argv, doc, digest = GEN_PINNED[case]
+    path = write_json(tmp_path / "in.json", doc)
+    capsys.readouterr()
+    code = main(argv + ["--in", path])
+    out, err = capsys.readouterr()
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
+
+
 QD_PINNED = [case for case in PINNED_CLI if case[1] == "qd"]
 
 

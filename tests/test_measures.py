@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hplax.errors import (DegeneracyError, DisjointSupportError, PoleError,
@@ -79,6 +79,125 @@ class TestNikishin:
         with pytest.raises(DegeneracyError):
             make_nikishin(MeasureModel.interval(0, 1),
                           MeasureModel.discrete([(-1, 1)]), 3)
+
+
+class TestWeightFormedOnce:
+    def test_one_division_per_pair_of_atoms(self, monkeypatch):
+        # the Cauchy weight of sigma2 at a node of sigma1 does not depend on
+        # the moment index; the moments themselves divide no Fraction
+        sigma1 = MeasureModel.discrete([(F(k, 2), F(1, k)) for k in range(1, 6)])
+        sigma2 = MeasureModel.discrete([(-k, F(k, 3)) for k in range(1, 4)])
+        divide, calls = F.__truediv__, []
+
+        def counted(x, y):
+            calls[-1] += 1
+            return divide(x, y)
+
+        monkeypatch.setattr(F, "__truediv__", counted)
+        for count in (1, 2, 7, 30):
+            calls.append(0)
+            make_nikishin(sigma1, sigma2, count)
+        monkeypatch.undo()
+        assert calls == [5 * 3] * 4
+
+
+def power_sums_oracle(atoms, count):
+    return [sum((w * t ** k for t, w in atoms), F(0)) for k in range(count)]
+
+
+def nikishin_oracle(atoms1, atoms2, count):
+    """The second Nikishin sequence, the weight recomputed for every k."""
+    s2 = []
+    for k in range(count):
+        acc = F(0)
+        for x, v in atoms1:
+            weight = sum((w / (x - t) for t, w in atoms2), F(0))
+            acc += v * x ** k * weight
+        s2.append(acc)
+    return s2
+
+
+def tridiagonal_oracle(j, count):
+    """s0 times the (0, 0) entry of T^k, T iterated on every row in Fractions."""
+    d = j.depth
+    v = [F(1)] + [F(0)] * (d - 1)
+    out = []
+    for _ in range(count):
+        out.append(j.s0 * v[0])
+        v = [j.c[i] * v[i] + (v[i + 1] if i + 1 < d else 0)
+             + (j.a[i - 1] * v[i - 1] if i else 0) for i in range(d)]
+    return out
+
+
+def same(got, want):
+    return got == want and list(map(type, got)) == list(map(type, want))
+
+
+@st.composite
+def rationals(draw, size, nonzero=False, unique=False):
+    """size rationals p/q with |p| <= 12, over one shared q or one q each."""
+    shared = draw(st.booleans())
+    q = draw(st.integers(1, 6))
+    nums = st.integers(-12, 12).filter(bool) if nonzero else st.integers(-12, 12)
+    return draw(st.lists(st.builds(F, nums, st.just(q) if shared else st.integers(1, 6)),
+                         min_size=size, max_size=size, unique=unique))
+
+
+@st.composite
+def atom_lists(draw, max_size=6):
+    size = draw(st.integers(0, max_size))
+    return list(zip(draw(rationals(size, unique=True)), draw(rationals(size))))
+
+
+@st.composite
+def jfractions_and_counts(draw):
+    """A J-fraction of depth d, a of length d - 1 or d, and a count up to
+    2 d + 3."""
+    d = draw(st.integers(1, 6))
+    c = draw(rationals(d))
+    a = draw(rationals(d - draw(st.integers(0, 1)), nonzero=True))
+    s0 = draw(rationals(1))[0]
+    return JFraction(tuple(c), tuple(a), s0), draw(st.integers(0, 2 * d + 3))
+
+
+class TestIntegerPowerSums:
+    """The discrete moments and jfraction_to_moments against plain Fraction
+    definitions: equal values of equal types."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(atom_lists(), st.integers(0, 12))
+    @example([], 3)
+    @example([(F(0), F(2))], 1)
+    @example([(F(0), F(-1, 2)), (F(-3), F(2, 3))], 0)
+    def test_measure_moments(self, atoms, count):
+        mu = MeasureModel.discrete(atoms)
+        assert same(measure_moments(mu, count), power_sums_oracle(mu.atoms, count))
+
+    @settings(max_examples=150, deadline=None)
+    @given(atom_lists(), atom_lists(max_size=4), st.booleans(), st.integers(0, 12))
+    @example([(F(0), F(1))], [], False, 4)
+    @example([(F(1, 2), F(-2)), (F(0), F(1, 3))], [(F(-1), F(1, 5))], False, 1)
+    def test_nikishin(self, atoms1, atoms2, above, count):
+        # an empty sigma1 has no support for a sigma2 to be disjoint from
+        assume(atoms1 or not atoms2)
+        if atoms1:
+            # sigma2 wholly above or below sigma1; abs may merge two nodes
+            nodes1 = [x for x, _ in atoms1]
+            edge = max(nodes1) + 1 if above else min(nodes1) - 1
+            atoms2 = list(dict((edge + abs(t) if above else edge - abs(t), w)
+                               for t, w in atoms2).items())
+        sigma1, sigma2 = MeasureModel.discrete(atoms1), MeasureModel.discrete(atoms2)
+        system = make_nikishin(sigma1, sigma2, count)
+        assert same(list(system.s1), power_sums_oracle(sigma1.atoms, count))
+        assert same(list(system.s2), nikishin_oracle(sigma1.atoms, sigma2.atoms, count))
+
+    @settings(max_examples=150, deadline=None)
+    @given(jfractions_and_counts())
+    @example((JFraction((F(1, 2),), (), F(3)), 1))
+    @example((JFraction((F(0), F(-2)), (F(1, 3), F(5)), F(0)), 7))
+    def test_jfraction_to_moments(self, case):
+        j, count = case
+        assert same(jfraction_to_moments(j, count), tridiagonal_oracle(j, count))
 
 
 class TestMomentSystem:
