@@ -30,11 +30,11 @@ from fractions import Fraction
 from .errors import (DegeneracyError, IntegrityError, NonPerfectBoundaryError,
                      NotNormalError, TruncationError, WindowError)
 from .hptable import HPTable
-from .kernel import ZERO
-from .lax3 import normalization_grid, zcc_stencil
+from .kernel import ZERO, rat
+from .lax3 import NormalizationGrid, zcc_stencil
 from .measures import MomentSystem
 from .nnrr import (KINDS, RecurrenceField, a_value, axis_values, b_value, c_value,
-                   consistency_residuals, d_value, field_from_table)
+                   d_value, field_from_table)
 
 # the prime of the residue shell (a Mersenne prime); as long as it is prime,
 # reports do not depend on it
@@ -58,7 +58,7 @@ class BoundaryData:
     def __post_init__(self):
         for name in ("c_row", "a_row", "d_col", "b_col"):
             object.__setattr__(self, name,
-                               tuple(Fraction(x) for x in getattr(self, name)))
+                               tuple(rat(x) for x in getattr(self, name)))
         if any(x == 0 for x in self.a_row) or any(x == 0 for x in self.b_col):
             raise DegeneracyError(
                 "boundary subdiagonal data must be nonzero for a solvable problem")
@@ -366,7 +366,12 @@ def cd_by_summation(boundary: BoundaryData, field: RecurrenceField,
 
 @dataclass(frozen=True)
 class CrossValidation:
-    """End-to-end agreement report for one moment system and window."""
+    """End-to-end agreement report for one moment system and window.
+
+    ``cross_validate`` returns one only when the grids are equal, and the
+    sweep's field meets the four consistency identities by construction, so
+    ``grids_equal`` is true and ``consistency_max`` is 0 whenever one exists.
+    """
 
     window: tuple[int, int]
     grids_equal: bool
@@ -384,12 +389,18 @@ def cross_validate(system: MomentSystem, N: int, M: int) -> CrossValidation:
     sequences alone (``boundary_from_moments``): one Hankel elimination
     each, N + M + 2 columns wide, so the sweep's input does not pass
     through the table's eliminations.  Sweeps, and asserts exact equality
-    of all four grids; then checks consistency residuals and orthogonality
-    over the window and the zero-curvature residual at each of its N x M
-    stencils (n < N, m < M).  Any mismatch raises with the first differing
-    index; a sweep stopped by a zero gap (n, m) where S(n+1, m+1) vanishes
-    (by the converse theorem, the first zero minor in level order) is not
-    normal, which a table of window (n + 1, m + 1), built only then, tells.
+    of all four grids; then checks orthogonality over the window and the
+    zero-curvature residual at each of its N x M stencils (n < N, m < M),
+    with the normalisations read off the table's minors
+    (``HPTable.normalizations``).  Any mismatch raises with the first
+    differing index; a sweep stopped by a zero gap (n, m) where
+    S(n+1, m+1) vanishes (by the converse theorem, the first zero minor in
+    level order) is not normal, which a table of window (n + 1, m + 1),
+    built only then, tells.
+
+    The consistency identities (``nnrr.consistency_residuals``) are not run:
+    the sweep builds its field from them, so a reference field equal to it
+    entry for entry meets them too, and ``consistency_max`` is 0.
     """
     _check_window(N, M)
     table = HPTable(system, N + 1, M + 1)
@@ -407,13 +418,6 @@ def cross_validate(system: MomentSystem, N: int, M: int) -> CrossValidation:
             f"sweep and moment routes disagree at {kind}[{n}, {m}]: "
             f"{got} != {want}")
 
-    cons_max = ZERO
-    for n in range(N):
-        for m in range(M):
-            for r in consistency_residuals(reference, n, m):
-                if r:
-                    cons_max = max(cons_max, abs(r))
-
     orth_max = ZERO
     for n in range(N + 1):
         for m in range(M + 1):
@@ -424,8 +428,8 @@ def cross_validate(system: MomentSystem, N: int, M: int) -> CrossValidation:
 
     zcc_zero = True
     if N >= 1 and M >= 1:
-        norms = normalization_grid(table, N, M)
+        norms = NormalizationGrid(*table.normalizations(N, M), (N, M))
         zcc_zero = not any(any(zcc_stencil(reference, norms, n, m))
                            for n in range(N) for m in range(M))
-    return CrossValidation((N, M), equal, cons_max, zcc_zero, orth_max,
+    return CrossValidation((N, M), equal, ZERO, zcc_zero, orth_max,
                            report.divisions_checked)

@@ -23,10 +23,15 @@ The subleading coefficient of P(n, m), all that the recurrence field needs
 of it, is one entry of the pivot row at position n + m - 1 over that row's
 pivot (``subleading``), so the field forms no polynomial.
 
-The pairings L_j[x^t P(n, m)] (orthogonality and the normalisations) pair
-the integer null vector v of index (n, m), the one P is built from, with the
-cleared moments: dot(v, D_j s_j[t:]) / (v_k D_j), k = n + m.  So they form
-no polynomial either, and a pairing that vanishes costs no gcd.
+The pairings L_j[x^t P(n, m)] (orthogonality) pair the integer null vector
+v of index (n, m), the one P is built from, with the cleared moments:
+dot(v, D_j s_j[t:]) / (v_k D_j), k = n + m.  So they form no polynomial
+either, and a pairing that vanishes costs no gcd.
+
+The normalisations h1(n, m) = L1[x^n P(n, m)] and h2(n, m) = L2[x^m P(n, m)]
+are ratios of neighbouring determinants, h1 = (-1)^m S(n+1, m) / S(n, m) and
+h2 = S(n, m+1) / S(n, m), so ``normalizations`` reads each as one Fraction
+of memoised minors; the pairings are their oracle.
 """
 
 from __future__ import annotations
@@ -45,11 +50,11 @@ from .measures import MomentSystem, hankel_row
 class HPTable:
     """Grid of determinants S(n, m) and monic polynomials P(n, m).
 
-    The memos hold integers only, the minors K(n, m) and the null vectors
-    of P(n, m); each cell is written once and never recomputed, and each S
-    and P is built from them when read.  The column eliminations behind the
-    memos are extended in place, so one table must not be filled from
-    several threads at once.
+    The memos hold integers only: the minors K(n, m), the null vectors of
+    P(n, m) and their subleading pairs; each cell is written once and never
+    recomputed, and each S and P is built from them when read.  The column
+    eliminations behind the memos are extended in place, so one table must
+    not be filled from several threads at once.
     """
 
     def __init__(self, moments: MomentSystem, max_n: int, max_m: int):
@@ -58,6 +63,7 @@ class HPTable:
         self.max_m = max_m
         self._k: dict[tuple[int, int], int] = {}
         self._p_ints: dict[tuple[int, int], list[int]] = {}
+        self._sub: dict[tuple[int, int], tuple[int, int]] = {}
         # D_j s_j over the moments the window reaches, P pairings included
         self._c1, self._d1 = cleared(moments.s1[:2 * max_n + max_m + 1])
         self._c2, self._d2 = cleared(moments.s2[:max_n + 2 * max_m + 1])
@@ -107,6 +113,29 @@ class HPTable:
     def is_normal(self, n: int, m: int) -> bool:
         return self.s_det(n, m) != 0
 
+    def normalizations(self, N: int, M: int
+                       ) -> tuple[dict[tuple[int, int], Fraction],
+                                  dict[tuple[int, int], Fraction]]:
+        """The grids h1, h2 over the (N+1) x (M+1) window, from the minors:
+        h1(n, m) = K(n+1, m) / (D1 K(n, m)) and
+        h2(n, m) = (-1)^n K(n, m+1) / (D2 K(n, m)), so they read the minors
+        one step past the window.  A zero K(n, m) is not normal; a zero h at
+        a normal index signals corruption and is rejected, as in
+        ``lax3.normalization_grid``."""
+        h1, h2 = {}, {}
+        for n in range(N + 1):
+            for m in range(M + 1):
+                k = self.minor(n, m)
+                if k == 0:
+                    raise NotNormalError(n, m)
+                right, up = self.minor(n + 1, m), self.minor(n, m + 1)
+                if right == 0 or up == 0:
+                    raise IntegrityError(
+                        f"normalizing pairing vanishes at normal index ({n}, {m})")
+                h1[(n, m)] = Fraction(right, self._d1 * k)
+                h2[(n, m)] = Fraction(-up if n % 2 else up, self._d2 * k)
+        return h1, h2
+
     # -- the two polynomial routes ----------------------------------------
 
     def _p_column(self, n: int, m: int) -> LeadingMinors:
@@ -135,8 +164,11 @@ class HPTable:
     def subleading(self, n: int, m: int) -> tuple[int, int]:
         """Integers (u, w) with u/w the coefficient of x^(n+m-1) in P(n, m),
         0/1 at the origin; read off the column elimination without forming
-        P, and raising what ``hp_poly_det`` raises."""
-        return self._p_column(n, m).null_tail(n + m)
+        P, memoized per index, and raising what ``hp_poly_det`` raises."""
+        key = (n, m)
+        if key not in self._sub:
+            self._sub[key] = self._p_column(n, m).null_tail(n + m)
+        return self._sub[key]
 
     def hp_poly_solve(self, n: int, m: int) -> Poly:
         """Monic table polynomial via the orthogonality linear system.

@@ -86,7 +86,8 @@ def _pairing(table: HPTable, which: int, n: int, m: int) -> Fraction:
 
 def normalization_grid(table: HPTable, N: int, M: int) -> NormalizationGrid:
     """Both pairing grids over the (N+1) x (M+1) window; zero pairings at a
-    normal index signal corruption and are rejected."""
+    normal index signal corruption and are rejected.  The oracle of
+    ``HPTable.normalizations``, which reads the same grids off the minors."""
     h1, h2 = {}, {}
     for n in range(N + 1):
         for m in range(M + 1):

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hplax import bvp, classical, jsondoc, kernel, measures
+from hplax import bvp, classical, jsondoc, kernel, lax3, measures, nnrr
 from hplax.bvp import (BoundaryData, SweepReport, boundary_from_field,
-                       field_from_moments)
+                       boundary_from_moments, field_from_moments)
 from hplax.cli import main
+from hplax.errors import HplaxError
 from hplax.hptable import HPTable
 from hplax.kernel import MatPoly, Poly
 from hplax.measures import (MeasureModel, MomentSystem, make_angelesco, make_nikishin,
@@ -746,13 +747,16 @@ def test_verify_forms_no_polynomial(tmp_path, capsys, monkeypatch, case):
 
 
 def refuse_oracles(monkeypatch):
-    """Make MatPoly products, moment_pairing and det_exact raise, the last
-    two under every name an hplax module binds them to."""
+    """Make MatPoly products, HPTable.pairing, moment_pairing, det_exact,
+    consistency_residuals and normalization_grid raise, the last four under
+    every name an hplax module binds them to."""
     def refuse(*args):
         raise AssertionError("an oracle ran on a CLI route")
 
     monkeypatch.setattr(MatPoly, "__mul__", refuse)
-    for original in (kernel.moment_pairing, kernel.det_exact):
+    monkeypatch.setattr(HPTable, "pairing", refuse)
+    for original in (kernel.moment_pairing, kernel.det_exact,
+                     nnrr.consistency_residuals, lax3.normalization_grid):
         for name, module in list(sys.modules.items()):
             if name == "hplax" or name.startswith("hplax."):
                 for attr, value in list(vars(module).items()):
@@ -796,7 +800,9 @@ def run_unpinned(tmp_path, capsys, system, case):
                          ids=["-".join(map(str, (s, c, *w))) for s, c, w in PINNED_CLI]
                          + list(UNPINNED_CLI))
 def test_cli_runs_no_oracle(tmp_path, capsys, monkeypatch, system_a, case):
-    # MatPoly products, moment_pairing and det_exact serve only the tests
+    # MatPoly products, the pairings of single shifts, moment_pairing,
+    # det_exact, the consistency identities and the normalisation pairings
+    # serve only the tests
     if case in UNPINNED_CLI:
         want = run_unpinned(tmp_path, capsys, system_a, case)
         refuse_oracles(monkeypatch)
@@ -804,3 +810,124 @@ def test_cli_runs_no_oracle(tmp_path, capsys, monkeypatch, system_a, case):
     else:
         refuse_oracles(monkeypatch)
         assert run_pinned(tmp_path, capsys, *case) == PINNED_CLI[case]
+
+
+def error_classes(cls=HplaxError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from error_classes(sub)
+
+
+# README's exit codes other than 0 and the labels of the error classes that
+# exit with each; 1, an internal mismatch, is not among them
+EXIT_LABELS = {code: {cls.label for cls in error_classes() if cls.exit_code == code}
+               for code in (2, 3, 4, 5)}
+
+
+def contract_angelesco(count):
+    """Angelesco systems of count moments on two disjoint intervals with
+    half-integer ends in [-3, 3]."""
+    ends = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=2),
+                    min_size=4, max_size=4, unique=True).map(sorted)
+    return ends.map(lambda e: make_angelesco(MeasureModel.interval(e[0], e[1]),
+                                             MeasureModel.interval(e[2], e[3]), count))
+
+
+@st.composite
+def contract_systems(draw):
+    """A window up to (3, 3) and the moments `gen --window` gives it, of an
+    Angelesco, a discrete Nikishin or a zero-laden small-integer system."""
+    N, M = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    count = 2 * (N + M) + 4
+    kind = draw(st.sampled_from(["angelesco", "nikishin", "integers"]))
+    if kind == "angelesco":
+        system = draw(contract_angelesco(count))
+    elif kind == "nikishin":
+        nodes1 = draw(st.lists(st.integers(1, 9), min_size=1, max_size=8, unique=True))
+        nodes2 = draw(st.lists(st.integers(-9, -1), min_size=1, max_size=4, unique=True))
+        system = make_nikishin(MeasureModel.discrete([(x, 1) for x in nodes1]),
+                               MeasureModel.discrete([(x, F(1, 2)) for x in nodes2]),
+                               count)
+    else:
+        system = MomentSystem(*(draw(st.lists(st.sampled_from([0, 0, 1, -1, 2, F(1, 2)]),
+                                              min_size=count, max_size=count))
+                                for _ in range(2)))
+    return (N, M), system
+
+
+@st.composite
+def contract_boundaries(draw):
+    """A window up to (3, 3) and boundary rows to its level N + M: the
+    J-fraction data of an Angelesco system, or small integers with nonzero
+    a and b, mostly not the data of any measure."""
+    N, M = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    lam = N + M
+    if draw(st.booleans()):
+        return (N, M), boundary_from_moments(draw(contract_angelesco(2 * lam + 2)), lam)
+    cd = st.lists(st.integers(-3, 3), min_size=lam + 1, max_size=lam + 1)
+    ab = st.lists(st.sampled_from([-2, -1, 1, F(1, 2)]), min_size=lam, max_size=lam)
+    return (N, M), BoundaryData(draw(cd), draw(ab), draw(cd), draw(ab))
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc as it is, or with one key dropped, one list or every list cut
+    short, one rational replaced by a non-rational, or a zero planted in a
+    list."""
+    doc = json.loads(json.dumps(doc))
+    lists = sorted(key for key, value in doc.items() if isinstance(value, list) and value)
+    change = draw(st.sampled_from(["none", "drop", "cut", "replace", "zero"]))
+    if change == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif change != "none" and lists:
+        key = draw(st.sampled_from(lists))
+        i = draw(st.integers(0, len(doc[key]) - 1))
+        if change == "cut":         # this list, or every list
+            for cut in (lists if draw(st.booleans()) else [key]):
+                doc[cut] = doc[cut][:i]
+        else:
+            doc[key][i] = ("0" if change == "zero" else
+                           draw(st.sampled_from([0.5, 2.0, True, None, "1/0", "abc"])))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+def assert_contract(path, argv):
+    """main on argv returns one of README's exit codes, raises nothing, and
+    writes nothing to stderr on exit 0, else one line led by the label of
+    an error class with that exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--in", str(path)])
+    text = err.getvalue()
+    if code == 0:
+        assert text == ""
+        return
+    assert code in EXIT_LABELS, (code, text)
+    assert text.endswith("\n") and text.count("\n") == 1, text
+    assert any(text.startswith(f"{label}: ") for label in EXIT_LABELS[code]), (code, text)
+
+
+class TestContract:
+    """The CLI contract on mutations of valid `verify` and `solve-bvp`
+    documents."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(contract_systems().flatmap(lambda case: st.tuples(
+        st.just(case[0]), mutated(jsondoc.moment_system_to_doc(case[1])))))
+    def test_verify(self, contract_dir, drawn):
+        (N, M), doc = drawn
+        path = write_json(contract_dir / "system.json", doc)
+        assert_contract(path, ["verify", "--window", str(N), str(M)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(contract_boundaries().flatmap(lambda case: st.tuples(
+        st.just(case[0]), mutated(jsondoc.boundary_to_doc(case[1])))))
+    def test_solve_bvp(self, contract_dir, drawn):
+        (N, M), doc = drawn
+        path = write_json(contract_dir / "boundary.json", doc)
+        assert_contract(path, ["solve-bvp", "--window", str(N), str(M)])

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from hplax import hptable, kernel, measures
 from hplax.bvp import cross_validate, field_from_moments
-from hplax.errors import HplaxError, NotNormalError, TruncationError, WindowError
+from hplax.errors import (HplaxError, IntegrityError, NotNormalError, TruncationError,
+                          WindowError)
 from hplax.hptable import HPTable
 from hplax.kernel import Poly, SharedPrefix, X, det_exact, series_from_moments
-from hplax.lax3 import normalization_grid
+from hplax.lax3 import NormalizationGrid, normalization_grid
 from hplax.measures import MeasureModel, MomentSystem, make_angelesco, make_nikishin
 from hplax.nnrr import field_from_table
 
@@ -289,6 +290,94 @@ class TestTableReadsWithForks:
         assert len(table._shared._pivots) == 1
 
 
+def subleading_coefficient(table, n, m):
+    """The coefficient of x^(n+m-1) in hp_poly_det(n, m), 0 at the origin,
+    or the type of the error it raises with its index."""
+    p = outcome(lambda table: table.hp_poly_det(n, m), table)
+    if not isinstance(p, Poly):
+        return p
+    return p.coeffs[n + m - 1] if n + m else F(0)
+
+
+class TestSubleadingMemo:
+    """The memoised subleading pair against the subleading coefficient of
+    P(n, m) on a fresh table: the same value, the same error at the same
+    index at a non-normal index or past a cut document's depth, and a
+    second read that answers from the memo."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(windowed_small_integer_systems(), st.randoms(use_true_random=False))
+    @example(((3, 3), PINNED_S1, PINNED_S2), random.Random(5))
+    def test_reads_as_the_polynomial(self, case, rng):
+        (N, M), s1, s2 = case
+        system = MomentSystem(s1, s2)
+        table = HPTable(system, N, M)
+        indices = [(n, m) for n in range(N + 1) for m in range(M + 1)]
+        rng.shuffle(indices)
+        for n, m in indices:
+            want = subleading_coefficient(HPTable(system, N, M), n, m)
+            first = outcome(lambda table: table.subleading(n, m), table)
+            if isinstance(want, F):
+                assert F(*first) == want, (n, m)
+                assert table.subleading(n, m) is first, (n, m)
+            else:
+                assert first == want, (n, m)
+                assert outcome(lambda table: table.subleading(n, m), table) == want
+
+
+@st.composite
+def normalization_systems(draw):
+    """A window (N, M) up to (4, 4) with N >= 1, so that h2 meets an odd n,
+    and an Angelesco, Nikishin or zero-laden small-integer system holding
+    the max(2N + M, N + 2M) + 1 moments that h1(N, M) and h2(N, M) read,
+    or up to two fewer."""
+    N, M = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    count = max(2 * N + M, N + 2 * M) + 1 - draw(st.sampled_from([0, 0, 0, 1, 2]))
+    kind = draw(st.sampled_from(["angelesco", "nikishin", "integers"]))
+    if kind == "angelesco":
+        lo1, hi1, lo2, hi2 = sorted(draw(st.lists(small_rationals, min_size=4,
+                                                  max_size=4, unique=True)))
+        system = make_angelesco(MeasureModel.interval(lo1, hi1),
+                                MeasureModel.interval(lo2, hi2), count)
+    elif kind == "nikishin":
+        nodes1 = draw(st.lists(st.integers(1, 9), min_size=1, max_size=9, unique=True))
+        nodes2 = draw(st.lists(st.integers(-9, -1), min_size=1, max_size=5, unique=True))
+        system = make_nikishin(MeasureModel.discrete([(x, 1) for x in nodes1]),
+                               MeasureModel.discrete([(x, F(1, 2)) for x in nodes2]),
+                               count)
+    else:
+        system = MomentSystem(*(draw(st.lists(small_ints, min_size=count,
+                                              max_size=count)) for _ in range(2)))
+    return (N, M), system
+
+
+class TestNormalizations:
+    """``HPTable.normalizations``, one Fraction of minors per entry, against
+    the pairings of ``lax3.normalization_grid``, its oracle, on an
+    (N + 1, M + 1) table: the same h1 and h2, including the sign (-1)^n of
+    h2, or the same error at the same index."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(normalization_systems())
+    @example(((1, 1), make_angelesco(MeasureModel.interval(-2, -1),
+                                     MeasureModel.interval(1, 2), 4)))
+    def test_minors_meet_the_pairings(self, case):
+        (N, M), system = case
+        got = outcome(lambda table: vars(NormalizationGrid(
+            *table.normalizations(N, M), (N, M))), HPTable(system, N + 1, M + 1))
+        want = outcome(lambda table: vars(normalization_grid(table, N, M)),
+                       HPTable(system, N + 1, M + 1))
+        assert got == want
+
+    def test_zero_normalization_raises(self):
+        # S(1, 0) = s1[0] = 0 makes h1(0, 0) vanish at the normal origin
+        system = MomentSystem((0, 1, 1, 2, 1), (1, 2, 1, 3, 1))
+        for read in (lambda table: table.normalizations(1, 1),
+                     lambda table: normalization_grid(table, 1, 1)):
+            with pytest.raises(IntegrityError, match=r"vanishes at normal index \(0, 0\)"):
+                read(HPTable(system, 2, 2))
+
+
 def record_orders(monkeypatch, name, order):
     """Orders of the grids kernel.<name> is asked for, through any binding."""
     orders = []
@@ -385,21 +474,26 @@ class TestWorkCount:
              random.Random(0))
     def test_longer_document_gives_the_same_table(self, case, rng):
         # an (N, M) window and its h1, h2 pairings read max(2N + M, N + 2M) + 1
-        # moments of each sequence, (4, 4) 13; the rows past a cut document's
-        # last moment are zeros, which no read that passes its depth check
-        # sees: each read gives the long document's value or error, or raises
-        # TruncationError where the cut is below its depth
+        # moments of each sequence, (4, 4) 13, and the minors behind h1, h2
+        # on the (N - 1, M - 1) window two fewer; the rows past a cut
+        # document's last moment are zeros, which no read that passes its
+        # depth check sees: each read gives the long document's value or
+        # error, or raises TruncationError where the cut is below its depth.
+        # Each subleading pair is read twice, the second time from the memo
         (N, M), long, count = case
         short = MomentSystem(long.s1[:count], long.s2[:count])
         tables = HPTable(long, N, M), HPTable(short, N, M)
         reads = [(max(2 * N + M, N + 2 * M) + 1,      # every h1 and h2
-                  lambda table: vars(normalization_grid(table, N, M)))]
+                  lambda table: vars(normalization_grid(table, N, M))),
+                 (max(2 * N + M, N + 2 * M) - 2,
+                  lambda table: table.normalizations(N - 1, M - 1))]
         for n in range(N + 1):
             for m in range(M + 1):
                 bordered = max(2 * n + m, n + 2 * m)
                 reads += [
                     (bordered - 1, lambda table, n=n, m=m: table.s_det(n, m)),
                     (bordered, lambda table, n=n, m=m: table.hp_poly_det(n, m)),
+                    (bordered, lambda table, n=n, m=m: F(*table.subleading(n, m))),
                     (bordered, lambda table, n=n, m=m: F(*table.subleading(n, m))),
                     (bordered, lambda table, n=n, m=m: table.orthogonality_residuals(n, m))]
                 reads += [(max(bordered, t + n + m + 1),
