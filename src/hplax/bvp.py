@@ -32,9 +32,9 @@ from .errors import (DegeneracyError, IntegrityError, NonPerfectBoundaryError,
 from .hptable import HPTable
 from .kernel import ZERO, rat
 from .lax3 import NormalizationGrid, zcc_stencil
-from .measures import MomentSystem
-from .nnrr import (KINDS, RecurrenceField, a_value, axis_values, b_value, c_value,
-                   d_value, field_from_table)
+from .measures import MomentSystem, jfraction_entries
+from .nnrr import (RecurrenceField, a_value, b_value, c_value, d_value,
+                   field_from_table)
 
 # the prime of the residue shell (a Mersenne prime); as long as it is prime,
 # reports do not depend on it
@@ -111,7 +111,8 @@ def boundary_from_field(field: RecurrenceField, levels: int) -> BoundaryData:
 
 
 def boundary_from_table(table: HPTable, levels: int) -> BoundaryData:
-    """Boundary rows straight off the table axes, without building a field.
+    """Boundary rows straight off the table axes, without building a field:
+    the oracle of ``boundary_from_moments``, which no CLI route runs.
 
     Reaches one step past the requested level along each axis (the c and d
     values need the neighboring polynomial), nothing more.
@@ -126,9 +127,23 @@ def boundary_from_table(table: HPTable, levels: int) -> BoundaryData:
 
 def boundary_from_moments(system: MomentSystem, levels: int) -> BoundaryData:
     """Boundary rows for the given maximal anti-diagonal from each sequence
-    alone (``axis_values``): c and a off s1, then d and b off s2, read in
-    the order ``boundary_from_table`` reads them, so the two raise alike."""
-    return BoundaryData(*axis_values(system, 1, levels), *axis_values(system, 2, levels))
+    alone: c and a off s1, then d and b off s2, the J-fraction data of that
+    sequence (``measures.jfraction_entries``) off its first 2 levels + 2
+    moments.  Along an axis the field is the J-fraction of its sequence:
+    a(n, 0) = K(n+1, 0) K(n-1, 0) / K(n, 0)^2 is a_n, so a zero a_(n-1) is
+    a vanishing K(n, 0).  The indices n = 1 .. levels + 1 of each axis are
+    checked in the order ``boundary_from_table`` reads them: moment depth,
+    normality, bordered depth; so the two raise alike."""
+    rows = []
+    for seq, axis in ((system.s1, lambda n: (n, 0)), (system.s2, lambda n: (0, n))):
+        entries = jfraction_entries(seq[:2 * levels + 2])
+        for n in range(1, levels + 2):
+            system.check_depth(*axis(n), bordered=False)
+            if entries[2 * n - 2] == 0:
+                raise NotNormalError(*axis(n))
+            system.check_depth(*axis(n), bordered=True)
+        rows += [entries[1::2], entries[2::2]]
+    return BoundaryData(*rows)
 
 
 def sweep_solve(boundary: BoundaryData, N: int, M: int) -> SweepReport:
@@ -278,16 +293,11 @@ def _sweep(boundary: BoundaryData, N: int, M: int,
         a_below, b_below, c_below, d_below = a_here, b_here, c_here, d_here
         gap_two_below, gap_below = gap_below, gap_here
 
-    if failure is None:
-        grids = {kind: {} for kind in KINDS}
-        source = {"a": a, "b": b, "c": c, "d": d}
-        for kind in KINDS:
-            for n in range(N + 1):
-                for m in range(M + 1):
-                    grids[kind][(n, m)] = source[kind][(n, m)]
-        return SweepReport(RecurrenceField(grids, (N, M)), divisions)
-    partial = RecurrenceField({"a": a, "b": b, "c": c, "d": d}, (N, M))
-    return SweepReport(partial, divisions, failure)
+    grids = {"a": a, "b": b, "c": c, "d": d}
+    if failure is None:     # the rectangle; a failed sweep keeps every entry
+        grids = {kind: {(n, m): grid[(n, m)] for n in range(N + 1) for m in range(M + 1)}
+                 for kind, grid in grids.items()}
+    return SweepReport(RecurrenceField(grids, (N, M)), divisions, failure)
 
 
 class _ResidueVanished(ArithmeticError):
@@ -386,9 +396,9 @@ def cross_validate(system: MomentSystem, N: int, M: int) -> CrossValidation:
 
     Builds the reference field from an (N + 1, M + 1) table, the one table
     of a passing call, and reads the boundary to level N + M from the two
-    sequences alone (``boundary_from_moments``): one Hankel elimination
-    each, N + M + 2 columns wide, so the sweep's input does not pass
-    through the table's eliminations.  Sweeps, and asserts exact equality
+    sequences alone (``boundary_from_moments``): the J-fraction of each
+    off its first 2 (N + M) + 2 moments, so the sweep's input does not
+    pass through the table's eliminations.  Sweeps, and asserts exact equality
     of all four grids; then checks orthogonality over the window and the
     zero-curvature residual at each of its N x M stencils (n < N, m < M),
     with the normalisations read off the table's minors

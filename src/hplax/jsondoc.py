@@ -86,9 +86,10 @@ def moment_system_to_doc(system: MomentSystem) -> dict:
 def moment_system_from_doc(doc: dict) -> MomentSystem:
     if need(doc, "kind") != "moment_system":
         raise ParseError(f"expected a moment_system document, got {doc.get('kind')!r}")
-    return MomentSystem(tuple(rat_list(need(doc, "s1"))),
-                        tuple(rat_list(need(doc, "s2"))),
-                        label=str(doc.get("label", "")))
+    s1, s2 = rat_list(need(doc, "s1")), rat_list(need(doc, "s2"))
+    if len(s1) != len(s2):
+        raise ParseError(f"moment sequences differ in length: {len(s1)} vs {len(s2)}")
+    return MomentSystem(tuple(s1), tuple(s2), label=str(doc.get("label", "")))
 
 
 # -- measures (generation input) ---------------------------------------------

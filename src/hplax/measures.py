@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import (DegeneracyError, DisjointSupportError, PoleError,
                      TruncationError)
@@ -114,10 +115,13 @@ class JFraction:
 def measure_moments(mu: MeasureModel, count: int) -> list[Fraction]:
     """Exact power moments: entry k is the integral of x^k against mu.
 
-    A discrete measure's moments are integer power sums over one
-    denominator (``_power_sums``)."""
+    Each is one Fraction of integers.  A discrete measure's moments are
+    integer power sums over one denominator (``_power_sums``); with its ends
+    cleared to A / Q and C / Q, moment j - 1 of the interval [A / Q, C / Q]
+    is (C^j - A^j) / (j Q^j)."""
     if mu.kind == INTERVAL:
-        return [(mu.hi ** (k + 1) - mu.lo ** (k + 1)) / (k + 1) for k in range(count)]
+        (a, c), q = cleared([mu.lo, mu.hi])
+        return [Fraction(c ** j - a ** j, j * q ** j) for j in range(1, count + 1)]
     return _power_sums(mu.atoms, count)
 
 
@@ -245,12 +249,48 @@ def monic_orthogonal_polys(s, upto: int) -> list[Poly]:
     return polys
 
 
-def moments_to_jfraction(s, depth: int) -> JFraction:
-    """Three-term recurrence coefficients c_0..c_(depth-1), a_1..a_(depth-1).
+def jfraction_entries(s) -> list[Fraction]:
+    """The J-fraction data of the moment functional s, as far as its
+    moments fix them: a_0 = s_0, c_0, a_1, c_1, ..., where entry j reads
+    s_0 .. s_j only.  A zero a_k (a vanishing Hankel determinant of order
+    k + 1) is the last entry: c_k does not exist there.
 
-    Chebyshev's algorithm on the mixed moments sigma_(k,l) = L[pi_k x^l]
-    (Gautschi 2004, section 2.1.7): row k follows from rows k - 1 and k - 2
-    by the recurrence itself, so no polynomial is formed.  Fails loudly
+    Chebyshev's algorithm on the mixed moments sigma_(k,l) = L[pi_k x^l],
+    l >= k, cut to the moments present (Gautschi 2004, section 2.1.7), so
+    no polynomial is formed.  Row k holds the ints R_k(l) = E_k sigma_(k,l)
+    over one denominator E_k.  With r0, r1 its first two entries and p0, p1
+    those of row k - 1, c_k = r1 / r0 - p1 / p0, a_k = r0 E_(k-1) / (E_k p0),
+    and row k + 1 is
+
+        r0 p0 R_k(l+1) - (r1 p0 - p1 r0) R_k(l) - r0^2 R_(k-1)(l)
+
+    over r0 p0 E_k, with its content (the gcd of its denominator and
+    entries) divided out once; so E_(k+1) divides D H_(k+1), H the Hankel
+    determinants of the cleared moments D s.  Only c_k and a_k are
+    Fractions.  Row -1 is 1, 0, 0, ... over 1, so a_0 = s_0.
+    """
+    row, den = cleared(s)
+    prev, prev_den = [1] + [0] * len(row), 1
+    out = []
+    while row:
+        r0, p0 = row[0], prev[0]
+        out.append(Fraction(r0 * prev_den, den * p0))
+        if r0 == 0 or len(row) == 1:
+            break
+        t = row[1] * p0 - prev[1] * r0
+        out.append(Fraction(t, r0 * p0))
+        u, w = r0 * p0, r0 * r0
+        new = [u * row[i + 2] - t * row[i + 1] - w * prev[i + 2]
+               for i in range(len(row) - 2)]
+        g = gcd(u * den, *new)
+        prev, prev_den = row, den
+        row, den = [x // g for x in new], u * den // g
+    return out
+
+
+def moments_to_jfraction(s, depth: int) -> JFraction:
+    """Three-term recurrence coefficients c_0..c_(depth-1), a_1..a_(depth-1)
+    off the first 2 depth moments (``jfraction_entries``).  Fails loudly
     (naming the depth) at the first vanishing norm sigma_(k,k) = L[pi_k^2],
     that is, where a leading principal Hankel determinant vanishes.
     """
@@ -260,21 +300,11 @@ def moments_to_jfraction(s, depth: int) -> JFraction:
     if len(s) < 2 * depth:
         raise TruncationError(
             f"depth {depth} needs {2 * depth} moments, have {len(s)}")
-    c: list[Fraction] = []
-    a: list[Fraction] = []
-    # row k is read at l >= k only (sigma_(k,l) vanishes below); prev is row k - 1
-    prev, row = [0] * (2 * depth), s[:2 * depth]
-    for k in range(depth):
-        if row[k] == 0:
-            raise DegeneracyError(
-                f"vanishing Hankel determinant: functional degenerates at depth {k}")
-        c.append(row[k + 1] / row[k] - (prev[k] / prev[k - 1] if k else 0))
-        if k:
-            a.append(row[k] / prev[k - 1])
-        ak = a[-1] if k else 0
-        prev, row = row, [row[l + 1] - c[k] * row[l] - ak * prev[l] if l > k else 0
-                          for l in range(2 * depth - k - 1)]
-    return JFraction(tuple(c), tuple(a), s[0])
+    entries = jfraction_entries(s[:2 * depth])
+    if len(entries) < 2 * depth:
+        raise DegeneracyError("vanishing Hankel determinant: functional degenerates "
+                              f"at depth {len(entries) // 2}")
+    return JFraction(tuple(entries[1::2]), tuple(entries[2::2]), s[0])
 
 
 def jfraction_to_moments(j: JFraction, count: int) -> list[Fraction]:

@@ -2,11 +2,9 @@
 
 The four coefficient grids come from determinant ratios (a, b) and from
 subleading polynomial coefficients (c, d), each entry one Fraction built from
-the integers of the table's column eliminations; along the axes the same
-formulas read one Hankel elimination of each sequence (``axis_values``),
-which needs no table.  Everything here is checkable against an independent
-route: determinant identities, direct recurrence residuals, consistency
-identities, and series round trips.
+the integers of the table's column eliminations.  Everything here is
+checkable against an independent route: determinant identities, direct
+recurrence residuals, consistency identities, and series round trips.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from fractions import Fraction
 from .errors import DegeneracyError, NotNormalError, WindowError
 from .kernel import LaurentTail, Poly, X, ratio_sum, settle
 from .hptable import HPTable
-from .measures import HankelMinors, MomentSystem
 
 KINDS = ("a", "b", "c", "d")
 
@@ -130,38 +127,6 @@ def c_value(table: HPTable, n: int, m: int) -> Fraction:
 def d_value(table: HPTable, n: int, m: int) -> Fraction:
     """d(n, m) from the subleading coefficients of P(n, m) and P(n, m+1)."""
     return _sub_difference(table.subleading(n, m), table.subleading(n, m + 1))
-
-
-def axis_values(system: MomentSystem, which: int, levels: int
-                ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """The field along one axis from its sequence alone: c(n, 0) for
-    n <= levels and a(n, 0) for 1 <= n <= levels off s1 (which = 1), or
-    d(0, m) and b(0, m) off s2 (which = 2), the J-fraction data of that
-    sequence.
-
-    One elimination of the sequence's Hankel rows (``HankelMinors``),
-    levels + 2 columns wide over the 2 levels + 2 moments the reads reach,
-    gives the minors K(n) = K(n, 0) (or K(0, n)) and the subleading pairs of
-    P(n, 0) (or P(0, n)), as the table's axis does: a = K(n+1) K(n-1) / K(n)^2
-    as in ``a_value``, c from the subleading pairs at n and n + 1 as in
-    ``c_value``.  The indices n = 0 .. levels + 1 are checked in the order
-    ``c_value`` checks them on the table: moment depth, normality, bordered
-    depth; so a read raises what the table's axis raises.
-    """
-    seq = system.s1 if which == 1 else system.s2
-    hankel = HankelMinors(seq[:2 * levels + 2]).shift(0, levels + 2)
-    minors, tails = [], []
-    for n in range(levels + 2):
-        index = (n, 0) if which == 1 else (0, n)
-        system.check_depth(*index, bordered=False)
-        minors.append(hankel.minor(n))
-        if minors[n] == 0:
-            raise NotNormalError(*index)
-        system.check_depth(*index, bordered=True)
-        tails.append(hankel.null_tail(n))
-    return (tuple(_sub_difference(tails[n], tails[n + 1]) for n in range(levels + 1)),
-            tuple(Fraction(minors[n + 1] * minors[n - 1], minors[n] ** 2)
-                  for n in range(1, levels + 1)))
 
 
 def field_from_table(table: HPTable, N: int, M: int) -> RecurrenceField:

@@ -1,10 +1,11 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hplax import bvp, measures
+from hplax import bvp, kernel, measures
 from hplax.bvp import (BoundaryData, boundary_from_field, boundary_from_moments,
                        boundary_from_table, cd_by_summation, cross_validate,
                        field_from_moments, sweep_solve)
@@ -381,9 +382,10 @@ def outcome(read, *args):
 
 
 class TestBoundaryFromMoments:
-    """The boundary of ``cross_validate``, one Hankel elimination per
-    sequence, against the axes of a table and against Chebyshev's
-    recurrence."""
+    """The boundary of ``cross_validate``, the J-fraction of each sequence,
+    against its oracle, the axes of a table; and against
+    ``moments_to_jfraction``, which reads the same kernel but raises its
+    own errors."""
 
     @settings(max_examples=150, deadline=None)
     @given(axis_systems())
@@ -405,17 +407,29 @@ class TestBoundaryFromMoments:
             assert got == BoundaryData(j1.c, j1.a, j2.c, j2.a)
 
     @pytest.mark.parametrize("lam", [0, 1, 4, 8])
-    def test_one_elimination_per_sequence(self, system_a, monkeypatch, lam):
-        widths = []
-        eliminate = measures.LeadingMinors
+    def test_no_elimination_and_2_lam_plus_2_moments(self, system_a, monkeypatch, lam):
+        # the J-fraction kernel forms no LeadingMinors, under any name an
+        # hplax module binds it to, and clears the 2 lam + 2 moments its
+        # reads reach of each sequence, of the 30 that system_a holds
+        def refuse(*args):
+            raise AssertionError("the boundary formed an elimination")
 
-        def recording(row, width):
-            widths.append(width)
-            return eliminate(row, width)
+        original = kernel.LeadingMinors
+        for name, module in list(sys.modules.items()):
+            if name == "hplax" or name.startswith("hplax."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, refuse)
+        counts = []
+        clear = measures.cleared
 
-        monkeypatch.setattr(measures, "LeadingMinors", recording)
+        def recording(values):
+            counts.append(len(values))
+            return clear(values)
+
+        monkeypatch.setattr(measures, "cleared", recording)
         boundary_from_moments(system_a, lam)
-        assert widths == [lam + 2, lam + 2]
+        assert counts == [2 * lam + 2, 2 * lam + 2]
 
 
 @st.composite

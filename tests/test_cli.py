@@ -17,8 +17,8 @@ from hplax.cli import main
 from hplax.errors import HplaxError
 from hplax.hptable import HPTable
 from hplax.kernel import MatPoly, Poly
-from hplax.measures import (MeasureModel, MomentSystem, make_angelesco, make_nikishin,
-                            measure_moments, moments_to_jfraction)
+from hplax.measures import (JFraction, MeasureModel, MomentSystem, make_angelesco,
+                            make_nikishin, measure_moments, moments_to_jfraction)
 
 
 def write_json(path, doc):
@@ -401,6 +401,9 @@ EXIT_TABLE = [
      "nonnegative"),
     ("qd-moments-string", ["qd"], lambda s: {"moments": "1111111"}, (1, 1), 2,
      "parse error"),
+    ("unequal-sequences", ["verify"],
+     lambda s: {**jsondoc.moment_system_to_doc(s), "s2": [str(x) for x in s.s2[:-1]]},
+     (1, 1), 2, "differ in length"),
     ("not-utf-8", ["table"],
      lambda s: b"\xff\xfe" + json.dumps(jsondoc.moment_system_to_doc(s)).encode("utf-16-le"),
      (1, 1), 2, "parse error"),
@@ -748,15 +751,15 @@ def test_verify_forms_no_polynomial(tmp_path, capsys, monkeypatch, case):
 
 def refuse_oracles(monkeypatch):
     """Make MatPoly products, HPTable.pairing, moment_pairing, det_exact,
-    consistency_residuals and normalization_grid raise, the last four under
-    every name an hplax module binds them to."""
+    consistency_residuals, normalization_grid and boundary_from_table
+    raise, the last five under every name an hplax module binds them to."""
     def refuse(*args):
         raise AssertionError("an oracle ran on a CLI route")
 
     monkeypatch.setattr(MatPoly, "__mul__", refuse)
     monkeypatch.setattr(HPTable, "pairing", refuse)
-    for original in (kernel.moment_pairing, kernel.det_exact,
-                     nnrr.consistency_residuals, lax3.normalization_grid):
+    for original in (kernel.moment_pairing, kernel.det_exact, nnrr.consistency_residuals,
+                     lax3.normalization_grid, bvp.boundary_from_table):
         for name, module in list(sys.modules.items()):
             if name == "hplax" or name.startswith("hplax."):
                 for attr, value in list(vars(module).items()):
@@ -801,8 +804,8 @@ def run_unpinned(tmp_path, capsys, system, case):
                          + list(UNPINNED_CLI))
 def test_cli_runs_no_oracle(tmp_path, capsys, monkeypatch, system_a, case):
     # MatPoly products, the pairings of single shifts, moment_pairing,
-    # det_exact, the consistency identities and the normalisation pairings
-    # serve only the tests
+    # det_exact, the consistency identities, the normalisation pairings and
+    # the table's axes as a boundary serve only the tests
     if case in UNPINNED_CLI:
         want = run_unpinned(tmp_path, capsys, system_a, case)
         refuse_oracles(monkeypatch)
@@ -834,11 +837,12 @@ def contract_angelesco(count):
 
 
 @st.composite
-def contract_systems(draw):
-    """A window up to (3, 3) and the moments `gen --window` gives it, of an
-    Angelesco, a discrete Nikishin or a zero-laden small-integer system."""
+def contract_systems(draw, count=lambda N, M: 2 * (N + M) + 4):
+    """A window up to (3, 3) and count(N, M) moments, by default those
+    `gen --window` gives it, of an Angelesco, a discrete Nikishin or a
+    zero-laden small-integer system."""
     N, M = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    count = 2 * (N + M) + 4
+    count = count(N, M)
     kind = draw(st.sampled_from(["angelesco", "nikishin", "integers"]))
     if kind == "angelesco":
         system = draw(contract_angelesco(count))
@@ -867,6 +871,25 @@ def contract_boundaries(draw):
     cd = st.lists(st.integers(-3, 3), min_size=lam + 1, max_size=lam + 1)
     ab = st.lists(st.sampled_from([-2, -1, 1, F(1, 2)]), min_size=lam, max_size=lam)
     return (N, M), BoundaryData(draw(cd), draw(ab), draw(cd), draw(ab))
+
+
+@st.composite
+def contract_jfractions(draw):
+    """A window up to (3, 3) and the document `gen --system jfraction`
+    reads: two J-fractions of depth N + M + 1, of an Angelesco system or
+    with small integer entries, mostly not of any measure."""
+    N, M = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    depth = N + M + 1
+    if draw(st.booleans()):
+        system = draw(contract_angelesco(2 * depth))
+        pair = [moments_to_jfraction(s, depth) for s in (system.s1, system.s2)]
+    else:
+        pair = [JFraction(draw(st.lists(st.integers(-3, 3), min_size=depth, max_size=depth)),
+                          draw(st.lists(st.sampled_from([-2, -1, 1, F(1, 2)]),
+                                        min_size=depth - 1, max_size=depth - 1)),
+                          draw(st.sampled_from([1, F(1, 2), -3])))
+                for _ in range(2)]
+    return (N, M), {f"f{j}": jsondoc.jfraction_to_doc(f) for j, f in enumerate(pair, 1)}
 
 
 @st.composite
@@ -899,22 +922,32 @@ def contract_dir(tmp_path_factory):
 def assert_contract(path, argv):
     """main on argv returns one of README's exit codes, raises nothing, and
     writes nothing to stderr on exit 0, else one line led by the label of
-    an error class with that exit code."""
+    an error class with that exit code.  Returns stdout on exit 0, else
+    None."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv + ["--in", str(path)])
     text = err.getvalue()
     if code == 0:
         assert text == ""
-        return
+        return out.getvalue()
     assert code in EXIT_LABELS, (code, text)
     assert text.endswith("\n") and text.count("\n") == 1, text
     assert any(text.startswith(f"{label}: ") for label in EXIT_LABELS[code]), (code, text)
 
 
+def assert_gen_contract(path, argv):
+    """assert_contract, and on exit 0 a document that hplax reads back as a
+    moment system and writes out again byte for byte."""
+    text = assert_contract(path, argv)
+    if text is not None:
+        system = jsondoc.moment_system_from_doc(json.loads(text))
+        assert json.dumps(jsondoc.moment_system_to_doc(system), indent=2) + "\n" == text
+
+
 class TestContract:
-    """The CLI contract on mutations of valid `verify` and `solve-bvp`
-    documents."""
+    """The CLI contract on mutations of valid `verify`, `solve-bvp`, `gen
+    --system moments|jfraction` and `qd` documents."""
 
     @settings(max_examples=60, deadline=None)
     @given(contract_systems().flatmap(lambda case: st.tuples(
@@ -931,3 +964,31 @@ class TestContract:
         (N, M), doc = drawn
         path = write_json(contract_dir / "boundary.json", doc)
         assert_contract(path, ["solve-bvp", "--window", str(N), str(M)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(contract_systems().flatmap(lambda case: st.tuples(
+        st.just(case[0]), mutated(jsondoc.moment_system_to_doc(case[1])))))
+    def test_gen_moments(self, contract_dir, drawn):
+        (N, M), doc = drawn
+        path = write_json(contract_dir / "moments.json", doc)
+        assert_gen_contract(path, ["gen", "--system", "moments", "--window", str(N), str(M)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(contract_jfractions().flatmap(lambda case: st.tuples(
+        st.just(case[0]), st.sampled_from(["f1", "f2", None]).flatmap(
+            lambda key: mutated(case[1]) if key is None else mutated(case[1][key]).map(
+                lambda part: {**case[1], key: part})))))
+    def test_gen_jfraction(self, contract_dir, drawn):
+        (N, M), doc = drawn
+        path = write_json(contract_dir / "jfractions.json", doc)
+        assert_gen_contract(path, ["gen", "--system", "jfraction", "--window", str(N), str(M)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(contract_systems(count=lambda n, k: 2 * n + k + 5).flatmap(
+        lambda case: st.tuples(st.just(case[0]), st.sampled_from(["s1", "s2"]).flatmap(
+            lambda key: mutated({"moments": [jsondoc.rat_str(x)
+                                             for x in getattr(case[1], key)]})))))
+    def test_qd(self, contract_dir, drawn):
+        (n, k), doc = drawn
+        path = write_json(contract_dir / "moments.json", doc)
+        assert_contract(path, ["qd", "--window", str(n), str(k)])

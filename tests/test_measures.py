@@ -4,8 +4,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hplax.errors import (DegeneracyError, DisjointSupportError, PoleError,
-                          TruncationError)
+from hplax.errors import (DegeneracyError, DisjointSupportError, HplaxError,
+                          PoleError, TruncationError)
 from hplax import measures
 from hplax.kernel import Poly, X, det_exact
 from hplax.measures import (JFraction, MeasureModel, MomentSystem,
@@ -161,8 +161,19 @@ def jfractions_and_counts(draw):
 
 
 class TestIntegerPowerSums:
-    """The discrete moments and jfraction_to_moments against plain Fraction
-    definitions: equal values of equal types."""
+    """The discrete and interval moments and jfraction_to_moments against
+    plain Fraction definitions: equal values of equal types."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12),
+                    min_size=2, max_size=2, unique=True).map(sorted),
+           st.integers(0, 12))
+    @example([F(-2), F(-1)], 4)
+    @example([F(-1, 3), F(5, 2)], 0)
+    def test_interval_moments(self, ends, count):
+        lo, hi = ends
+        want = [(hi ** (k + 1) - lo ** (k + 1)) / (k + 1) for k in range(count)]
+        assert same(measure_moments(MeasureModel.interval(lo, hi), count), want)
 
     @settings(max_examples=150, deadline=None)
     @given(atom_lists(), st.integers(0, 12))
@@ -281,10 +292,62 @@ class TestJFraction:
         assert jfraction_to_moments(j, 2 * depth) == moments
 
 
+def outcome(read, *args):
+    """What a read returns, or the type and text of what it raises."""
+    try:
+        return read(*args)
+    except HplaxError as exc:
+        return type(exc), str(exc)
+
+
+def plain_chebyshev(s, depth):
+    """Chebyshev's algorithm with every mixed moment sigma_(k,l) a reduced
+    Fraction: the oracle of ``moments_to_jfraction``'s values and errors.
+    Row k is read at l >= k only; prev is row k - 1."""
+    s = [F(x) for x in s]
+    if depth < 1:
+        raise DegeneracyError("J-fraction depth must be at least 1")
+    if len(s) < 2 * depth:
+        raise TruncationError(f"depth {depth} needs {2 * depth} moments, have {len(s)}")
+    c, a = [], []
+    prev, row = [0] * (2 * depth), s[:2 * depth]
+    for k in range(depth):
+        if row[k] == 0:
+            raise DegeneracyError(
+                f"vanishing Hankel determinant: functional degenerates at depth {k}")
+        c.append(row[k + 1] / row[k] - (prev[k] / prev[k - 1] if k else 0))
+        if k:
+            a.append(row[k] / prev[k - 1])
+        ak = a[-1] if k else 0
+        prev, row = row, [row[l + 1] - c[k] * row[l] - ak * prev[l] if l > k else 0
+                          for l in range(2 * depth - k - 1)]
+    return JFraction(tuple(c), tuple(a), s[0])
+
+
+@st.composite
+def chebyshev_inputs(draw):
+    """A depth up to 8 and from 2 short to 3 past its 2 depth moments: the
+    moments of a random J-fraction with rational entries, the same with a
+    zero planted, or small integers, mostly zero."""
+    depth = draw(st.integers(0, 8))
+    count = max(2 * depth + draw(st.sampled_from([-2, -1, 0, 0, 0, 0, 1, 3])), 0)
+    kind = draw(st.sampled_from(["rebuilt", "planted", "zeros"]))
+    if kind == "zeros":
+        return draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, F(1, 2)]),
+                             min_size=count, max_size=count)), depth
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    c = draw(st.lists(entry, min_size=depth + 2, max_size=depth + 2))
+    a = draw(st.lists(entry.filter(bool), min_size=depth + 1, max_size=depth + 1))
+    s = jfraction_to_moments(JFraction(tuple(c), tuple(a), draw(entry.filter(bool))), count)
+    if kind == "planted" and s:
+        s[draw(st.integers(0, len(s) - 1))] = 0
+    return s, depth
+
 
 class TestChebyshevAlgorithm:
-    """moments_to_jfraction on arbitrary integer data, with its left inverse
-    jfraction_to_moments and Hankel determinants as the oracles."""
+    """moments_to_jfraction on arbitrary data, with its left inverse
+    jfraction_to_moments, Hankel determinants and the recurrence in plain
+    Fractions (``plain_chebyshev``) as the oracles."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]), max_size=14),
@@ -324,6 +387,17 @@ class TestChebyshevAlgorithm:
         assert jfraction_to_moments(j, 0) == []
         with pytest.raises(DegeneracyError, match="nonnegative"):
             jfraction_to_moments(j, -1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(chebyshev_inputs())
+    # one moment short of depth 3; a zero norm at depth 1; depth 0
+    @example(([1, 2, 5, 14, 42], 3))
+    @example(([1, 1, 1, 1], 2))
+    @example(([F(1, 2)], 0))
+    def test_meets_plain_fractions(self, drawn):
+        s, depth = drawn
+        assert outcome(moments_to_jfraction, s, depth) == outcome(plain_chebyshev, s, depth)
+
 
 class TestMonicOrthogonalPolys:
     def test_lebesgue01(self):
