@@ -155,13 +155,16 @@ def sweep_solve(boundary: BoundaryData, N: int, M: int) -> SweepReport:
     same equations modulo the prime _P, as projective residue pairs
     (``_Residue``): while no divisor vanishes modulo _P, each residue is the
     image of the exact value under the ring homomorphism Z_(P) -> F_P, so a
-    nonzero gap residue proves the exact gap nonzero.  A gap that vanishes,
-    exactly or modulo _P, or a denominator that does, sends the call to the
-    full exact sweep, the same loop with every cell in range, whose report
-    keeps every entry filled up to the first zero gap.  There is one
-    exception: a zero gap divided by on a level whose range is full.  Full
-    ranges are a prefix of the levels, so that run was already the exact
-    sweep, entry for entry.
+    nonzero gap residue proves the exact gap nonzero.
+
+    One rule reruns: where the cone run cannot report as the exact sweep
+    would, it raises ``_Inexact``, and the call runs the full exact sweep,
+    the same loop with every cell in range, whose report keeps every entry
+    filled up to the first zero gap.  That is a denominator that vanishes
+    modulo _P, or a zero gap, exact or modular, divided by on a level whose
+    range is not full.  A zero gap on a level whose range is full ends the
+    cone run itself: full ranges are a prefix of the levels, so up to that
+    level the run was the exact sweep, entry for entry.
 
     divisions_checked counts equation divisions, as if each of a, b, c and
     d divided on its own: two per interior cell in phase 1, and each
@@ -175,17 +178,10 @@ def sweep_solve(boundary: BoundaryData, N: int, M: int) -> SweepReport:
         raise TruncationError(
             f"window ({N}, {M}) sweeps to level {lam}, boundary only "
             f"supports level {boundary.max_level}")
-    exact = [(0, level) for level in range(lam + 1)]
-    ranges = [cone_range(N, M, level) for level in range(lam + 1)]
     try:
-        report = _sweep(boundary, N, M, ranges)
-    except _ResidueVanished:
-        return _sweep(boundary, N, M, exact)
-    if not report.ok:
-        level = sum(report.failure[0]) + 1      # the level that divides by the zero
-        if ranges[level] != exact[level]:
-            report = _sweep(boundary, N, M, exact)
-    return report
+        return _sweep(boundary, N, M, [cone_range(N, M, level) for level in range(lam + 1)])
+    except _Inexact:
+        return _sweep(boundary, N, M, [(0, level) for level in range(lam + 1)])
 
 
 def cone_range(N: int, M: int, level: int) -> tuple[int, int]:
@@ -216,7 +212,9 @@ def _sweep(boundary: BoundaryData, N: int, M: int,
     Fraction entry reads only Fractions (``cone_range``).  A gap is tested
     for zero where c first divides by it; phase 1 and d divide only by gaps
     that passed that test.  A zero gap stops the sweep, and the report keeps
-    the entries filled so far.
+    the entries filled so far; but where the report would not be the exact
+    sweep's, a zero gap on a level whose range is not full or a denominator
+    residue that vanishes, it raises ``_Inexact`` instead.
     """
     lam = N + M
     a: dict[tuple[int, int], Fraction] = {}
@@ -266,6 +264,8 @@ def _sweep(boundary: BoundaryData, N: int, M: int,
                 divisions += 1
                 gn, gd = gap_below[n]
                 if gn == 0:
+                    if (lo, hi) != (0, level):
+                        raise _Inexact
                     failure = ((n, m - 1), f"(c - d) vanishes at {(n, m - 1)}")
                     break
                 if lo - 1 <= n <= hi:       # c here or d at n + 1 is exact
@@ -300,8 +300,10 @@ def _sweep(boundary: BoundaryData, N: int, M: int,
     return SweepReport(RecurrenceField(grids, (N, M)), divisions, failure)
 
 
-class _ResidueVanished(ArithmeticError):
-    """A denominator of the shell sweep is zero modulo _P."""
+class _Inexact(ArithmeticError):
+    """A sweep with residue cells met a zero it cannot report as the exact
+    sweep would: a denominator zero modulo _P, or a zero gap divided by on
+    a level whose range is not full."""
 
 
 class _Residue:
@@ -314,7 +316,7 @@ class _Residue:
     def __init__(self, num: int, den: int):
         den %= _P
         if not den:
-            raise _ResidueVanished
+            raise _Inexact
         self.num = num % _P
         self.den = den
 
@@ -376,16 +378,14 @@ def cd_by_summation(boundary: BoundaryData, field: RecurrenceField,
 
 @dataclass(frozen=True)
 class CrossValidation:
-    """End-to-end agreement report for one moment system and window.
+    """What ``cross_validate`` measured for one moment system and window.
 
-    ``cross_validate`` returns one only when the grids are equal, and the
+    It returns one only when the sweep's grids equal the table's, and the
     sweep's field meets the four consistency identities by construction, so
-    ``grids_equal`` is true and ``consistency_max`` is 0 whenever one exists.
+    the report holds only the two residual batteries and the sweep's count.
     """
 
     window: tuple[int, int]
-    grids_equal: bool
-    consistency_max: Fraction
     zcc_all_zero: bool
     orthogonality_max: Fraction
     divisions_checked: int
@@ -410,7 +410,7 @@ def cross_validate(system: MomentSystem, N: int, M: int) -> CrossValidation:
 
     The consistency identities (``nnrr.consistency_residuals``) are not run:
     the sweep builds its field from them, so a reference field equal to it
-    entry for entry meets them too, and ``consistency_max`` is 0.
+    entry for entry meets them too.
     """
     _check_window(N, M)
     table = HPTable(system, N + 1, M + 1)
@@ -441,5 +441,4 @@ def cross_validate(system: MomentSystem, N: int, M: int) -> CrossValidation:
         norms = NormalizationGrid(*table.normalizations(N, M), (N, M))
         zcc_zero = not any(any(zcc_stencil(reference, norms, n, m))
                            for n in range(N) for m in range(M))
-    return CrossValidation((N, M), equal, ZERO, zcc_zero, orth_max,
-                           report.divisions_checked)
+    return CrossValidation((N, M), zcc_zero, orth_max, report.divisions_checked)

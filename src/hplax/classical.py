@@ -3,9 +3,9 @@
 continued-fraction identity for ratios of consecutive monic polynomials.
 
 The qd values come from the integer leading minors of one fraction-free
-elimination per Hankel shift (``QdField``, on ``measures.HankelMinors``);
-plain determinants of the Hankel blocks (``hankel_shifted``, ``qd_vw``) are
-their oracle.  The 2x2 zero-curvature residual is three scalars in V and W
+elimination per Hankel shift, which ``QdField`` makes and keeps; plain
+determinants of the Hankel blocks (``hankel_shifted``, ``qd_vw``) are their
+oracle.  The 2x2 zero-curvature residual is three scalars in V and W
 (``zcc2_residual``); the products of the transition pairs
 (``transition_2x2``) are its oracle.
 
@@ -20,8 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegeneracyError, TruncationError, WindowError
-from .kernel import MatPoly, Poly, X, det_exact, rat
-from .measures import (HankelMinors, JFraction, jfraction_to_moments,
+from .kernel import LeadingMinors, MatPoly, Poly, X, cleared, det_exact, rat
+from .measures import (JFraction, hankel_row, jfraction_to_moments,
                        monic_orthogonal_polys)
 
 
@@ -29,14 +29,18 @@ class QdField:
     """Shifted-Hankel values with the derived quotient-difference grids over
     one moment sequence, the production route.
 
-    D^n H(n, k) is the leading minor of order n of the elimination of the
-    Hankel rows at shift k (``measures.HankelMinors``, D the lcm of the
-    moments' denominators), as wide as the deepest block the moments hold
-    at that shift and extended only as deep as a call needs; so a caller
-    sizes the eliminations by the moments it passes.  V and W are each one
-    Fraction of five such minors, whose powers of D cancel.  Every stored
-    V and W passed the nonvanishing-denominator check when it was first
-    computed, and each (V, W) is built once.
+    The moments are cleared of denominators once (D s_j, D their lcm).
+    D^n H(n, k) is the leading minor of order n of one fraction-free
+    elimination (``kernel.LeadingMinors``) of the Hankel rows
+    D s[k + r:k + r + width] at shift k, made on the first read at that
+    shift (``shift``) and kept.  Its width (len - k + 1) // 2 is the order
+    of the deepest block the moments hold at that shift, so a caller sizes
+    the eliminations by the moments it passes; each is extended only as
+    deep as a call needs, and its ``hankel_row``s never show their padding
+    to a minor whose moments exist.  V and W are each one Fraction of five
+    such minors, whose powers of D cancel.  Every stored V and W passed the
+    nonvanishing-denominator check when it was first computed, and each
+    (V, W) is built once.
 
     The module functions below accept a QdField in place of a moment
     sequence and then share its memo.  ``hankel_shifted`` and ``qd_vw`` are
@@ -44,18 +48,24 @@ class QdField:
 
     def __init__(self, moments):
         self.moments = [rat(x) for x in moments]
-        self._hankel = HankelMinors(self.moments)
+        self._ints, self._scale = cleared(self.moments)
+        self._shifts: dict[int, LeadingMinors] = {}
         self._vw: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+
+    def shift(self, k: int) -> LeadingMinors:
+        """The elimination of the Hankel rows at shift k."""
+        if k not in self._shifts:
+            ints, width = self._ints, (len(self._ints) - k + 1) // 2
+            self._shifts[k] = LeadingMinors(lambda r: hankel_row(ints, k + r, width), width)
+        return self._shifts[k]
 
     def minor(self, n: int, k: int) -> int:
         """D^n H(n, k); raises as ``hankel_shifted`` does before any read."""
         _check_hankel(self.moments, n, k)
-        if n == 0:
-            return 1
-        return self._hankel.shift(k, (len(self.moments) - k + 1) // 2).minor(n)
+        return self.shift(k).minor(n) if n else 1
 
     def hankel(self, n: int, k: int) -> Fraction:
-        return Fraction(self.minor(n, k), self._hankel.scale ** n)
+        return Fraction(self.minor(n, k), self._scale ** n)
 
     def vw(self, n: int, k: int) -> tuple[Fraction, Fraction]:
         key = (n, k)

@@ -498,66 +498,60 @@ class SharedPrefix:
         return fork
 
 
-def det_exact(rows: Sequence[Sequence[Ratlike]]) -> Fraction:
-    """Exact determinant of a square grid of rationals.
+def _echelon(m: list[list[Fraction]]) -> tuple[int, int]:
+    """Gaussian elimination in Fractions, in place, of the rows m, each at
+    least len(m) long: column c pivots on the first row at or below row c
+    with a nonzero entry in it.  The number of row exchanges, and the first
+    column with no such row (len(m) when there is none)."""
+    n, swaps = len(m), 0
+    for c in range(n):
+        p = next((r for r in range(c, n) if m[r][c]), None)
+        if p is None:
+            return swaps, c
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            swaps += 1
+        top = m[c]
+        for row in m[c + 1:]:
+            if row[c]:
+                f = row[c] / top[c]
+                row[c:] = [x - f * t for x, t in zip(row[c:], top[c:])]
+    return swaps, n
 
-    Denominators are cleared row by row, then fraction-free Bareiss
-    elimination, with a row swap on each zero pivot, runs over plain
-    integers (every interior division is exact), which sidesteps both float
-    ill-conditioning and rational blow-up.  The 0x0 determinant is 1 by
-    convention.
+
+def det_exact(rows: Sequence[Sequence[Ratlike]]) -> Fraction:
+    """Exact determinant of a square grid of rationals, the product of the
+    pivots of ``_echelon``, negated once per row exchange; 0 when a column
+    has no pivot.  The 0x0 determinant is 1 by convention.  It is the plain
+    oracle of the table's and the qd field's integer minors.
     """
     n = len(rows)
     if n == 0:
         return Fraction(1)
-    grid = [[rat(x) for x in row] for row in rows]
-    if any(len(row) != n for row in grid):
+    m = [[rat(x) for x in row] for row in rows]
+    if any(len(row) != n for row in m):
         raise DimensionError(f"determinant needs a square grid, got {n} rows "
-                             f"of lengths {[len(r) for r in grid]}")
-    scale = 1
-    m: list[list[int]] = []
-    for row in grid:
-        ints, mult = cleared(row)
-        scale *= mult
-        m.append(ints)
-    sign = 1
-    prev = 1
-    for c in range(n):
-        if m[c][c] == 0:
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    m[c], m[i] = m[i], m[c]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        top = m[c]
-        pivot = top[c]
-        for i in range(c + 1, n):
-            row = m[i]
-            lead = row[c]
-            for j in range(c + 1, n):
-                row[j] = (row[j] * pivot - lead * top[j]) // prev
-        prev = pivot
-    return Fraction(sign * prev, scale)
+                             f"of lengths {[len(r) for r in m]}")
+    swaps, rank = _echelon(m)
+    if rank < n:
+        return Fraction(0)
+    det = Fraction(-1 if swaps % 2 else 1)
+    for i in range(n):
+        det *= m[i][i]
+    return det
 
 
 def solve_exact(a: Sequence[Sequence[Ratlike]], b: Sequence[Ratlike]) -> list[Fraction]:
-    """Solve a small square linear system exactly by Gaussian elimination."""
+    """Solve a small square linear system exactly: ``_echelon`` on the
+    augmented rows, then back substitution.  A column with no pivot raises,
+    naming that column."""
     n = len(a)
     if len(b) != n or any(len(row) != n for row in a):
         raise DimensionError("solve_exact needs a square system")
     m = [[rat(x) for x in row] + [rat(b[i])] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise DegeneracyError(f"singular linear system (column {col})")
-        m[col], m[pivot] = m[pivot], m[col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] / m[col][col]
-                for j in range(col, n + 1):
-                    m[r][j] -= f * m[col][j]
+    _, rank = _echelon(m)
+    if rank < n:
+        raise DegeneracyError(f"singular linear system (column {rank})")
     out = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):
         acc = m[i][n]

@@ -17,7 +17,7 @@ from math import gcd
 
 from .errors import (DegeneracyError, DisjointSupportError, PoleError,
                      TruncationError)
-from .kernel import LeadingMinors, Poly, Ratlike, cleared, rat
+from .kernel import Poly, Ratlike, cleared, rat, solve_exact
 
 DISCRETE = "discrete"
 INTERVAL = "interval"
@@ -192,44 +192,15 @@ def hankel_row(ints: list[int], start: int, width: int) -> list[int]:
     return entries + [0] * (width - len(entries))
 
 
-class HankelMinors:
-    """The Hankel blocks of one moment sequence, as integer leading minors.
-
-    The moments are cleared of denominators once (D s_j, D their lcm).
-    ``shift(k, width)`` is one fraction-free elimination
-    (``kernel.LeadingMinors``) of the Hankel rows D s[k + r:k + r + width],
-    made on the first request for that shift and width and kept.  Its
-    leading minor of order n is D^n H(n, k), the determinant of the block
-    [s_(k+i+j)], i, j < n, and its null vector of order n holds the monic
-    orthogonal polynomial of degree n of the functional x^k s, scaled.  Each
-    caller fixes the width from its own reads: a minor of order n needs n
-    columns, a null vector or ``null_tail`` of order n needs n + 1.  The
-    rows are ``hankel_row``s, so a read whose moments exist, up to index
-    k + 2n - 2 for a minor and k + 2n - 1 for a null vector, never sees
-    their padding.
-    """
-
-    def __init__(self, moments):
-        self._ints, self.scale = cleared([rat(x) for x in moments])
-        self._eliminations: dict[tuple[int, int], LeadingMinors] = {}
-
-    def shift(self, k: int, width: int) -> LeadingMinors:
-        key = (k, width)
-        if key not in self._eliminations:
-            ints = self._ints
-            self._eliminations[key] = LeadingMinors(
-                lambda r: hankel_row(ints, k + r, width), width)
-        return self._eliminations[key]
-
-
 def monic_orthogonal_polys(s, upto: int) -> list[Poly]:
     """Monic orthogonal polynomials pi_0..pi_upto for the moment functional.
 
     Determinant route, independent of the Chebyshev recurrence of
-    moments_to_jfraction: pi_n is the monic null vector of the Hankel rows
-    s[r + j] (r < n, j <= n), which is the table's P(n, 0) for the single
-    sequence s.  One elimination of the Hankel rows (``HankelMinors``),
-    upto + 1 columns wide, serves all degrees.
+    moments_to_jfraction: the lower coefficients of pi_n solve the Hankel
+    system sum_(j<n) s[r + j] p_j = -s[r + n], r < n (``solve_exact``), so
+    pi_n is the monic null vector of the rows s[r:r + n + 1], which is the
+    table's P(n, 0) for the single sequence s.  The system is singular
+    exactly where the Hankel determinant of order n vanishes.
     """
     if upto < 0:
         return []
@@ -238,14 +209,16 @@ def monic_orthogonal_polys(s, upto: int) -> list[Poly]:
         raise TruncationError(
             f"need {need} moments for orthogonal polynomials up to degree {upto}, "
             f"have {len(s)}")
-    hankel = HankelMinors(s[:need]).shift(0, upto + 1)
+    s = [rat(x) for x in s[:need]]
     polys = []
     for n in range(upto + 1):
-        if hankel.minor(n) == 0:
+        try:
+            low = solve_exact([s[r:r + n] for r in range(n)], [-s[r + n] for r in range(n)])
+        except DegeneracyError:
             raise DegeneracyError(
                 f"moment functional degenerates at depth {n} "
-                f"(Hankel determinant of order {n} vanishes)")
-        polys.append(Poly.monic(hankel.null_vector(n)))
+                f"(Hankel determinant of order {n} vanishes)") from None
+        polys.append(Poly((*low, 1)))
     return polys
 
 

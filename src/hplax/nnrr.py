@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegeneracyError, NotNormalError, WindowError
-from .kernel import LaurentTail, Poly, X, ratio_sum, settle
+from .kernel import LaurentTail, Poly, X
 from .hptable import HPTable
 
 KINDS = ("a", "b", "c", "d")
@@ -172,37 +172,24 @@ def recurrence_residuals(field: RecurrenceField, table: HPTable,
 def consistency_residuals(field: RecurrenceField, n: int,
                           m: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """The four lattice-compatibility identities at a stencil, denominators
-    cleared; all zero exactly on a field from a perfect system.
+    cleared, in plain Fractions; all zero exactly on a field from a perfect
+    system.  The sweep builds its field from them, so they are the oracle
+    of ``bvp.sweep_solve`` and no CLI route runs them.
 
     On the axes the ratio identities degenerate (both sides carry a zero
-    coefficient), and the cleared forms vanish identically.  Each identity
-    is one integer numerator over the product of its operands' denominators
-    (``kernel.ratio_sum``), a Fraction only where it does not vanish.  The
-    entries are read in the order the identities below first use them, so an
-    absent entry raises at the same read as in plain Fraction arithmetic.
+    coefficient), and the cleared forms vanish identically: a gap below an
+    axis counts as 0 and is not read.
     """
-    def q(kind: str, i: int, j: int) -> tuple[int, int]:
-        return field.value(kind, i, j).as_integer_ratio()
-
-    d_right, d, c_up, c = q("d", n + 1, m), q("d", n, m), q("c", n, m + 1), q("c", n, m)
-    b_right, b_up, a_right, a_up = (q("b", n + 1, m), q("b", n, m + 1),
-                                    q("a", n + 1, m), q("a", n, m + 1))
-    # (d(n+1, m) - d(n, m)) - (c(n, m+1) - c(n, m))
-    r1 = ratio_sum((1, d_right), (-1, d), (-1, c_up), (1, c))
-    # b(n+1, m) - b(n, m+1) + a(n+1, m) - a(n, m+1)
-    #   - (d(n+1, m) c(n, m) - d(n, m) c(n, m+1))
-    r2 = ratio_sum((1, b_right), (-1, b_up), (1, a_right), (-1, a_up),
-                   (-1, d_right, c), (1, d, c_up))
-    gap_here = ratio_sum((1, c), (-1, d))
-    gap_left = (ratio_sum((1, q("c", n - 1, m)), (-1, q("d", n - 1, m)))
-                if n >= 1 else (0, 1))
-    # a(n, m+1) gap(n-1, m) - a(n, m) gap(n, m)
-    r3 = ratio_sum((1, a_up, gap_left), (-1, q("a", n, m), gap_here))
-    gap_down = (ratio_sum((1, q("c", n, m - 1)), (-1, q("d", n, m - 1)))
-                if m >= 1 else (0, 1))
-    # b(n+1, m) gap(n, m-1) - b(n, m) gap(n, m)
-    r4 = ratio_sum((1, b_right, gap_down), (-1, q("b", n, m), gap_here))
-    return settle(r1), settle(r2), settle(r3), settle(r4)
+    r1 = (field.d(n + 1, m) - field.d(n, m)) - (field.c(n, m + 1) - field.c(n, m))
+    r2 = (field.b(n + 1, m) - field.b(n, m + 1)
+          + field.a(n + 1, m) - field.a(n, m + 1)) \
+        - (field.d(n + 1, m) * field.c(n, m) - field.d(n, m) * field.c(n, m + 1))
+    gap_here = field.gap(n, m)
+    gap_left = field.gap(n - 1, m) if n >= 1 else Fraction(0)
+    r3 = field.a(n, m + 1) * gap_left - field.a(n, m) * gap_here
+    gap_down = field.gap(n, m - 1) if m >= 1 else Fraction(0)
+    r4 = field.b(n + 1, m) * gap_down - field.b(n, m) * gap_here
+    return r1, r2, r3, r4
 
 
 # -- branched continued fractions ------------------------------------------

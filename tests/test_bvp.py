@@ -304,15 +304,11 @@ class TestCdBySummation:
 class TestCrossValidate:
     def test_system_a(self, system_a):
         result = cross_validate(system_a, 3, 3)
-        assert result.grids_equal
-        assert result.consistency_max == 0
         assert result.orthogonality_max == 0
         assert result.zcc_all_zero
 
     def test_nikishin(self, nikishin_system):
         result = cross_validate(nikishin_system, 2, 2)
-        assert result.grids_equal
-        assert result.consistency_max == 0
         assert result.zcc_all_zero
 
     def test_duplicated_system_rejected(self, dup_system):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hplax import classical, measures
+from hplax import classical
 from hplax.classical import (QdField, cf_tail_eval, hankel_shifted, lax_l,
                              lax_m_num, qd_vw, three_term_check,
                              transition_2x2, zcc2_residual)
@@ -219,7 +219,7 @@ class TestZcc2:
 
     def test_field_memo_takes_each_hankel_block_once(self, leb01, monkeypatch):
         made, built = [], []
-        eliminate, build = measures.LeadingMinors, classical.lax_l
+        eliminate, build = classical.LeadingMinors, classical.lax_l
 
         def recording_elimination(row, width):
             made.append(row(0)[0])          # D s_k: the moments are distinct
@@ -229,7 +229,7 @@ class TestZcc2:
             built.append(args)
             return build(*args)
 
-        monkeypatch.setattr(measures, "LeadingMinors", recording_elimination)
+        monkeypatch.setattr(classical, "LeadingMinors", recording_elimination)
         monkeypatch.setattr(classical, "lax_l", recording_l)
         grid = [(n, k) for n in range(3) for k in range(3)]
         qd = QdField(leb01)

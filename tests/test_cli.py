@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hplax import bvp, classical, jsondoc, kernel, lax3, measures, nnrr
+from hplax import bvp, classical, jsondoc, kernel, lax3, nnrr
 from hplax.bvp import (BoundaryData, SweepReport, boundary_from_field,
                        boundary_from_moments, field_from_moments)
 from hplax.cli import main
@@ -704,14 +704,15 @@ def run_qd(tmp_path, capsys, moments, window):
     """Exit code, stdout and stderr of one qd call, and the width of each
     Hankel shift's elimination."""
     widths = {}
-    shift = measures.HankelMinors.shift
+    shift = classical.QdField.shift
 
-    def recording(self, k, width):
-        widths[k] = width
-        return shift(self, k, width)
+    def recording(self, k):
+        elimination = shift(self, k)
+        widths[k] = elimination.width
+        return elimination
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(measures.HankelMinors, "shift", recording)
+        patch.setattr(classical.QdField, "shift", recording)
         path = write_json(tmp_path / "in.json",
                           {"moments": [jsondoc.rat_str(x) for x in moments]})
         capsys.readouterr()
@@ -893,25 +894,68 @@ def contract_jfractions(draw):
 
 
 @st.composite
+def contract_measures(draw, system):
+    """The document `gen --system angelesco|nikishin` reads: two measures,
+    each an interval or up to three atoms, on distinct points of [-3, 3]
+    with half-integer denominators.  The first measure takes the lowest
+    points when they are sorted, and any when they are not, so a pair is
+    often not a valid generator: Angelesco intervals that overlap or are
+    empty, Nikishin supports that interlace or hold an interval."""
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    points = draw(st.lists(small, min_size=6, max_size=6, unique=True))
+    if draw(st.booleans()):
+        points.sort()
+    if system == "angelesco":
+        keys, interval = ("mu1", "mu2"), st.booleans()
+    else:
+        keys, interval = ("sigma1", "sigma2"), st.sampled_from([True, False, False])
+    doc = {}
+    for key in keys:
+        if draw(interval):
+            lo, hi, *points = points
+            doc[key] = {"type": "interval", "lo": str(lo), "hi": str(hi)}
+        else:
+            size = draw(st.integers(1, 3))
+            weights = draw(st.lists(small.filter(bool), min_size=size, max_size=size))
+            doc[key] = {"type": "discrete",
+                        "atoms": [[str(t), str(w)] for t, w in zip(points, weights)]}
+            points = points[size:]
+    return doc
+
+
+@st.composite
 def mutated(draw, doc):
     """doc as it is, or with one key dropped, one list or every list cut
-    short, one rational replaced by a non-rational, or a zero planted in a
-    list."""
+    short or lengthened by a copy of one of its entries, one entry wrapped
+    in a list, one rational replaced by a non-rational, or a zero planted
+    in a list."""
     doc = json.loads(json.dumps(doc))
     lists = sorted(key for key, value in doc.items() if isinstance(value, list) and value)
-    change = draw(st.sampled_from(["none", "drop", "cut", "replace", "zero"]))
+    change = draw(st.sampled_from(["none", "drop", "cut", "lengthen", "nest", "replace",
+                                   "zero"]))
     if change == "drop":
         del doc[draw(st.sampled_from(sorted(doc)))]
     elif change != "none" and lists:
         key = draw(st.sampled_from(lists))
         i = draw(st.integers(0, len(doc[key]) - 1))
-        if change == "cut":         # this list, or every list
-            for cut in (lists if draw(st.booleans()) else [key]):
-                doc[cut] = doc[cut][:i]
+        if change in ("cut", "lengthen"):       # this list, or every list
+            for changed in (lists if draw(st.booleans()) else [key]):
+                entries = doc[changed]
+                doc[changed] = (entries[:i] if change == "cut"
+                                else entries + [entries[min(i, len(entries) - 1)]])
+        elif change == "nest":
+            doc[key][i] = [doc[key][i]]
         else:
             doc[key][i] = ("0" if change == "zero" else
                            draw(st.sampled_from([0.5, 2.0, True, None, "1/0", "abc"])))
     return doc
+
+
+def mutated_part(doc, keys):
+    """mutated applied to doc, or to the document under one of keys."""
+    return st.sampled_from([*keys, None]).flatmap(
+        lambda key: mutated(doc) if key is None else mutated(doc[key]).map(
+            lambda part: {**doc, key: part}))
 
 
 @pytest.fixture(scope="module")
@@ -936,18 +980,23 @@ def assert_contract(path, argv):
     assert any(text.startswith(f"{label}: ") for label in EXIT_LABELS[code]), (code, text)
 
 
-def assert_gen_contract(path, argv):
-    """assert_contract, and on exit 0 a document that hplax reads back as a
-    moment system and writes out again byte for byte."""
+def assert_round_trip(path, argv, decode, encode):
+    """assert_contract, and on exit 0 a document that decode reads back and
+    encode writes out again byte for byte."""
     text = assert_contract(path, argv)
     if text is not None:
-        system = jsondoc.moment_system_from_doc(json.loads(text))
-        assert json.dumps(jsondoc.moment_system_to_doc(system), indent=2) + "\n" == text
+        assert json.dumps(encode(decode(json.loads(text))), indent=2) + "\n" == text
+
+
+def assert_gen_contract(path, argv):
+    assert_round_trip(path, argv, jsondoc.moment_system_from_doc,
+                      jsondoc.moment_system_to_doc)
 
 
 class TestContract:
-    """The CLI contract on mutations of valid `verify`, `solve-bvp`, `gen
-    --system moments|jfraction` and `qd` documents."""
+    """The CLI contract on mutations of valid `verify`, `solve-bvp`, `table`,
+    `coeffs`, `gen` and `qd` documents, and of `gen --system
+    angelesco|nikishin` documents that are often not valid."""
 
     @settings(max_examples=60, deadline=None)
     @given(contract_systems().flatmap(lambda case: st.tuples(
@@ -974,10 +1023,35 @@ class TestContract:
         assert_gen_contract(path, ["gen", "--system", "moments", "--window", str(N), str(M)])
 
     @settings(max_examples=40, deadline=None)
+    @given(contract_systems().flatmap(lambda case: st.tuples(
+        st.just(case[0]), mutated(jsondoc.moment_system_to_doc(case[1])))))
+    def test_table(self, contract_dir, drawn):
+        (N, M), doc = drawn
+        path = write_json(contract_dir / "system.json", doc)
+        assert_round_trip(path, ["table", "--window", str(N), str(M)],
+                          jsondoc.table_from_doc, lambda table: jsondoc.table_to_doc(*table))
+
+    @settings(max_examples=40, deadline=None)
+    @given(contract_systems().flatmap(lambda case: st.tuples(
+        st.just(case[0]), mutated(jsondoc.moment_system_to_doc(case[1])))))
+    def test_coeffs(self, contract_dir, drawn):
+        (N, M), doc = drawn
+        path = write_json(contract_dir / "system.json", doc)
+        assert_round_trip(path, ["coeffs", "--window", str(N), str(M)],
+                          jsondoc.field_from_doc, jsondoc.field_to_doc)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["angelesco", "nikishin"]).flatmap(lambda system: st.tuples(
+        st.just(system), st.integers(0, 12),
+        contract_measures(system).flatmap(lambda doc: mutated_part(doc, sorted(doc))))))
+    def test_gen_measures(self, contract_dir, drawn):
+        system, order, doc = drawn
+        path = write_json(contract_dir / "measures.json", doc)
+        assert_gen_contract(path, ["gen", "--system", system, "--order", str(order)])
+
+    @settings(max_examples=40, deadline=None)
     @given(contract_jfractions().flatmap(lambda case: st.tuples(
-        st.just(case[0]), st.sampled_from(["f1", "f2", None]).flatmap(
-            lambda key: mutated(case[1]) if key is None else mutated(case[1][key]).map(
-                lambda part: {**case[1], key: part})))))
+        st.just(case[0]), mutated_part(case[1], ["f1", "f2"]))))
     def test_gen_jfraction(self, contract_dir, drawn):
         (N, M), doc = drawn
         path = write_json(contract_dir / "jfractions.json", doc)

@@ -382,6 +382,23 @@ class TestChebyshevAlgorithm:
         j = moments_to_jfraction(moments, 12)
         assert jfraction_to_moments(j, 24) == list(moments)
 
+    def test_rows_stay_reduced(self, monkeypatch):
+        # each row's content is divided out, which keeps the operands of
+        # every Fraction the kernel builds small; without it the
+        # denominators multiply up row after row, past 16,000 bits here
+        s = measure_moments(MeasureModel.interval(F(-5, 2), F(-1, 2)), 16)
+        bits = []
+
+        def recording(num, den):
+            bits.append(max(num.bit_length(), den.bit_length()))
+            return F(num, den)
+
+        monkeypatch.setattr(measures, "Fraction", recording)
+        entries = measures.jfraction_entries(s)
+        monkeypatch.undo()
+        assert len(entries) == len(bits) == 16
+        assert max(bits) <= 64
+
     def test_zero_moments_from_a_jfraction(self):
         j = JFraction((F(1, 2),), (), F(1))
         assert jfraction_to_moments(j, 0) == []

@@ -8,10 +8,11 @@ Every name the benchmark wraps (perfbench/spans.py) still exists.  No module
 touches the private internals of ``fractions.Fraction``, which differ between
 the Python versions the package supports, and none reads the environment:
 behaviour is set by the arguments of a call alone.  Only the kernel, the
-table and the single-sequence Hankel type construct an elimination, and a
+table and the qd field (``classical``) construct an elimination, and a
 passing ``cross_validate`` builds one table (a rule checked by running it).
-The table's shared elimination is a prefix its columns fork from, and
-answers no read itself.  The command line maps every library error to its
+The plain oracles, and every function they call, use none of the routes'
+integer arithmetic.  The table's shared elimination is a prefix its columns
+fork from, and answers no read itself.  The command line maps every library error to its
 exit code in one clause, through the error's class.
 """
 
@@ -142,7 +143,7 @@ def test_benchmark_span_targets_exist():
     assert missing == []
 
 
-ELIMINATION_HOMES = {"kernel", "hptable", "measures"}
+ELIMINATION_HOMES = {"kernel", "hptable", "classical"}
 
 
 def test_only_the_elimination_homes_construct_one():
@@ -153,6 +154,33 @@ def test_only_the_elimination_homes_construct_one():
                     and "LeadingMinors" in used_names(node.func)):
                 offences.append(f"{name} calls LeadingMinors (line {node.lineno})")
     assert offences == []
+
+
+PLAIN_ORACLES = {"det_exact", "solve_exact", "consistency_residuals",
+                 "monic_orthogonal_polys"}
+ROUTE_ARITHMETIC = {"LeadingMinors", "SharedPrefix", "HankelMinors", "cleared",
+                    "hankel_row", "ratio_sum", "settle", "as_integer_ratio"}
+
+
+def test_the_plain_oracles_use_no_route_arithmetic():
+    # an oracle that shared the fraction-free eliminations or the integer
+    # pairs of the routes it checks would share their faults too
+    functions = {node.name: (name, node) for name, tree in modules().items()
+                 for node in tree.body if isinstance(node, ast.FunctionDef)}
+    pending, seen, offences = sorted(PLAIN_ORACLES), set(), []
+    while pending:
+        fn = pending.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        module, node = functions[fn]
+        names = used_names(node)
+        offences += [f"{module}.{fn} names {bad}" for bad in sorted(names & ROUTE_ARITHMETIC)]
+        called = set().union(*(used_names(call.func) for call in ast.walk(node)
+                               if isinstance(call, ast.Call)))
+        pending += sorted(called & set(functions))
+    assert offences == []
+    assert seen > PLAIN_ORACLES         # the helpers were walked too
 
 
 def test_the_shared_elimination_answers_no_table_read():
