@@ -81,12 +81,6 @@ class QdField:
                              Fraction(h_n1k1 * h_nk1, h_n1k * h_nk2))
         return self._vw[key]
 
-    def v(self, n: int, k: int) -> Fraction:
-        return self.vw(n, k)[0]
-
-    def w(self, n: int, k: int) -> Fraction:
-        return self.vw(n, k)[1]
-
 
 def _qd_field(moments) -> QdField:
     return moments if isinstance(moments, QdField) else QdField(moments)

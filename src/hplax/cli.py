@@ -25,7 +25,6 @@ from .measures import (MomentSystem, jfraction_to_moments, make_angelesco,
                        make_nikishin)
 
 EXIT_OK = 0
-EXIT_PARSE = 2
 
 
 def _read_doc(path: str) -> Any:
@@ -155,10 +154,7 @@ def _cmd_qd(args) -> int:
     # the deepest read, minor(n_max + 2, k_max + 2) of zcc2_residual, ends at
     # moment index 2 n_max + k_max + 4
     qd = classical.QdField(moments[:2 * n_max + k_max + 5])
-    v_grid = [[jsondoc.rat_str(qd.v(n, k)) for k in range(k_max + 1)]
-              for n in range(n_max + 1)]
-    w_grid = [[jsondoc.rat_str(qd.w(n, k)) for k in range(k_max + 1)]
-              for n in range(n_max + 1)]
+    grid = [[qd.vw(n, k) for k in range(k_max + 1)] for n in range(n_max + 1)]
     residual_zero = True
     for n in range(n_max + 1):
         for k in range(k_max + 1):
@@ -168,8 +164,8 @@ def _cmd_qd(args) -> int:
         "kind": "qd_field",
         "convention": jsondoc.CONVENTION,
         "window": [n_max, k_max],
-        "v": v_grid,
-        "w": w_grid,
+        "v": [[jsondoc.rat_str(v) for v, _ in row] for row in grid],
+        "w": [[jsondoc.rat_str(w) for _, w in row] for row in grid],
         "zcc2_residual": "zero" if residual_zero else "nonzero",
     }
     _write_doc(out, args.outfile)
@@ -228,7 +224,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, which matches the parse exit code
-        return EXIT_PARSE if exc.code not in (0, None) else 0
+        return jsondoc.ParseError.exit_code if exc.code not in (0, None) else 0
     try:
         return args.func(args)
     except HplaxError as exc:

@@ -574,11 +574,6 @@ def moment_pairing(p: Poly, moments: Sequence[Fraction], shift: int = 0) -> Frac
     return sum((c * s for c, s in zip(p.coeffs, moments[shift:])), Fraction(0))
 
 
-def series_from_moments(moments: Sequence[Ratlike]) -> LaurentTail:
-    """Tail with coefficient of z^(-k-1) equal to the k-th moment."""
-    return LaurentTail(tuple(rat(s) for s in moments))
-
-
 def poly_from_series_product(f: LaurentTail, p: Poly) -> tuple[Poly, LaurentTail]:
     """Split the formal product f(z) * p(z) into polynomial part and tail.
 

@@ -79,11 +79,6 @@ class WaveMatrix:
         return self.entries[i][j]
 
 
-def _pairing(table: HPTable, which: int, n: int, m: int) -> Fraction:
-    """h1 (which=1) or h2 (which=2): pairing of P(n, m) with x^n resp. x^m."""
-    return table.pairing(which, n, m, n if which == 1 else m)
-
-
 def normalization_grid(table: HPTable, N: int, M: int) -> NormalizationGrid:
     """Both pairing grids over the (N+1) x (M+1) window; zero pairings at a
     normal index signal corruption and are rejected.  The oracle of
@@ -91,8 +86,8 @@ def normalization_grid(table: HPTable, N: int, M: int) -> NormalizationGrid:
     h1, h2 = {}, {}
     for n in range(N + 1):
         for m in range(M + 1):
-            v1 = _pairing(table, 1, n, m)
-            v2 = _pairing(table, 2, n, m)
+            v1 = table.pairing(1, n, m, n)
+            v2 = table.pairing(2, n, m, m)
             if v1 == 0 or v2 == 0:
                 raise IntegrityError(
                     f"normalizing pairing vanishes at normal index ({n}, {m})")
@@ -236,13 +231,6 @@ def zcc_stencil(field: RecurrenceField, norms: NormalizationGrid,
         ratio_sum((1, _alpha5(norms, n + 1, m + 1), g), (1, a5_up)))))
 
 
-def det_transition(pair: TransitionPair, which: str) -> Poly:
-    """Determinant of L or M as a polynomial; x-independent on valid data."""
-    if which not in ("L", "M"):
-        raise WindowError(f"which must be 'L' or 'M', got {which!r}")
-    return (pair.L if which == "L" else pair.M).det()
-
-
 # -- wave matrices -----------------------------------------------------------
 
 
@@ -270,11 +258,11 @@ def wave_matrix(table: HPTable, f1: LaurentTail, f2: LaurentTail,
     if n == 0:
         rows.append(((Poly(), zeros), (Poly.of(1), zeros), (Poly(), zeros)))
     else:
-        rows.append(data_row(n - 1, m, -1 / _pairing(table, 1, n - 1, m)))
+        rows.append(data_row(n - 1, m, -1 / table.pairing(1, n - 1, m, n - 1)))
     if m == 0:
         rows.append(((Poly(), zeros), (Poly(), zeros), (Poly.of(1), zeros)))
     else:
-        rows.append(data_row(n, m - 1, -1 / _pairing(table, 2, n, m - 1)))
+        rows.append(data_row(n, m - 1, -1 / table.pairing(2, n, m - 1, m - 1)))
     return WaveMatrix(n, m, tuple(rows))
 
 

@@ -106,6 +106,8 @@ class JFraction:
                 f"{len(self.a)} subdiagonal")
         if any(x == 0 for x in self.a):
             raise DegeneracyError("J-fraction subdiagonal entries must be nonzero")
+        if self.s0 == 0:
+            raise DegeneracyError("J-fraction total mass s0 must be nonzero")
 
     @property
     def depth(self) -> int:
@@ -119,6 +121,8 @@ def measure_moments(mu: MeasureModel, count: int) -> list[Fraction]:
     integer power sums over one denominator (``_power_sums``); with its ends
     cleared to A / Q and C / Q, moment j - 1 of the interval [A / Q, C / Q]
     is (C^j - A^j) / (j Q^j)."""
+    if count < 0:
+        raise DegeneracyError(f"moment count must be nonnegative, got {count}")
     if mu.kind == INTERVAL:
         (a, c), q = cleared([mu.lo, mu.hi])
         return [Fraction(c ** j - a ** j, j * q ** j) for j in range(1, count + 1)]

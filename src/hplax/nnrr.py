@@ -141,7 +141,7 @@ def field_from_table(table: HPTable, N: int, M: int) -> RecurrenceField:
     return RecurrenceField(grids, (N, M))
 
 
-def check_dminusc(field: RecurrenceField, table: HPTable, n: int, m: int) -> Fraction:
+def check_dminusc(table: HPTable, n: int, m: int) -> Fraction:
     """d - c at an index from the determinant identity (independent route)."""
     s_right, s_up = table.s_det(n + 1, m), table.s_det(n, m + 1)
     if s_right == 0 or s_up == 0:

@@ -39,7 +39,7 @@ def test_criterion_1_worked_angelesco(system_a):
     assert table.hp_poly_det(1, 1) == X * X - Poly.of(F(7, 3))
     assert field.c(0, 0) == F(-3, 2)
     assert field.d(0, 0) == F(3, 2)
-    assert check_dminusc(field, table, 0, 0) == 3
+    assert check_dminusc(table, 0, 0) == 3
     assert field.d(0, 0) - field.c(0, 0) == 3
     assert field.a(1, 1) == F(1, 12)
     _report(1, "worked Angelesco values", started, 1.0)

@@ -67,11 +67,11 @@ class TestQdField:
         for n in range(3):
             for k in range(3):
                 v, w = qd_vw(leb01, n, k)
-                assert qd.v(n, k) == v and qd.w(n, k) == w
+                assert qd.vw(n, k) == (v, w)
         assert qd.hankel(0, 7) == 1
         assert qd.hankel(2, 0) == F(1, 12)
         # memo returns the very same cached objects on re-read
-        assert qd.v(1, 1) is qd.v(1, 1)
+        assert qd.vw(1, 1) is qd.vw(1, 1)
 
 
 def outcome(read, *args):
@@ -93,12 +93,10 @@ class TestQdFieldOnRandomSequences:
            st.randoms(use_true_random=False))
     def test_values_and_errors_meet_the_oracle(self, moments, rng):
         qd = QdField(moments)
-        reads = [(kind, n, k) for kind in ("hankel", "v", "w")
+        reads = [(kind, n, k) for kind in ("hankel", "vw")
                  for n in range(-1, 5) for k in range(-1, 5)]
         rng.shuffle(reads)
-        oracle = {"hankel": hankel_shifted,
-                  "v": lambda s, n, k: qd_vw(s, n, k)[0],
-                  "w": lambda s, n, k: qd_vw(s, n, k)[1]}
+        oracle = {"hankel": hankel_shifted, "vw": qd_vw}
         for kind, n, k in reads:
             got = outcome(getattr(qd, kind), n, k)
             assert got == outcome(oracle[kind], moments, n, k), (kind, n, k)

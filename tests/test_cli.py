@@ -283,6 +283,41 @@ class TestQd:
         assert doc["zcc2_residual"] == "zero"
 
 
+def test_stdin_input_writes_the_bytes_of_a_file_input(tmp_path, capsys, monkeypatch, system_a):
+    path = write_json(tmp_path / "system.json", jsondoc.moment_system_to_doc(system_a))
+    argv = ["coeffs", "--window", "2", "2", "--in"]
+    assert main(argv + [path]) == 0
+    from_file = capsys.readouterr().out
+    with open(path, encoding="utf-8") as fh:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(fh.read()))
+    assert main(argv + ["-"]) == 0
+    assert capsys.readouterr().out == from_file
+
+
+# (command, patched owner, attribute, replacement, report field, value it reads)
+NONZERO_RESIDUALS = [
+    ("verify", HPTable, "orthogonality_residuals", lambda self, n, m: ([F(-2, 3)], []),
+     "orthogonality_residuals", "2/3"),
+    ("verify", bvp, "zcc_stencil", lambda field, norms, n, m: (0, 1),
+     "zcc_max_residual_degree", "nonzero"),
+    ("qd", classical, "zcc2_residual", lambda qd, n, k: (0, 1), "zcc2_residual", "nonzero"),
+]
+
+
+@pytest.mark.parametrize("command, owner, attr, replacement, field, value", NONZERO_RESIDUALS,
+                         ids=[case[2] for case in NONZERO_RESIDUALS])
+def test_a_nonzero_residual_exits_1_with_its_report(tmp_path, capsys, monkeypatch, system_a,
+                                                    command, owner, attr, replacement,
+                                                    field, value):
+    doc = ({"moments": DUPLICATED} if command == "qd"
+           else jsondoc.moment_system_to_doc(system_a))
+    path = write_json(tmp_path / "in.json", doc)
+    monkeypatch.setattr(owner, attr, replacement)
+    assert main([command, "--in", path, "--window", "1", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)[field] == value and err == ""
+
+
 class TestDocRoundtrips:
     def test_moment_system(self, system_a):
         doc = jsondoc.moment_system_to_doc(system_a)
@@ -401,6 +436,20 @@ EXIT_TABLE = [
      "nonnegative"),
     ("qd-moments-string", ["qd"], lambda s: {"moments": "1111111"}, (1, 1), 2,
      "parse error"),
+    ("gen-without-count", ["gen", "--system", "angelesco"], lambda s: ANGELESCO, None, 2,
+     "parse error: gen needs --order K"),
+    ("moment-system-kind", ["verify"],
+     lambda s: {**jsondoc.moment_system_to_doc(s), "kind": "boundary_data"}, (1, 1), 2,
+     "parse error: expected a moment_system"),
+    ("boundary-kind", ["solve-bvp"], lambda s: {**boundary_doc(s), "kind": "moment_system"},
+     (2, 2), 2, "parse error: expected a boundary_data"),
+    ("atoms-not-a-list", ["gen", "--system", "nikishin", "--order", "4"],
+     lambda s: {"sigma1": {"type": "discrete", "atoms": "11"},
+                "sigma2": {"type": "discrete", "atoms": [["-1", "1"]]}},
+     None, 2, "parse error: discrete measure needs"),
+    ("unknown-measure-type", ["gen", "--system", "angelesco", "--order", "4"],
+     lambda s: {**ANGELESCO, "mu1": {"type": "normal"}}, None, 2,
+     "parse error: unknown measure type"),
     ("unequal-sequences", ["verify"],
      lambda s: {**jsondoc.moment_system_to_doc(s), "s2": [str(x) for x in s.s2[:-1]]},
      (1, 1), 2, "differ in length"),
@@ -422,6 +471,10 @@ EXIT_TABLE = [
     ("jfraction-depth-zero", ["gen", "--system", "jfraction", "--order", "3"],
      lambda s: {"f1": {"c": [], "a": [], "s0": "1"},
                 "f2": {"c": ["1"], "a": [], "s0": "1"}}, None, 3, "degenerate data"),
+    ("jfraction-zero-s0", ["gen", "--system", "jfraction", "--order", "3"],
+     lambda s: {"f1": {"c": ["1"], "a": [], "s0": "0"},
+                "f2": {"c": ["1"], "a": [], "s0": "1"}}, None, 3,
+     "degenerate data: J-fraction total mass s0"),
     ("planted-boundary", ["solve-bvp"], planted, (2, 2), 4,
      "non-perfect boundary"),
     ("short-moments", ["table"],

@@ -11,7 +11,7 @@ from hplax.bvp import cross_validate, field_from_moments
 from hplax.errors import (HplaxError, IntegrityError, NotNormalError, TruncationError,
                           WindowError)
 from hplax.hptable import HPTable
-from hplax.kernel import Poly, SharedPrefix, X, det_exact, series_from_moments
+from hplax.kernel import LaurentTail, Poly, SharedPrefix, X, det_exact
 from hplax.lax3 import NormalizationGrid, normalization_grid
 from hplax.measures import MeasureModel, MomentSystem, make_angelesco, make_nikishin
 from hplax.nnrr import field_from_table
@@ -562,29 +562,29 @@ class TestWorkCount:
 
 class TestRemainder:
     def test_origin_vacuous(self, table_a, system_a):
-        f1 = series_from_moments(system_a.s1)
-        f2 = series_from_moments(system_a.s2)
+        f1 = LaurentTail(system_a.s1)
+        f2 = LaurentTail(system_a.s2)
         _, q1, q2, r1, _ = table_a.hp_remainder(f1, f2, 0, 0)
         assert q1.is_zero and q2.is_zero
         assert r1.coeffs == f1.coeffs
 
     def test_10_leading_r1(self, table_a, system_a):
-        f1 = series_from_moments(system_a.s1)
-        f2 = series_from_moments(system_a.s2)
+        f1 = LaurentTail(system_a.s1)
+        f2 = LaurentTail(system_a.s2)
         _, _, _, r1, _ = table_a.hp_remainder(f1, f2, 1, 0)
         assert r1.coeff(0) == 0
         assert r1.coeff(1) == F(1, 12)
 
     def test_11_order_condition(self, table_a, system_a):
-        f1 = series_from_moments(system_a.s1)
-        f2 = series_from_moments(system_a.s2)
+        f1 = LaurentTail(system_a.s1)
+        f2 = LaurentTail(system_a.s2)
         _, _, _, r1, r2 = table_a.hp_remainder(f1, f2, 1, 1)
         assert r2.coeff(0) == 0
         assert r1.coeff(0) == 0
 
     def test_order_condition_window(self, table_a, system_a):
-        f1 = series_from_moments(system_a.s1)
-        f2 = series_from_moments(system_a.s2)
+        f1 = LaurentTail(system_a.s1)
+        f2 = LaurentTail(system_a.s2)
         for n in range(4):
             for m in range(4):
                 p, _, _, r1, r2 = table_a.hp_remainder(f1, f2, n, m)
@@ -594,7 +594,7 @@ class TestRemainder:
                 assert p == table_a.hp_poly_det(n, m)
 
     def test_truncation_pre(self, table_a):
-        f_short = series_from_moments([1, 1, 1])
+        f_short = LaurentTail([1, 1, 1])
         with pytest.raises(TruncationError):
             table_a.hp_remainder(f_short, f_short, 2, 2)
 

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from hplax.errors import TruncationError, WindowError
 from hplax.hptable import HPTable
-from hplax.kernel import MatPoly, Poly, X, series_from_moments
+from hplax.kernel import LaurentTail, MatPoly, Poly, X
 from hplax.measures import MeasureModel, make_angelesco
 from hplax.lax3 import (NormalizationGrid, assemble_l, assemble_m,
-                        build_transition, det_transition, normalization_grid,
+                        build_transition, normalization_grid,
                         path_transport, propagate, wave_matrix, waves_agree,
                         zcc_residual, zcc_stencil)
 from hplax.nnrr import KINDS, RecurrenceField, field_from_table
@@ -227,16 +227,16 @@ class TestDetTransition:
     def test_interior_dets_are_one(self, pairs_a):
         for n in range(1, 4):
             for m in range(1, 4):
-                dl = det_transition(pairs_a[(n, m)], "L")
-                dm = det_transition(pairs_a[(n, m)], "M")
+                dl = pairs_a[(n, m)].L.det()
+                dm = pairs_a[(n, m)].M.det()
                 assert dl.degree == 0 and dl.coeff(0) == 1
                 assert dm.degree == 0 and dm.coeff(0) == 1
 
     def test_axis_dets_constant_nonzero(self, pairs_a):
         # the axis gauge keeps every transition invertible (constant det -1)
         for k in range(4):
-            dl = det_transition(pairs_a[(0, k)], "L")
-            dm = det_transition(pairs_a[(k, 0)], "M")
+            dl = pairs_a[(0, k)].L.det()
+            dm = pairs_a[(k, 0)].M.det()
             assert dl.degree == 0 and dl.coeff(0) == -1
             assert dm.degree == 0 and dm.coeff(0) == -1
 
@@ -283,8 +283,7 @@ class TestGaugeInvariance:
 
 @pytest.fixture(scope="module")
 def series_pair(system_a):
-    return (series_from_moments(system_a.s1),
-            series_from_moments(system_a.s2))
+    return LaurentTail(system_a.s1), LaurentTail(system_a.s2)
 
 
 class TestWaveMatrix:

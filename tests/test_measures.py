@@ -35,6 +35,16 @@ class TestMeasureMoments:
         with pytest.raises(DegeneracyError):
             MeasureModel.discrete([(1, 1), (1, 2)])
 
+    def test_negative_count_rejected(self):
+        # as jfraction_to_moments refuses one; both generators read it here
+        atoms = MeasureModel.discrete([(1, 1), (2, 1)])
+        with pytest.raises(DegeneracyError, match="nonnegative, got -2"):
+            measure_moments(MeasureModel.interval(0, 1), -2)
+        with pytest.raises(DegeneracyError, match="nonnegative, got -3"):
+            make_angelesco(MeasureModel.interval(-2, -1), MeasureModel.interval(1, 2), -3)
+        with pytest.raises(DegeneracyError, match="nonnegative, got -1"):
+            make_nikishin(atoms, MeasureModel.discrete([(-1, 1)]), -1)
+
 
 class TestAngelesco:
     def test_system_a(self):
@@ -156,7 +166,7 @@ def jfractions_and_counts(draw):
     d = draw(st.integers(1, 6))
     c = draw(rationals(d))
     a = draw(rationals(d - draw(st.integers(0, 1)), nonzero=True))
-    s0 = draw(rationals(1))[0]
+    s0 = draw(rationals(1, nonzero=True))[0]
     return JFraction(tuple(c), tuple(a), s0), draw(st.integers(0, 2 * d + 3))
 
 
@@ -205,7 +215,7 @@ class TestIntegerPowerSums:
     @settings(max_examples=150, deadline=None)
     @given(jfractions_and_counts())
     @example((JFraction((F(1, 2),), (), F(3)), 1))
-    @example((JFraction((F(0), F(-2)), (F(1, 3), F(5)), F(0)), 7))
+    @example((JFraction((F(0), F(-2)), (F(1, 3), F(5)), F(-1)), 7))
     def test_jfraction_to_moments(self, case):
         j, count = case
         assert same(jfraction_to_moments(j, count), tridiagonal_oracle(j, count))
@@ -258,6 +268,12 @@ class TestJFraction:
     def test_depth_zero_rejected(self):
         with pytest.raises(DegeneracyError, match="depth must be at least 1"):
             JFraction((), (), F(1))
+
+    def test_zero_mass_rejected(self):
+        # every moment would vanish; a negative mass stays allowed
+        with pytest.raises(DegeneracyError, match="s0 must be nonzero"):
+            JFraction((F(1, 2),), (), 0)
+        assert jfraction_to_moments(JFraction((F(1, 2),), (), -2), 2) == [-2, -1]
 
     @pytest.mark.parametrize("measure", [
         MeasureModel.interval(0, 1),

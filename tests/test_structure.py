@@ -13,12 +13,17 @@ passing ``cross_validate`` builds one table (a rule checked by running it).
 The plain oracles, and every function they call, use none of the routes'
 integer arithmetic.  The table's shared elimination is a prefix its columns
 fork from, and answers no read itself.  The command line maps every library error to its
-exit code in one clause, through the error's class.
+exit code in one clause, through the error's class.  The package itself is a
+docstring: `import hplax` loads no module, and each name is imported from
+the module that defines it.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -38,6 +43,21 @@ def is_hplax(node: ast.ImportFrom) -> bool:
 
 def test_source_found():
     assert {"kernel", "cli"} <= set(modules())
+
+
+def test_the_package_is_a_docstring():
+    # each name has one home, its module; a re-export would be a second name
+    tree = modules()["__init__"]
+    assert ast.get_docstring(tree) and len(tree.body) == 1
+
+
+def test_importing_the_package_loads_no_module():
+    script = ("import sys, hplax; print(hplax.__file__); "
+              "print(sorted(name for name in sys.modules if name.startswith('hplax.')))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.splitlines() == [str(SRC / "__init__.py"), "[]"]
 
 
 def test_no_private_name_crosses_a_module():
