@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DegeneracyError, IntegrityError, NonPerfectBoundaryError,
-                     NotNormalError, TruncationError, WindowError)
+                     NotNormalError, TruncationError, WindowError, check_window)
 from .hptable import HPTable
 from .kernel import ZERO, rat
 from .lax3 import NormalizationGrid, zcc_stencil
@@ -172,7 +172,7 @@ def sweep_solve(boundary: BoundaryData, N: int, M: int) -> SweepReport:
     division is checked when the gap it divides by is shown nonzero: by its
     exact value in the cone, by its residue in the shell.
     """
-    _check_window(N, M)
+    check_window(N, M)
     lam = N + M
     if boundary.max_level < lam:
         raise TruncationError(
@@ -337,14 +337,9 @@ def _residue(x) -> _Residue:
     return x if type(x) is _Residue else _Residue(x.numerator, x.denominator)
 
 
-def _check_window(N: int, M: int) -> None:
-    if N < 0 or M < 0:
-        raise WindowError(f"window ({N}, {M}) has a negative index")
-
-
 def field_from_moments(system: MomentSystem, N: int, M: int) -> RecurrenceField:
     """Reference oracle for the sweep: the same grids via the determinant table."""
-    _check_window(N, M)
+    check_window(N, M)
     table = HPTable(system, N + 1, M + 1)
     return field_from_table(table, N, M)
 
@@ -412,7 +407,7 @@ def cross_validate(system: MomentSystem, N: int, M: int) -> CrossValidation:
     the sweep builds its field from them, so a reference field equal to it
     entry for entry meets them too.
     """
-    _check_window(N, M)
+    check_window(N, M)
     table = HPTable(system, N + 1, M + 1)
     reference = field_from_table(table, N, M)
     report = sweep_solve(boundary_from_moments(system, N + M), N, M)

@@ -12,6 +12,7 @@ class, and stderr names it by the class's ``label``: see ``errors`` and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -38,12 +39,13 @@ def _read_doc(path: str) -> Any:
 
 
 def _write_doc(doc: Any, path: str | None) -> None:
-    text = json.dumps(doc, indent=2)
-    if path is None or path == "-":
-        print(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    """doc as indented JSON and a newline, into the file at path, or stdout
+    for None or '-'.  The encoder's chunks go straight to the destination,
+    so the whole text is never held."""
+    with (contextlib.nullcontext(sys.stdout) if path is None or path == "-"
+          else open(path, "w", encoding="utf-8")) as fh:
+        fh.writelines(json.JSONEncoder(indent=2).iterencode(doc))
+        fh.write("\n")
 
 
 def nonnegative(text: str) -> int:

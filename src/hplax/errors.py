@@ -2,6 +2,7 @@
 
 Each class carries the exit code and the stderr label the command line
 reports it with; a subclass inherits both unless it sets its own.
+``check_window`` is the one check of a window where it enters the library.
 """
 
 from __future__ import annotations
@@ -26,6 +27,13 @@ class TruncationError(HplaxError):
 
 class WindowError(HplaxError):
     """A lattice index outside the covered window was requested."""
+
+
+def check_window(n, m) -> None:
+    """Raise WindowError unless n and m are nonnegative ints; a bool is not
+    one, as in the documents' windows."""
+    if not all(type(v) is int and v >= 0 for v in (n, m)):
+        raise WindowError(f"window ({n!r}, {m!r}) needs two nonnegative ints")
 
 
 class NotNormalError(HplaxError):

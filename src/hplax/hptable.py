@@ -41,7 +41,7 @@ from operator import mul
 from typing import Iterable
 
 from .errors import (DegeneracyError, IntegrityError, NotNormalError,
-                     TruncationError, WindowError)
+                     TruncationError, WindowError, check_window)
 from .kernel import (LaurentTail, LeadingMinors, Poly, SharedPrefix, cleared,
                      poly_from_series_product, settle, solve_exact)
 from .measures import MomentSystem, hankel_row
@@ -58,6 +58,7 @@ class HPTable:
     """
 
     def __init__(self, moments: MomentSystem, max_n: int, max_m: int):
+        check_window(max_n, max_m)
         self.moments = moments
         self.max_n = max_n
         self.max_m = max_m
@@ -78,7 +79,7 @@ class HPTable:
 
     # -- bookkeeping ------------------------------------------------------
 
-    def _check_window(self, n: int, m: int) -> None:
+    def _check_index(self, n: int, m: int) -> None:
         if n < 0 or m < 0 or n > self.max_n or m > self.max_m:
             raise WindowError(
                 f"index ({n}, {m}) outside table window ({self.max_n}, {self.max_m})")
@@ -100,7 +101,7 @@ class HPTable:
         """
         key = (n, m)
         if key not in self._k:
-            self._check_window(n, m)
+            self._check_index(n, m)
             self.moments.check_depth(n, m, bordered=False)
             self._k[key] = self._column(m).minor(n + m)
         return self._k[key]
@@ -122,6 +123,7 @@ class HPTable:
         one step past the window.  A zero K(n, m) is not normal; a zero h at
         a normal index signals corruption and is rejected, as in
         ``lax3.normalization_grid``."""
+        check_window(N, M)
         h1, h2 = {}, {}
         for n in range(N + 1):
             for m in range(M + 1):
@@ -141,7 +143,7 @@ class HPTable:
     def _p_column(self, n: int, m: int) -> LeadingMinors:
         """Column m's elimination, which holds P(n, m), after the window,
         the normality and the bordered-depth checks, in that order."""
-        self._check_window(n, m)
+        self._check_index(n, m)
         if self.minor(n, m) == 0:
             raise NotNormalError(n, m)
         self.moments.check_depth(n, m, bordered=True)
@@ -175,7 +177,7 @@ class HPTable:
 
         Independent of the determinant route; the two must agree exactly.
         """
-        self._check_window(n, m)
+        self._check_index(n, m)
         if self.s_det(n, m) == 0:
             raise NotNormalError(n, m)
         self.moments.check_depth(n, m, bordered=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegeneracyError, NotNormalError, WindowError
+from .errors import DegeneracyError, NotNormalError, WindowError, check_window
 from .kernel import LaurentTail, Poly, X
 from .hptable import HPTable
 
@@ -131,6 +131,7 @@ def d_value(table: HPTable, n: int, m: int) -> Fraction:
 
 def field_from_table(table: HPTable, N: int, M: int) -> RecurrenceField:
     """All four grids on the (N+1) x (M+1) window; needs one normal ring more."""
+    check_window(N, M)
     grids: dict[str, dict[tuple[int, int], Fraction]] = {k: {} for k in KINDS}
     for n in range(N + 1):
         for m in range(M + 1):

@@ -5,6 +5,13 @@ import pytest
 from hplax.measures import MeasureModel, MomentSystem, make_angelesco, make_nikishin
 
 
+@pytest.fixture(params=[(-1, 2), (2, -1), (1.5, 1), (1, True), ("2", 1)], ids=str)
+def bad_window(request):
+    """A window the library refuses with WindowError where it enters: a
+    negative index, or an index that is not an int (a bool is not one)."""
+    return request.param
+
+
 @pytest.fixture(scope="session")
 def lebesgue_01():
     return MeasureModel.interval(0, 1)

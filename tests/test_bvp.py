@@ -224,6 +224,10 @@ class TestSweepSolve:
             with pytest.raises(WindowError, match=rf"window \({N}, {M}\)"):
                 call()
 
+    def test_a_bad_window_is_refused(self, boundary_a, bad_window):
+        with pytest.raises(WindowError, match="nonnegative ints"):
+            sweep_solve(boundary_a, *bad_window)
+
     def test_boundary_too_short(self, boundary_a):
         with pytest.raises(TruncationError):
             sweep_solve(boundary_a, 5, 5)

@@ -4,13 +4,14 @@ import io
 import json
 import re
 import sys
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hplax import bvp, classical, jsondoc, kernel, lax3, nnrr
+from hplax import bvp, classical, cli, jsondoc, kernel, lax3, nnrr
 from hplax.bvp import (BoundaryData, SweepReport, boundary_from_field,
                        boundary_from_moments, field_from_moments)
 from hplax.cli import main
@@ -501,6 +502,55 @@ def test_exit_code_table(tmp_path, system_a, monkeypatch, capsys,
         assert not out.exists()
 
 
+# -- the writer ----------------------------------------------------------------
+
+# id -> (argv, input document built from system_a, exit code); every
+# subcommand, and a solve-bvp report written before its exit 4
+WRITER_CASES = {
+    "gen": (["gen", "--system", "moments", "--order", "8"],
+            jsondoc.moment_system_to_doc, 0),
+    "table": (["table", "--window", "2", "2"], jsondoc.moment_system_to_doc, 0),
+    "coeffs": (["coeffs", "--window", "2", "2"], jsondoc.moment_system_to_doc, 0),
+    "verify": (["verify", "--window", "2", "2"], jsondoc.moment_system_to_doc, 0),
+    "qd": (["qd", "--window", "2", "1"],
+           lambda s: {"moments": [jsondoc.rat_str(x) for x in s.s1]}, 0),
+    "solve-bvp": (["solve-bvp", "--window", "2", "2"], boundary_doc, 0),
+    "solve-bvp-exit-4": (["solve-bvp", "--window", "2", "2"], planted, 4),
+}
+
+
+@pytest.mark.parametrize("case", list(WRITER_CASES))
+def test_out_dash_writes_the_bytes_of_out_path(tmp_path, capsys, system_a, case):
+    argv, build, code = WRITER_CASES[case]
+    argv = argv + ["--in", write_json(tmp_path / "in.json", build(system_a))]
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert main(argv + ["--out", "-"]) == code
+    assert capsys.readouterr().out.encode() == out.read_bytes() != b""
+
+
+def test_the_writer_holds_no_copy_of_the_text(tmp_path):
+    # a report-shaped document of over 2 MB, written through the CLI's one
+    # writer; a writer that formed the text first would hold it (and its
+    # chunks) whole, over the document's size in traced memory
+    doc = {"kind": "sweep_report", "field": {
+        kind: [[f"{7 * n + m + 1}/{3 ** (n % 40) + m}" for m in range(60)]
+               for n in range(400)] for kind in "abcd"}}
+    size = len(json.dumps(doc, indent=2)) + 1
+    assert size > 2 * 2 ** 20
+    path = tmp_path / "doc.json"
+    tracemalloc.start()
+    try:
+        cli._write_doc(doc, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size == size
+    assert peak < size / 2, (peak, size)
+
+
 # -- pinned CLI bytes ----------------------------------------------------------
 
 
@@ -980,15 +1030,24 @@ def contract_measures(draw, system):
 def mutated(draw, doc):
     """doc as it is, or with one key dropped, one list or every list cut
     short or lengthened by a copy of one of its entries, one entry wrapped
-    in a list, one rational replaced by a non-rational, or a zero planted
-    in a list."""
+    in a list, one rational replaced by a non-rational, a zero planted in a
+    list, or one scalar field (a rational, a kind, a type, a label) replaced
+    by a zero, a non-rational string, a float, a bool, null or a list."""
     doc = json.loads(json.dumps(doc))
     lists = sorted(key for key, value in doc.items() if isinstance(value, list) and value)
-    change = draw(st.sampled_from(["none", "drop", "cut", "lengthen", "nest", "replace",
-                                   "zero"]))
+    scalars = sorted(key for key, value in doc.items() if not isinstance(value, (list, dict)))
+    changes = ["none", "drop"]
+    if lists:
+        changes += ["cut", "lengthen", "nest", "replace", "zero"]
+    if scalars:
+        changes.append("scalar")
+    change = draw(st.sampled_from(changes))
     if change == "drop":
         del doc[draw(st.sampled_from(sorted(doc)))]
-    elif change != "none" and lists:
+    elif change == "scalar":
+        key = draw(st.sampled_from(scalars))
+        doc[key] = draw(st.sampled_from(["0", "abc", 0.5, True, None, [doc[key]]]))
+    elif change != "none":
         key = draw(st.sampled_from(lists))
         i = draw(st.integers(0, len(doc[key]) - 1))
         if change in ("cut", "lengthen"):       # this list, or every list

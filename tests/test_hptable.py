@@ -55,6 +55,14 @@ class TestSDet:
         with pytest.raises(WindowError):
             table_a.s_det(9, 0)
 
+    def test_a_bad_window_is_refused_at_construction(self, system_a, bad_window):
+        with pytest.raises(WindowError, match="nonnegative ints"):
+            HPTable(system_a, *bad_window)
+
+    def test_normalizations_refuse_a_bad_window(self, table_a, bad_window):
+        with pytest.raises(WindowError, match="nonnegative ints"):
+            table_a.normalizations(*bad_window)
+
 
 class TestIsNormal:
     def test_system_a(self, table_a):

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hplax.bvp import field_from_moments
-from hplax.errors import DegeneracyError, HplaxError, NotNormalError, TruncationError
+from hplax.errors import (DegeneracyError, HplaxError, NotNormalError, TruncationError,
+                          WindowError)
 from hplax.hptable import HPTable
 from hplax.kernel import LeadingMinors, series_of_ratio
 from hplax.measures import MeasureModel, MomentSystem, make_angelesco
@@ -35,6 +36,10 @@ class TestFieldFromTable:
         for k in range(5):
             assert field_a.a(0, k) == 0
             assert field_a.b(k, 0) == 0
+
+    def test_a_bad_window_is_refused(self, table_a, bad_window):
+        with pytest.raises(WindowError, match="nonnegative ints"):
+            field_from_table(table_a, *bad_window)
 
     def test_system_a_corner(self, field_a):
         assert field_a.c(0, 0) == F(-3, 2)

@@ -13,7 +13,8 @@ passing ``cross_validate`` builds one table (a rule checked by running it).
 The plain oracles, and every function they call, use none of the routes'
 integer arithmetic.  The table's shared elimination is a prefix its columns
 fork from, and answers no read itself.  The command line maps every library error to its
-exit code in one clause, through the error's class.  The package itself is a
+exit code in one clause, through the error's class, and writes every
+document through one writer that never forms the document's whole text.  The package itself is a
 docstring: `import hplax` loads no module, and each name is imported from
 the module that defines it.
 """
@@ -237,6 +238,32 @@ def test_a_passing_cross_validate_builds_one_table(monkeypatch, system_a, nikish
             windows.clear()
             cross_validate(system, N, M)
             assert windows == [(N + 1, M + 1)]
+
+
+WRITES = {"print", "open", "write", "writelines", "dump", "dumps"}
+
+
+def test_every_document_streams_through_one_writer():
+    # json.dumps forms a document's whole text before any of it is written;
+    # the CLI's _write_doc encodes each document straight to its file or
+    # stdout, and each subcommand writes through it and nothing else
+    from hplax.cli import _parser
+
+    offences = [f"{name} calls dumps (line {node.lineno})"
+                for name, tree in modules().items() for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and "dumps" in used_names(node.func)]
+    functions = {node.name: node for node in modules()["cli"].body
+                 if isinstance(node, ast.FunctionDef)}
+    commands = next(action.choices for action in _parser()._actions
+                    if isinstance(action.choices, dict))
+    assert set(commands) == {"gen", "table", "coeffs", "solve-bvp", "verify", "qd"}
+    for command, sub in commands.items():
+        handler = functions[sub.get_default("func").__name__]
+        called = set().union(*(used_names(call.func) for call in ast.walk(handler)
+                               if isinstance(call, ast.Call)))
+        if "_write_doc" not in called or called & WRITES:
+            offences.append(f"{command} writes {sorted(called & (WRITES | {'_write_doc'}))}")
+    assert offences == []
 
 
 def test_cli_catches_library_errors_in_one_clause():
