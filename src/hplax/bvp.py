@@ -33,8 +33,8 @@ from .hptable import HPTable
 from .kernel import ZERO, rat
 from .lax3 import NormalizationGrid, zcc_stencil
 from .measures import MomentSystem, jfraction_entries
-from .nnrr import (RecurrenceField, a_value, b_value, c_value, d_value,
-                   field_from_table)
+from .nnrr import (KINDS, RecurrenceField, a_value, b_value, c_value, d_value,
+                   field_from_table, field_pairs)
 
 # the prime of the residue shell (a Mersenne prime); as long as it is prime,
 # reports do not depend on it
@@ -389,16 +389,21 @@ class CrossValidation:
 def cross_validate(system: MomentSystem, N: int, M: int) -> CrossValidation:
     """Moment route vs sweep route, plus the residual batteries.
 
-    Builds the reference field from an (N + 1, M + 1) table, the one table
-    of a passing call, and reads the boundary to level N + M from the two
+    Reads the reference field from an (N + 1, M + 1) table, the one table
+    of a passing call, as the integer pairs of ``field_pairs``, and reads
+    the boundary to level N + M from the two
     sequences alone (``boundary_from_moments``): the J-fraction of each
     off its first 2 (N + M) + 2 moments, so the sweep's input does not
     pass through the table's eliminations.  Sweeps, and asserts exact equality
-    of all four grids; then checks orthogonality over the window and the
-    zero-curvature residual at each of its N x M stencils (n < N, m < M),
-    with the normalisations read off the table's minors
-    (``HPTable.normalizations``).  Any mismatch raises with the first
-    differing index; a sweep stopped by a zero gap (n, m) where
+    of all four grids, each sweep entry x against its pair (p, q) by
+    x.numerator q == x.denominator p, so no reference entry is reduced; then
+    checks orthogonality over the window and the zero-curvature residual at
+    each of its N x M stencils (n < N, m < M) on the sweep's field, now
+    equal to the table's, with the normalisations read off the table's
+    minors (``HPTable.normalizations``).  Any mismatch raises with the first
+    differing index, kind by kind in ``KINDS`` order and then row by row,
+    its text naming the two values in lowest terms; a sweep stopped by a
+    zero gap (n, m) where
     S(n+1, m+1) vanishes (by the converse theorem, the first zero minor in
     level order) is not normal, which a table of window (n + 1, m + 1),
     built only then, tells.
@@ -409,19 +414,24 @@ def cross_validate(system: MomentSystem, N: int, M: int) -> CrossValidation:
     """
     check_window(N, M)
     table = HPTable(system, N + 1, M + 1)
-    reference = field_from_table(table, N, M)
+    reference = field_pairs(table, N, M)
     report = sweep_solve(boundary_from_moments(system, N + M), N, M)
     if not report.ok:
         (n, m), reason = report.failure
         if HPTable(system, n + 1, m + 1).minor(n + 1, m + 1) == 0:
             raise NotNormalError(n + 1, m + 1)
         raise IntegrityError(f"sweep failed on data from a normal window: {reason}")
-    equal, diff = report.field.same_grids(reference)
-    if not equal:
-        kind, n, m, got, want = diff
-        raise IntegrityError(
-            f"sweep and moment routes disagree at {kind}[{n}, {m}]: "
-            f"{got} != {want}")
+    field = report.field
+    for kind in KINDS:
+        grid = reference[kind]
+        for n in range(N + 1):
+            for m in range(M + 1):
+                got = field.value(kind, n, m)
+                num, den = grid[(n, m)]
+                if got.numerator * den != got.denominator * num:
+                    raise IntegrityError(
+                        f"sweep and moment routes disagree at {kind}[{n}, {m}]: "
+                        f"{got} != {Fraction(num, den)}")
 
     orth_max = ZERO
     for n in range(N + 1):
@@ -434,6 +444,6 @@ def cross_validate(system: MomentSystem, N: int, M: int) -> CrossValidation:
     zcc_zero = True
     if N >= 1 and M >= 1:
         norms = NormalizationGrid(*table.normalizations(N, M), (N, M))
-        zcc_zero = not any(any(zcc_stencil(reference, norms, n, m))
+        zcc_zero = not any(any(zcc_stencil(field, norms, n, m))
                            for n in range(N) for m in range(M))
     return CrossValidation((N, M), zcc_zero, orth_max, report.divisions_checked)

@@ -196,7 +196,9 @@ def three_term_check(j: JFraction, upto: int) -> list[Poly]:
     moments that jfraction_to_moments recovers from the same data.  Every
     residual must be the zero polynomial.
     """
-    if upto < 1:
+    if upto < 0:
+        raise WindowError(f"three-term check degree {upto} is negative")
+    if upto == 0:
         return []
     rho = _recurrence_polys(j, upto)
     pi = monic_orthogonal_polys(jfraction_to_moments(j, 2 * upto), upto)

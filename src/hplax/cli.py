@@ -5,8 +5,7 @@ outputs are the JSON documents of jsondoc; values are exact rational strings.
 
 Exit codes: 0 ok, 1 when ``verify`` or ``qd`` finds a nonzero residual, 2
 on a usage error.  A library error exits with the ``exit_code`` of its
-class, and stderr names it by the class's ``label``: see ``errors`` and
-``jsondoc.ParseError``.
+class, and stderr names it by the class's ``label``: see ``errors``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import Any
 
 from . import classical, jsondoc
 from .bvp import cross_validate, field_from_moments, sweep_solve
-from .errors import HplaxError, TruncationError
+from .errors import HplaxError, ParseError, TruncationError
 from .hptable import HPTable
 from .measures import (MomentSystem, jfraction_to_moments, make_angelesco,
                        make_nikishin)
@@ -35,7 +34,7 @@ def _read_doc(path: str) -> Any:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, ValueError) as exc:     # ValueError: bad JSON or bad UTF-8
-        raise jsondoc.ParseError(f"cannot read {path}: {exc}") from exc
+        raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def _write_doc(doc: Any, path: str | None) -> None:
@@ -71,7 +70,7 @@ def _cmd_gen(args) -> int:
     elif args.window is not None:
         count = _default_order(*args.window)
     else:
-        raise jsondoc.ParseError("gen needs --order K or --window N M")
+        raise ParseError("gen needs --order K or --window N M")
     if args.system == "angelesco":
         system = make_angelesco(jsondoc.measure_from_doc(jsondoc.need(doc, "mu1")),
                                 jsondoc.measure_from_doc(jsondoc.need(doc, "mu2")),
@@ -83,12 +82,12 @@ def _cmd_gen(args) -> int:
     elif args.system == "moments":
         s1 = jsondoc.rat_list(jsondoc.need(doc, "s1"))
         s2 = jsondoc.rat_list(jsondoc.need(doc, "s2"))
+        label = jsondoc.moment_label(doc, s1, s2, "moments")
         if min(len(s1), len(s2)) < count:
             raise TruncationError(
                 f"gen needs {count} moments of each sequence, the input has "
                 f"{len(s1)} and {len(s2)}")
-        system = MomentSystem(tuple(s1[:count]), tuple(s2[:count]),
-                              label=str(doc.get("label", "moments")))
+        system = MomentSystem(tuple(s1[:count]), tuple(s2[:count]), label=label)
     elif args.system == "jfraction":
         j1 = jsondoc.jfraction_from_doc(jsondoc.need(doc, "f1"))
         j2 = jsondoc.jfraction_from_doc(jsondoc.need(doc, "f2"))
@@ -96,7 +95,7 @@ def _cmd_gen(args) -> int:
                               tuple(jfraction_to_moments(j2, count)),
                               label="jfraction")
     else:  # unreachable through argparse choices
-        raise jsondoc.ParseError(f"unknown system {args.system!r}")
+        raise ParseError(f"unknown system {args.system!r}")
     _write_doc(jsondoc.moment_system_to_doc(system), args.outfile)
     return EXIT_OK
 
@@ -105,10 +104,7 @@ def _cmd_table(args) -> int:
     system = jsondoc.moment_system_from_doc(_read_doc(args.infile))
     n_max, m_max = args.window
     table = HPTable(system, n_max, m_max)
-    s_grid = [[table.s_det(n, m) for m in range(m_max + 1)] for n in range(n_max + 1)]
-    p_grid = [[table.hp_poly_det(n, m) for m in range(m_max + 1)]
-              for n in range(n_max + 1)]
-    _write_doc(jsondoc.table_to_doc(s_grid, p_grid, (n_max, m_max)), args.outfile)
+    _write_doc(jsondoc.table_to_doc(table, (n_max, m_max)), args.outfile)
     return EXIT_OK
 
 
@@ -226,7 +222,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, which matches the parse exit code
-        return jsondoc.ParseError.exit_code if exc.code not in (0, None) else 0
+        return ParseError.exit_code if exc.code not in (0, None) else 0
     try:
         return args.func(args)
     except HplaxError as exc:

@@ -15,6 +15,13 @@ class HplaxError(Exception):
     label = "error"
 
 
+class ParseError(HplaxError):
+    """A document, or a value where it enters the library, does not match
+    its schema: for example a string that is not a rational."""
+
+    exit_code, label = 2, "parse error"
+
+
 class DimensionError(HplaxError):
     """Matrix or polynomial arguments with incompatible shapes."""
 

@@ -18,7 +18,10 @@ rows before its first zero pivot, so the table eliminates the s2 Hankel
 block once and reduces each row by each of those steps once.  The shared
 prefix answers no read: every read, n = 0 included, goes through its
 column.  P(n, m) is the monic null vector of the leading n + m rows, read
-by back substitution once per index.
+by back substitution once per index.  Both integer reads are public, the
+pair of S (``s_pair``) and the null vector of P (``null_vector``), and
+``s_det`` and ``hp_poly_det`` are their Fraction and Poly, so a caller
+that only writes or compares the values forms neither.
 The subleading coefficient of P(n, m), all that the recurrence field needs
 of it, is one entry of the pivot row at position n + m - 1 over that row's
 pivot (``subleading``), so the field forms no polynomial.
@@ -106,10 +109,15 @@ class HPTable:
             self._k[key] = self._column(m).minor(n + m)
         return self._k[key]
 
+    def s_pair(self, n: int, m: int) -> tuple[int, int]:
+        """Integers (num, den), den > 0, with S(n, m) = num / den: the minor
+        (-1)^(nm) K(n, m) over D1^n D2^m, not reduced."""
+        minor = self.minor(n, m)
+        return -minor if n * m % 2 else minor, self._d1 ** n * self._d2 ** m
+
     def s_det(self, n: int, m: int) -> Fraction:
         """Mixed Hankel-type determinant of size n + m; the empty case is 1."""
-        minor = self.minor(n, m)
-        return Fraction(-minor if n * m % 2 else minor, self._d1 ** n * self._d2 ** m)
+        return Fraction(*self.s_pair(n, m))
 
     def is_normal(self, n: int, m: int) -> bool:
         return self.s_det(n, m) != 0
@@ -152,12 +160,12 @@ class HPTable:
     def hp_poly_det(self, n: int, m: int) -> Poly:
         """Monic table polynomial via the bordered determinant: the memoized
         null vector over its last entry."""
-        return Poly.monic(self._null_vector(n, m))
+        return Poly.monic(self.null_vector(n, m))
 
-    def _null_vector(self, n: int, m: int) -> list[int]:
+    def null_vector(self, n: int, m: int) -> list[int]:
         """The integer null vector v_0 .. v_k, k = n + m, of column m's
-        elimination, P(n, m) = v / v_k, memoized per index, after
-        the checks of ``_p_column``."""
+        elimination, P(n, m) = v / v_k with v_k nonzero, memoized per index,
+        after the checks of ``_p_column``.  The caller must not change it."""
         key = (n, m)
         if key not in self._p_ints:
             self._p_ints[key] = self._p_column(n, m).null_vector(n + m)
@@ -225,12 +233,12 @@ class HPTable:
         """L_which[x^t P(n, m)] for each t in shifts, after the checks of
         ``_p_column``.
 
-        P(n, m) is v / v_k for the integer null vector v (``_null_vector``);
+        P(n, m) is v / v_k for the integer null vector v (``null_vector``);
         each pairing is one integer dot product of v with the cleared moments
         over v_k D_which, a Fraction only where it does not vanish.  It
         raises instead of reading past the last moment.
         """
-        v = self._null_vector(n, m)
+        v = self.null_vector(n, m)
         seq, scale = (self._c1, self._d1) if which == 1 else (self._c2, self._d2)
         scale *= v[-1]
         out = []

@@ -9,34 +9,39 @@ self-describing and diffable.  Nothing here is ever approximate.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Any
 
 from .bvp import BoundaryData, SweepReport
-from .errors import HplaxError
-from .kernel import Poly
+from .errors import ParseError
+from .hptable import HPTable
+from .kernel import Poly, rat
 from .measures import JFraction, MeasureModel, MomentSystem
 from .nnrr import KINDS, RecurrenceField
 
 CONVENTION = "cauchy"
 
 
-class ParseError(HplaxError):
-    """A document does not match its schema."""
-
-    exit_code, label = 2, "parse error"
-
-
 def rat_str(x: Fraction) -> str:
     return str(x)
+
+
+def ratio_str(num: int, den: int) -> str:
+    """The lowest-terms text of num / den, den nonzero: str(Fraction(num,
+    den)), byte for byte, from one gcd and no Fraction."""
+    if not den:
+        raise ZeroDivisionError(f"ratio {num}/0")
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def rat_parse(x: Any) -> Fraction:
     if isinstance(x, bool) or isinstance(x, float):
         raise ParseError(f"expected an exact rational, got {x!r}")
-    try:
-        return Fraction(x)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {x!r}") from exc
+    return rat(x)
 
 
 def rat_list(xs: Any) -> list[Fraction]:
@@ -58,6 +63,13 @@ def _window(doc: dict) -> tuple[int, int]:
                        for v in win)):
         raise ParseError(f"bad window {win!r}")
     return win[0], win[1]
+
+
+def _check_convention(doc: dict) -> None:
+    """Refuse a document that names a sign convention other than CONVENTION;
+    one that names none is read in it."""
+    if doc.get("convention", CONVENTION) != CONVENTION:
+        raise ParseError(f"convention {doc['convention']!r} is not {CONVENTION!r}")
 
 
 def _grid_rows(doc: dict, key: str, nw: int, mw: int) -> list:
@@ -89,7 +101,24 @@ def moment_system_from_doc(doc: dict) -> MomentSystem:
     s1, s2 = rat_list(need(doc, "s1")), rat_list(need(doc, "s2"))
     if len(s1) != len(s2):
         raise ParseError(f"moment sequences differ in length: {len(s1)} vs {len(s2)}")
-    return MomentSystem(tuple(s1), tuple(s2), label=str(doc.get("label", "")))
+    return MomentSystem(tuple(s1), tuple(s2), label=moment_label(doc, s1, s2, ""))
+
+
+def moment_label(doc: dict, s1: list, s2: list, default: str) -> str:
+    """The label of a document of the moments s1, s2 (default where it has
+    none), after the fields that ``moment_system_to_doc`` writes with it:
+    each one present must hold what it would write, the convention, the
+    count as the int length of s1 and of s2, and a string label."""
+    _check_convention(doc)
+    if "count" in doc:
+        count = doc["count"]
+        if type(count) is not int or count != len(s1) or count != len(s2):
+            raise ParseError(f"count {count!r} is not the length of s1 and s2, "
+                             f"{len(s1)} and {len(s2)}")
+    label = doc.get("label", default)
+    if not isinstance(label, str):
+        raise ParseError(f"label {label!r} is not a string")
+    return label
 
 
 # -- measures (generation input) ---------------------------------------------
@@ -128,15 +157,30 @@ def jfraction_to_doc(j: JFraction) -> dict:
 # -- tables and fields --------------------------------------------------------
 
 
-def table_to_doc(s_grid: list[list[Fraction]], p_grid: list[list[Poly]],
-                 window: tuple[int, int]) -> dict:
+def table_to_doc(table: HPTable, window: tuple[int, int]) -> dict:
+    """The S and P grids of table over window, each entry's text made from
+    the table's integers: S(n, m) from ``HPTable.s_pair``, each coefficient
+    of P(n, m) from its null vector over the vector's last entry, so no
+    Fraction or Poly is formed.  The whole S grid is read before any P, and
+    P row by row, so the first error is that of reading S and then P."""
+    nw, mw = window
+    s_grid = [[ratio_str(*table.s_pair(n, m)) for m in range(mw + 1)]
+              for n in range(nw + 1)]
+    p_grid = [[_monic_str(table.null_vector(n, m)) for m in range(mw + 1)]
+              for n in range(nw + 1)]
     return {
         "kind": "hp_table",
         "convention": CONVENTION,
-        "window": list(window),
-        "s": [[rat_str(v) for v in row] for row in s_grid],
-        "p": [[[rat_str(c) for c in poly.coeffs] for poly in row] for row in p_grid],
+        "window": [nw, mw],
+        "s": s_grid,
+        "p": p_grid,
     }
+
+
+def _monic_str(ints: list[int]) -> list[str]:
+    """The coefficients of the polynomial sum ints[i] / ints[-1] x^i as text."""
+    lead = ints[-1]
+    return [ratio_str(v, lead) for v in ints]
 
 
 def table_from_doc(doc: dict) -> tuple[list[list[Fraction]], list[list[Poly]],
@@ -196,6 +240,7 @@ def boundary_to_doc(boundary: BoundaryData) -> dict:
 def boundary_from_doc(doc: dict) -> BoundaryData:
     if need(doc, "kind") != "boundary_data":
         raise ParseError(f"expected a boundary_data document, got {doc.get('kind')!r}")
+    _check_convention(doc)
     return BoundaryData(
         c_row=tuple(rat_list(need(doc, "c_row"))),
         a_row=tuple(rat_list(need(doc, "a_row"))),

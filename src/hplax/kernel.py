@@ -16,7 +16,8 @@ from itertools import zip_longest
 from math import lcm
 from typing import Callable, Iterable, Sequence, Union
 
-from .errors import DegeneracyError, DimensionError, IntegrityError, TruncationError
+from .errors import (DegeneracyError, DimensionError, IntegrityError, ParseError,
+                     TruncationError)
 
 Ratlike = Union[Fraction, int, str]
 
@@ -24,8 +25,14 @@ ZERO = Fraction(0)
 
 
 def rat(x: Ratlike) -> Fraction:
-    """Coerce an int, a ``p/q`` string, or a Fraction to an exact rational."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """Coerce an int, a ``p/q`` string, or a Fraction to an exact rational;
+    anything that is not a rational raises ParseError."""
+    if isinstance(x, Fraction):
+        return x
+    try:
+        return Fraction(x)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise ParseError(f"bad rational {x!r}") from exc
 
 
 def _coerced(coeffs: Iterable[Ratlike]) -> tuple[Fraction, ...]:

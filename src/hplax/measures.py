@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import (DegeneracyError, DisjointSupportError, PoleError,
-                     TruncationError)
+                     TruncationError, WindowError)
 from .kernel import Poly, Ratlike, cleared, rat, solve_exact
 
 DISCRETE = "discrete"
@@ -207,7 +207,7 @@ def monic_orthogonal_polys(s, upto: int) -> list[Poly]:
     exactly where the Hankel determinant of order n vanishes.
     """
     if upto < 0:
-        return []
+        raise WindowError(f"orthogonal polynomial degree {upto} is negative")
     need = max(2 * upto, 1)
     if len(s) < need:
         raise TruncationError(

@@ -1,8 +1,10 @@
 """Nearest-neighbor recurrence field and its branched continued fractions.
 
 The four coefficient grids come from determinant ratios (a, b) and from
-subleading polynomial coefficients (c, d), each entry one Fraction built from
-the integers of the table's column eliminations.  Everything here is
+subleading polynomial coefficients (c, d), each entry one integer pair
+(num, den) built from the integers of the table's column eliminations
+(``field_pairs``), and one Fraction of it where a value is read
+(``field_from_table``).  Everything here is
 checkable against an independent route: determinant identities, direct
 recurrence residuals, consistency identities, and series round trips.
 """
@@ -89,56 +91,92 @@ class CFExtraction:
 # -- field extraction ------------------------------------------------------
 
 
-def a_value(table: HPTable, n: int, m: int) -> Fraction:
-    """a(n, m) = S(n+1, m) S(n-1, m) / S(n, m)^2; zero on the axis n = 0.
+def a_pair(table: HPTable, n: int, m: int) -> tuple[int, int]:
+    """a(n, m) = S(n+1, m) S(n-1, m) / S(n, m)^2 as integers (num, den), not
+    reduced; 0/1 on the axis n = 0.
 
-    One Fraction of the table's integer minors K, whose signs and moment
-    scales cancel in the ratio.
+    Read off the table's integer minors K, whose signs and moment scales
+    cancel in the ratio.
     """
     if n == 0:
-        return Fraction(0)
+        return 0, 1
     k = table.minor(n, m)
     if k == 0:
         raise NotNormalError(n, m)
-    return Fraction(table.minor(n + 1, m) * table.minor(n - 1, m), k * k)
+    return table.minor(n + 1, m) * table.minor(n - 1, m), k * k
 
 
-def b_value(table: HPTable, n: int, m: int) -> Fraction:
-    """b(n, m) = S(n, m+1) S(n, m-1) / S(n, m)^2; zero on the axis m = 0."""
+def b_pair(table: HPTable, n: int, m: int) -> tuple[int, int]:
+    """b(n, m) = S(n, m+1) S(n, m-1) / S(n, m)^2 as integers (num, den), not
+    reduced; 0/1 on the axis m = 0."""
     if m == 0:
-        return Fraction(0)
+        return 0, 1
     k = table.minor(n, m)
     if k == 0:
         raise NotNormalError(n, m)
-    return Fraction(table.minor(n, m + 1) * table.minor(n, m - 1), k * k)
+    return table.minor(n, m + 1) * table.minor(n, m - 1), k * k
 
 
-def _sub_difference(here: tuple[int, int], there: tuple[int, int]) -> Fraction:
-    """u/w - u'/w' of two subleading pairs, as one Fraction."""
+def _sub_difference(here: tuple[int, int], there: tuple[int, int]) -> tuple[int, int]:
+    """u/w - u'/w' of two subleading pairs, as integers (num, den)."""
     (u, w), (u1, w1) = here, there
-    return Fraction(u * w1 - u1 * w, w * w1)
+    return u * w1 - u1 * w, w * w1
 
 
-def c_value(table: HPTable, n: int, m: int) -> Fraction:
-    """c(n, m) from the subleading coefficients of P(n, m) and P(n+1, m)."""
+def c_pair(table: HPTable, n: int, m: int) -> tuple[int, int]:
+    """c(n, m) as integers (num, den) from the subleading coefficients of
+    P(n, m) and P(n+1, m)."""
     return _sub_difference(table.subleading(n, m), table.subleading(n + 1, m))
 
 
-def d_value(table: HPTable, n: int, m: int) -> Fraction:
-    """d(n, m) from the subleading coefficients of P(n, m) and P(n, m+1)."""
+def d_pair(table: HPTable, n: int, m: int) -> tuple[int, int]:
+    """d(n, m) as integers (num, den) from the subleading coefficients of
+    P(n, m) and P(n, m+1)."""
     return _sub_difference(table.subleading(n, m), table.subleading(n, m + 1))
 
 
-def field_from_table(table: HPTable, N: int, M: int) -> RecurrenceField:
-    """All four grids on the (N+1) x (M+1) window; needs one normal ring more."""
+def a_value(table: HPTable, n: int, m: int) -> Fraction:
+    """a(n, m), one Fraction of ``a_pair``."""
+    return Fraction(*a_pair(table, n, m))
+
+
+def b_value(table: HPTable, n: int, m: int) -> Fraction:
+    """b(n, m), one Fraction of ``b_pair``."""
+    return Fraction(*b_pair(table, n, m))
+
+
+def c_value(table: HPTable, n: int, m: int) -> Fraction:
+    """c(n, m), one Fraction of ``c_pair``."""
+    return Fraction(*c_pair(table, n, m))
+
+
+def d_value(table: HPTable, n: int, m: int) -> Fraction:
+    """d(n, m), one Fraction of ``d_pair``."""
+    return Fraction(*d_pair(table, n, m))
+
+
+def field_pairs(table: HPTable, N: int, M: int
+                ) -> dict[str, dict[tuple[int, int], tuple[int, int]]]:
+    """All four grids on the (N+1) x (M+1) window as integer pairs (num,
+    den), not reduced; needs one normal ring more.  Read index by index,
+    a, b, c, d at each, so every reader of the field meets its first error
+    at the same entry."""
     check_window(N, M)
-    grids: dict[str, dict[tuple[int, int], Fraction]] = {k: {} for k in KINDS}
+    grids: dict[str, dict[tuple[int, int], tuple[int, int]]] = {k: {} for k in KINDS}
     for n in range(N + 1):
         for m in range(M + 1):
-            grids["a"][(n, m)] = a_value(table, n, m)
-            grids["b"][(n, m)] = b_value(table, n, m)
-            grids["c"][(n, m)] = c_value(table, n, m)
-            grids["d"][(n, m)] = d_value(table, n, m)
+            grids["a"][(n, m)] = a_pair(table, n, m)
+            grids["b"][(n, m)] = b_pair(table, n, m)
+            grids["c"][(n, m)] = c_pair(table, n, m)
+            grids["d"][(n, m)] = d_pair(table, n, m)
+    return grids
+
+
+def field_from_table(table: HPTable, N: int, M: int) -> RecurrenceField:
+    """All four grids on the (N+1) x (M+1) window, each entry one Fraction
+    of its pair in ``field_pairs``."""
+    grids = {kind: {key: Fraction(*pair) for key, pair in grid.items()}
+             for kind, grid in field_pairs(table, N, M).items()}
     return RecurrenceField(grids, (N, M))
 
 

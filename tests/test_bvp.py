@@ -6,11 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hplax import bvp, kernel, measures
-from hplax.bvp import (BoundaryData, boundary_from_field, boundary_from_moments,
-                       boundary_from_table, cd_by_summation, cross_validate,
-                       field_from_moments, sweep_solve)
-from hplax.errors import (DegeneracyError, HplaxError, NonPerfectBoundaryError,
-                          NotNormalError, TruncationError, WindowError)
+from hplax.bvp import (BoundaryData, SweepReport, boundary_from_field,
+                       boundary_from_moments, boundary_from_table, cd_by_summation,
+                       cross_validate, field_from_moments, sweep_solve)
+from hplax.errors import (DegeneracyError, HplaxError, IntegrityError,
+                          NonPerfectBoundaryError, NotNormalError, TruncationError,
+                          WindowError)
 from hplax.hptable import HPTable
 from hplax.measures import (JFraction, MeasureModel, MomentSystem,
                             jfraction_to_moments, make_angelesco, make_nikishin,
@@ -335,6 +336,31 @@ class TestCrossValidate:
         N, M = window
         assert cross_validate(system, N, M).zcc_all_zero
         assert sorted(seen) == [(n, m) for n in range(N) for m in range(M)]
+
+    @pytest.mark.parametrize("bumps", [
+        [("a", 0, 1)], [("b", 2, 0)], [("c", 2, 1)], [("d", 0, 2)],
+        [("d", 0, 0), ("b", 2, 2)], [("c", 2, 2), ("c", 1, 2)]], ids=str)
+    def test_a_bumped_sweep_entry_is_named(self, monkeypatch, system_a, bumps):
+        # the sweep's entries are compared with the table's integer pairs;
+        # the first difference in KINDS order, then row by row, is named
+        # with both values in lowest terms, a zero on an axis included
+        sweep = bvp.sweep_solve
+
+        def bumped(boundary, n_max, m_max):
+            report = sweep(boundary, n_max, m_max)
+            field = report.field
+            for kind, n, m in bumps:
+                field = field.replace(kind, n, m, field.value(kind, n, m) + F(1, 3))
+            return SweepReport(field, report.divisions_checked)
+
+        monkeypatch.setattr(bvp, "sweep_solve", bumped)
+        want = field_from_table(HPTable(system_a, 3, 3), 2, 2)
+        kind, n, m = min(bumps, key=lambda b: (KINDS.index(b[0]), b[1], b[2]))
+        value = want.value(kind, n, m)
+        with pytest.raises(IntegrityError) as caught:
+            cross_validate(system_a, 2, 2)
+        assert str(caught.value) == (f"sweep and moment routes disagree at "
+                                     f"{kind}[{n}, {m}]: {value + F(1, 3)} != {value}")
 
     def test_hand_perturbed_boundary_diverges(self, boundary_a, reference_field):
         # bump a deep axis value: the sweep stays alive but the grids differ

@@ -305,6 +305,12 @@ class TestThreeTerm:
         with pytest.raises(WindowError):
             three_term_check(j, 5)
 
+    def test_negative_degree_refused(self, leb01):
+        j = moments_to_jfraction(leb01, 2)
+        assert three_term_check(j, 0) == []
+        with pytest.raises(WindowError, match="negative"):
+            three_term_check(j, -1)
+
 
 class TestCfTailEval:
     def test_depth_zero_shape(self, leb01):

@@ -138,6 +138,15 @@ class TestGen:
         assert code not in (0, None)
 
 
+def table_doc_of(s_grid, p_grid, window):
+    """The hp_table document of grids of Fractions and Polys, each entry's
+    text str(Fraction): the oracle of jsondoc.table_to_doc, which writes the
+    text from the table's integers."""
+    return {"kind": "hp_table", "convention": "cauchy", "window": list(window),
+            "s": [[str(v) for v in row] for row in s_grid],
+            "p": [[[str(c) for c in poly.coeffs] for poly in row] for row in p_grid]}
+
+
 class TestTableAndCoeffs:
     def test_table_values(self, tmp_path, angelesco_input):
         system = run_gen(tmp_path, angelesco_input)
@@ -150,7 +159,7 @@ class TestTableAndCoeffs:
         s_grid, p_grid, window = jsondoc.table_from_doc(doc)
         assert window == (2, 2)
         assert s_grid[1][1] == 3
-        assert jsondoc.table_to_doc(s_grid, p_grid, window) == doc
+        assert table_doc_of(s_grid, p_grid, window) == doc
 
     def test_coeffs_roundtrip(self, tmp_path, angelesco_input, system_a):
         system = run_gen(tmp_path, angelesco_input, order=14)
@@ -357,7 +366,8 @@ class TestDocRoundtrips:
         table = HPTable(system, nw + 1, mw + 1)
         s_grid = [[table.s_det(n, m) for m in range(mw + 1)] for n in range(nw + 1)]
         p_grid = [[table.hp_poly_det(n, m) for m in range(mw + 1)] for n in range(nw + 1)]
-        table_doc = jsondoc.table_to_doc(s_grid, p_grid, (nw, mw))
+        table_doc = jsondoc.table_to_doc(table, (nw, mw))
+        assert table_doc == table_doc_of(s_grid, p_grid, (nw, mw))
         assert jsondoc.table_from_doc(table_doc) == (s_grid, p_grid, (nw, mw))
         field = field_from_moments(system, nw, mw)
         field_doc = jsondoc.field_to_doc(field)
@@ -387,6 +397,38 @@ class TestDocRoundtrips:
         assert jsondoc.rat_parse("3") == 3
         assert jsondoc.rat_parse(3) == 3
         assert jsondoc.rat_parse("-3/2") == F(-3, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-2 ** 2000, 2 ** 2000),
+           st.integers(-2 ** 2000, 2 ** 2000).filter(bool),
+           st.sampled_from([1, -1, 6, -2 ** 61 + 1, 3 ** 400]))
+    @example(0, -7, 1)
+    @example(-6, -4, 1)
+    @example(5, -1, 1)
+    @example(12, 3, 1)
+    def test_ratio_str_is_the_text_of_the_fraction(self, num, den, common):
+        # signed, zero and unreduced pairs, up to about 2,000 bits a side
+        assert jsondoc.ratio_str(num * common, den * common) == str(F(num, den))
+
+    def test_ratio_str_refuses_a_zero_denominator(self):
+        with pytest.raises(ZeroDivisionError):
+            jsondoc.ratio_str(3, 0)
+
+    def test_table_forms_no_polynomial(self, tmp_path, monkeypatch, system_a):
+        # the table's text is made from its integers, not from P(n, m)
+        calls = []
+        monic = Poly.monic
+
+        def counting(ints):
+            calls.append(len(ints))
+            return monic(ints)
+
+        monkeypatch.setattr(Poly, "monic", staticmethod(counting))
+        path = write_json(tmp_path / "system.json", jsondoc.moment_system_to_doc(system_a))
+        out = tmp_path / "table.json"
+        assert main(["table", "--in", path, "--window", "4", "4", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["p"][4][4][-1] == "1"
+        assert calls == []
 
 
 def boundary_doc(system):
@@ -422,6 +464,7 @@ def planted(system):
 ANGELESCO = {"mu1": {"type": "interval", "lo": "-2", "hi": "-1"},
              "mu2": {"type": "interval", "lo": "1", "hi": "2"}}
 DUPLICATED = [str(F(1, k + 1)) for k in range(12)]
+GEN_MOMENTS = ["gen", "--system", "moments", "--order", "8"]
 
 # (id, command, input document built from system_a, window, exit code,
 #  stderr fragment); every README exit code appears at least once
@@ -454,6 +497,24 @@ EXIT_TABLE = [
     ("unequal-sequences", ["verify"],
      lambda s: {**jsondoc.moment_system_to_doc(s), "s2": [str(x) for x in s.s2[:-1]]},
      (1, 1), 2, "differ in length"),
+    ("gen-count-not-int", GEN_MOMENTS,
+     lambda s: {**jsondoc.moment_system_to_doc(s), "count": "abc"}, None, 2,
+     "parse error: count 'abc'"),
+    ("gen-count-not-the-length", GEN_MOMENTS,
+     lambda s: {**jsondoc.moment_system_to_doc(MomentSystem(s.s1[:12], s.s2[:12])),
+                "count": 99}, None, 2, "parse error: count 99"),
+    ("gen-convention", GEN_MOMENTS,
+     lambda s: {**jsondoc.moment_system_to_doc(s), "convention": "not-cauchy"}, None, 2,
+     "parse error: convention 'not-cauchy'"),
+    ("gen-label-null", GEN_MOMENTS,
+     lambda s: {**jsondoc.moment_system_to_doc(s), "label": None}, None, 2,
+     "parse error: label None"),
+    ("moment-system-count-bool", ["verify"],
+     lambda s: {**jsondoc.moment_system_to_doc(s), "count": True}, (1, 1), 2,
+     "parse error: count True"),
+    ("boundary-convention", ["solve-bvp"],
+     lambda s: {**boundary_doc(s), "convention": "not-cauchy"}, (2, 2), 2,
+     "parse error: convention"),
     ("not-utf-8", ["table"],
      lambda s: b"\xff\xfe" + json.dumps(jsondoc.moment_system_to_doc(s)).encode("utf-16-le"),
      (1, 1), 2, "parse error"),
@@ -853,6 +914,27 @@ def test_verify_forms_no_polynomial(tmp_path, capsys, monkeypatch, case):
     assert run_pinned(tmp_path, capsys, *case) == PINNED_CLI[case]
 
 
+def test_verify_forms_no_fraction_field(tmp_path, capsys, monkeypatch, system_a):
+    # verify compares the sweep's field with the table's integer pairs, so
+    # it reduces no reference entry to a Fraction
+    calls = []
+    original = nnrr.field_from_table
+
+    def counting(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hplax."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    path = write_json(tmp_path / "system.json", jsondoc.moment_system_to_doc(system_a))
+    assert main(["verify", "--in", path, "--window", "3", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["grids_equal"] is True
+    assert calls == []
+
+
 def refuse_oracles(monkeypatch):
     """Make MatPoly products, HPTable.pairing, moment_pairing, det_exact,
     consistency_residuals, normalization_grid and boundary_from_table
@@ -1105,6 +1187,53 @@ def assert_gen_contract(path, argv):
                       jsondoc.moment_system_to_doc)
 
 
+SCALAR_SYSTEM = make_angelesco(MeasureModel.interval(-2, -1), MeasureModel.interval(1, 2), 8)
+NIKISHIN_ATOMS = {"sigma1": {"type": "discrete", "atoms": [["1", "1"], ["2", "3"]]},
+                  "sigma2": {"type": "discrete", "atoms": [["-1", "2"]]}}
+JFRACTIONS = {"f1": {"c": ["1", "2"], "a": ["1"], "s0": "1"},
+              "f2": {"c": ["-1", "-2"], "a": ["2"], "s0": "1/2"}}
+
+# (argv, valid input document, path of one scalar field in it, the values
+# in SCALAR_REPLACEMENTS that the field may hold): every scalar field of
+# each input document, each of its readers once
+SCALAR_FIELDS = {
+    f"{name}-{'.'.join(map(str, path))}": (argv, doc, path, valid)
+    for name, argv, doc, fields in (
+        ("verify", ["verify", "--window", "1", "1"],
+         jsondoc.moment_system_to_doc(SCALAR_SYSTEM),
+         [(("kind",), ()), (("convention",), ()), (("label",), ("0", "abc")),
+          (("count",), ())]),
+        ("gen-moments", ["gen", "--system", "moments", "--order", "8"],
+         jsondoc.moment_system_to_doc(SCALAR_SYSTEM),
+         [(("convention",), ()), (("label",), ("0", "abc")), (("count",), ())]),
+        ("solve-bvp", ["solve-bvp", "--window", "1", "1"],
+         jsondoc.boundary_to_doc(boundary_from_moments(SCALAR_SYSTEM, 2)),
+         [(("kind",), ()), (("convention",), ())]),
+        ("gen-angelesco", ["gen", "--system", "angelesco", "--order", "4"], ANGELESCO,
+         [((mu, key), ("0",) if key != "type" else ())
+          for mu in ("mu1", "mu2") for key in ("type", "lo", "hi")]),
+        ("gen-nikishin", ["gen", "--system", "nikishin", "--order", "4"], NIKISHIN_ATOMS,
+         [((sigma, "type"), ()) for sigma in ("sigma1", "sigma2")]
+         + [((sigma, "atoms", 0, part), ("0",))
+            for sigma in ("sigma1", "sigma2") for part in (0, 1)]),
+        ("gen-jfraction", ["gen", "--system", "jfraction", "--order", "4"], JFRACTIONS,
+         [((f, "s0"), ("0",)) for f in ("f1", "f2")]))
+    for path, valid in fields}
+WRAPPED = "the value wrapped in a list"
+SCALAR_REPLACEMENTS = ["0", "abc", 0.5, True, None, WRAPPED]
+
+
+def replaced(doc, path, value):
+    """A copy of doc with the scalar at path replaced by value."""
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    owner = doc
+    for key in head:
+        owner = owner[key]
+    owner[last] = [owner[last]] if value == WRAPPED else value
+    return doc
+
+
 class TestContract:
     """The CLI contract on mutations of valid `verify`, `solve-bvp`, `table`,
     `coeffs`, `gen` and `qd` documents, and of `gen --system
@@ -1141,7 +1270,7 @@ class TestContract:
         (N, M), doc = drawn
         path = write_json(contract_dir / "system.json", doc)
         assert_round_trip(path, ["table", "--window", str(N), str(M)],
-                          jsondoc.table_from_doc, lambda table: jsondoc.table_to_doc(*table))
+                          jsondoc.table_from_doc, lambda table: table_doc_of(*table))
 
     @settings(max_examples=40, deadline=None)
     @given(contract_systems().flatmap(lambda case: st.tuples(
@@ -1178,3 +1307,19 @@ class TestContract:
         (n, k), doc = drawn
         path = write_json(contract_dir / "moments.json", doc)
         assert_contract(path, ["qd", "--window", str(n), str(k)])
+
+    @pytest.mark.parametrize("field", list(SCALAR_FIELDS))
+    def test_scalar_replacements(self, contract_dir, field):
+        # each replacement of a scalar field exits with a code of README's
+        # table; one the field may not hold exits 2 as a parse error
+        argv, doc, path, valid = SCALAR_FIELDS[field]
+        for value in SCALAR_REPLACEMENTS:
+            changed = write_json(contract_dir / "scalar.json", replaced(doc, path, value))
+            if value in valid:
+                assert_contract(changed, argv)
+                continue
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv + ["--in", changed])
+            assert (code, out.getvalue()) == (2, ""), (value, err.getvalue())
+            assert err.getvalue().startswith("parse error: "), (value, err.getvalue())

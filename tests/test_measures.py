@@ -5,7 +5,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hplax.errors import (DegeneracyError, DisjointSupportError, HplaxError,
-                          PoleError, TruncationError)
+                          ParseError, PoleError, TruncationError, WindowError)
 from hplax import measures
 from hplax.kernel import Poly, X, det_exact
 from hplax.measures import (JFraction, MeasureModel, MomentSystem,
@@ -226,6 +226,13 @@ class TestMomentSystem:
         with pytest.raises(DegeneracyError):
             MomentSystem((F(1),), (F(1), F(2)))
 
+    @pytest.mark.parametrize("bad", ["a", "1/0", [1], None, float("inf")], ids=repr)
+    def test_a_value_that_is_not_a_rational_is_a_parse_error(self, bad):
+        # kernel.rat, where every value enters, raises no bare ValueError
+        with pytest.raises(ParseError, match="bad rational") as caught:
+            MomentSystem((bad,), ("b",))
+        assert caught.value.exit_code == 2
+
 
 class TestJFraction:
     def test_lebesgue01(self):
@@ -438,6 +445,11 @@ class TestMonicOrthogonalPolys:
             measure_moments(MeasureModel.interval(0, 1), 10), 2)
         assert polys[1] == X - Poly.of(F(1, 2))
         assert polys[2] == X * X - X + Poly.of(F(1, 6))
+
+    @pytest.mark.parametrize("upto", [-1, -2])
+    def test_negative_degree_refused(self, upto):
+        with pytest.raises(WindowError, match="negative"):
+            monic_orthogonal_polys(measure_moments(MeasureModel.interval(0, 1), 10), upto)
 
     def test_degenerate_atom(self):
         moments = measure_moments(MeasureModel.discrete([(5, 1)]), 10)
