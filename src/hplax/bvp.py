@@ -12,7 +12,10 @@ data do not come from a perfect system; the partially filled field is kept
 for diagnosis.
 
 The (N, M) rectangle reads only a cone of the triangle of levels up to
-N + M, so only the cone is computed in Fractions.  The other cells are
+N + M, so only the cone is computed exactly, each entry a reduced integer
+pair (num, den) and no Fraction; a and b there are ratios of running tau
+ratios (K(n+1, m) / K(n, m) and K(n, m+1) / K(n, m), up to constant
+factors), each a product of boundary entries and gaps.  The other cells are
 needed only to show that their gaps do not vanish, and are swept modulo a
 prime: a nonzero residue proves a nonzero gap.  Any zero, exact or modular,
 reruns the whole triangle exactly, unless every level up to it was exact
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import (DegeneracyError, IntegrityError, NonPerfectBoundaryError,
                      NotNormalError, TruncationError, WindowError, check_window)
@@ -96,8 +100,16 @@ class SweepReport:
         return self.field
 
 
+def _check_levels(levels) -> None:
+    """Raise WindowError unless levels, the deepest anti-diagonal a boundary
+    reader is asked for, is a nonnegative int; a bool is not one."""
+    if type(levels) is not int or levels < 0:
+        raise WindowError(f"boundary levels {levels!r} must be a nonnegative int")
+
+
 def boundary_from_field(field: RecurrenceField, levels: int) -> BoundaryData:
     """Read boundary rows for the given maximal anti-diagonal off a field."""
+    _check_levels(levels)
     nw, mw = field.window
     if levels > nw or levels > mw:
         raise WindowError(
@@ -117,6 +129,7 @@ def boundary_from_table(table: HPTable, levels: int) -> BoundaryData:
     Reaches one step past the requested level along each axis (the c and d
     values need the neighboring polynomial), nothing more.
     """
+    _check_levels(levels)
     return BoundaryData(
         c_row=tuple(c_value(table, n, 0) for n in range(levels + 1)),
         a_row=tuple(a_value(table, n, 0) for n in range(1, levels + 1)),
@@ -134,6 +147,7 @@ def boundary_from_moments(system: MomentSystem, levels: int) -> BoundaryData:
     a vanishing K(n, 0).  The indices n = 1 .. levels + 1 of each axis are
     checked in the order ``boundary_from_table`` reads them: moment depth,
     normality, bordered depth; so the two raise alike."""
+    _check_levels(levels)
     rows = []
     for seq, axis in ((system.s1, lambda n: (n, 0)), (system.s2, lambda n: (0, n))):
         entries = jfraction_entries(seq[:2 * levels + 2])
@@ -195,63 +209,94 @@ def cone_range(N: int, M: int, level: int) -> tuple[int, int]:
 
 def _sweep(boundary: BoundaryData, N: int, M: int,
            ranges: list[tuple[int, int]]) -> SweepReport:
-    """The level sweep: on level L, c, d and the gap are Fractions on n in
+    """The level sweep: on level L, c, d and the gap are exact on n in
     ranges[L] = lo..hi, a, b and s on lo - 1..hi + 1, and every other entry
     is a residue modulo _P.  With ranges[L] = (0, L) it is the exact sweep.
+    An exact entry is a reduced pair (num, den), den > 0, and its arithmetic
+    is ``_pair_sum`` and ``_pair_product``: no Fraction is formed.
 
-    Level L is filled in two phases, each walking n = 0..L.  Phase 1 sets
-    a(n, m) = a(n, m-1) gap(n, m-1) / gap(n-1, m-1) and b(n, m) likewise,
-    each one Fraction of the integers of its three operands, and the sum
-    s(n, m) = a + b; the axis entries are boundary data.  Phase 2 crosses
-    each edge from (n, m-1) on level L - 1 once: its quotient
-    q = (s(n+1, m-1) - s(n, m)) / gap(n, m-1) is both c(n, m) - c(n, m-1)
-    and d(n+1, m-1) - d(n, m-1), so it is exact when either of those is.
-    Each cell's gap c - d is subtracted once, and kept until the two levels
-    above it have read it; nothing reads the gaps on level N + M, so they
-    are not formed.  A residue entry reduces the Fractions it reads; a
-    Fraction entry reads only Fractions (``cone_range``).  A gap is tested
-    for zero where c first divides by it; phase 1 and d divide only by gaps
-    that passed that test.  A zero gap stops the sweep, and the report keeps
-    the entries filled so far; but where the report would not be the exact
-    sweep's, a zero gap on a level whose range is not full or a denominator
-    residue that vanishes, it raises ``_Inexact`` instead.
+    Level L is filled in two phases, each walking n = 0..L.  Phase 1 sets a,
+    b and the sum s(n, m) = a + b; the axis entries are boundary data.  An
+    exact a and b are ratios of running tau ratios, rho(n, m) ~ K(n+1, m) /
+    K(n, m) and sigma(n, m) ~ K(n, m+1) / K(n, m), kept on the exact range:
+
+        rho(n, m) = gap(n, m-1) rho(n, m-1),     a(n, m) = rho(n, m) / rho(n-1, m),
+        sigma(n, m) = gap(n-1, m) sigma(n-1, m), b(n, m) = sigma(n, m) / sigma(n, m-1),
+
+    with rho(0, 0) = sigma(0, 0) = 1, rho(n, 0) = a(n, 0) rho(n-1, 0) and
+    sigma(0, m) = b(0, m) sigma(0, m-1): the identities a(n, m) gap(n, m) =
+    a(n, m+1) gap(n-1, m) and b(n, m) gap(n, m) = b(n+1, m) gap(n, m-1) of
+    ``consistency_residuals`` (r3, r4).  Each divisor is a product of
+    boundary a_row and b_col entries, nonzero by ``BoundaryData``, and of
+    gaps on levels up to L - 2, each tested nonzero before phase 1 of level
+    L.  A residue a and b are a(n, m-1) gap(n, m-1) / gap(n-1, m-1) and
+    b(n-1, m) gap(n-1, m) / gap(n-1, m-1).  Phase 2 crosses each edge from
+    (n, m-1) on level L - 1 once: its quotient q = (s(n+1, m-1) - s(n, m)) /
+    gap(n, m-1) is both c(n, m) - c(n, m-1) and d(n+1, m-1) - d(n, m-1), so
+    it is exact when either of those is.  Each cell's gap c - d is
+    subtracted once, and kept until the two levels above it have read it;
+    nothing reads the gaps on level N + M, so they are not formed.  A
+    residue entry reduces the exact entries it reads; an exact entry reads
+    only exact entries (``cone_range``).  A gap is tested for zero where c
+    first divides by it; phase 1 and d divide only by gaps that passed that
+    test.  A zero gap stops the sweep, and the report keeps the entries
+    filled so far; but where the report would not be the exact sweep's, a
+    zero gap on a level whose range is not full or a denominator residue
+    that vanishes, it raises ``_Inexact`` instead.
     """
     lam = N + M
-    a: dict[tuple[int, int], Fraction] = {}
-    b: dict[tuple[int, int], Fraction] = {}
-    c: dict[tuple[int, int], Fraction] = {}
-    d: dict[tuple[int, int], Fraction] = {}
+    c_row, a_row, d_col, b_col = ([x.as_integer_ratio() for x in row] for row in (
+        boundary.c_row, boundary.a_row, boundary.d_col, boundary.b_col))
+    a: dict[tuple[int, int], tuple[int, int]] = {}
+    b: dict[tuple[int, int], tuple[int, int]] = {}
+    c: dict[tuple[int, int], tuple[int, int]] = {}
+    d: dict[tuple[int, int], tuple[int, int]] = {}
     divisions = 0
     failure: tuple[tuple[int, int], str] | None = None
-    # the level below and the one below it, indexed by n: a and b, and the
-    # gaps, as (numerator, denominator); c and d as Fractions or residues
+    # the level below and the one below it, indexed by n: each entry a
+    # reduced pair or a residue; rho and sigma on the exact range only
     a_below = b_below = gap_below = gap_two_below = c_below = d_below = []
+    rho_below = sigma_below = {}
     for level in range(lam + 1):
         lo, hi = ranges[level]
-        a_here, b_here, s_here = [], [], []
+        a_here, b_here, s_here, rho_here, sigma_here = [], [], [], {}, {}
         for n in range(level + 1):                    # phase 1: a, b and s
             m = level - n
+            exact = lo - 1 <= n <= hi + 1
             if n == 0:
-                a_nm, b_nm = ZERO, boundary.b_col[m - 1] if m else ZERO
+                a_nm, b_nm = _ZERO, b_col[m - 1] if m else _ZERO
                 s_nm = b_nm
+                if exact:
+                    rho_here[n] = _pair_product(gap_below[n], rho_below[n]) if m else _ONE
+                    sigma_here[n] = _pair_product(b_nm, sigma_below[n]) if m else _ONE
             elif m == 0:
-                a_nm, b_nm = boundary.a_row[n - 1], ZERO
+                a_nm, b_nm = a_row[n - 1], _ZERO
                 s_nm = a_nm
+                if exact:
+                    rho_here[n] = _pair_product(a_nm, rho_below[n - 1])
+                    sigma_here[n] = _pair_product(gap_below[n - 1], sigma_below[n - 1])
             else:
                 divisions += 2
-                ratio = Fraction if lo - 1 <= n <= hi + 1 else _Residue
-                hn, hd = gap_two_below[n - 1]
-                pn, pd = a_below[n]
-                gn, gd = gap_below[n]
-                a_nm = ratio(pn * gn * hd, pd * gd * hn)
-                pn, pd = b_below[n - 1]
-                gn, gd = gap_below[n - 1]
-                b_nm = ratio(pn * gn * hd, pd * gd * hn)
-                s_nm = a_nm + b_nm
+                if exact:
+                    rho_here[n] = rho = _pair_product(gap_below[n], rho_below[n])
+                    sigma_here[n] = sigma = _pair_product(gap_below[n - 1],
+                                                          sigma_below[n - 1])
+                    a_nm = _pair_product(rho, _inverse(rho_below[n - 1]))
+                    b_nm = _pair_product(sigma, _inverse(sigma_below[n]))
+                    s_nm = _pair_sum(a_nm, b_nm)
+                else:
+                    hn, hd = gap_two_below[n - 1]
+                    pn, pd = a_below[n]
+                    gn, gd = gap_below[n]
+                    a_nm = _Residue(pn * gn * hd, pd * gd * hn)
+                    pn, pd = b_below[n - 1]
+                    gn, gd = gap_below[n - 1]
+                    b_nm = _Residue(pn * gn * hd, pd * gd * hn)
+                    s_nm = a_nm + b_nm
             a[(n, m)] = a_nm
             b[(n, m)] = b_nm
-            a_here.append(a_nm.as_integer_ratio())
-            b_here.append(b_nm.as_integer_ratio())
+            a_here.append(a_nm)
+            b_here.append(b_nm)
             s_here.append(s_nm)
         c_here, d_here, gap_here = [], [], []
         q = None        # the quotient of the last edge crossed
@@ -259,45 +304,78 @@ def _sweep(boundary: BoundaryData, N: int, M: int,
             m = level - n
             exact = lo <= n <= hi
             if m == 0:
-                c_nm = boundary.c_row[n]
+                c_nm = c_row[n]
             else:
                 divisions += 1
-                gn, gd = gap_below[n]
+                gn, gd = gap = gap_below[n]
                 if gn == 0:
                     if (lo, hi) != (0, level):
                         raise _Inexact
                     failure = ((n, m - 1), f"(c - d) vanishes at {(n, m - 1)}")
                     break
                 if lo - 1 <= n <= hi:       # c here or d at n + 1 is exact
-                    pn, pd = (s_here[n + 1] - s_here[n]).as_integer_ratio()
-                    q = Fraction(pn * gd, pd * gn)
+                    q = _pair_product(_pair_sum(s_here[n + 1], s_here[n], -1),
+                                      _inverse(gap))
                 else:
-                    pn, pd = (_residue(s_here[n + 1]) - s_here[n]).as_integer_ratio()
+                    pn, pd = _residue(s_here[n + 1]) - s_here[n]
                     q = _Residue(pn * gd, pd * gn)
-                c_nm = (c_below[n] if exact else _residue(c_below[n])) + q
+                c_nm = _pair_sum(c_below[n], q) if exact else _residue(c_below[n]) + q
             c[(n, m)] = c_nm
             if n == 0:
-                d_nm = boundary.d_col[m]
+                d_nm = d_col[m]
             else:                       # the edge from (n-1, m), crossed at n - 1
                 divisions += 1
-                d_nm = (d_below[n - 1] if exact else _residue(d_below[n - 1])) + q_prev
+                d_nm = (_pair_sum(d_below[n - 1], q_prev) if exact
+                        else _residue(d_below[n - 1]) + q_prev)
             d[(n, m)] = d_nm
             c_here.append(c_nm)
             d_here.append(d_nm)
             if level < lam:
-                gap = (c_nm if exact else _residue(c_nm)) - d_nm
-                gap_here.append(gap.as_integer_ratio())
+                gap_here.append(_pair_sum(c_nm, d_nm, -1) if exact
+                                else _residue(c_nm) - d_nm)
             q_prev = q
         if failure is not None:
             break
         a_below, b_below, c_below, d_below = a_here, b_here, c_here, d_here
         gap_two_below, gap_below = gap_below, gap_here
+        rho_below, sigma_below = rho_here, sigma_here
 
     grids = {"a": a, "b": b, "c": c, "d": d}
     if failure is None:     # the rectangle; a failed sweep keeps every entry
         grids = {kind: {(n, m): grid[(n, m)] for n in range(N + 1) for m in range(M + 1)}
                  for kind, grid in grids.items()}
-    return SweepReport(RecurrenceField(grids, (N, M)), divisions, failure)
+    return SweepReport(RecurrenceField.from_pairs(grids, (N, M)), divisions, failure)
+
+
+_ZERO, _ONE = (0, 1), (1, 1)
+
+
+def _pair_sum(x: tuple[int, int], y: tuple[int, int], sign: int = 1) -> tuple[int, int]:
+    """x + sign y of two reduced pairs, reduced, as Fraction's sum: over the
+    gcd g of the denominators, the only common factor of the sum's
+    numerator and its denominator divides g."""
+    (xn, xd), (yn, yd) = x, y
+    g = gcd(xd, yd)
+    if g == 1:
+        return xn * yd + sign * yn * xd, xd * yd
+    s = xd // g
+    t = xn * (yd // g) + sign * yn * s
+    g2 = gcd(t, g)
+    return t // g2, s * (yd // g2)
+
+
+def _pair_product(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """x y of two reduced pairs, reduced: each numerator cancels against the
+    other factor's denominator, so no gcd is wider than one operand."""
+    (xn, xd), (yn, yd) = x, y
+    g1, g2 = gcd(xn, yd), gcd(yn, xd)
+    return (xn // g1) * (yn // g2), (xd // g2) * (yd // g1)
+
+
+def _inverse(x: tuple[int, int]) -> tuple[int, int]:
+    """1 / x of a nonzero reduced pair, reduced."""
+    num, den = x
+    return (den, num) if num > 0 else (-den, -num)
 
 
 class _Inexact(ArithmeticError):
@@ -308,8 +386,9 @@ class _Inexact(ArithmeticError):
 
 class _Residue:
     """A rational modulo _P as a projective pair (num, den), den nonzero:
-    the image of x in F_P when x lies in Z_(P).  Sums and differences with
-    Fractions or residues are residues; no modular inverse is formed."""
+    the image of x in F_P when x lies in Z_(P).  It unpacks as its pair, as
+    an exact entry does; sums and differences with reduced pairs or residues
+    are residues; no modular inverse is formed."""
 
     __slots__ = ("num", "den")
 
@@ -320,21 +399,21 @@ class _Residue:
         self.num = num % _P
         self.den = den
 
-    def as_integer_ratio(self) -> tuple[int, int]:
-        return self.num, self.den
+    def __iter__(self):
+        return iter((self.num, self.den))
 
     def __add__(self, other):
-        on, od = other.as_integer_ratio()
+        on, od = other
         return _Residue(self.num * od + on * self.den, self.den * od)
 
     def __sub__(self, other):
-        on, od = other.as_integer_ratio()
+        on, od = other
         return _Residue(self.num * od - on * self.den, self.den * od)
 
 
 def _residue(x) -> _Residue:
-    """x modulo _P: a Fraction reduced, a residue as it is."""
-    return x if type(x) is _Residue else _Residue(x.numerator, x.denominator)
+    """x modulo _P: a reduced pair reduced, a residue as it is."""
+    return x if type(x) is _Residue else _Residue(*x)
 
 
 def field_from_moments(system: MomentSystem, N: int, M: int) -> RecurrenceField:
@@ -391,22 +470,21 @@ def cross_validate(system: MomentSystem, N: int, M: int) -> CrossValidation:
 
     Reads the reference field from an (N + 1, M + 1) table, the one table
     of a passing call, as the integer pairs of ``field_pairs``, and reads
-    the boundary to level N + M from the two
-    sequences alone (``boundary_from_moments``): the J-fraction of each
-    off its first 2 (N + M) + 2 moments, so the sweep's input does not
-    pass through the table's eliminations.  Sweeps, and asserts exact equality
-    of all four grids, each sweep entry x against its pair (p, q) by
-    x.numerator q == x.denominator p, so no reference entry is reduced; then
-    checks orthogonality over the window and the zero-curvature residual at
-    each of its N x M stencils (n < N, m < M) on the sweep's field, now
-    equal to the table's, with the normalisations read off the table's
-    minors (``HPTable.normalizations``).  Any mismatch raises with the first
-    differing index, kind by kind in ``KINDS`` order and then row by row,
-    its text naming the two values in lowest terms; a sweep stopped by a
-    zero gap (n, m) where
-    S(n+1, m+1) vanishes (by the converse theorem, the first zero minor in
-    level order) is not normal, which a table of window (n + 1, m + 1),
-    built only then, tells.
+    the boundary to level N + M from the two sequences alone
+    (``boundary_from_moments``): the J-fraction of each off its first
+    2 (N + M) + 2 moments, so the sweep's input does not pass through the
+    table's eliminations.  Sweeps, and asserts exact equality of all four
+    grids, each sweep entry's reduced pair (x, y) against its reference pair
+    (p, q) by x q == y p, so no entry of either is reduced or made a
+    Fraction; then checks orthogonality over the window and the
+    zero-curvature residual at each of its N x M stencils (n < N, m < M) on
+    the sweep's field, now equal to the table's, with the normalisations
+    read off the table's minors (``HPTable.normalizations``).  Any mismatch
+    raises with the first differing index, kind by kind in ``KINDS`` order
+    and then row by row, its text naming the two values in lowest terms; a
+    sweep stopped by a zero gap (n, m) where S(n+1, m+1) vanishes (by the
+    converse theorem, the first zero minor in level order) is not normal,
+    which a table of window (n + 1, m + 1), built only then, tells.
 
     The consistency identities (``nnrr.consistency_residuals``) are not run:
     the sweep builds its field from them, so a reference field equal to it
@@ -426,12 +504,12 @@ def cross_validate(system: MomentSystem, N: int, M: int) -> CrossValidation:
         grid = reference[kind]
         for n in range(N + 1):
             for m in range(M + 1):
-                got = field.value(kind, n, m)
+                x, y = field.pair(kind, n, m)
                 num, den = grid[(n, m)]
-                if got.numerator * den != got.denominator * num:
+                if x * den != y * num:
                     raise IntegrityError(
                         f"sweep and moment routes disagree at {kind}[{n}, {m}]: "
-                        f"{got} != {Fraction(num, den)}")
+                        f"{Fraction(x, y)} != {Fraction(num, den)}")
 
     orth_max = ZERO
     for n in range(N + 1):

@@ -9,13 +9,12 @@ self-describing and diffable.  Nothing here is ever approximate.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Any
 
 from .bvp import BoundaryData, SweepReport
 from .errors import ParseError
 from .hptable import HPTable
-from .kernel import Poly, rat
+from .kernel import Poly, lowest_terms, rat
 from .measures import JFraction, MeasureModel, MomentSystem
 from .nnrr import KINDS, RecurrenceField
 
@@ -29,12 +28,13 @@ def rat_str(x: Fraction) -> str:
 def ratio_str(num: int, den: int) -> str:
     """The lowest-terms text of num / den, den nonzero: str(Fraction(num,
     den)), byte for byte, from one gcd and no Fraction."""
-    if not den:
-        raise ZeroDivisionError(f"ratio {num}/0")
-    g = gcd(num, den)
-    if den < 0:
-        g = -g
-    num, den = num // g, den // g
+    return _pair_str(lowest_terms(num, den))
+
+
+def _pair_str(pair: tuple[int, int]) -> str:
+    """The text of a pair already in lowest terms with den > 0, as str of
+    its Fraction writes it; no gcd is taken."""
+    num, den = pair
     return str(num) if den == 1 else f"{num}/{den}"
 
 
@@ -107,8 +107,11 @@ def moment_system_from_doc(doc: dict) -> MomentSystem:
 def moment_label(doc: dict, s1: list, s2: list, default: str) -> str:
     """The label of a document of the moments s1, s2 (default where it has
     none), after the fields that ``moment_system_to_doc`` writes with it:
-    each one present must hold what it would write, the convention, the
-    count as the int length of s1 and of s2, and a string label."""
+    each one present must hold what it would write, the kind, the
+    convention, the count as the int length of s1 and of s2, and a string
+    label."""
+    if doc.get("kind", "moment_system") != "moment_system":
+        raise ParseError(f"expected a moment_system document, got {doc['kind']!r}")
     _check_convention(doc)
     if "count" in doc:
         count = doc["count"]
@@ -187,6 +190,7 @@ def table_from_doc(doc: dict) -> tuple[list[list[Fraction]], list[list[Poly]],
                                        tuple[int, int]]:
     if need(doc, "kind") != "hp_table":
         raise ParseError(f"expected an hp_table document, got {doc.get('kind')!r}")
+    _check_convention(doc)
     nw, mw = _window(doc)
     s_grid = [[rat_parse(v) for v in row] for row in _grid_rows(doc, "s", nw, mw)]
     p_grid = [[Poly(tuple(rat_list(entry))) for entry in row]
@@ -206,7 +210,7 @@ def field_to_doc(field: RecurrenceField) -> dict:
         "window": [nw, mw],
     }
     for kind in KINDS:
-        doc[kind] = [[rat_str(field.value(kind, n, m)) for m in range(mw + 1)]
+        doc[kind] = [[_pair_str(field.pair(kind, n, m)) for m in range(mw + 1)]
                      for n in range(nw + 1)]
     return doc
 
@@ -214,6 +218,7 @@ def field_to_doc(field: RecurrenceField) -> dict:
 def field_from_doc(doc: dict) -> RecurrenceField:
     if need(doc, "kind") != "recurrence_field":
         raise ParseError(f"expected a recurrence_field document, got {doc.get('kind')!r}")
+    _check_convention(doc)
     nw, mw = _window(doc)
     grids: dict[str, dict[tuple[int, int], Fraction]] = {}
     for kind in KINDS:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import (DegeneracyError, DimensionError, IntegrityError, ParseError,
@@ -312,6 +312,17 @@ def ratio_sum(*terms: tuple) -> tuple[int, int]:
             td *= q
         num, den = num * td + tn * den, den * td
     return num, den
+
+
+def lowest_terms(num: int, den: int) -> tuple[int, int]:
+    """num / den as the pair of its Fraction, in lowest terms with den > 0,
+    from one gcd; a zero den raises ZeroDivisionError, as Fraction does."""
+    if not den:
+        raise ZeroDivisionError(f"ratio {num}/0")
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
 
 
 def settle(pair: tuple[int, int]) -> Fraction:

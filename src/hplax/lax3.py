@@ -131,7 +131,7 @@ def _alpha2(field: RecurrenceField, norms: NormalizationGrid,
     if n == 0:
         num, den = norms.h1(0, m).as_integer_ratio()
         return -num, den
-    a, a_den = field.a(n, m).as_integer_ratio()
+    a, a_den = field.pair("a", n, m)
     h, h_den = norms.h1(n - 1, m).as_integer_ratio()
     return a * h, a_den * h_den
 
@@ -142,7 +142,7 @@ def _alpha3(field: RecurrenceField, norms: NormalizationGrid,
     if m == 0:
         num, den = norms.h2(n, 0).as_integer_ratio()
         return -num, den
-    b, b_den = field.b(n, m).as_integer_ratio()
+    b, b_den = field.pair("b", n, m)
     h, h_den = norms.h2(n, m - 1).as_integer_ratio()
     return b * h, b_den * h_den
 
@@ -212,9 +212,8 @@ def zcc_stencil(field: RecurrenceField, norms: NormalizationGrid,
     inside (n+1, m+1) only, so every stencil with n < N and m < M stays in an
     (N, M) window.
     """
-    c, d = field.c(n, m).as_integer_ratio(), field.d(n, m).as_integer_ratio()
-    c_up = field.c(n, m + 1).as_integer_ratio()
-    d_right = field.d(n + 1, m).as_integer_ratio()
+    c, d = field.pair("c", n, m), field.pair("d", n, m)
+    c_up, d_right = field.pair("c", n, m + 1), field.pair("d", n + 1, m)
     g, e = ratio_sum((1, c), (-1, d)), ratio_sum((1, d_right), (-1, c_up))
     a2_up, a3_up = _alpha2(field, norms, n, m + 1), _alpha3(field, norms, n, m + 1)
     a2_right = _alpha2(field, norms, n + 1, m)

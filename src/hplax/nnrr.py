@@ -3,10 +3,12 @@
 The four coefficient grids come from determinant ratios (a, b) and from
 subleading polynomial coefficients (c, d), each entry one integer pair
 (num, den) built from the integers of the table's column eliminations
-(``field_pairs``), and one Fraction of it where a value is read
-(``field_from_table``).  Everything here is
-checkable against an independent route: determinant identities, direct
-recurrence residuals, consistency identities, and series round trips.
+(``field_pairs``).  A ``RecurrenceField`` keeps each entry as its pair in
+lowest terms, den > 0, and forms a Fraction only where a value is read, so
+the readers that write or compare a field (``jsondoc.field_to_doc``,
+``bvp.cross_validate``, ``lax3.zcc_stencil``) run no gcd on it.  Everything
+here is checkable against an independent route: determinant identities,
+direct recurrence residuals, consistency identities, and series round trips.
 """
 
 from __future__ import annotations
@@ -15,31 +17,48 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegeneracyError, NotNormalError, WindowError, check_window
-from .kernel import LaurentTail, Poly, X
+from .kernel import LaurentTail, Poly, X, lowest_terms, rat
 from .hptable import HPTable
 
 KINDS = ("a", "b", "c", "d")
 
 
 class RecurrenceField:
-    """Grids a, b, c, d over a rectangle of lattice indices.
+    """Grids a, b, c, d over a rectangle of lattice indices, each entry kept
+    as its reduced pair (num, den): num / den in lowest terms, den > 0.
 
-    Entries may be absent (e.g. in a partially swept field); reads of absent
-    entries raise WindowError rather than guessing.
+    ``pair`` reads an entry as that pair, ``value`` as its Fraction.  Entries
+    may be absent (e.g. in a partially swept field); reads of absent entries
+    raise WindowError rather than guessing.
     """
 
     def __init__(self, grids: dict[str, dict[tuple[int, int], Fraction]],
                  window: tuple[int, int]):
+        """A field of the values in grids, each coerced by ``kernel.rat``."""
         if set(grids) != set(KINDS):
             raise WindowError(f"field needs grids {KINDS}, got {sorted(grids)}")
-        self._grids = {k: dict(v) for k, v in grids.items()}
+        self._pairs = {kind: {key: rat(x).as_integer_ratio() for key, x in grid.items()}
+                       for kind, grid in grids.items()}
         self.window = window
 
-    def value(self, kind: str, n: int, m: int) -> Fraction:
+    @classmethod
+    def from_pairs(cls, grids: dict[str, dict[tuple[int, int], tuple[int, int]]],
+                   window: tuple[int, int]) -> "RecurrenceField":
+        """A field of the pairs in grids, each already in lowest terms with a
+        positive denominator, kept as given: no gcd is taken."""
+        field = cls({kind: {} for kind in grids}, window)
+        field._pairs = {kind: dict(grid) for kind, grid in grids.items()}
+        return field
+
+    def pair(self, kind: str, n: int, m: int) -> tuple[int, int]:
+        """The entry as its reduced pair (num, den), den > 0."""
         try:
-            return self._grids[kind][(n, m)]
+            return self._pairs[kind][(n, m)]
         except KeyError:
             raise WindowError(f"field entry {kind}[{n}, {m}] is absent") from None
+
+    def value(self, kind: str, n: int, m: int) -> Fraction:
+        return Fraction(*self.pair(kind, n, m))
 
     def a(self, n: int, m: int) -> Fraction:
         return self.value("a", n, m)
@@ -59,9 +78,9 @@ class RecurrenceField:
 
     def replace(self, kind: str, n: int, m: int, value) -> "RecurrenceField":
         """Copy of the field with one entry overwritten (for perturbation tests)."""
-        grids = {k: dict(v) for k, v in self._grids.items()}
-        grids[kind][(n, m)] = Fraction(value)
-        return RecurrenceField(grids, self.window)
+        field = RecurrenceField.from_pairs(self._pairs, self.window)
+        field._pairs[kind][(n, m)] = rat(value).as_integer_ratio()
+        return field
 
     def same_grids(self, other: "RecurrenceField") -> tuple[bool, tuple | None]:
         """Exact comparison on the intersection window; returns first diff."""
@@ -70,9 +89,9 @@ class RecurrenceField:
         for kind in KINDS:
             for n in range(nw + 1):
                 for m in range(mw + 1):
-                    va, vb = self.value(kind, n, m), other.value(kind, n, m)
-                    if va != vb:
-                        return False, (kind, n, m, va, vb)
+                    if self.pair(kind, n, m) != other.pair(kind, n, m):
+                        return False, (kind, n, m, self.value(kind, n, m),
+                                       other.value(kind, n, m))
         return True, None
 
 
@@ -173,11 +192,11 @@ def field_pairs(table: HPTable, N: int, M: int
 
 
 def field_from_table(table: HPTable, N: int, M: int) -> RecurrenceField:
-    """All four grids on the (N+1) x (M+1) window, each entry one Fraction
-    of its pair in ``field_pairs``."""
-    grids = {kind: {key: Fraction(*pair) for key, pair in grid.items()}
+    """All four grids on the (N+1) x (M+1) window, each entry its pair in
+    ``field_pairs`` in lowest terms."""
+    grids = {kind: {key: lowest_terms(*pair) for key, pair in grid.items()}
              for kind, grid in field_pairs(table, N, M).items()}
-    return RecurrenceField(grids, (N, M))
+    return RecurrenceField.from_pairs(grids, (N, M))
 
 
 def check_dminusc(table: HPTable, n: int, m: int) -> Fraction:

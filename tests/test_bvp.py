@@ -1,5 +1,6 @@
 import sys
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -56,6 +57,17 @@ class TestBoundaryData:
             BoundaryData((1, 2), (zero,), (1, 2), (1,))
         with pytest.raises(DegeneracyError):
             BoundaryData((1, 2), (1,), (1, 2), (zero,))
+
+    @pytest.mark.parametrize("reader", ["field", "moments", "table"])
+    @pytest.mark.parametrize("levels", [-1, 1.5, 2.0, True, "2"], ids=repr)
+    def test_bad_levels_are_refused(self, system_a, reference_field, reader, levels):
+        # refused where levels enters: -1 read an empty boundary, 1.5 raised
+        # a bare TypeError
+        read, source = {"field": (boundary_from_field, reference_field),
+                        "moments": (boundary_from_moments, system_a),
+                        "table": (boundary_from_table, HPTable(system_a, 3, 3))}[reader]
+        with pytest.raises(WindowError, match="nonnegative int"):
+            read(source, levels)
 
     def test_matches_jfraction_of_the_measures(self, system_a, reference_field):
         # the axis rows of the lattice field are exactly the continued
@@ -200,12 +212,10 @@ class TestSweepSolve:
                         assert got == reference_field.value(kind, n, m), (kind, n, m)
 
     def test_fraction_operations_per_cell(self, boundary_a, monkeypatch):
-        # Fractions serve the cone only: each exact interior cell adds a + b
-        # once; each edge whose quotient is exact subtracts one bracket, and
-        # the quotient is one Fraction added to each exact c and d; each
-        # exact cell below level N + M subtracts its gap once.  Sweeping the
-        # whole triangle exactly took 100 additions and 72 subtractions.
-        # No product or quotient of Fractions is formed.
+        # the exact cells are reduced integer pairs, so the sweep forms no
+        # Fraction: no sum, difference, product or quotient of Fractions.
+        # With Fractions in the cone it took 76 additions and 60 subtractions,
+        # and the whole triangle exactly 100 and 72.
         counts = dict.fromkeys(("__add__", "__sub__", "__mul__", "__truediv__"), 0)
         for name in counts:
             def counted(x, y, _op=getattr(F, name), _name=name):
@@ -215,7 +225,7 @@ class TestSweepSolve:
         report = sweep_solve(boundary_a, 4, 4)
         monkeypatch.undo()
         assert report.ok and report.divisions_checked == 2 * 8 ** 2
-        assert counts == {"__add__": 76, "__sub__": 60, "__mul__": 0, "__truediv__": 0}
+        assert counts == {"__add__": 0, "__sub__": 0, "__mul__": 0, "__truediv__": 0}
 
     @pytest.mark.parametrize("N, M", [(-1, 2), (2, -1), (-3, -3)])
     def test_negative_window_rejected(self, system_a, boundary_a, N, M):
@@ -614,29 +624,14 @@ class TestSweepParity:
     @settings(max_examples=150, deadline=None)
     @given(planted_boundaries())
     def test_shared_quotient_meets_the_equations(self, drawn):
-        boundary, N, M = drawn
-        report = sweep_solve(boundary, N, M)
-        grids, divisions, failure = equation_sweep(boundary, N, M)
-        assert report.failure == failure
-        assert report.divisions_checked == divisions
-        lam = N + M
-        if failure is None:
-            grids = {kind: {(n, m): grid[(n, m)] for n in range(N + 1)
-                            for m in range(M + 1)}
-                     for kind, grid in grids.items()}
-        for kind in KINDS:
-            for level in range(lam + 2):
-                for n in range(level + 1):
-                    try:
-                        got = report.field.value(kind, n, level - n)
-                    except WindowError:
-                        got = None
-                    assert got == grids[kind].get((n, level - n)), (kind, n, level - n)
+        meets_the_equations(*drawn)
 
 
 def meets_the_equations(boundary, N, M):
     """Assert that ``sweep_solve`` reports what ``equation_sweep`` fills:
-    the same failure, division count and entries, filled or absent."""
+    the same failure, division count and entries, filled or absent, each
+    filled one kept as its reduced pair (``value`` would hide an unreduced
+    pair, which ``jsondoc.field_to_doc`` writes as it is)."""
     report = sweep_solve(boundary, N, M)
     grids, divisions, failure = equation_sweep(boundary, N, M)
     assert report.failure == failure
@@ -648,11 +643,14 @@ def meets_the_equations(boundary, N, M):
     for kind in KINDS:
         for level in range(N + M + 2):
             for n in range(level + 1):
+                want = grids[kind].get((n, level - n))
                 try:
-                    got = report.field.value(kind, n, level - n)
+                    num, den = report.field.pair(kind, n, level - n)
                 except WindowError:
-                    got = None
-                assert got == grids[kind].get((n, level - n)), (kind, n, level - n)
+                    assert want is None, (kind, n, level - n)
+                    continue
+                assert gcd(num, den) == 1 and den > 0, (kind, n, level - n, num, den)
+                assert F(num, den) == want, (kind, n, level - n)
     return report
 
 

@@ -379,6 +379,17 @@ class TestDocRoundtrips:
         with pytest.raises(jsondoc.ParseError):
             decode(doc)
 
+    @pytest.mark.parametrize("decode", ["table", "field"])
+    def test_decoders_refuse_another_convention(self, system_a, decode):
+        decode, doc = {
+            "table": (jsondoc.table_from_doc,
+                      jsondoc.table_to_doc(HPTable(system_a, 2, 2), (1, 1))),
+            "field": (jsondoc.field_from_doc,
+                      jsondoc.field_to_doc(field_from_moments(system_a, 1, 1)))}[decode]
+        decode(doc)
+        with pytest.raises(jsondoc.ParseError, match="convention 'not-cauchy'"):
+            decode({**doc, "convention": "not-cauchy"})
+
     @pytest.mark.parametrize("entry", ["12", ["1", "2"], ["3"], ["1", "0", "1"]])
     def test_table_p_entry_must_be_a_monic_list(self, entry):
         doc = {"kind": "hp_table", "window": [0, 1], "s": [["1", "2"]],
@@ -506,6 +517,9 @@ EXIT_TABLE = [
     ("gen-convention", GEN_MOMENTS,
      lambda s: {**jsondoc.moment_system_to_doc(s), "convention": "not-cauchy"}, None, 2,
      "parse error: convention 'not-cauchy'"),
+    ("gen-kind", GEN_MOMENTS,
+     lambda s: {**jsondoc.moment_system_to_doc(s), "kind": "boundary_data"}, None, 2,
+     "parse error: expected a moment_system"),
     ("gen-label-null", GEN_MOMENTS,
      lambda s: {**jsondoc.moment_system_to_doc(s), "label": None}, None, 2,
      "parse error: label None"),
@@ -1205,7 +1219,8 @@ SCALAR_FIELDS = {
           (("count",), ())]),
         ("gen-moments", ["gen", "--system", "moments", "--order", "8"],
          jsondoc.moment_system_to_doc(SCALAR_SYSTEM),
-         [(("convention",), ()), (("label",), ("0", "abc")), (("count",), ())]),
+         [(("kind",), ()), (("convention",), ()), (("label",), ("0", "abc")),
+          (("count",), ())]),
         ("solve-bvp", ["solve-bvp", "--window", "1", "1"],
          jsondoc.boundary_to_doc(boundary_from_moments(SCALAR_SYSTEM, 2)),
          [(("kind",), ()), (("convention",), ())]),

@@ -1,12 +1,13 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hplax.bvp import field_from_moments
-from hplax.errors import (DegeneracyError, HplaxError, NotNormalError, TruncationError,
-                          WindowError)
+from hplax.errors import (DegeneracyError, HplaxError, NotNormalError, ParseError,
+                          TruncationError, WindowError)
 from hplax.hptable import HPTable
 from hplax.kernel import LeadingMinors, series_of_ratio
 from hplax.measures import MeasureModel, MomentSystem, make_angelesco
@@ -97,7 +98,7 @@ small_moments = st.sampled_from([0, 0, 0, 1, -1, 2, -3, F(1, 2)])
 
 
 class TestIntegerEntries:
-    """Each field entry is one Fraction of the column eliminations' integers;
+    """Each field entry is one reduced pair of the column eliminations' integers;
     on zero-laden and truncated systems, with reads past the window, it
     equals the Fraction formulas or raises the same error at the same index."""
 
@@ -117,6 +118,20 @@ class TestIntegerEntries:
         for kind, n, m in reads:
             assert (outcome(VALUES[kind], fast, n, m)
                     == outcome(entry_by_formula, slow, kind, n, m)), (kind, n, m)
+
+    def test_field_keeps_reduced_pairs(self, system_a):
+        # value would hide an unreduced pair, which field_to_doc writes as it is
+        field = field_from_moments(system_a, 3, 3)
+        for kind in KINDS:
+            for n in range(4):
+                for m in range(4):
+                    num, den = field.pair(kind, n, m)
+                    assert gcd(num, den) == 1 and den > 0, (kind, n, m)
+                    assert F(num, den) == field.value(kind, n, m)
+        coerced = RecurrenceField({kind: {(0, 0): "6/4"} for kind in KINDS}, (0, 0))
+        assert coerced.pair("c", 0, 0) == (3, 2)
+        with pytest.raises(ParseError):
+            RecurrenceField({kind: {(0, 0): "abc"} for kind in KINDS}, (0, 0))
 
     def test_field_forms_no_polynomial(self, system_a, monkeypatch):
         want = field_from_moments(system_a, 5, 5)
