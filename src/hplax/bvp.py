@@ -35,7 +35,7 @@ from .errors import (DegeneracyError, IntegrityError, NonPerfectBoundaryError,
                      NotNormalError, TruncationError, WindowError, check_window)
 from .hptable import HPTable
 from .kernel import ZERO, rat
-from .lax3 import NormalizationGrid, zcc_stencil
+from .lax3 import zero_curvature_holds
 from .measures import MomentSystem, jfraction_entries
 from .nnrr import (KINDS, RecurrenceField, a_value, b_value, c_value, d_value,
                    field_from_table, field_pairs)
@@ -456,7 +456,8 @@ class CrossValidation:
 
     It returns one only when the sweep's grids equal the table's, and the
     sweep's field meets the four consistency identities by construction, so
-    the report holds only the two residual batteries and the sweep's count.
+    the report holds only the orthogonality residuals, whether the
+    zero-curvature identity held at every stencil, and the sweep's count.
     """
 
     window: tuple[int, int]
@@ -476,10 +477,15 @@ def cross_validate(system: MomentSystem, N: int, M: int) -> CrossValidation:
     table's eliminations.  Sweeps, and asserts exact equality of all four
     grids, each sweep entry's reduced pair (x, y) against its reference pair
     (p, q) by x q == y p, so no entry of either is reduced or made a
-    Fraction; then checks orthogonality over the window and the
-    zero-curvature residual at each of its N x M stencils (n < N, m < M) on
-    the sweep's field, now equal to the table's, with the normalisations
-    read off the table's minors (``HPTable.normalizations``).  Any mismatch
+    Fraction; then checks orthogonality over the window and zero curvature
+    at each of its N x M stencils (n < N, m < M) as one integer identity on
+    the table's memoised minors and the sweep's gap,
+    K(n+1, m+1) K(n, m) = gap(n, m) K(n, m+1) K(n+1, m)
+    (``lax3.zero_curvature_holds``).  On a field that meets the consistency
+    identities, with the gauge read off the same minors, the six scalars of
+    the 3x3 residual (``lax3.zcc_stencil``, in the tests) vanish at every
+    stencil exactly when this identity holds at every stencil, so no
+    normalisation and no gauge entry is formed.  Any mismatch
     raises with the first differing index, kind by kind in ``KINDS`` order
     and then row by row, its text naming the two values in lowest terms; a
     sweep stopped by a zero gap (n, m) where S(n+1, m+1) vanishes (by the
@@ -519,9 +525,6 @@ def cross_validate(system: MomentSystem, N: int, M: int) -> CrossValidation:
                 if r:
                     orth_max = max(orth_max, abs(r))
 
-    zcc_zero = True
-    if N >= 1 and M >= 1:
-        norms = NormalizationGrid(*table.normalizations(N, M), (N, M))
-        zcc_zero = not any(any(zcc_stencil(field, norms, n, m))
-                           for n in range(N) for m in range(M))
+    zcc_zero = all(zero_curvature_holds(table, field, n, m)
+                   for n in range(N) for m in range(M))
     return CrossValidation((N, M), zcc_zero, orth_max, report.divisions_checked)

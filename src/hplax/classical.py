@@ -87,7 +87,10 @@ def _qd_field(moments) -> QdField:
 
 
 def _check_hankel(moments, n: int, k: int) -> None:
-    """Reject a negative index, and a nonempty block past the last moment."""
+    """Reject an index that is not an int (a bool is not one) or is
+    negative, and a nonempty block past the last moment."""
+    if type(n) is not int or type(k) is not int:
+        raise WindowError(f"Hankel block ({n!r}, {k!r}) needs int indices")
     if n < 0 or k < 0:
         raise WindowError(f"Hankel block ({n}, {k}) has a negative index")
     top = 2 * n + k - 2

@@ -217,6 +217,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.  Integers of any size
+    convert to and from text for the call: the interpreter's digit limit is
+    lifted and put back on return, since callers may run main in-process."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)

@@ -26,13 +26,17 @@ ZERO = Fraction(0)
 
 def rat(x: Ratlike) -> Fraction:
     """Coerce an int, a ``p/q`` string, or a Fraction to an exact rational;
-    anything that is not a rational raises ParseError."""
+    anything that is not a rational raises ParseError, whose text shows at
+    most the first 40 characters of the value."""
     if isinstance(x, Fraction):
         return x
     try:
         return Fraction(x)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
-        raise ParseError(f"bad rational {x!r}") from exc
+        text = repr(x)
+        if len(text) > 40:
+            text = f"{text[:40]}... ({len(text)} characters)"
+        raise ParseError(f"bad rational {text}") from exc
 
 
 def _coerced(coeffs: Iterable[Ratlike]) -> tuple[Fraction, ...]:

@@ -10,10 +10,18 @@ entries collapse to (alpha2, alpha4) = (-h1(0, m), 0) and
 every transition matrix invertible with constant determinant, and keeps the
 propagation identities exact on the whole quarter lattice.
 
-The zero-curvature check runs on six scalars per stencil read straight from
-the field and the gauge entries (``zcc_stencil``), each one integer
-numerator, so it forms no matrix and reduces no vanishing value; the products
-of the ``build_transition`` pairs (``zcc_residual``) are its oracle.
+Zero curvature is checked as one integer identity per stencil on the
+table's minors and the field's gap (``zero_curvature_holds``), with no
+gauge entry and no normalisation: on a field that meets the consistency
+identities, as a swept field does, and with h1, h2 the ratios of minors
+that ``HPTable.normalizations`` reads, the six scalars of a stencil that can
+be nonzero (``zcc_stencil``) vanish at every stencil exactly when that
+identity holds at every stencil.  Two of the six are the identity itself,
+two more the identity at the left or lower neighbour, and the last two are
+consistency identities.  ``zcc_stencil`` reads the six off the field and the
+gauge entries, each one integer numerator, so it forms no matrix; the
+products of the ``build_transition`` pairs (``zcc_residual``) are its
+oracle.  ``zcc_stencil`` and ``zcc_residual`` serve the tests only.
 """
 
 from __future__ import annotations
@@ -228,6 +236,29 @@ def zcc_stencil(field: RecurrenceField, norms: NormalizationGrid,
         ratio_sum((1, _alpha3(field, norms, n, m), e), (-1, a3_right)),
         ratio_sum((1, _alpha4(norms, n + 1, m + 1), g), (-1, a4_right)),
         ratio_sum((1, _alpha5(norms, n + 1, m + 1), g), (1, a5_up)))))
+
+
+def zero_curvature_holds(table: HPTable, field: RecurrenceField,
+                         n: int, m: int) -> bool:
+    """Whether the zero-curvature stencil (n, m) holds, as the identity
+    K(n+1, m+1) K(n, m) = gap(n, m) K(n, m+1) K(n+1, m) on the table's
+    minors K (``HPTable.minor``) and the field's gap c - d, cross-multiplied
+    so no Fraction is formed.
+
+    With h1 = K(n+1, m) / (D1 K(n, m)) and h2 = (-1)^n K(n, m+1) / (D2 K(n, m))
+    it is entries 4 and 5 of ``zcc_stencil``, h1(n, m+1) = gap h1(n, m) and
+    h2(n+1, m) = -gap h2(n, m), the D factors cancelling.  Given the
+    consistency identities, entries 2 and 3 are it at (n-1, m) and (n, m-1),
+    or at (n, m) itself where that index leaves the lattice, and entries 0
+    and 1 are two of those identities.  It reads the minors inside
+    (n+1, m+1) only, so every stencil with n < N and m < M stays in an
+    (N, M) window.
+    """
+    c, c_den = field.pair("c", n, m)
+    d, d_den = field.pair("d", n, m)
+    minor = table.minor
+    return (minor(n + 1, m + 1) * minor(n, m) * c_den * d_den
+            == (c * d_den - d * c_den) * minor(n, m + 1) * minor(n + 1, m))
 
 
 # -- wave matrices -----------------------------------------------------------

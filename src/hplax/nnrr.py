@@ -6,9 +6,10 @@ subleading polynomial coefficients (c, d), each entry one integer pair
 (``field_pairs``).  A ``RecurrenceField`` keeps each entry as its pair in
 lowest terms, den > 0, and forms a Fraction only where a value is read, so
 the readers that write or compare a field (``jsondoc.field_to_doc``,
-``bvp.cross_validate``, ``lax3.zcc_stencil``) run no gcd on it.  Everything
-here is checkable against an independent route: determinant identities,
-direct recurrence residuals, consistency identities, and series round trips.
+``bvp.cross_validate``, ``lax3.zero_curvature_holds``) run no gcd on it.
+Everything here is checkable against an independent route: determinant
+identities, direct recurrence residuals, consistency identities, and series
+round trips.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ class RecurrenceField:
 
     def __init__(self, grids: dict[str, dict[tuple[int, int], Fraction]],
                  window: tuple[int, int]):
-        """A field of the values in grids, each coerced by ``kernel.rat``."""
+        """A field of the values in grids, each coerced by ``kernel.rat``,
+        over a window that ``check_window`` accepts."""
+        check_window(*window)
         if set(grids) != set(KINDS):
             raise WindowError(f"field needs grids {KINDS}, got {sorted(grids)}")
         self._pairs = {kind: {key: rat(x).as_integer_ratio() for key, x in grid.items()}

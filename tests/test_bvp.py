@@ -337,12 +337,12 @@ class TestCrossValidate:
                                 MeasureModel.interval(1, 2), 40)
         seen = []
 
-        def recording(field, norms, n, m):
+        def recording(table, field, n, m):
             seen.append((n, m))
-            return zcc_stencil(field, norms, n, m)
+            return holds(table, field, n, m)
 
-        zcc_stencil = bvp.zcc_stencil
-        monkeypatch.setattr(bvp, "zcc_stencil", recording)
+        holds = bvp.zero_curvature_holds
+        monkeypatch.setattr(bvp, "zero_curvature_holds", recording)
         N, M = window
         assert cross_validate(system, N, M).zcc_all_zero
         assert sorted(seen) == [(n, m) for n in range(N) for m in range(M)]

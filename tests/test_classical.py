@@ -104,6 +104,19 @@ class TestQdFieldOnRandomSequences:
                 assert got[0] is WindowError, (kind, n, k)
 
 
+@pytest.mark.parametrize("n, k", [(1.5, 0), (0, 1.5), (True, 0), (1, False), ("1", 0),
+                                  (2.0, 1)], ids=repr)
+def test_an_index_that_is_not_an_int_is_refused(n, k):
+    # the QdField reads and both oracles refuse it with WindowError, as a
+    # negative index, rather than raising a bare TypeError or reading a bool
+    moments = [1, F(1, 2), F(1, 3), F(1, 4), F(1, 5), F(1, 6), F(1, 7), F(1, 8)]
+    qd = QdField(moments)
+    for read in (qd.minor, qd.hankel, qd.vw, lambda n, k: hankel_shifted(moments, n, k),
+                 lambda n, k: qd_vw(moments, n, k)):
+        with pytest.raises(WindowError, match="needs int indices"):
+            read(n, k)
+
+
 class TestQdIdentities:
     """The qd identities read in V and W on random sequences, wherever the
     reads are defined.  With V(n, k) = q_(n+1)^(k) and

@@ -308,7 +308,7 @@ def test_stdin_input_writes_the_bytes_of_a_file_input(tmp_path, capsys, monkeypa
 NONZERO_RESIDUALS = [
     ("verify", HPTable, "orthogonality_residuals", lambda self, n, m: ([F(-2, 3)], []),
      "orthogonality_residuals", "2/3"),
-    ("verify", bvp, "zcc_stencil", lambda field, norms, n, m: (0, 1),
+    ("verify", bvp, "zero_curvature_holds", lambda table, field, n, m: False,
      "zcc_max_residual_degree", "nonzero"),
     ("qd", classical, "zcc2_residual", lambda qd, n, k: (0, 1), "zcc2_residual", "nonzero"),
 ]
@@ -575,6 +575,36 @@ def test_exit_code_table(tmp_path, system_a, monkeypatch, capsys,
     assert fragment in capsys.readouterr().err
     if code in (2, 3, 5):
         assert not out.exists()
+
+
+# a moment longer than the 4,300 digits the interpreter converts between
+# text and int by default
+LONG = "7" * 5000
+
+
+@pytest.mark.parametrize("limit", [4300, 640, 0])
+def test_a_long_integer_passes_and_the_digit_limit_comes_back(tmp_path, capsys, system_a,
+                                                               limit):
+    # gen writes the 5,000 digits back unchanged, and a bad value of that
+    # length exits 2 with a short message; after both exits the caller's
+    # digit limit is what it was
+    doc = jsondoc.moment_system_to_doc(system_a)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for value, code in ((LONG, 0), (LONG + "x", 2)):
+            doc["s1"][0] = value
+            path = write_json(tmp_path / "in.json", doc)
+            assert main(GEN_MOMENTS + ["--in", path]) == code
+            assert sys.get_int_max_str_digits() == limit
+            out, err = capsys.readouterr()
+            if code == 0:
+                assert json.loads(out)["s1"][0] == LONG and err == ""
+            else:
+                assert out == "" and err == (
+                    f"parse error: bad rational '{LONG[:39]}... (5003 characters)\n")
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 # -- the writer ----------------------------------------------------------------
@@ -950,16 +980,18 @@ def test_verify_forms_no_fraction_field(tmp_path, capsys, monkeypatch, system_a)
 
 
 def refuse_oracles(monkeypatch):
-    """Make MatPoly products, HPTable.pairing, moment_pairing, det_exact,
-    consistency_residuals, normalization_grid and boundary_from_table
-    raise, the last five under every name an hplax module binds them to."""
+    """Make MatPoly products, HPTable.pairing, HPTable.normalizations,
+    moment_pairing, det_exact, consistency_residuals, normalization_grid,
+    zcc_stencil and boundary_from_table raise, the last six under every name
+    an hplax module binds them to."""
     def refuse(*args):
         raise AssertionError("an oracle ran on a CLI route")
 
     monkeypatch.setattr(MatPoly, "__mul__", refuse)
     monkeypatch.setattr(HPTable, "pairing", refuse)
+    monkeypatch.setattr(HPTable, "normalizations", refuse)
     for original in (kernel.moment_pairing, kernel.det_exact, nnrr.consistency_residuals,
-                     lax3.normalization_grid, bvp.boundary_from_table):
+                     lax3.normalization_grid, lax3.zcc_stencil, bvp.boundary_from_table):
         for name, module in list(sys.modules.items()):
             if name == "hplax" or name.startswith("hplax."):
                 for attr, value in list(vars(module).items()):
@@ -1004,8 +1036,9 @@ def run_unpinned(tmp_path, capsys, system, case):
                          + list(UNPINNED_CLI))
 def test_cli_runs_no_oracle(tmp_path, capsys, monkeypatch, system_a, case):
     # MatPoly products, the pairings of single shifts, moment_pairing,
-    # det_exact, the consistency identities, the normalisation pairings and
-    # the table's axes as a boundary serve only the tests
+    # det_exact, the consistency identities, the normalisations and their
+    # pairings, the zero-curvature stencils and the table's axes as a
+    # boundary serve only the tests
     if case in UNPINNED_CLI:
         want = run_unpinned(tmp_path, capsys, system_a, case)
         refuse_oracles(monkeypatch)
@@ -1322,6 +1355,19 @@ class TestContract:
         (n, k), doc = drawn
         path = write_json(contract_dir / "moments.json", doc)
         assert_contract(path, ["qd", "--window", str(n), str(k)])
+
+    @pytest.mark.parametrize("argv", [GEN_MOMENTS, ["table", "--window", "1", "1"],
+                                      ["coeffs", "--window", "1", "1"],
+                                      ["verify", "--window", "1", "1"]], ids=lambda a: a[0])
+    def test_long_integers(self, contract_dir, argv):
+        # a moment of 5,000 digits is a rational like any other: the call
+        # keeps the contract, and gen and table write the digits out
+        doc = jsondoc.moment_system_to_doc(SCALAR_SYSTEM)
+        doc["s1"][0] = LONG
+        text = assert_contract(write_json(contract_dir / "long.json", doc), argv)
+        assert text is not None
+        if argv[0] in ("gen", "table"):
+            assert LONG in text
 
     @pytest.mark.parametrize("field", list(SCALAR_FIELDS))
     def test_scalar_replacements(self, contract_dir, field):

@@ -1,9 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hplax.bvp import BoundaryData, sweep_solve
 from hplax.errors import TruncationError, WindowError
 from hplax.hptable import HPTable
 from hplax.kernel import LaurentTail, MatPoly, Poly, X
@@ -11,7 +12,7 @@ from hplax.measures import MeasureModel, make_angelesco
 from hplax.lax3 import (NormalizationGrid, assemble_l, assemble_m,
                         build_transition, normalization_grid,
                         path_transport, propagate, wave_matrix, waves_agree,
-                        zcc_residual, zcc_stencil)
+                        zcc_residual, zcc_stencil, zero_curvature_holds)
 from hplax.nnrr import KINDS, RecurrenceField, field_from_table
 
 
@@ -206,6 +207,105 @@ class TestZccStencil:
             scalars = zcc_stencil(field, norms, n, m)
             assert scalars == product_entries(wide_field, wide_norms, n, m), (n, m)
             assert not any(scalars), (n, m)
+
+
+class Minors:
+    """The minors K(n, m) of a swept field over its window, as
+    ``HPTable.minor`` reads them: drawn on the axes, and inside from the
+    identity K(n+1, m+1) K(n, m) = gap(n, m) K(n, m+1) K(n+1, m)."""
+
+    def __init__(self, field, axis):
+        N, M = field.window
+        k = {(0, 0): 1, **{(n, 0): axis[n - 1] for n in range(1, N + 1)},
+             **{(0, m): axis[N + m - 1] for m in range(1, M + 1)}}
+        for n in range(N):
+            for m in range(M):
+                k[(n + 1, m + 1)] = field.gap(n, m) * k[(n, m + 1)] * k[(n + 1, m)] / k[(n, m)]
+        self.k = k
+
+    def minor(self, n, m):
+        return self.k[(n, m)]
+
+
+def normalizations_of(minors, window, d1, d2):
+    """The grids h1, h2 that ``HPTable.normalizations`` reads off the minors
+    with moment scales d1, d2, h1(n, m) = K(n+1, m) / (d1 K(n, m)) and
+    h2(n, m) = (-1)^n K(n, m+1) / (d2 K(n, m)), where the window holds the
+    minors they read: the entries every stencil n < N, m < M reads."""
+    N, M = window
+    k = minors.k
+    return ({(n, m): k[(n + 1, m)] / (d1 * k[(n, m)]) for n in range(N) for m in range(M + 1)},
+            {(n, m): (-1) ** n * k[(n, m + 1)] / (d2 * k[(n, m)])
+             for n in range(N + 1) for m in range(M)})
+
+
+def neighbours(stencils, N, M):
+    """The stencils and their right and upper neighbours inside n < N, m < M."""
+    return {(n + dn, m + dm) for n, m in stencils for dn, dm in ((0, 0), (1, 0), (0, 1))
+            if n + dn < N and m + dm < M}
+
+
+@st.composite
+def swept_fields(draw):
+    """A window (N, M) with N, M in 1..3 and the field swept over it from
+    boundary rows of small rationals, a and b nonzero, to level N + M; a
+    boundary that hits a zero gap is not perfect and is drawn again."""
+    N, M = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    lam = N + M
+    cd = st.lists(small_values, min_size=lam + 1, max_size=lam + 1)
+    ab = st.lists(small_values.filter(bool), min_size=lam, max_size=lam)
+    report = sweep_solve(BoundaryData(draw(cd), draw(ab), draw(cd), draw(ab)), N, M)
+    assume(report.ok)
+    return report.field
+
+
+class TestZeroCurvatureIdentity:
+    """``zero_curvature_holds`` against the six scalars of ``zcc_stencil``
+    on normalisations read off the same minors: the identity fails at a
+    stencil exactly where entry 4 or 5 is nonzero, and some entry is
+    nonzero exactly at a failing stencil or its right or upper neighbour,
+    so the battery reads zero at every stencil exactly when the identity
+    holds at every stencil."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(swept_fields(), st.data())
+    def test_fails_where_the_stencils_do(self, field, data):
+        N, M = field.window
+        axis = data.draw(st.lists(small_values.filter(bool), min_size=N + M, max_size=N + M))
+        minors = Minors(field, axis)
+        change = data.draw(st.sampled_from(["none", "minor", "h1"]))
+        if change == "minor":
+            # one K scaled: the identity fails at the (up to) four stencils
+            # that read it, and the normalisations read the scaled K too
+            at = data.draw(st.sampled_from(sorted(minors.k)))
+            minors.k[at] *= data.draw(st.sampled_from([3, -1, F(1, 2), F(-5, 3)]))
+            n0, m0 = at
+            expected = {(n, m) for n in (n0 - 1, n0) for m in (m0 - 1, m0)
+                        if 0 <= n < N and 0 <= m < M}
+        else:
+            expected = set()
+        d1, d2 = data.draw(st.sampled_from([1, 2, 6])), data.draw(st.sampled_from([1, 3]))
+        h1, h2 = normalizations_of(minors, (N, M), d1, d2)
+        if change == "h1":
+            # one h1 doubled, which no minors give
+            n0, m0 = at = data.draw(st.sampled_from(sorted(h1)))
+            h1[at] *= 2
+        stencils = [(n, m) for n in range(N) for m in range(M)]
+        failing = {s for s in stencils if not zero_curvature_holds(minors, field, *s)}
+        assert failing == expected
+        entries = {s: zcc_stencil(field, NormalizationGrid(h1, h2, (N, M)), *s)
+                   for s in stencils}
+        if change == "h1":
+            # the identity, which reads no normalisation, holds, while entry
+            # 4 fails at the stencils that read the doubled h1 and entry 2
+            # there and at their right neighbours
+            doubled = {(n0, m) for m in (m0 - 1, m0) if 0 <= m < M}
+            assert {s for s in stencils if entries[s][4]} == doubled
+            assert {s for s in stencils if any(entries[s])} == {
+                (n + dn, m) for n, m in doubled for dn in (0, 1) if n + dn < N}
+            return
+        assert {s for s in stencils if entries[s][4] or entries[s][5]} == failing
+        assert {s for s in stencils if any(entries[s])} == neighbours(failing, N, M)
 
 
 @pytest.mark.parametrize("zero_at", [("h1", (0, 1)), ("h2", (1, 0))])

@@ -133,6 +133,15 @@ class TestIntegerEntries:
         with pytest.raises(ParseError):
             RecurrenceField({kind: {(0, 0): "abc"} for kind in KINDS}, (0, 0))
 
+    @pytest.mark.parametrize("window", [(-1, 5), (2, -1), (1.5, 0), (True, 1), ("2", 2)],
+                             ids=repr)
+    def test_field_refuses_a_bad_window(self, window):
+        # the constructor and from_pairs, which shares it, refuse the window
+        # as check_window does, before reading any entry
+        for build in (RecurrenceField, RecurrenceField.from_pairs):
+            with pytest.raises(WindowError, match="nonnegative ints"):
+                build({kind: {} for kind in KINDS}, window)
+
     def test_field_forms_no_polynomial(self, system_a, monkeypatch):
         want = field_from_moments(system_a, 5, 5)
 
