@@ -37,7 +37,7 @@ from .hptable import HPTable
 from .kernel import ZERO, rat
 from .lax3 import zero_curvature_holds
 from .measures import MomentSystem, jfraction_entries
-from .nnrr import (KINDS, RecurrenceField, a_value, b_value, c_value, d_value,
+from .nnrr import (KINDS, RecurrenceField, a_pair, b_pair, c_pair, d_pair,
                    field_from_table, field_pairs)
 
 # the prime of the residue shell (a Mersenne prime); as long as it is prime,
@@ -131,10 +131,10 @@ def boundary_from_table(table: HPTable, levels: int) -> BoundaryData:
     """
     _check_levels(levels)
     return BoundaryData(
-        c_row=tuple(c_value(table, n, 0) for n in range(levels + 1)),
-        a_row=tuple(a_value(table, n, 0) for n in range(1, levels + 1)),
-        d_col=tuple(d_value(table, 0, m) for m in range(levels + 1)),
-        b_col=tuple(b_value(table, 0, m) for m in range(1, levels + 1)),
+        c_row=tuple(Fraction(*c_pair(table, n, 0)) for n in range(levels + 1)),
+        a_row=tuple(Fraction(*a_pair(table, n, 0)) for n in range(1, levels + 1)),
+        d_col=tuple(Fraction(*d_pair(table, 0, m)) for m in range(levels + 1)),
+        b_col=tuple(Fraction(*b_pair(table, 0, m)) for m in range(1, levels + 1)),
     )
 
 
@@ -482,10 +482,10 @@ def cross_validate(system: MomentSystem, N: int, M: int) -> CrossValidation:
     the table's memoised minors and the sweep's gap,
     K(n+1, m+1) K(n, m) = gap(n, m) K(n, m+1) K(n+1, m)
     (``lax3.zero_curvature_holds``).  On a field that meets the consistency
-    identities, with the gauge read off the same minors, the six scalars of
-    the 3x3 residual (``lax3.zcc_stencil``, in the tests) vanish at every
-    stencil exactly when this identity holds at every stencil, so no
-    normalisation and no gauge entry is formed.  Any mismatch
+    identities, with the gauge read off the same minors, the 3x3 residual
+    of the transition pairs (``lax3.zcc_residual``, in the tests) vanishes
+    at every stencil exactly when this identity holds at every stencil, so
+    no normalisation and no gauge entry is formed.  Any mismatch
     raises with the first differing index, kind by kind in ``KINDS`` order
     and then row by row, its text naming the two values in lowest terms; a
     sweep stopped by a zero gap (n, m) where S(n+1, m+1) vanishes (by the

@@ -32,9 +32,9 @@ dot(v, D_j s_j[t:]) / (v_k D_j), k = n + m.  So they form no polynomial
 either, and a pairing that vanishes costs no gcd.
 
 The normalisations h1(n, m) = L1[x^n P(n, m)] and h2(n, m) = L2[x^m P(n, m)]
-are ratios of neighbouring determinants, h1 = (-1)^m S(n+1, m) / S(n, m) and
-h2 = S(n, m+1) / S(n, m), so ``normalizations`` reads each as one Fraction
-of memoised minors; the pairings are their oracle.
+are pairings too (``lax3.normalization_grid``); the tests check them against
+the ratios of neighbouring determinants h1 = (-1)^m S(n+1, m) / S(n, m) and
+h2 = S(n, m+1) / S(n, m).
 """
 
 from __future__ import annotations
@@ -121,30 +121,6 @@ class HPTable:
 
     def is_normal(self, n: int, m: int) -> bool:
         return self.s_det(n, m) != 0
-
-    def normalizations(self, N: int, M: int
-                       ) -> tuple[dict[tuple[int, int], Fraction],
-                                  dict[tuple[int, int], Fraction]]:
-        """The grids h1, h2 over the (N+1) x (M+1) window, from the minors:
-        h1(n, m) = K(n+1, m) / (D1 K(n, m)) and
-        h2(n, m) = (-1)^n K(n, m+1) / (D2 K(n, m)), so they read the minors
-        one step past the window.  A zero K(n, m) is not normal; a zero h at
-        a normal index signals corruption and is rejected, as in
-        ``lax3.normalization_grid``."""
-        check_window(N, M)
-        h1, h2 = {}, {}
-        for n in range(N + 1):
-            for m in range(M + 1):
-                k = self.minor(n, m)
-                if k == 0:
-                    raise NotNormalError(n, m)
-                right, up = self.minor(n + 1, m), self.minor(n, m + 1)
-                if right == 0 or up == 0:
-                    raise IntegrityError(
-                        f"normalizing pairing vanishes at normal index ({n}, {m})")
-                h1[(n, m)] = Fraction(right, self._d1 * k)
-                h2[(n, m)] = Fraction(-up if n % 2 else up, self._d2 * k)
-        return h1, h2
 
     # -- the two polynomial routes ----------------------------------------
 

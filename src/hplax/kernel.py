@@ -27,15 +27,20 @@ ZERO = Fraction(0)
 def rat(x: Ratlike) -> Fraction:
     """Coerce an int, a ``p/q`` string, or a Fraction to an exact rational;
     anything that is not a rational raises ParseError, whose text shows at
-    most the first 40 characters of the value."""
+    most the first 40 characters of the value, or only its type where its
+    repr holds an int past the interpreter's limit on int-to-text conversion,
+    whatever limit the caller has set."""
     if isinstance(x, Fraction):
         return x
     try:
         return Fraction(x)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
-        text = repr(x)
-        if len(text) > 40:
-            text = f"{text[:40]}... ({len(text)} characters)"
+        try:
+            text = repr(x)
+            if len(text) > 40:
+                text = f"{text[:40]}... ({len(text)} characters)"
+        except ValueError:      # an int in x past the digit limit
+            text = f"{type(x).__name__} with an int too long to print"
         raise ParseError(f"bad rational {text}") from exc
 
 
@@ -301,21 +306,6 @@ def cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
     for x in values:    # pairwise: lcm(*...) here raised peak memory by ~1.5 MiB
         mult = lcm(mult, x.denominator)
     return [x.numerator * (mult // x.denominator) for x in values], mult
-
-
-def ratio_sum(*terms: tuple) -> tuple[int, int]:
-    """The sum of sign * x_1 * ... * x_k over the terms (sign, x_1, ..., x_k),
-    each x a (numerator, denominator) pair of ints, as one such pair: the
-    numerator over the product of every factor's denominator.  No gcd is
-    taken, so a sum that must vanish costs no reduction."""
-    num, den = 0, 1
-    for sign, *factors in terms:
-        tn, td = sign, 1
-        for p, q in factors:
-            tn *= p
-            td *= q
-        num, den = num * td + tn * den, den * td
-    return num, den
 
 
 def lowest_terms(num: int, den: int) -> tuple[int, int]:

@@ -12,16 +12,13 @@ propagation identities exact on the whole quarter lattice.
 
 Zero curvature is checked as one integer identity per stencil on the
 table's minors and the field's gap (``zero_curvature_holds``), with no
-gauge entry and no normalisation: on a field that meets the consistency
-identities, as a swept field does, and with h1, h2 the ratios of minors
-that ``HPTable.normalizations`` reads, the six scalars of a stencil that can
-be nonzero (``zcc_stencil``) vanish at every stencil exactly when that
-identity holds at every stencil.  Two of the six are the identity itself,
-two more the identity at the left or lower neighbour, and the last two are
-consistency identities.  ``zcc_stencil`` reads the six off the field and the
-gauge entries, each one integer numerator, so it forms no matrix; the
-products of the ``build_transition`` pairs (``zcc_residual``) are its
-oracle.  ``zcc_stencil`` and ``zcc_residual`` serve the tests only.
+gauge entry and no normalisation.  Its oracle is the residual
+L(n, m+1) M(n, m) - M(n+1, m) L(n, m) of the ``build_transition`` pairs
+(``zcc_residual``): on a field that meets the consistency identities, as a
+swept field does, and with h1, h2 the pairings of ``normalization_grid``,
+the residual vanishes at every stencil exactly when the identity holds at
+every stencil.  The pairs, their residual and the pairings serve the tests
+only.
 """
 
 from __future__ import annotations
@@ -30,9 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import IntegrityError, WindowError
-from .kernel import (LaurentTail, MatPoly, Poly, X, poly_from_series_product,
-                     ratio_sum, settle)
+from .errors import IntegrityError, WindowError, check_window
+from .kernel import ZERO, LaurentTail, MatPoly, Poly, X, poly_from_series_product
 from .hptable import HPTable
 from .nnrr import RecurrenceField
 
@@ -88,9 +84,12 @@ class WaveMatrix:
 
 
 def normalization_grid(table: HPTable, N: int, M: int) -> NormalizationGrid:
-    """Both pairing grids over the (N+1) x (M+1) window; zero pairings at a
-    normal index signal corruption and are rejected.  The oracle of
-    ``HPTable.normalizations``, which reads the same grids off the minors."""
+    """Both pairing grids over the (N+1) x (M+1) window, after
+    ``check_window``; zero pairings at a normal index signal corruption and
+    are rejected.  On the table's determinants they are
+    h1(n, m) = (-1)^m S(n+1, m) / S(n, m) and h2(n, m) = S(n, m+1) / S(n, m),
+    which the tests check."""
+    check_window(N, M)
     h1, h2 = {}, {}
     for n in range(N + 1):
         for m in range(M + 1):
@@ -102,57 +101,6 @@ def normalization_grid(table: HPTable, N: int, M: int) -> NormalizationGrid:
             h1[(n, m)] = v1
             h2[(n, m)] = v2
     return NormalizationGrid(h1, h2, (N, M))
-
-
-# -- gauge entries -----------------------------------------------------------
-#
-# Each as a (numerator, denominator) pair of ints, unreduced; a Fraction of
-# the pair is the gauge entry.
-
-
-def _inverse(h: Fraction, name: str, n: int, m: int) -> tuple[int, int]:
-    """-1 / h for h = name[n, m]; a zero h raises, as a Fraction division
-    would."""
-    num, den = h.as_integer_ratio()
-    if num == 0:
-        raise ZeroDivisionError(f"gauge entry -1 / {name}[{n}, {m}] with a zero {name}")
-    return -den, num
-
-
-def _alpha4(norms: NormalizationGrid, n: int, m: int) -> tuple[int, int]:
-    """alpha4 = -1 / h1(n-1, m); zero at n = 0."""
-    if n == 0:
-        return 0, 1
-    return _inverse(norms.h1(n - 1, m), "h1", n - 1, m)
-
-
-def _alpha5(norms: NormalizationGrid, n: int, m: int) -> tuple[int, int]:
-    """alpha5 = -1 / h2(n, m-1); zero at m = 0."""
-    if m == 0:
-        return 0, 1
-    return _inverse(norms.h2(n, m - 1), "h2", n, m - 1)
-
-
-def _alpha2(field: RecurrenceField, norms: NormalizationGrid,
-            n: int, m: int) -> tuple[int, int]:
-    """alpha2 = a(n, m) h1(n-1, m); axis convention -h1(0, m) at n = 0."""
-    if n == 0:
-        num, den = norms.h1(0, m).as_integer_ratio()
-        return -num, den
-    a, a_den = field.pair("a", n, m)
-    h, h_den = norms.h1(n - 1, m).as_integer_ratio()
-    return a * h, a_den * h_den
-
-
-def _alpha3(field: RecurrenceField, norms: NormalizationGrid,
-            n: int, m: int) -> tuple[int, int]:
-    """alpha3 = b(n, m) h2(n, m-1); axis convention -h2(n, 0) at m = 0."""
-    if m == 0:
-        num, den = norms.h2(n, 0).as_integer_ratio()
-        return -num, den
-    b, b_den = field.pair("b", n, m)
-    h, h_den = norms.h2(n, m - 1).as_integer_ratio()
-    return b * h, b_den * h_den
 
 
 def assemble_l(alpha1, alpha2, alpha3, alpha4_next, alpha5_next) -> MatPoly:
@@ -176,23 +124,29 @@ def assemble_m(beta1, alpha2, alpha3, alpha4_up, alpha5_up) -> MatPoly:
 def build_transition(field: RecurrenceField, norms: NormalizationGrid,
                      n: int, m: int) -> TransitionPair:
     """Transition pair at (n, m); the row-2/row-3 entries of L and M live at
-    the shifted indices (n+1, m) and (n, m+1)."""
-    alpha1 = -field.c(n, m)
-    beta1 = -field.d(n, m)
-    alpha2 = Fraction(*_alpha2(field, norms, n, m))
-    alpha3 = Fraction(*_alpha3(field, norms, n, m))
-    alpha4 = Fraction(*_alpha4(norms, n, m))
-    alpha5 = Fraction(*_alpha5(norms, n, m))
-    alpha4_next = Fraction(*_alpha4(norms, n + 1, m))
-    alpha5_next = Fraction(*_alpha5(norms, n + 1, m))
-    alpha4_up = Fraction(*_alpha4(norms, n, m + 1))
-    alpha5_up = Fraction(*_alpha5(norms, n, m + 1))
+    the shifted indices (n+1, m) and (n, m+1).
+
+    The gauge entries are alpha2 = a(n, m) h1(n-1, m), alpha3 =
+    b(n, m) h2(n, m-1), alpha4 = -1 / h1(n-1, m) and alpha5 = -1 / h2(n, m-1),
+    with the axis convention of the module text: alpha2 = -h1(0, m) and
+    alpha4 = 0 at n = 0, alpha3 = -h2(n, 0) and alpha5 = 0 at m = 0.  A zero
+    h that divides raises ZeroDivisionError.
+    """
+    def alpha4(nn: int, mm: int) -> Fraction:
+        return -1 / norms.h1(nn - 1, mm) if nn else ZERO
+
+    def alpha5(nn: int, mm: int) -> Fraction:
+        return -1 / norms.h2(nn, mm - 1) if mm else ZERO
+
+    alpha1, beta1 = -field.c(n, m), -field.d(n, m)
+    alpha2 = field.a(n, m) * norms.h1(n - 1, m) if n else -norms.h1(0, m)
+    alpha3 = field.b(n, m) * norms.h2(n, m - 1) if m else -norms.h2(n, 0)
     return TransitionPair(
         n, m,
-        L=assemble_l(alpha1, alpha2, alpha3, alpha4_next, alpha5_next),
-        M=assemble_m(beta1, alpha2, alpha3, alpha4_up, alpha5_up),
+        L=assemble_l(alpha1, alpha2, alpha3, alpha4(n + 1, m), alpha5(n + 1, m)),
+        M=assemble_m(beta1, alpha2, alpha3, alpha4(n, m + 1), alpha5(n, m + 1)),
         alpha1=alpha1, beta1=beta1, alpha2=alpha2, alpha3=alpha3,
-        alpha4=alpha4, alpha5=alpha5)
+        alpha4=alpha4(n, m), alpha5=alpha5(n, m))
 
 
 def zcc_residual(pair_nm: TransitionPair, pair_right: TransitionPair,
@@ -204,40 +158,6 @@ def zcc_residual(pair_nm: TransitionPair, pair_right: TransitionPair,
     return pair_up.L * pair_nm.M - pair_right.M * pair_nm.L
 
 
-def zcc_stencil(field: RecurrenceField, norms: NormalizationGrid,
-                n: int, m: int) -> tuple[Fraction, ...]:
-    """The six entries of the zero-curvature residual at (n, m) that can be
-    nonzero, read off the field and the gauge entries without forming a
-    matrix: the x and constant terms of entry (0, 0), then entries (0, 1),
-    (0, 2), (1, 0) and (2, 0), with g = c(n, m) - d(n, m) and
-    e = d(n+1, m) - c(n, m+1).  ``zcc_residual`` of the ``build_transition``
-    pairs at (n, m), (n+1, m) and (n, m+1) has these entries; its x^2 term
-    and other entries cancel identically.
-
-    Each entry is one integer numerator over the product of its operands'
-    denominators (``kernel.ratio_sum``), a Fraction only where it does not
-    vanish.  It reads the field inside (n+1, m+1) and the normalisations
-    inside (n+1, m+1) only, so every stencil with n < N and m < M stays in an
-    (N, M) window.
-    """
-    c, d = field.pair("c", n, m), field.pair("d", n, m)
-    c_up, d_right = field.pair("c", n, m + 1), field.pair("d", n + 1, m)
-    g, e = ratio_sum((1, c), (-1, d)), ratio_sum((1, d_right), (-1, c_up))
-    a2_up, a3_up = _alpha2(field, norms, n, m + 1), _alpha3(field, norms, n, m + 1)
-    a2_right = _alpha2(field, norms, n + 1, m)
-    a3_right = _alpha3(field, norms, n + 1, m)
-    a4_up, a5_up = _alpha4(norms, n, m + 1), _alpha5(norms, n, m + 1)
-    a4_right, a5_right = _alpha4(norms, n + 1, m), _alpha5(norms, n + 1, m)
-    return tuple(map(settle, (
-        ratio_sum((1, g), (1, e)),
-        ratio_sum((1, a2_up, a4_up), (-1, a2_right, a4_right), (1, a3_up, a5_up),
-                  (-1, a3_right, a5_right), (-1, c, d_right), (1, c_up, d)),
-        ratio_sum((1, _alpha2(field, norms, n, m), e), (1, a2_up)),
-        ratio_sum((1, _alpha3(field, norms, n, m), e), (-1, a3_right)),
-        ratio_sum((1, _alpha4(norms, n + 1, m + 1), g), (-1, a4_right)),
-        ratio_sum((1, _alpha5(norms, n + 1, m + 1), g), (1, a5_up)))))
-
-
 def zero_curvature_holds(table: HPTable, field: RecurrenceField,
                          n: int, m: int) -> bool:
     """Whether the zero-curvature stencil (n, m) holds, as the identity
@@ -245,14 +165,16 @@ def zero_curvature_holds(table: HPTable, field: RecurrenceField,
     minors K (``HPTable.minor``) and the field's gap c - d, cross-multiplied
     so no Fraction is formed.
 
-    With h1 = K(n+1, m) / (D1 K(n, m)) and h2 = (-1)^n K(n, m+1) / (D2 K(n, m))
-    it is entries 4 and 5 of ``zcc_stencil``, h1(n, m+1) = gap h1(n, m) and
-    h2(n+1, m) = -gap h2(n, m), the D factors cancelling.  Given the
-    consistency identities, entries 2 and 3 are it at (n-1, m) and (n, m-1),
-    or at (n, m) itself where that index leaves the lattice, and entries 0
-    and 1 are two of those identities.  It reads the minors inside
-    (n+1, m+1) only, so every stencil with n < N and m < M stays in an
-    (N, M) window.
+    With the pairings h1 = K(n+1, m) / (D1 K(n, m)) and
+    h2 = (-1)^n K(n, m+1) / (D2 K(n, m)) it is entries (1, 0) and (2, 0) of
+    ``zcc_residual`` of the ``build_transition`` pairs, h1(n, m+1) =
+    gap h1(n, m) and h2(n+1, m) = -gap h2(n, m), the D factors cancelling.
+    Given the consistency identities, entries (0, 1) and (0, 2) are it at
+    (n-1, m) and (n, m-1), or at (n, m) itself where that index leaves the
+    lattice, and the x and constant terms of entry (0, 0) are two of those
+    identities; the x^2 term and the other entries cancel identically.  It
+    reads the minors inside (n+1, m+1) only, so every stencil with n < N
+    and m < M stays in an (N, M) window.
     """
     c, c_den = field.pair("c", n, m)
     d, d_den = field.pair("d", n, m)

@@ -11,11 +11,12 @@ with the J-fraction  g ~ 1/(z - c_0 - a_1/(z - c_1 - ...)).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import (DegeneracyError, DisjointSupportError, PoleError,
+from .errors import (DegeneracyError, DisjointSupportError, ParseError, PoleError,
                      TruncationError, WindowError)
 from .kernel import Poly, Ratlike, cleared, rat, solve_exact
 
@@ -58,15 +59,21 @@ class MeasureModel:
 
 @dataclass(frozen=True)
 class MomentSystem:
-    """Two exact moment sequences of a common truncation order."""
+    """Two exact moment sequences of a common truncation order, each a
+    sequence of values that ``kernel.rat`` accepts; a non-sequence raises
+    ParseError."""
 
     s1: tuple[Fraction, ...]
     s2: tuple[Fraction, ...]
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "s1", tuple(rat(x) for x in self.s1))
-        object.__setattr__(self, "s2", tuple(rat(x) for x in self.s2))
+        for name in ("s1", "s2"):
+            seq = getattr(self, name)
+            if not isinstance(seq, Sequence):
+                raise ParseError(f"moment sequence {name} must be a sequence, "
+                                 f"got {type(seq).__name__}")
+            object.__setattr__(self, name, tuple(rat(x) for x in seq))
         if len(self.s1) != len(self.s2):
             raise DegeneracyError(
                 f"moment sequences differ in length: {len(self.s1)} vs {len(self.s2)}")
@@ -121,6 +128,8 @@ def measure_moments(mu: MeasureModel, count: int) -> list[Fraction]:
     integer power sums over one denominator (``_power_sums``); with its ends
     cleared to A / Q and C / Q, moment j - 1 of the interval [A / Q, C / Q]
     is (C^j - A^j) / (j Q^j)."""
+    if type(count) is not int:
+        raise DegeneracyError(f"moment count must be an int, got {count!r}")
     if count < 0:
         raise DegeneracyError(f"moment count must be nonnegative, got {count}")
     if mu.kind == INTERVAL:
@@ -272,6 +281,8 @@ def moments_to_jfraction(s, depth: int) -> JFraction:
     that is, where a leading principal Hankel determinant vanishes.
     """
     s = [rat(x) for x in s]
+    if type(depth) is not int:
+        raise DegeneracyError(f"J-fraction depth must be an int, got {depth!r}")
     if depth < 1:
         raise DegeneracyError("J-fraction depth must be at least 1")
     if len(s) < 2 * depth:
@@ -295,6 +306,8 @@ def jfraction_to_moments(j: JFraction, count: int) -> list[Fraction]:
     where T^k e_0 can be nonzero, and below count - k, from which v_0 can
     still be reached.
     """
+    if type(count) is not int:
+        raise DegeneracyError(f"moment count must be an int, got {count!r}")
     if count < 0:
         raise DegeneracyError(f"moment count must be nonnegative, got {count}")
     if count == 0:

@@ -3,7 +3,10 @@
 The four coefficient grids come from determinant ratios (a, b) and from
 subleading polynomial coefficients (c, d), each entry one integer pair
 (num, den) built from the integers of the table's column eliminations
-(``field_pairs``).  A ``RecurrenceField`` keeps each entry as its pair in
+(``a_pair`` .. ``d_pair``, gathered by ``field_pairs``); a reader that needs
+one entry's value, such as ``m_minus_series`` or
+``bvp.boundary_from_table``, takes the Fraction of its pair.  A
+``RecurrenceField`` keeps each entry as its pair in
 lowest terms, den > 0, and forms a Fraction only where a value is read, so
 the readers that write or compare a field (``jsondoc.field_to_doc``,
 ``bvp.cross_validate``, ``lax3.zero_curvature_holds``) run no gcd on it.
@@ -157,26 +160,6 @@ def d_pair(table: HPTable, n: int, m: int) -> tuple[int, int]:
     return _sub_difference(table.subleading(n, m), table.subleading(n, m + 1))
 
 
-def a_value(table: HPTable, n: int, m: int) -> Fraction:
-    """a(n, m), one Fraction of ``a_pair``."""
-    return Fraction(*a_pair(table, n, m))
-
-
-def b_value(table: HPTable, n: int, m: int) -> Fraction:
-    """b(n, m), one Fraction of ``b_pair``."""
-    return Fraction(*b_pair(table, n, m))
-
-
-def c_value(table: HPTable, n: int, m: int) -> Fraction:
-    """c(n, m), one Fraction of ``c_pair``."""
-    return Fraction(*c_pair(table, n, m))
-
-
-def d_value(table: HPTable, n: int, m: int) -> Fraction:
-    """d(n, m), one Fraction of ``d_pair``."""
-    return Fraction(*d_pair(table, n, m))
-
-
 def field_pairs(table: HPTable, N: int, M: int
                 ) -> dict[str, dict[tuple[int, int], tuple[int, int]]]:
     """All four grids on the (N+1) x (M+1) window as integer pairs (num,
@@ -274,15 +257,15 @@ def m_minus_series(table: HPTable, j: int, n: int, m: int, order: int) -> Lauren
         key = (jj, nn, mm)
         if key in memo:
             return memo[key]
-        diag = c_value(table, nn, mm) if jj == 1 else d_value(table, nn, mm)
+        diag = Fraction(*(c_pair if jj == 1 else d_pair)(table, nn, mm))
         branch = [Fraction(0)] * order
         if nn >= 1:
-            av = a_value(table, nn, mm)
+            av = Fraction(*a_pair(table, nn, mm))
             prev = level(1, nn - 1, mm)
             for i in range(order):
                 branch[i] += av * prev[i]
         if mm >= 1:
-            bv = b_value(table, nn, mm)
+            bv = Fraction(*b_pair(table, nn, mm))
             prev = level(2, nn, mm - 1)
             for i in range(order):
                 branch[i] += bv * prev[i]

@@ -980,18 +980,18 @@ def test_verify_forms_no_fraction_field(tmp_path, capsys, monkeypatch, system_a)
 
 
 def refuse_oracles(monkeypatch):
-    """Make MatPoly products, HPTable.pairing, HPTable.normalizations,
-    moment_pairing, det_exact, consistency_residuals, normalization_grid,
-    zcc_stencil and boundary_from_table raise, the last six under every name
-    an hplax module binds them to."""
+    """Make MatPoly products, HPTable.pairing, moment_pairing, det_exact,
+    consistency_residuals, normalization_grid, build_transition,
+    zcc_residual and boundary_from_table raise, the last seven under every
+    name an hplax module binds them to."""
     def refuse(*args):
         raise AssertionError("an oracle ran on a CLI route")
 
     monkeypatch.setattr(MatPoly, "__mul__", refuse)
     monkeypatch.setattr(HPTable, "pairing", refuse)
-    monkeypatch.setattr(HPTable, "normalizations", refuse)
     for original in (kernel.moment_pairing, kernel.det_exact, nnrr.consistency_residuals,
-                     lax3.normalization_grid, lax3.zcc_stencil, bvp.boundary_from_table):
+                     lax3.normalization_grid, lax3.build_transition, lax3.zcc_residual,
+                     bvp.boundary_from_table):
         for name, module in list(sys.modules.items()):
             if name == "hplax" or name.startswith("hplax."):
                 for attr, value in list(vars(module).items()):
@@ -1036,9 +1036,9 @@ def run_unpinned(tmp_path, capsys, system, case):
                          + list(UNPINNED_CLI))
 def test_cli_runs_no_oracle(tmp_path, capsys, monkeypatch, system_a, case):
     # MatPoly products, the pairings of single shifts, moment_pairing,
-    # det_exact, the consistency identities, the normalisations and their
-    # pairings, the zero-curvature stencils and the table's axes as a
-    # boundary serve only the tests
+    # det_exact, the consistency identities, the normalisations, the
+    # transition pairs and their zero-curvature residual and the table's
+    # axes as a boundary serve only the tests
     if case in UNPINNED_CLI:
         want = run_unpinned(tmp_path, capsys, system_a, case)
         refuse_oracles(monkeypatch)

@@ -61,7 +61,7 @@ class TestSDet:
 
     def test_normalizations_refuse_a_bad_window(self, table_a, bad_window):
         with pytest.raises(WindowError, match="nonnegative ints"):
-            table_a.normalizations(*bad_window)
+            normalization_grid(table_a, *bad_window)
 
 
 class TestIsNormal:
@@ -359,11 +359,27 @@ def normalization_systems(draw):
     return (N, M), system
 
 
+def normalizations_by_determinants(table, N, M):
+    """h1(n, m) = (-1)^m S(n+1, m) / S(n, m) and h2(n, m) = S(n, m+1) / S(n, m)
+    over the (N+1) x (M+1) window, from ``s_det``, index by index as
+    ``normalization_grid`` reads them, with its errors."""
+    h1, h2 = {}, {}
+    for n in range(N + 1):
+        for m in range(M + 1):
+            s = table.s_det(n, m)
+            if s == 0:
+                raise NotNormalError(n, m)
+            h1[(n, m)] = (-1) ** m * table.s_det(n + 1, m) / s
+            h2[(n, m)] = table.s_det(n, m + 1) / s
+            if h1[(n, m)] == 0 or h2[(n, m)] == 0:
+                raise IntegrityError(f"normalizing pairing vanishes at ({n}, {m})")
+    return NormalizationGrid(h1, h2, (N, M))
+
+
 class TestNormalizations:
-    """``HPTable.normalizations``, one Fraction of minors per entry, against
-    the pairings of ``lax3.normalization_grid``, its oracle, on an
-    (N + 1, M + 1) table: the same h1 and h2, including the sign (-1)^n of
-    h2, or the same error at the same index."""
+    """The pairings of ``lax3.normalization_grid`` against the ratios of
+    determinants they equal, on an (N + 1, M + 1) table: the same h1 and h2,
+    including the sign (-1)^m of h1, or the same error at the same index."""
 
     @settings(max_examples=80, deadline=None)
     @given(normalization_systems())
@@ -371,19 +387,17 @@ class TestNormalizations:
                                      MeasureModel.interval(1, 2), 4)))
     def test_minors_meet_the_pairings(self, case):
         (N, M), system = case
-        got = outcome(lambda table: vars(NormalizationGrid(
-            *table.normalizations(N, M), (N, M))), HPTable(system, N + 1, M + 1))
-        want = outcome(lambda table: vars(normalization_grid(table, N, M)),
+        got = outcome(lambda table: vars(normalization_grid(table, N, M)),
+                      HPTable(system, N + 1, M + 1))
+        want = outcome(lambda table: vars(normalizations_by_determinants(table, N, M)),
                        HPTable(system, N + 1, M + 1))
         assert got == want
 
     def test_zero_normalization_raises(self):
         # S(1, 0) = s1[0] = 0 makes h1(0, 0) vanish at the normal origin
         system = MomentSystem((0, 1, 1, 2, 1), (1, 2, 1, 3, 1))
-        for read in (lambda table: table.normalizations(1, 1),
-                     lambda table: normalization_grid(table, 1, 1)):
-            with pytest.raises(IntegrityError, match=r"vanishes at normal index \(0, 0\)"):
-                read(HPTable(system, 2, 2))
+        with pytest.raises(IntegrityError, match=r"vanishes at normal index \(0, 0\)"):
+            normalization_grid(HPTable(system, 2, 2), 1, 1)
 
 
 def record_orders(monkeypatch, name, order):
@@ -482,8 +496,7 @@ class TestWorkCount:
              random.Random(0))
     def test_longer_document_gives_the_same_table(self, case, rng):
         # an (N, M) window and its h1, h2 pairings read max(2N + M, N + 2M) + 1
-        # moments of each sequence, (4, 4) 13, and the minors behind h1, h2
-        # on the (N - 1, M - 1) window two fewer; the rows past a cut
+        # moments of each sequence, (4, 4) 13; the rows past a cut
         # document's last moment are zeros, which no read that passes its
         # depth check sees: each read gives the long document's value or
         # error, or raises TruncationError where the cut is below its depth.
@@ -492,9 +505,7 @@ class TestWorkCount:
         short = MomentSystem(long.s1[:count], long.s2[:count])
         tables = HPTable(long, N, M), HPTable(short, N, M)
         reads = [(max(2 * N + M, N + 2 * M) + 1,      # every h1 and h2
-                  lambda table: vars(normalization_grid(table, N, M))),
-                 (max(2 * N + M, N + 2 * M) - 2,
-                  lambda table: table.normalizations(N - 1, M - 1))]
+                  lambda table: vars(normalization_grid(table, N, M)))]
         for n in range(N + 1):
             for m in range(M + 1):
                 bordered = max(2 * n + m, n + 2 * m)

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hplax.errors import (DegeneracyError, DimensionError, IntegrityError,
-                          TruncationError)
+                          ParseError, TruncationError)
 from hplax.kernel import (LaurentTail, LeadingMinors, MatPoly, Poly, SharedPrefix, X,
-                          det_exact, moment_pairing, poly_from_series_product,
+                          det_exact, moment_pairing, poly_from_series_product, rat,
                           series_of_ratio, solve_exact)
+from hplax.measures import MomentSystem
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 # polynomials of degree at most 2, many of them zero, with zero coefficients
@@ -316,6 +318,22 @@ class TestSolveExact:
         sol = solve_exact(rows, rhs)
         for row, want in zip(rows, rhs):
             assert sum(F(c) * v for c, v in zip(row, sol)) == want
+
+
+@pytest.mark.parametrize("read", [lambda bad: rat(bad),
+                                  lambda bad: MomentSystem([bad], [1])],
+                         ids=["rat", "MomentSystem"])
+def test_an_int_past_the_digit_limit_in_a_bad_value_is_a_parse_error(read):
+    # repr of [10**5000] raises ValueError under the interpreter's default
+    # limit on int-to-text conversion, which the library leaves alone
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ParseError, match="list with an int too long to print"):
+            read([10 ** 5000])
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 class TestRatArithmetic:

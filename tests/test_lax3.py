@@ -12,7 +12,7 @@ from hplax.measures import MeasureModel, make_angelesco
 from hplax.lax3 import (NormalizationGrid, assemble_l, assemble_m,
                         build_transition, normalization_grid,
                         path_transport, propagate, wave_matrix, waves_agree,
-                        zcc_residual, zcc_stencil, zero_curvature_holds)
+                        zcc_residual, zero_curvature_holds)
 from hplax.nnrr import KINDS, RecurrenceField, field_from_table
 
 
@@ -133,9 +133,10 @@ class TestZeroCurvature:
 
 
 def product_entries(field, norms, n, m):
-    """The six entries of the transition-pair residual at (n, m) that
-    ``zcc_stencil`` returns, after checking that its x^2 term and every other
-    entry vanish."""
+    """The six entries of the transition-pair residual at (n, m) that can be
+    nonzero, the x and constant terms of entry (0, 0), then entries (0, 1),
+    (0, 2), (1, 0) and (2, 0), after checking that its x^2 term and every
+    other entry vanish."""
     pairs = {key: build_transition(field, norms, *key)
              for key in ((n, m), (n + 1, m), (n, m + 1))}
     res = zcc_residual(pairs[(n, m)], pairs[(n + 1, m)], pairs[(n, m + 1)])
@@ -158,85 +159,114 @@ def grid(size):
     return [(n, m) for n in range(size) for m in range(size)]
 
 
+class Minors(dict):
+    """Minors K(n, m) by index, read as ``HPTable.minor`` reads them."""
+
+    def minor(self, n, m):
+        return self[(n, m)]
+
+
+def normalizations_of(minors, window, d1, d2):
+    """The pairings h1, h2 of ``normalization_grid`` as a table's minors
+    give them with moment scales d1, d2, h1(n, m) = K(n+1, m) / (d1 K(n, m))
+    and h2(n, m) = (-1)^n K(n, m+1) / (d2 K(n, m)), where the window holds
+    the minors they read: the entries every stencil n < N, m < M reads."""
+    N, M = window
+    return ({(n, m): minors[(n + 1, m)] / (d1 * minors[(n, m)])
+             for n in range(N) for m in range(M + 1)},
+            {(n, m): (-1) ** n * minors[(n, m + 1)] / (d2 * minors[(n, m)])
+             for n in range(N + 1) for m in range(M)})
+
+
+def padded(h1, h2, window, filler):
+    """The grids h1, h2 with filler at every other index up to (N + 1, M + 1):
+    ``build_transition`` reads the pairings there for the pairs of a stencil
+    n < N, m < M, and the gauge entries they give cancel in its residual."""
+    N, M = window
+    pad = {(n, m): filler for n in range(N + 2) for m in range(M + 2)}
+    return NormalizationGrid({**pad, **h1}, {**pad, **h2}, (N + 1, M + 1))
+
+
 class TestZccStencil:
+    """``zero_curvature_holds`` at a stencil against the residual of the
+    transition pairs there, with the pairings read off the same minors: the
+    identity holds exactly where entries 4 and 5 vanish, whatever the field,
+    since those two read only its gap and the pairings."""
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(small_values, min_size=36, max_size=36),
-           st.lists(small_values.filter(bool), min_size=32, max_size=32))
-    def test_meets_the_products_on_any_values(self, values, pairings):
-        # field on (0..2, 0..2) and pairings on (0..3, 0..3), the window the
-        # three pairs of each stencil read, drawn freely, not from a system,
-        # so the residual is mostly not zero; the stencils at n = 0 or m = 0
-        # take the axis gauge
+           st.lists(small_values.filter(bool), min_size=9, max_size=9),
+           st.lists(st.booleans(), min_size=4, max_size=4),
+           st.sampled_from([1, 2, 6]), st.sampled_from([1, 3]), small_values.filter(bool))
+    def test_meets_the_products_on_any_values(self, values, drawn, keep, d1, d2, filler):
+        # the field on (0..2, 0..2) drawn freely, not from a system, so it
+        # meets no consistency identity and the residual is mostly not zero;
+        # the minors on the same window drawn too, and K(n+1, m+1) set from
+        # the identity at the stencils that keep it, so both verdicts occur.
+        # The stencils at n = 0 or m = 0 take the axis gauge
         field = RecurrenceField({kind: dict(zip(grid(3), values[9 * i:9 * i + 9]))
                                  for i, kind in enumerate(KINDS)}, (2, 2))
-        norms = NormalizationGrid(dict(zip(grid(4), pairings[:16])),
-                                  dict(zip(grid(4), pairings[16:])), (3, 3))
-        for n in range(2):
-            for m in range(2):
-                assert (zcc_stencil(field, norms, n, m)
-                        == product_entries(field, norms, n, m)), (n, m)
+        minors = Minors(zip(grid(3), drawn))
+        for (n, m), kept in zip(grid(2), keep):
+            if kept and field.gap(n, m):
+                minors[(n + 1, m + 1)] = (field.gap(n, m) * minors[(n, m + 1)]
+                                          * minors[(n + 1, m)] / minors[(n, m)])
+        norms = padded(*normalizations_of(minors, (2, 2), d1, d2), (2, 2), filler)
+        for (n, m), kept in zip(grid(2), keep):
+            entries = product_entries(field, norms, n, m)
+            holds = zero_curvature_holds(minors, field, n, m)
+            assert holds == (not entries[4] and not entries[5]), (n, m)
+            assert holds or not (kept and field.gap(n, m)), (n, m)
 
     @pytest.mark.parametrize("kind", [None, "a", "b", "c", "d"])
-    def test_meets_the_products_on_a_bumped_field(self, field_a, norms_a, kind):
+    def test_meets_the_products_on_a_bumped_field(self, table_a, field_a, norms_a, kind):
         # a unit bump of one coefficient at (1, 1), as in acceptance
-        # criterion 3, over every stencil that reads it and some that do not
+        # criterion 3, over every stencil that reads it and some that do
+        # not: only a bumped c or d changes the gap that the identity reads,
+        # and only at (1, 1), while every bump makes some entry nonzero
         field = field_a if kind is None else field_a.replace(
             kind, 1, 1, field_a.value(kind, 1, 1) + 1)
-        nonzero = 0
+        failing, nonzero = set(), 0
         for n in range(3):
             for m in range(3):
-                scalars = zcc_stencil(field, norms_a, n, m)
-                assert scalars == product_entries(field, norms_a, n, m), (n, m)
-                nonzero += any(scalars)
+                entries = product_entries(field, norms_a, n, m)
+                holds = zero_curvature_holds(table_a, field, n, m)
+                assert holds == (not entries[4] and not entries[5]), (n, m)
+                failing |= set() if holds else {(n, m)}
+                nonzero += any(entries)
+        assert failing == ({(1, 1)} if kind in ("c", "d") else set())
         assert (nonzero == 0) == (kind is None)
 
     @pytest.mark.parametrize("window", [(1, 1), (3, 2), (4, 4)])
     def test_edge_stencils_stay_in_the_window(self, window):
-        # zcc_stencil on the (N, M) field and normalisations meets the
-        # products of transition pairs built on a window one larger, at the
-        # stencils n = N - 1 or m = M - 1 that read up to (N, M)
+        # zero_curvature_holds on the minors of an (N, M) table, which
+        # refuses a read past its window, and on the (N, M) field holds at
+        # the stencils n = N - 1 or m = M - 1 that read up to (N, M), as the
+        # products of transition pairs built on a window one larger vanish
         system = make_angelesco(MeasureModel.interval(-3, -1),
                                 MeasureModel.interval(1, 2), 40)
         N, M = window
         table = HPTable(system, N + 2, M + 2)
-        field, norms = field_from_table(table, N, M), normalization_grid(table, N, M)
+        exact, field = HPTable(system, N, M), field_from_table(table, N, M)
         wide_field = field_from_table(table, N + 1, M + 1)
         wide_norms = normalization_grid(table, N + 1, M + 1)
         edges = {(N - 1, m) for m in range(M)} | {(n, M - 1) for n in range(N)}
         for n, m in sorted(edges):
-            scalars = zcc_stencil(field, norms, n, m)
-            assert scalars == product_entries(wide_field, wide_norms, n, m), (n, m)
-            assert not any(scalars), (n, m)
+            assert zero_curvature_holds(exact, field, n, m), (n, m)
+            assert not any(product_entries(wide_field, wide_norms, n, m)), (n, m)
 
 
-class Minors:
-    """The minors K(n, m) of a swept field over its window, as
-    ``HPTable.minor`` reads them: drawn on the axes, and inside from the
-    identity K(n+1, m+1) K(n, m) = gap(n, m) K(n, m+1) K(n+1, m)."""
-
-    def __init__(self, field, axis):
-        N, M = field.window
-        k = {(0, 0): 1, **{(n, 0): axis[n - 1] for n in range(1, N + 1)},
-             **{(0, m): axis[N + m - 1] for m in range(1, M + 1)}}
-        for n in range(N):
-            for m in range(M):
-                k[(n + 1, m + 1)] = field.gap(n, m) * k[(n, m + 1)] * k[(n + 1, m)] / k[(n, m)]
-        self.k = k
-
-    def minor(self, n, m):
-        return self.k[(n, m)]
-
-
-def normalizations_of(minors, window, d1, d2):
-    """The grids h1, h2 that ``HPTable.normalizations`` reads off the minors
-    with moment scales d1, d2, h1(n, m) = K(n+1, m) / (d1 K(n, m)) and
-    h2(n, m) = (-1)^n K(n, m+1) / (d2 K(n, m)), where the window holds the
-    minors they read: the entries every stencil n < N, m < M reads."""
-    N, M = window
-    k = minors.k
-    return ({(n, m): k[(n + 1, m)] / (d1 * k[(n, m)]) for n in range(N) for m in range(M + 1)},
-            {(n, m): (-1) ** n * k[(n, m + 1)] / (d2 * k[(n, m)])
-             for n in range(N + 1) for m in range(M)})
+def swept_minors(field, axis):
+    """The minors K(n, m) of a swept field over its window: drawn on the
+    axes, and inside from the identity
+    K(n+1, m+1) K(n, m) = gap(n, m) K(n, m+1) K(n+1, m)."""
+    N, M = field.window
+    k = Minors({(0, 0): 1, **{(n, 0): axis[n - 1] for n in range(1, N + 1)},
+                **{(0, m): axis[N + m - 1] for m in range(1, M + 1)}})
+    for n in range(N):
+        for m in range(M):
+            k[(n + 1, m + 1)] = field.gap(n, m) * k[(n, m + 1)] * k[(n + 1, m)] / k[(n, m)]
+    return k
 
 
 def neighbours(stencils, N, M):
@@ -260,25 +290,25 @@ def swept_fields(draw):
 
 
 class TestZeroCurvatureIdentity:
-    """``zero_curvature_holds`` against the six scalars of ``zcc_stencil``
-    on normalisations read off the same minors: the identity fails at a
-    stencil exactly where entry 4 or 5 is nonzero, and some entry is
-    nonzero exactly at a failing stencil or its right or upper neighbour,
-    so the battery reads zero at every stencil exactly when the identity
-    holds at every stencil."""
+    """``zero_curvature_holds`` against the six entries of the residual of
+    the transition pairs (``product_entries``) on pairings read off the
+    same minors: the identity fails at a stencil exactly where entry 4 or 5
+    is nonzero, and some entry is nonzero exactly at a failing stencil or
+    its right or upper neighbour, so the residual is zero at every stencil
+    exactly when the identity holds at every stencil."""
 
     @settings(max_examples=300, deadline=None)
     @given(swept_fields(), st.data())
     def test_fails_where_the_stencils_do(self, field, data):
         N, M = field.window
         axis = data.draw(st.lists(small_values.filter(bool), min_size=N + M, max_size=N + M))
-        minors = Minors(field, axis)
+        minors = swept_minors(field, axis)
         change = data.draw(st.sampled_from(["none", "minor", "h1"]))
         if change == "minor":
             # one K scaled: the identity fails at the (up to) four stencils
-            # that read it, and the normalisations read the scaled K too
-            at = data.draw(st.sampled_from(sorted(minors.k)))
-            minors.k[at] *= data.draw(st.sampled_from([3, -1, F(1, 2), F(-5, 3)]))
+            # that read it, and the pairings read the scaled K too
+            at = data.draw(st.sampled_from(sorted(minors)))
+            minors[at] *= data.draw(st.sampled_from([3, -1, F(1, 2), F(-5, 3)]))
             n0, m0 = at
             expected = {(n, m) for n in (n0 - 1, n0) for m in (m0 - 1, m0)
                         if 0 <= n < N and 0 <= m < M}
@@ -293,11 +323,11 @@ class TestZeroCurvatureIdentity:
         stencils = [(n, m) for n in range(N) for m in range(M)]
         failing = {s for s in stencils if not zero_curvature_holds(minors, field, *s)}
         assert failing == expected
-        entries = {s: zcc_stencil(field, NormalizationGrid(h1, h2, (N, M)), *s)
-                   for s in stencils}
+        norms = padded(h1, h2, (N, M), data.draw(small_values.filter(bool)))
+        entries = {s: product_entries(field, norms, *s) for s in stencils}
         if change == "h1":
-            # the identity, which reads no normalisation, holds, while entry
-            # 4 fails at the stencils that read the doubled h1 and entry 2
+            # the identity, which reads no pairing, holds, while entry 4
+            # fails at the stencils that read the doubled h1 and entry 2
             # there and at their right neighbours
             doubled = {(n0, m) for m in (m0 - 1, m0) if 0 <= m < M}
             assert {s for s in stencils if entries[s][4]} == doubled
@@ -309,10 +339,11 @@ class TestZeroCurvatureIdentity:
 
 
 @pytest.mark.parametrize("zero_at", [("h1", (0, 1)), ("h2", (1, 0))])
-def test_zcc_stencil_refuses_a_zero_pairing(zero_at):
-    # stencil (0, 0) divides by h1(0, 1) and h2(1, 0); with g = c - d = 0
-    # there the integer numerator of the last two entries would vanish too,
-    # so a zero pairing must raise rather than read as zero curvature
+def test_build_transition_refuses_a_zero_pairing(zero_at):
+    # the pairs of stencil (0, 0) at (1, 0) and (0, 1) divide by h1(0, 1)
+    # and h2(1, 0); with g = c - d = 0 there the residual's last two entries
+    # would vanish too, so a zero pairing must raise rather than read as
+    # zero curvature
     field = RecurrenceField({kind: {key: F(1) for key in grid(2)} for kind in KINDS},
                             (1, 1))
     h = {"h1": {key: F(1) for key in grid(2)}, "h2": {key: F(1) for key in grid(2)}}
@@ -320,7 +351,7 @@ def test_zcc_stencil_refuses_a_zero_pairing(zero_at):
     h[name][key] = F(0)
     norms = NormalizationGrid(h["h1"], h["h2"], (1, 1))
     with pytest.raises(ZeroDivisionError):
-        zcc_stencil(field, norms, 0, 0)
+        product_entries(field, norms, 0, 0)
 
 
 class TestDetTransition:

@@ -35,6 +35,15 @@ class TestMeasureMoments:
         with pytest.raises(DegeneracyError):
             MeasureModel.discrete([(1, 1), (1, 2)])
 
+    @pytest.mark.parametrize("count", [1.5, True, "2"], ids=repr)
+    def test_a_count_that_is_not_an_int_is_refused(self, count):
+        # with the class a negative count raises, before any moment is formed
+        j = moments_to_jfraction([1, 0, 1, 0], 2)
+        for read in (lambda: measure_moments(MeasureModel.interval(0, 1), count),
+                     lambda: jfraction_to_moments(j, count)):
+            with pytest.raises(DegeneracyError, match="count must be an int"):
+                read()
+
     def test_negative_count_rejected(self):
         # as jfraction_to_moments refuses one; both generators read it here
         atoms = MeasureModel.discrete([(1, 1), (2, 1)])
@@ -226,6 +235,14 @@ class TestMomentSystem:
         with pytest.raises(DegeneracyError):
             MomentSystem((F(1),), (F(1), F(2)))
 
+    @pytest.mark.parametrize("bad", [1, None, {1, 2}], ids=repr)
+    def test_a_sequence_that_is_not_one_is_a_parse_error(self, bad):
+        # refused where it enters, before any value is read
+        with pytest.raises(ParseError, match="must be a sequence"):
+            MomentSystem(bad, (1, 2))
+        with pytest.raises(ParseError, match="must be a sequence"):
+            MomentSystem((1, 2), bad)
+
     @pytest.mark.parametrize("bad", ["a", "1/0", [1], None, float("inf")], ids=repr)
     def test_a_value_that_is_not_a_rational_is_a_parse_error(self, bad):
         # kernel.rat, where every value enters, raises no bare ValueError
@@ -271,6 +288,12 @@ class TestJFraction:
     def test_zero_subdiagonal_rejected(self):
         with pytest.raises(DegeneracyError):
             JFraction((F(0), F(0)), (F(0),), F(1))
+
+    @pytest.mark.parametrize("depth", [1.5, True, "2"], ids=repr)
+    def test_a_depth_that_is_not_an_int_is_refused(self, depth):
+        # with the class a depth below 1 raises
+        with pytest.raises(DegeneracyError, match="depth must be an int"):
+            moments_to_jfraction([1, 0, 1, 0], depth)
 
     def test_depth_zero_rejected(self):
         with pytest.raises(DegeneracyError, match="depth must be at least 1"):

@@ -11,9 +11,9 @@ from hplax.errors import (DegeneracyError, HplaxError, NotNormalError, ParseErro
 from hplax.hptable import HPTable
 from hplax.kernel import LeadingMinors, series_of_ratio
 from hplax.measures import MeasureModel, MomentSystem, make_angelesco
-from hplax.nnrr import (KINDS, RecurrenceField, a_value, b_value, c_value,
+from hplax.nnrr import (KINDS, RecurrenceField, a_pair, b_pair, c_pair,
                         cf_extract, check_dminusc, consistency_residuals,
-                        d_value, field_from_table, m_minus_series,
+                        d_pair, field_from_table, m_minus_series,
                         recurrence_residuals)
 
 
@@ -72,7 +72,12 @@ def outcome(read, *args):
 
 
 STEPS = {"a": (1, 0), "b": (0, 1), "c": (1, 0), "d": (0, 1)}
-VALUES = {"a": a_value, "b": b_value, "c": c_value, "d": d_value}
+PAIRS = {"a": a_pair, "b": b_pair, "c": c_pair, "d": d_pair}
+
+
+def entry_by_pair(table, kind, n, m):
+    """A field entry as the Fraction of its integer pair."""
+    return F(*PAIRS[kind](table, n, m))
 
 
 def subleading_by_solve(table, n, m):
@@ -116,7 +121,7 @@ class TestIntegerEntries:
                  for n in range(-1, N + 2) for m in range(-1, M + 2)]
         rng.shuffle(reads)
         for kind, n, m in reads:
-            assert (outcome(VALUES[kind], fast, n, m)
+            assert (outcome(entry_by_pair, fast, kind, n, m)
                     == outcome(entry_by_formula, slow, kind, n, m)), (kind, n, m)
 
     def test_field_keeps_reduced_pairs(self, system_a):

@@ -4,9 +4,10 @@ A module keeps its `_`-prefixed names to itself, each module-level
 ALL_CAPS constant is assigned in one module only (the others import it), and
 each public module-level function or class has a user: some code in
 src/hplax or tests/ outside its own definition and the `__init__` re-exports.
-Every name the benchmark wraps (perfbench/spans.py) still exists.  No module
-touches the private internals of ``fractions.Fraction``, which differ between
-the Python versions the package supports, and none reads the environment:
+Every name the benchmark wraps (perfbench/spans.py) still exists, in a
+module that `import hplax.cli` loads.  No module touches the private
+internals of ``fractions.Fraction``, which differ between the Python
+versions the package supports, and none reads the environment:
 behaviour is set by the arguments of a call alone.  Only the kernel, the
 table and the qd field (``classical``) construct an elimination, and a
 passing ``cross_validate`` builds one table (a rule checked by running it).
@@ -164,6 +165,20 @@ def test_benchmark_span_targets_exist():
     assert missing == []
 
 
+def test_importing_the_cli_loads_every_benchmark_span_module():
+    # the benchmark's tracer wraps TARGETS in the modules that a fresh
+    # `import hplax.cli` has loaded, and fails on one it has not
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    wanted = sorted({module_name for module_name, *_ in spans.TARGETS})
+    script = f"import sys, hplax.cli; print([m for m in {wanted!r} if m not in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert len(wanted) > 1 and run.stdout.splitlines() == ["[]"]
+
+
 ELIMINATION_HOMES = {"kernel", "hptable", "classical"}
 
 
@@ -178,7 +193,8 @@ def test_only_the_elimination_homes_construct_one():
 
 
 PLAIN_ORACLES = {"det_exact", "solve_exact", "consistency_residuals",
-                 "monic_orthogonal_polys"}
+                 "monic_orthogonal_polys", "build_transition", "zcc_residual",
+                 "normalization_grid"}
 ROUTE_ARITHMETIC = {"LeadingMinors", "SharedPrefix", "HankelMinors", "cleared",
                     "hankel_row", "ratio_sum", "settle", "as_integer_ratio"}
 
