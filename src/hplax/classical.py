@@ -2,12 +2,14 @@
 2x2 transition matrices, three-term recurrences, and the finite
 continued-fraction identity for ratios of consecutive monic polynomials.
 
-The qd values come from the integer leading minors of one fraction-free
-elimination per Hankel shift, which ``QdField`` makes and keeps; plain
-determinants of the Hankel blocks (``hankel_shifted``, ``qd_vw``) are their
-oracle.  The 2x2 zero-curvature residual is three scalars in V and W
-(``zcc2_residual``); the products of the transition pairs
-(``transition_2x2``) are its oracle.
+The qd values come from integer shifted Hankel minors, which ``QdField``
+fills by the Desnanot-Jacobi recurrence, the bilinear form of the qd
+algorithm, and reads from a fraction-free elimination of the shift only
+where the recurrence's divisor vanishes; plain determinants of the Hankel
+blocks (``hankel_shifted``, ``qd_vw``) are their oracle.  The 2x2
+zero-curvature residual is three scalars in V and W, each formed over one
+common denominator (``zcc2_residual``); the products of the transition
+pairs (``transition_2x2``) are its oracle.
 
 The recurrence is kept in monic form throughout (subdiagonal entries are the
 squared off-diagonal terms), which stays inside rational arithmetic; the
@@ -20,7 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegeneracyError, TruncationError, WindowError
-from .kernel import LeadingMinors, MatPoly, Poly, X, cleared, det_exact, rat
+from .kernel import (ZERO, LeadingMinors, MatPoly, Poly, X, cleared, det_exact,
+                     rat)
 from .measures import (JFraction, hankel_row, jfraction_to_moments,
                        monic_orthogonal_polys)
 
@@ -29,16 +32,25 @@ class QdField:
     """Shifted-Hankel values with the derived quotient-difference grids over
     one moment sequence, the production route.
 
-    The moments are cleared of denominators once (D s_j, D their lcm).
-    D^n H(n, k) is the leading minor of order n of one fraction-free
-    elimination (``kernel.LeadingMinors``) of the Hankel rows
-    D s[k + r:k + r + width] at shift k, made on the first read at that
-    shift (``shift``) and kept.  Its width (len - k + 1) // 2 is the order
-    of the deepest block the moments hold at that shift, so a caller sizes
-    the eliminations by the moments it passes; each is extended only as
-    deep as a call needs, and its ``hankel_row``s never show their padding
-    to a minor whose moments exist.  V and W are each one Fraction of five
-    such minors, whose powers of D cancel.  Every stored V and W passed the
+    The moments are cleared of denominators once (D s_j, D their lcm), and
+    M(n, k) = D^n H(n, k) is an integer: M(0, k) = 1 and M(1, k) = D s_k.
+    Deeper minors come from the Desnanot-Jacobi identity on the Hankel
+    block, the bilinear form of the qd algorithm,
+
+        M(n, k) M(n - 2, k + 2) = M(n - 1, k) M(n - 1, k + 2) - M(n - 1, k + 1)^2,
+
+    one exact integer division each, with no gcd.  Where the divisor
+    M(n - 2, k + 2) is zero, that one minor is the leading minor of order n
+    of the fraction-free elimination (``kernel.LeadingMinors``) of the Hankel
+    rows D s[k + r:k + r + width] at shift k, made on the first such read at
+    that shift (``shift``) and kept; its width (len - k + 1) // 2 is the
+    order of the deepest block the moments hold there, and its
+    ``hankel_row``s never show their padding to a minor whose moments exist.
+    The minors are memoised per (n, k) and filled in order of the last
+    moment index 2 n + k - 2 of their block, then of n (``minor``), so each
+    is computed once, without recursion, from minors already filled, and no
+    moment past that index is read.  V and W are each one Fraction of five
+    minors, whose powers of D cancel.  Every stored V and W passed the
     nonvanishing-denominator check when it was first computed, and each
     (V, W) is built once.
 
@@ -49,6 +61,11 @@ class QdField:
     def __init__(self, moments):
         self.moments = [rat(x) for x in moments]
         self._ints, self._scale = cleared(self.moments)
+        # M(0, k) and M(1, k) for every k the moments hold; deeper minors
+        # are filled up to the last moment index self._top
+        self._minors: dict[tuple[int, int], int] = {(0, k): 1 for k in range(len(self._ints))}
+        self._minors.update(((1, k), x) for k, x in enumerate(self._ints))
+        self._top = 1
         self._shifts: dict[int, LeadingMinors] = {}
         self._vw: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
 
@@ -62,7 +79,19 @@ class QdField:
     def minor(self, n: int, k: int) -> int:
         """D^n H(n, k); raises as ``hankel_shifted`` does before any read."""
         _check_hankel(self.moments, n, k)
-        return self.shift(k).minor(n) if n else 1
+        if n < 2:
+            return self._ints[k] if n else 1
+        minors, top = self._minors, 2 * n + k - 2
+        if top > self._top:
+            for t in range(self._top + 1, top + 1):
+                for j in range(2, t // 2 + 2):      # the blocks ending at moment t
+                    i = t + 2 - 2 * j
+                    divisor = minors[j - 2, i + 2]
+                    minors[j, i] = ((minors[j - 1, i] * minors[j - 1, i + 2]
+                                     - minors[j - 1, i + 1] ** 2) // divisor if divisor
+                                    else self.shift(i).minor(j))
+            self._top = top
+        return minors[n, k]
 
     def hankel(self, n: int, k: int) -> Fraction:
         return Fraction(self.minor(n, k), self._scale ** n)
@@ -158,20 +187,35 @@ def zcc2_residual(moments, n: int, k: int) -> tuple[Fraction, Fraction, Fraction
     rho = W(n+1, k) (V(n, k+1) - W(n, k)) + W(n, k) (W(n, k+1) - V(n, k+2)),
     so the residual vanishes exactly when all three scalars do, and no
     transition matrix or polynomial is formed; the ``transition_2x2``
-    products are the oracle.  The qd values are read in the order the three
-    transition pairs read them, V(n+1, k+1) included, so a failing read
-    raises the same error.  ``moments`` is a moment sequence or a QdField,
-    whose memo is used.
+    products are the oracle.  r and rho are each evaluated in integers over
+    one common denominator, the product of the denominators of the values
+    they read, and each of the three scalars is one Fraction formed at the
+    end; when both numerators vanish, no denominator is formed.  The qd
+    values are read in the order the three transition pairs read them,
+    V(n+1, k+1) included, so a failing read raises the same error.
+    ``moments`` is a moment sequence or a QdField, whose memo is used.
     """
     qd = _qd_field(moments)
-    v, w = qd.vw(n, k)
-    v1, w1 = qd.vw(n, k + 1)
-    v2, _ = qd.vw(n, k + 2)
-    v_right, w_right = qd.vw(n + 1, k)
+    (v, v_d), (w, w_d) = _pairs(qd.vw(n, k))
+    (v1, v1_d), (w1, w1_d) = _pairs(qd.vw(n, k + 1))
+    (v2, v2_d), _ = _pairs(qd.vw(n, k + 2))
+    (v_right, v_right_d), (w_right, w_right_d) = _pairs(qd.vw(n + 1, k))
     qd.vw(n + 1, k + 1)         # read for its errors only
-    r = w_right - v_right + v2 - w1
-    rho = w_right * (v1 - w) + w * (w1 - v2)
-    return v * r, rho, r
+    r = ((w_right * v_right_d - v_right * w_right_d) * v2_d * w1_d
+         + (v2 * w1_d - w1 * v2_d) * w_right_d * v_right_d)
+    rho = (w_right * (v1 * w_d - w * v1_d) * w1_d * v2_d
+           + w * (w1 * v2_d - v2 * w1_d) * w_right_d * v1_d)
+    if not (r or rho):
+        return ZERO, ZERO, ZERO
+    r_d = w_right_d * v_right_d * v2_d * w1_d
+    rho_d = w_right_d * v1_d * w_d * w1_d * v2_d
+    return Fraction(v * r, v_d * r_d), Fraction(rho, rho_d), Fraction(r, r_d)
+
+
+def _pairs(vw: tuple[Fraction, Fraction]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """V and W as their (numerator, denominator) pairs."""
+    v, w = vw
+    return (v.numerator, v.denominator), (w.numerator, w.denominator)
 
 
 def _recurrence_polys(j: JFraction, upto: int) -> list[Poly]:

@@ -60,8 +60,9 @@ class MeasureModel:
 @dataclass(frozen=True)
 class MomentSystem:
     """Two exact moment sequences of a common truncation order, each a
-    sequence of values that ``kernel.rat`` accepts; a non-sequence raises
-    ParseError."""
+    sequence of values that ``kernel.rat`` accepts; a non-sequence, or a
+    str, bytes or bytearray (whose items are characters or bytes, not
+    moments), raises ParseError."""
 
     s1: tuple[Fraction, ...]
     s2: tuple[Fraction, ...]
@@ -70,7 +71,7 @@ class MomentSystem:
     def __post_init__(self):
         for name in ("s1", "s2"):
             seq = getattr(self, name)
-            if not isinstance(seq, Sequence):
+            if not isinstance(seq, Sequence) or isinstance(seq, (str, bytes, bytearray)):
                 raise ParseError(f"moment sequence {name} must be a sequence, "
                                  f"got {type(seq).__name__}")
             object.__setattr__(self, name, tuple(rat(x) for x in seq))

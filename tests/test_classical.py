@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hplax import classical
@@ -117,6 +117,47 @@ def test_an_index_that_is_not_an_int_is_refused(n, k):
             read(n, k)
 
 
+class TestQdFieldRoute:
+    """The recurrence part of the minor route, and the elimination part it
+    reads only where the recurrence's divisor vanishes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-30, 30).filter(bool),
+                              st.fractions(-5, 5, max_denominator=6).filter(bool)),
+                    min_size=1, max_size=14),
+           st.randoms(use_true_random=False))
+    def test_recurrence_minors_meet_the_determinants(self, moments, rng):
+        blocks = [(n, k) for k in range(len(moments))
+                  for n in range(1, (len(moments) - k + 1) // 2 + 1)]
+        oracle = {block: hankel_shifted(moments, *block) for block in blocks}
+        assume(all(oracle.values()))
+        _, scale = cleared([F(x) for x in moments])
+        qd = QdField(moments)
+        rng.shuffle(blocks)
+        for n, k in blocks:
+            assert qd.minor(n, k) == oracle[n, k] * scale ** n, (n, k)
+            assert qd.hankel(n, k) == oracle[n, k], (n, k)
+        assert qd._shifts == {}         # no divisor vanished, so no elimination
+
+    @pytest.mark.parametrize("measure, shifts", [
+        (MeasureModel.interval(-1, 1), [1, 3, 5, 7, 9]),
+        (MeasureModel.discrete([(-2, 1), (-1, 3), (1, 3), (2, 1)]), [0, 1, 3, 5, 7, 9]),
+    ], ids=["interval", "four-atoms"])
+    def test_a_symmetric_measure_reaches_the_elimination(self, measure, shifts):
+        # the odd moments vanish, so M(1, k) = 0 at odd k divides M(3, k - 2),
+        # and M(3, k) = 0 at odd k divides M(5, k - 2); with four atoms
+        # M(5, 2) = 0 divides M(7, 0) too.  Only those shifts are eliminated.
+        moments = measure_moments(measure, 14)
+        qd = QdField(moments)
+        oracle = {"hankel": hankel_shifted, "vw": qd_vw}
+        for kind in ("hankel", "vw"):
+            for n in range(8):
+                for k in range(8):
+                    assert (outcome(getattr(qd, kind), n, k)
+                            == outcome(oracle[kind], moments, n, k)), (kind, n, k)
+        assert sorted(qd._shifts) == shifts
+
+
 class TestQdIdentities:
     """The qd identities read in V and W on random sequences, wherever the
     reads are defined.  With V(n, k) = q_(n+1)^(k) and
@@ -212,6 +253,18 @@ def closed_form(qd, n, k):
     return MatPoly(((Poly(), Poly()), (Poly.of(vr), Poly.of(rho, -r))))
 
 
+class RecordingMinors(dict):
+    """A minor memo that records the key of each store."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.keys_stored = []
+
+    def __setitem__(self, key, value):
+        self.keys_stored.append(key)
+        super().__setitem__(key, value)
+
+
 class TestZcc2:
     def test_zero_at_origin(self, leb01):
         assert not any(zcc2_residual(leb01, 0, 0))
@@ -229,30 +282,30 @@ class TestZcc2:
                 assert not any(zcc2_residual(moments, n, k)), (n, k)
 
     def test_field_memo_takes_each_hankel_block_once(self, leb01, monkeypatch):
-        made, built = [], []
-        eliminate, build = classical.LeadingMinors, classical.lax_l
+        built = []
+        build = classical.lax_l
 
-        def recording_elimination(row, width):
-            made.append(row(0)[0])          # D s_k: the moments are distinct
-            return eliminate(row, width)
+        def refuse(row, width):
+            raise AssertionError("an elimination where no divisor vanishes")
 
         def recording_l(*args):
             built.append(args)
             return build(*args)
 
-        monkeypatch.setattr(classical, "LeadingMinors", recording_elimination)
+        monkeypatch.setattr(classical, "LeadingMinors", refuse)
         monkeypatch.setattr(classical, "lax_l", recording_l)
         grid = [(n, k) for n in range(3) for k in range(3)]
         qd = QdField(leb01)
+        qd._minors = stored = RecordingMinors(qd._minors)
         first = [zcc2_residual(qd, n, k) for n, k in grid]
-        ints, _ = cleared(leb01)
-        # V and W at (n, k) read the blocks at shifts k .. k + 2; the
-        # stencils reach V at (2, 4), which reads shift 6
-        assert sorted(ints.index(x) for x in made) == list(range(7))
+        # the stencils reach V at (3, 3), which reads M(4, 4), the block that
+        # ends at moment 10; every deeper minor up to it is computed once
+        assert sorted(stored.keys_stored) == sorted(
+            (j, i) for j in range(2, 7) for i in range(13 - 2 * j))
         assert built == []      # the closed form builds no transition pair
-        made.clear()
+        stored.keys_stored.clear()
         assert [zcc2_residual(qd, n, k) for n, k in grid] == first
-        assert made == [] and built == []
+        assert stored.keys_stored == [] and built == []
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(small_values, small_values), min_size=12, max_size=12))

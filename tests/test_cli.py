@@ -908,25 +908,44 @@ def test_qd_takes_no_plain_determinant(tmp_path, capsys, monkeypatch, case):
     assert run_pinned(tmp_path, capsys, *case) == PINNED_CLI[case]
 
 
-def run_qd(tmp_path, capsys, moments, window):
-    """Exit code, stdout and stderr of one qd call, and the width of each
-    Hankel shift's elimination."""
-    widths = {}
-    shift = classical.QdField.shift
+# the pinned qd inputs that are moments of a measure on one side of 0
+ONE_SIDED_QD = [case for case in QD_PINNED if case[0] in ("angelesco", "nikishin", "short")]
 
-    def recording(self, k):
-        elimination = shift(self, k)
-        widths[k] = elimination.width
-        return elimination
+
+@pytest.mark.parametrize("case", ONE_SIDED_QD,
+                         ids=["-".join(map(str, (s, *w))) for s, _, w in ONE_SIDED_QD])
+def test_qd_forms_no_elimination_on_a_one_sided_measure(tmp_path, capsys, monkeypatch,
+                                                        case):
+    # no shifted Hankel minor of such a measure vanishes, so every minor
+    # comes from the recurrence
+    def refuse(row, width):
+        raise AssertionError("qd formed a LeadingMinors")
+
+    monkeypatch.setattr(classical, "LeadingMinors", refuse)
+    assert run_pinned(tmp_path, capsys, *case) == PINNED_CLI[case]
+
+
+def run_qd(tmp_path, capsys, moments, window):
+    """Exit code, stdout and stderr of one qd call; the blocks (n, k) of
+    order n >= 2 whose minors its QdField memoised; and the width of each
+    Hankel shift's elimination."""
+    fields = []
+    init = classical.QdField.__init__
+
+    def recording(self, moments):
+        init(self, moments)
+        fields.append(self)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(classical.QdField, "shift", recording)
+        patch.setattr(classical.QdField, "__init__", recording)
         path = write_json(tmp_path / "in.json",
                           {"moments": [jsondoc.rat_str(x) for x in moments]})
         capsys.readouterr()
         code = main(["qd", "--in", path, "--window", *map(str, window)])
         out, err = capsys.readouterr()
-    return (code, out, err), widths
+    qd, = fields
+    blocks = {key for key in qd._minors if key[0] >= 2}
+    return (code, out, err), blocks, {k: shift.width for k, shift in qd._shifts.items()}
 
 
 @pytest.mark.parametrize("window", [(0, 0), (1, 4), (3, 3), (5, 2)])
@@ -937,9 +956,14 @@ def run_qd(tmp_path, capsys, moments, window):
 def test_qd_reads_only_the_moments_its_window_needs(tmp_path, capsys, moments, window):
     # its deepest read, minor(n + 2, k + 2), ends at moment 2 n + k + 4
     n, k = window
-    long, long_widths = run_qd(tmp_path, capsys, moments, window)
-    cut, cut_widths = run_qd(tmp_path, capsys, moments[:2 * n + k + 5], window)
+    last = 2 * n + k + 4
+    long, long_blocks, long_widths = run_qd(tmp_path, capsys, moments, window)
+    cut, cut_blocks, cut_widths = run_qd(tmp_path, capsys, moments[:last + 1], window)
     assert long == cut
+    assert long_blocks == cut_blocks
+    assert all(2 * j + i - 2 <= last for j, i in long_blocks)
+    if long[0] == 0:
+        assert (n + 2, k + 2) in long_blocks
     assert set(long_widths) == set(cut_widths)
     assert all(long_widths[s] <= cut_widths[s] for s in cut_widths)
 

@@ -235,9 +235,12 @@ class TestMomentSystem:
         with pytest.raises(DegeneracyError):
             MomentSystem((F(1),), (F(1), F(2)))
 
-    @pytest.mark.parametrize("bad", [1, None, {1, 2}], ids=repr)
+    @pytest.mark.parametrize("bad", [1, None, {1, 2}, "12", b"12", bytearray(b"12")],
+                             ids=repr)
     def test_a_sequence_that_is_not_one_is_a_parse_error(self, bad):
-        # refused where it enters, before any value is read
+        # refused where it enters, before any value is read; a str is a
+        # Sequence of characters, so "12" would read as the moments (1, 2),
+        # and the bytes types would read as character codes
         with pytest.raises(ParseError, match="must be a sequence"):
             MomentSystem(bad, (1, 2))
         with pytest.raises(ParseError, match="must be a sequence"):

@@ -194,9 +194,10 @@ def test_only_the_elimination_homes_construct_one():
 
 PLAIN_ORACLES = {"det_exact", "solve_exact", "consistency_residuals",
                  "monic_orthogonal_polys", "build_transition", "zcc_residual",
-                 "normalization_grid"}
+                 "normalization_grid", "hankel_shifted", "qd_vw"}
 ROUTE_ARITHMETIC = {"LeadingMinors", "SharedPrefix", "HankelMinors", "cleared",
-                    "hankel_row", "ratio_sum", "settle", "as_integer_ratio"}
+                    "hankel_row", "ratio_sum", "settle", "as_integer_ratio",
+                    "QdField", "_qd_field", "_pairs"}
 
 
 def test_the_plain_oracles_use_no_route_arithmetic():
