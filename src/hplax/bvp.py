@@ -32,7 +32,8 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import (DegeneracyError, IntegrityError, NonPerfectBoundaryError,
-                     NotNormalError, TruncationError, WindowError, check_window)
+                     NotNormalError, TruncationError, WindowError, check_sequence,
+                     check_window)
 from .hptable import HPTable
 from .kernel import ZERO, rat
 from .lax3 import zero_curvature_holds
@@ -51,7 +52,9 @@ class BoundaryData:
 
     a_row[i] is the value at (i + 1, 0) and b_col[i] the value at (0, i + 1);
     the entries at the origin-adjacent axes are the zero boundary conditions
-    and are never stored.
+    and are never stored.  Each row is a sequence of values that
+    ``kernel.rat`` accepts; a non-sequence, or a str, bytes or bytearray,
+    raises ParseError.
     """
 
     c_row: tuple[Fraction, ...]
@@ -61,8 +64,9 @@ class BoundaryData:
 
     def __post_init__(self):
         for name in ("c_row", "a_row", "d_col", "b_col"):
-            object.__setattr__(self, name,
-                               tuple(rat(x) for x in getattr(self, name)))
+            row = getattr(self, name)
+            check_sequence(row, f"boundary row {name}")
+            object.__setattr__(self, name, tuple(rat(x) for x in row))
         if any(x == 0 for x in self.a_row) or any(x == 0 for x in self.b_col):
             raise DegeneracyError(
                 "boundary subdiagonal data must be nonzero for a solvable problem")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DegeneracyError, TruncationError, WindowError
+from .errors import DegeneracyError, TruncationError, WindowError, check_sequence
 from .kernel import (ZERO, LeadingMinors, MatPoly, Poly, X, cleared, det_exact,
                      rat)
 from .measures import (JFraction, hankel_row, jfraction_to_moments,
@@ -59,6 +59,7 @@ class QdField:
     the determinant route on plain sequences, kept as the oracle."""
 
     def __init__(self, moments):
+        check_sequence(moments, "moment sequence")
         self.moments = [rat(x) for x in moments]
         self._ints, self._scale = cleared(self.moments)
         # M(0, k) and M(1, k) for every k the moments hold; deeper minors
@@ -130,6 +131,7 @@ def _check_hankel(moments, n: int, k: int) -> None:
 
 def hankel_shifted(moments, n: int, k: int) -> Fraction:
     """Determinant of the n x n Hankel block starting at moment k; size 0 is 1."""
+    check_sequence(moments, "moment sequence")
     _check_hankel(moments, n, k)
     if n == 0:
         return Fraction(1)

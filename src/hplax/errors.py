@@ -2,10 +2,13 @@
 
 Each class carries the exit code and the stderr label the command line
 reports it with; a subclass inherits both unless it sets its own.
-``check_window`` is the one check of a window where it enters the library.
+``check_window`` is the one check of a window where it enters the library,
+and ``check_sequence`` the one check of a sequence of values.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 
 class HplaxError(Exception):
@@ -41,6 +44,13 @@ def check_window(n, m) -> None:
     one, as in the documents' windows."""
     if not all(type(v) is int and v >= 0 for v in (n, m)):
         raise WindowError(f"window ({n!r}, {m!r}) needs two nonnegative ints")
+
+
+def check_sequence(seq, name: str) -> None:
+    """Raise ParseError unless seq is a sequence; a str, bytes or bytearray
+    is not one here, since its items are characters or bytes, not values."""
+    if not isinstance(seq, Sequence) or isinstance(seq, (str, bytes, bytearray)):
+        raise ParseError(f"{name} must be a sequence, got {type(seq).__name__}")
 
 
 class NotNormalError(HplaxError):

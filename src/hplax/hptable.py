@@ -5,31 +5,43 @@ formula and a direct linear solve of the orthogonality conditions.  The two
 must agree exactly at every normal index; they are each other's oracle.
 
 The bordered-determinant route clears each moment sequence of denominators
-once per table, D_j s_j, over the prefix its window can reach.  Column m of
-the table is a fraction-free elimination with row exchanges
-(``kernel.LeadingMinors``) of the rows [s2 shifts 0..m-1, s1 shifts 0..],
-one column per power of x up to x^(max_n + m), the degree of the column's
-deepest P.  Its leading minor of order n + m is (-1)^(nm) D1^n D2^m S(n, m),
-zero pivots included (``minor``), and it is extended only as deep as a call
-needs.  Every column forks from one exchange-free prefix
-(``kernel.SharedPrefix``) of the rows [s2 shifts 0..max_m-1, s1 shifts 0..],
-max_n + max_m + 1 columns wide, after the steps it takes among the first m
-rows before its first zero pivot, so the table eliminates the s2 Hankel
-block once and reduces each row by each of those steps once.  The shared
-prefix answers no read: every read, n = 0 included, goes through its
-column.  P(n, m) is the monic null vector of the leading n + m rows, read
-by back substitution once per index.  Both integer reads are public, the
-pair of S (``s_pair``) and the null vector of P (``null_vector``), and
-``s_det`` and ``hp_poly_det`` are their Fraction and Poly, so a caller
-that only writes or compares the values forms neither.
-The subleading coefficient of P(n, m), all that the recurrence field needs
-of it, is one entry of the pivot row at position n + m - 1 over that row's
-pivot (``subleading``), so the field forms no polynomial.
+once per table, D_j s_j, over the prefix its window can reach, and builds
+the block of the rows [D2 s2 shifts 0..max_m-1, D1 s1 shifts 0..max_n-1],
+max_n + max_m + 1 columns wide, one column per power of x.  It divides each
+column c of the block by its content gamma_c (the gcd of its entries), then
+each row r by its content rho_r, 1 for an all-zero line: on moments with
+common factors, such as interval moments, this can halve the bit length of
+the integers every elimination step and back substitution works on.  Column m of the
+table is a fraction-free elimination with row exchanges
+(``kernel.LeadingMinors``) of the block's rows [s2 shifts 0..m-1, s1 shifts
+0..], max_n + m + 1 columns wide, the degree of the column's deepest P.
+The contents are positive, so its zero pivots, exchanges and signs are those
+of the unreduced rows, and its leading minor of order n + m times
+prod rho1[:n] prod rho2[:m] prod gamma[:n + m] is K(n, m) = (-1)^(nm) D1^n
+D2^m S(n, m), zero pivots included (``minor``); the products are built
+once per table.  Each elimination is extended only as deep as a call needs.
+Every column forks from one exchange-free prefix (``kernel.SharedPrefix``)
+of the block, after the steps it takes among the first m rows before its
+first zero pivot, so the table eliminates the s2 Hankel block once and
+reduces each row by each of those steps once.  The shared prefix answers no
+read: every read, n = 0 included, goes through its column, and a read past
+the block raises.  P(n, m) is the monic null vector of the leading n + m
+rows, read by back substitution once per index; entry c of the reduced
+block's null vector times lcm(gamma_0 .. gamma_k) / gamma_c, k = n + m, is
+an integer null vector of the unreduced rows.  Both integer reads are
+public, the pair of S (``s_pair``) and the null vector of P
+(``null_vector``), and ``s_det`` and ``hp_poly_det`` are their Fraction
+and Poly, so a caller that only writes or compares the values forms
+neither.  The subleading coefficient of P(n, m), all that the recurrence
+field needs of it, is one entry of the pivot row at position k - 1 over
+that row's pivot, times gamma_k / gamma_(k-1) (``subleading``), so the
+field forms no polynomial.
 
 The pairings L_j[x^t P(n, m)] (orthogonality) pair the integer null vector
-v of index (n, m), the one P is built from, with the cleared moments:
-dot(v, D_j s_j[t:]) / (v_k D_j), k = n + m.  So they form no polynomial
-either, and a pairing that vanishes costs no gcd.
+v of index (n, m), the one P is built from, with the cleared moments, not
+the reduced block: dot(v, D_j s_j[t:]) / (v_k D_j), k = n + m.  So they
+form no polynomial either, a pairing that vanishes costs no gcd, and the
+check does not rest on the contents.
 
 The normalisations h1(n, m) = L1[x^n P(n, m)] and h2(n, m) = L2[x^m P(n, m)]
 are pairings too (``lax3.normalization_grid``); the tests check them against
@@ -40,6 +52,8 @@ h2 = S(n, m+1) / S(n, m).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable
 
@@ -54,10 +68,12 @@ class HPTable:
     """Grid of determinants S(n, m) and monic polynomials P(n, m).
 
     The memos hold integers only: the minors K(n, m), the null vectors of
-    P(n, m) and their subleading pairs; each cell is written once and never
-    recomputed, and each S and P is built from them when read.  The column
-    eliminations behind the memos are extended in place, so one table must
-    not be filled from several threads at once.
+    P(n, m) and their subleading pairs, each scaled back from the
+    content-reduced block the eliminations work on; each cell is written
+    once and never recomputed, and each S and P is built from them when
+    read.  An index is a pair of ints in the window; a bool or a float is a
+    WindowError.  The column eliminations behind the memos are extended in
+    place, so one table must not be filled from several threads at once.
     """
 
     def __init__(self, moments: MomentSystem, max_n: int, max_m: int):
@@ -71,27 +87,46 @@ class HPTable:
         # D_j s_j over the moments the window reaches, P pairings included
         self._c1, self._d1 = cleared(moments.s1[:2 * max_n + max_m + 1])
         self._c2, self._d2 = cleared(moments.s2[:max_n + 2 * max_m + 1])
-        # the shared prefix's rows: [D2 s2 shifts 0..max_m-1, D1 s1 shifts 0..],
-        # whose padding no read that passes check_depth sees
-        c1, c2 = self._c1, self._c2
+        # the shared prefix's block: [D2 s2 shifts 0..max_m-1, D1 s1 shifts
+        # 0..max_n-1], whose padding no read that passes check_depth sees,
+        # with each column and then each row divided by its content
         width = max_n + max_m + 1
-        self._shared = SharedPrefix(
-            lambda r: (hankel_row(c2, r, width) if r < max_m
-                       else hankel_row(c1, r - max_m, width)), width)
+        block = ([hankel_row(self._c2, r, width) for r in range(max_m)]
+                 + [hankel_row(self._c1, r, width) for r in range(max_n)])
+        # (the zero row keeps the width of an empty block)
+        gammas = [gcd(*col) or 1 for col in zip([0] * width, *block)]
+        if any(g > 1 for g in gammas):
+            block = [[x // g for x, g in zip(row, gammas)] for row in block]
+        rhos = [gcd(*row) or 1 for row in block]
+        block = [[x // rho for x in row] if rho > 1 else row
+                 for rho, row in zip(rhos, block)]
+        self._shared = SharedPrefix(block.__getitem__, width)
         self._columns: dict[int, LeadingMinors] = {}
+        # the contents, built once: prod rho1[:n], prod rho2[:m],
+        # prod gamma[:k] and lcm(gamma_0 .. gamma_k)
+        self._rho1 = list(accumulate(rhos[max_m:], mul, initial=1))
+        self._rho2 = list(accumulate(rhos[:max_m], mul, initial=1))
+        self._gamma_prod = list(accumulate(gammas, mul, initial=1))
+        self._gamma_lcm = list(accumulate(gammas, lcm))
+        self._gammas = gammas
 
     # -- bookkeeping ------------------------------------------------------
 
     def _check_index(self, n: int, m: int) -> None:
+        """Raise WindowError unless n and m are ints (a bool is not one) in
+        the window.  A bool or a float equals an int key of the memos, so
+        every memoised read checks the types on a hit too."""
+        if type(n) is not int or type(m) is not int:
+            raise WindowError(f"index ({n!r}, {m!r}) needs two ints")
         if n < 0 or m < 0 or n > self.max_n or m > self.max_m:
             raise WindowError(
                 f"index ({n}, {m}) outside table window ({self.max_n}, {self.max_m})")
 
     def _column(self, m: int) -> LeadingMinors:
-        """Elimination of the rows [D2 s2 shifts 0..m-1, D1 s1 shifts 0..],
-        max_n + m + 1 columns wide: the shared prefix's first m rows and its
-        s1 rows, forked from its steps before its first zero pivot among
-        those m rows on the column's first read."""
+        """Elimination of the reduced block's rows [D2 s2 shifts 0..m-1,
+        D1 s1 shifts 0..], max_n + m + 1 columns wide: the shared prefix's
+        first m rows and its s1 rows, forked from its steps before its first
+        zero pivot among those m rows on the column's first read."""
         if m not in self._columns:
             self._columns[m] = self._shared.fork(m, self.max_m, self.max_n + m + 1)
         return self._columns[m]
@@ -99,14 +134,16 @@ class HPTable:
     # -- determinants and normality ---------------------------------------
 
     def minor(self, n: int, m: int) -> int:
-        """K(n, m) = (-1)^(nm) D1^n D2^m S(n, m), the integer leading minor
-        of column m's elimination; the empty case is 1.
+        """K(n, m) = (-1)^(nm) D1^n D2^m S(n, m): the leading minor of
+        order n + m of column m's elimination of the reduced block, times
+        the contents of its rows and columns; the empty case is 1.
         """
         key = (n, m)
-        if key not in self._k:
+        if key not in self._k or type(n) is not int or type(m) is not int:
             self._check_index(n, m)
             self.moments.check_depth(n, m, bordered=False)
-            self._k[key] = self._column(m).minor(n + m)
+            self._k[key] = self._column(m).minor(n + m) * (
+                self._rho1[n] * self._rho2[m] * self._gamma_prod[n + m])
         return self._k[key]
 
     def s_pair(self, n: int, m: int) -> tuple[int, int]:
@@ -139,21 +176,31 @@ class HPTable:
         return Poly.monic(self.null_vector(n, m))
 
     def null_vector(self, n: int, m: int) -> list[int]:
-        """The integer null vector v_0 .. v_k, k = n + m, of column m's
-        elimination, P(n, m) = v / v_k with v_k nonzero, memoized per index,
-        after the checks of ``_p_column``.  The caller must not change it."""
+        """An integer null vector v_0 .. v_k, k = n + m, of the unreduced
+        rows of index (n, m), P(n, m) = v / v_k with v_k nonzero: column m's
+        null vector of the reduced block, entry c times lcm(gamma_0 ..
+        gamma_k) / gamma_c.  Memoized per index, after the checks of
+        ``_p_column``.  The caller must not change it."""
         key = (n, m)
-        if key not in self._p_ints:
-            self._p_ints[key] = self._p_column(n, m).null_vector(n + m)
+        if key not in self._p_ints or type(n) is not int or type(m) is not int:
+            column, k = self._p_column(n, m), n + m
+            v, scale = column.null_vector(k), self._gamma_lcm[k]
+            if scale > 1:
+                v = [x * (scale // g) for x, g in zip(v, self._gammas)]
+            self._p_ints[key] = v
         return self._p_ints[key]
 
     def subleading(self, n: int, m: int) -> tuple[int, int]:
         """Integers (u, w) with u/w the coefficient of x^(n+m-1) in P(n, m),
         0/1 at the origin; read off the column elimination without forming
-        P, memoized per index, and raising what ``hp_poly_det`` raises."""
+        P, (u gamma_k, w gamma_(k-1)) for its pair (u, w) on the reduced
+        block, k = n + m; memoized per index, and raising what
+        ``hp_poly_det`` raises."""
         key = (n, m)
-        if key not in self._sub:
-            self._sub[key] = self._p_column(n, m).null_tail(n + m)
+        if key not in self._sub or type(n) is not int or type(m) is not int:
+            column, k = self._p_column(n, m), n + m
+            u, w = column.null_tail(k)
+            self._sub[key] = (u * self._gammas[k], w * self._gammas[k - 1]) if k else (u, w)
         return self._sub[key]
 
     def hp_poly_solve(self, n: int, m: int) -> Poly:
@@ -187,6 +234,7 @@ class HPTable:
                      ) -> tuple[Poly, Poly, Poly, LaurentTail, LaurentTail]:
         """(P, Q1, Q2, R1, R2) with f_j * P = Q_j + R_j: split each product
         into numerator and remainder and enforce the order condition."""
+        self._check_index(n, m)
         need = n + m + max(n, m) + 2
         for j, f in ((1, f1), (2, f2)):
             if f.truncation_order < need:
@@ -232,10 +280,10 @@ class HPTable:
     def pairing(self, which: int, n: int, m: int, shift: int) -> Fraction:
         """L_which[x^shift P(n, m)], the moment functional of sequence
         ``which`` (1 or 2) applied to x^shift P(n, m), shift >= 0."""
-        if which not in (1, 2):
+        if type(which) is not int or which not in (1, 2):
             raise WindowError(f"which must be 1 or 2, got {which!r}")
-        if shift < 0:
-            raise WindowError(f"pairing shift {shift} is negative")
+        if type(shift) is not int or shift < 0:
+            raise WindowError(f"pairing shift {shift!r} is not a nonnegative int")
         return self._pairings(which, n, m, (shift,))[0]
 
     def orthogonality_residuals(self, n: int, m: int) -> tuple[list[Fraction], list[Fraction]]:

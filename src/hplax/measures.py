@@ -11,13 +11,12 @@ with the J-fraction  g ~ 1/(z - c_0 - a_1/(z - c_1 - ...)).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import (DegeneracyError, DisjointSupportError, ParseError, PoleError,
-                     TruncationError, WindowError)
+from .errors import (DegeneracyError, DisjointSupportError, PoleError, TruncationError,
+                     WindowError, check_sequence)
 from .kernel import Poly, Ratlike, cleared, rat, solve_exact
 
 DISCRETE = "discrete"
@@ -71,9 +70,7 @@ class MomentSystem:
     def __post_init__(self):
         for name in ("s1", "s2"):
             seq = getattr(self, name)
-            if not isinstance(seq, Sequence) or isinstance(seq, (str, bytes, bytearray)):
-                raise ParseError(f"moment sequence {name} must be a sequence, "
-                                 f"got {type(seq).__name__}")
+            check_sequence(seq, f"moment sequence {name}")
             object.__setattr__(self, name, tuple(rat(x) for x in seq))
         if len(self.s1) != len(self.s2):
             raise DegeneracyError(
@@ -216,6 +213,7 @@ def monic_orthogonal_polys(s, upto: int) -> list[Poly]:
     table's P(n, 0) for the single sequence s.  The system is singular
     exactly where the Hankel determinant of order n vanishes.
     """
+    check_sequence(s, "moment sequence")
     if upto < 0:
         raise WindowError(f"orthogonal polynomial degree {upto} is negative")
     need = max(2 * upto, 1)
@@ -254,9 +252,12 @@ def jfraction_entries(s) -> list[Fraction]:
     over r0 p0 E_k, with its content (the gcd of its denominator and
     entries) divided out once; so E_(k+1) divides D H_(k+1), H the Hankel
     determinants of the cleared moments D s.  Only c_k and a_k are
-    Fractions.  Row -1 is 1, 0, 0, ... over 1, so a_0 = s_0.
+    Fractions.  Row -1 is 1, 0, 0, ... over 1, so a_0 = s_0.  The moments
+    are read as ``MomentSystem`` reads them: through ``kernel.rat``, with a
+    non-sequence or a str, bytes or bytearray refused with ParseError.
     """
-    row, den = cleared(s)
+    check_sequence(s, "moment sequence")
+    row, den = cleared([rat(x) for x in s])
     prev, prev_den = [1] + [0] * len(row), 1
     out = []
     while row:

@@ -11,8 +11,8 @@ from hplax.bvp import (BoundaryData, SweepReport, boundary_from_field,
                        boundary_from_moments, boundary_from_table, cd_by_summation,
                        cross_validate, field_from_moments, sweep_solve)
 from hplax.errors import (DegeneracyError, HplaxError, IntegrityError,
-                          NonPerfectBoundaryError, NotNormalError, TruncationError,
-                          WindowError)
+                          NonPerfectBoundaryError, NotNormalError, ParseError,
+                          TruncationError, WindowError)
 from hplax.hptable import HPTable
 from hplax.measures import (JFraction, MeasureModel, MomentSystem,
                             jfraction_to_moments, make_angelesco, make_nikishin,
@@ -50,6 +50,16 @@ class TestBoundaryData:
         assert data.b_col == (F(-1), F(7))
         assert all(type(x) is F for row in (data.c_row, data.a_row, data.d_col,
                                             data.b_col) for x in row)
+
+    @pytest.mark.parametrize("bad", ["12", b"12", bytearray(b"12"), 12], ids=repr)
+    def test_a_row_that_is_not_a_sequence_is_a_parse_error(self, bad):
+        # "12" would read as the row (1, 2)
+        rows = [(1, 2), (3,), (4, 5), (6,)]
+        for i, name in enumerate(("c_row", "a_row", "d_col", "b_col")):
+            with pytest.raises(ParseError, match=f"boundary row {name} must be a sequence"):
+                BoundaryData(*rows[:i], bad, *rows[i + 1:])
+        with pytest.raises(ParseError):
+            BoundaryData("12", "3", "45", "6")
 
     @pytest.mark.parametrize("zero", [0, "0", F(0), "0/5"])
     def test_zero_in_either_subdiagonal_rejected(self, zero):

@@ -8,7 +8,7 @@ from hplax import classical
 from hplax.classical import (QdField, cf_tail_eval, hankel_shifted, lax_l,
                              lax_m_num, qd_vw, three_term_check,
                              transition_2x2, zcc2_residual)
-from hplax.errors import DegeneracyError, TruncationError, WindowError
+from hplax.errors import DegeneracyError, ParseError, TruncationError, WindowError
 from hplax.hptable import HPTable
 from hplax.kernel import MatPoly, Poly, X, cleared
 from hplax.measures import (MeasureModel, MomentSystem, measure_moments,
@@ -38,6 +38,20 @@ class TestHankelShifted:
     def test_truncation(self):
         with pytest.raises(TruncationError):
             hankel_shifted([1, 1], 2, 1)
+
+
+@pytest.mark.parametrize("bad", ["1234", b"1234", bytearray(b"1234"), 1234, None],
+                         ids=repr)
+@pytest.mark.parametrize("read", [
+    QdField,
+    lambda s: hankel_shifted(s, 2, 0),
+    lambda s: qd_vw(s, 0, 0),
+    lambda s: monic_orthogonal_polys(s, 1),
+], ids=["QdField", "hankel_shifted", "qd_vw", "monic_orthogonal_polys"])
+def test_a_moment_sequence_that_is_not_one_is_a_parse_error(bad, read):
+    # a str is a Sequence of characters: "1234" read as the moments 1, 2, 3, 4
+    with pytest.raises(ParseError, match="must be a sequence"):
+        read(bad)
 
 
 class TestQdVW:

@@ -334,6 +334,122 @@ class TestSubleadingMemo:
 
 
 @st.composite
+def planted_content_systems(draw):
+    """A window up to (4, 4) and a system whose cleared Hankel block has
+    common factors in its lines: Angelesco moments on half-integer
+    endpoints, or small-integer sequences times lambda_j^k / q_j (rational
+    lambda_j), each with a moment count that may cut the window short.
+    The small integers are zero-laden, and s2 may repeat s1, which leaves
+    nothing past the trivial indices normal (as ``dup_system``)."""
+    N, M = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    count = draw(st.integers(N + M, 2 * (N + M) + 2))
+    if draw(st.booleans()):
+        ends = draw(st.lists(st.integers(-8, 8), min_size=4, max_size=4, unique=True))
+        lo1, hi1, lo2, hi2 = (F(x, 2) for x in sorted(ends))
+        return (N, M), make_angelesco(MeasureModel.interval(lo1, hi1),
+                                      MeasureModel.interval(lo2, hi2), count)
+    scales = st.sampled_from([F(1), F(2), F(-3), F(6), F(1, 2), F(3, 2), F(-2, 9)])
+    seqs = []
+    for _ in range(2):
+        base = draw(st.lists(st.sampled_from([0, 1, -1, 2, 3, 5]),
+                             min_size=count, max_size=count))
+        lam, q = draw(scales), draw(scales)
+        seqs.append([x * lam ** k / q for k, x in enumerate(base)])
+    if draw(st.booleans()):
+        seqs[1] = seqs[0]
+    return (N, M), MomentSystem(*seqs)
+
+
+class TestContentReducedBlock:
+    """The table eliminates its Hankel block with each column and row
+    divided by its content and scales K, P and the subleading pair back;
+    every read must still meet its oracle: S against det_exact, P against
+    the orthogonality solve, the subleading pair against P's coefficient,
+    each error against the oracle's at the same index."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(planted_content_systems())
+    @example(((3, 3), MomentSystem([F(1, k + 1) for k in range(14)],
+                                   [F(1, k + 1) for k in range(14)])))
+    @example(((4, 4), make_angelesco(MeasureModel.interval(F(-5, 2), F(-2)),
+                                     MeasureModel.interval(F(3, 2), F(3)), 20)))
+    def test_reads_meet_the_oracles(self, case):
+        (N, M), system = case
+        table = HPTable(system, N, M)
+        for n in range(N + 1):
+            for m in range(M + 1):
+                want_s, want_p = expected_entry(system, n, m)
+                assert read_or_error(table.s_det, n, m) == want_s, (n, m)
+                assert read_or_error(table.hp_poly_det, n, m) == want_p, (n, m)
+                sub = read_or_error(lambda n, m: F(*table.subleading(n, m)), n, m)
+                if not isinstance(want_p, Poly):
+                    assert sub == want_p, (n, m)
+                    continue
+                assert sub == (want_p.coeff(n + m - 1) if n + m else 0), (n, m)
+                assert table.orthogonality_residuals(n, m) == ([0] * n, [0] * m)
+
+    def test_angelesco_block_is_narrower_than_its_minor(self):
+        # the p90 block of the field-ladder benchmark: table Angelesco (8, 8);
+        # 793 bits in every column elimination when the rows were the
+        # D_j-cleared moments, 316 on the content-reduced block
+        system = make_angelesco(MeasureModel.interval(F(-5, 2), F(-2)),
+                                MeasureModel.interval(F(3, 2), F(3)), 36)
+        table = HPTable(system, 8, 8)
+        for n in range(9):
+            for m in range(9):
+                table.null_vector(n, m)
+        held = max(abs(x).bit_length() for column in table._columns.values()
+                   for row in column._rows for x in row)
+        assert held <= 0.6 * abs(table.minor(8, 8)).bit_length()
+
+    def test_nikishin_contents_are_one(self, table_nik):
+        # integer atoms: every line of the cleared block has content 1, so
+        # the scale-back multiplies by 1 and the null vectors are unscaled
+        for prods in (table_nik._rho1, table_nik._rho2, table_nik._gamma_prod):
+            assert all(x.bit_length() == 1 for x in prods)
+
+    def test_a_read_past_the_block_raises(self, system_a):
+        # the block holds s2 shifts 0..2 and s1 shifts 0..3: seven rows
+        table = HPTable(system_a, 4, 3)
+        assert len(table._shared._read(6)) == 8
+        with pytest.raises(IndexError):
+            table._shared._read(7)
+
+
+class TestIndexType:
+    """An index that is not an int, a bool included, is a WindowError on a
+    fresh table and on one whose memo holds the equal int index."""
+
+    @pytest.mark.parametrize("read", [
+        lambda table: table.minor(True, 1),
+        lambda table: table.s_det(1.0, 1),
+        lambda table: table.hp_poly_det(0.0, 0),
+        lambda table: table.pairing(1, 1, 1, 0.5),
+        lambda table: table.subleading(1, False),
+        lambda table: table.null_vector("1", 1),
+        lambda table: table.hp_poly_solve(1, True),
+        lambda table: table.hp_remainder(LaurentTail(table.moments.s1),
+                                         LaurentTail(table.moments.s2), "1", 0),
+    ], ids=["minor-bool", "s_det-float", "hp_poly_det-float", "pairing-float-shift",
+            "subleading-bool", "null_vector-str", "hp_poly_solve-bool", "hp_remainder-str"])
+    def test_refused(self, system_a, read):
+        table = HPTable(system_a, 3, 3)
+        with pytest.raises(WindowError, match="int"):
+            read(table)
+        for n in range(4):
+            for m in range(4):
+                table.subleading(n, m)
+                table.null_vector(n, m)
+                table.pairing(1, n, m, 0)
+        with pytest.raises(WindowError, match="int"):
+            read(table)
+
+    def test_pairing_refuses_a_bool_sequence(self, system_a):
+        with pytest.raises(WindowError, match="which"):
+            HPTable(system_a, 3, 3).pairing(True, 1, 1, 0)
+
+
+@st.composite
 def normalization_systems(draw):
     """A window (N, M) up to (4, 4) with N >= 1, so that h2 meets an odd n,
     and an Angelesco, Nikishin or zero-laden small-integer system holding

@@ -431,6 +431,21 @@ class TestChebyshevAlgorithm:
         j = moments_to_jfraction(moments, 12)
         assert jfraction_to_moments(j, 24) == list(moments)
 
+    @pytest.mark.parametrize("bad, match", [
+        (["1", "x"], "bad rational 'x'"), ([1, None], "bad rational None"),
+        ("12", "must be a sequence"), (b"12", "must be a sequence"),
+        (bytearray(b"12"), "must be a sequence"), (12, "must be a sequence")],
+        ids=repr)
+    def test_a_bad_moment_is_a_parse_error(self, bad, match):
+        # each moment enters through kernel.rat, as in MomentSystem; a str
+        # would read as the moments 1, 2
+        with pytest.raises(ParseError, match=match):
+            measures.jfraction_entries(bad)
+
+    def test_moments_read_as_rat_reads_them(self):
+        assert measures.jfraction_entries(["1", "1/2", 1]) == measures.jfraction_entries(
+            [F(1), F(1, 2), F(1)])
+
     def test_rows_stay_reduced(self, monkeypatch):
         # each row's content is divided out, which keeps the operands of
         # every Fraction the kernel builds small; without it the
