@@ -11,15 +11,15 @@ vanishing (c - d) in any needed denominator certifies that the boundary
 data do not come from a perfect system; the partially filled field is kept
 for diagnosis.
 
-The (N, M) rectangle reads only a cone of the triangle of levels up to
-N + M, so only the cone is computed exactly, each entry a reduced integer
-pair (num, den) and no Fraction; a and b there are ratios of running tau
-ratios (K(n+1, m) / K(n, m) and K(n, m+1) / K(n, m), up to constant
-factors), each a product of boundary entries and gaps.  The other cells are
-needed only to show that their gaps do not vanish, and are swept modulo a
-prime: a nonzero residue proves a nonzero gap.  Any zero, exact or modular,
-reruns the whole triangle exactly, unless every level up to it was exact
-already, so reports do not depend on the prime.
+a and b are ratios of running tau ratios (K(n+1, m) / K(n, m) and
+K(n, m+1) / K(n, m), up to constant factors), each a product of boundary
+entries and gaps.  The (N, M) rectangle reads only a cone of the triangle
+of levels up to N + M, so only the cone is computed exactly, each entry a
+reduced integer pair (num, den) and no Fraction.  The other cells are
+needed only to show that their gaps do not vanish, and run the same
+recurrences modulo a prime: a nonzero residue proves a nonzero gap.  Any
+zero, exact or modular, reruns the whole triangle exactly, unless every
+level up to it was exact already, so reports do not depend on the prime.
 
 The independent route recovers the same field from moments through the
 determinant table; the two must agree grid point by grid point, exactly.
@@ -32,8 +32,8 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import (DegeneracyError, IntegrityError, NonPerfectBoundaryError,
-                     NotNormalError, TruncationError, WindowError, check_sequence,
-                     check_window)
+                     NotNormalError, ParseError, TruncationError, WindowError,
+                     check_sequence, check_window)
 from .hptable import HPTable
 from .kernel import ZERO, rat
 from .lax3 import zero_curvature_holds
@@ -169,9 +169,9 @@ def sweep_solve(boundary: BoundaryData, N: int, M: int) -> SweepReport:
     the (N, M) rectangle.
 
     Only the cone of cells the rectangle reads (``cone_range``) is computed
-    exactly.  The shell, every other cell of the triangle, is swept by the
-    same equations modulo the prime _P, as projective residue pairs
-    (``_Residue``): while no divisor vanishes modulo _P, each residue is the
+    exactly.  The shell, every other cell of the triangle, runs the same
+    recurrences modulo the prime _P, on projective residue pairs
+    (``_residue``): while no divisor vanishes modulo _P, each residue is the
     image of the exact value under the ring homomorphism Z_(P) -> F_P, so a
     nonzero gap residue proves the exact gap nonzero.
 
@@ -179,10 +179,13 @@ def sweep_solve(boundary: BoundaryData, N: int, M: int) -> SweepReport:
     would, it raises ``_Inexact``, and the call runs the full exact sweep,
     the same loop with every cell in range, whose report keeps every entry
     filled up to the first zero gap.  That is a denominator that vanishes
-    modulo _P, or a zero gap, exact or modular, divided by on a level whose
-    range is not full.  A zero gap on a level whose range is full ends the
-    cone run itself: full ranges are a prefix of the levels, so up to that
-    level the run was the exact sweep, entry for entry.
+    modulo _P (among them a shell divisor rho or sigma that holds an a_row
+    or b_col entry whose numerator is a multiple of _P), or a zero gap,
+    exact or modular, divided by on a level whose range is not full.  A zero
+    gap on a level whose range is full ends the cone run itself: full ranges
+    are a prefix of the levels, so up to that level the run was the exact
+    sweep, entry for entry.  A boundary that is not a ``BoundaryData``
+    raises ParseError.
 
     divisions_checked counts equation divisions, as if each of a, b, c and
     d divided on its own: two per interior cell in phase 1, and each
@@ -190,6 +193,8 @@ def sweep_solve(boundary: BoundaryData, N: int, M: int) -> SweepReport:
     division is checked when the gap it divides by is shown nonzero: by its
     exact value in the cone, by its residue in the shell.
     """
+    if not isinstance(boundary, BoundaryData):
+        raise ParseError(f"boundary must be a BoundaryData, got {type(boundary).__name__}")
     check_window(N, M)
     lam = N + M
     if boundary.max_level < lam:
@@ -214,15 +219,18 @@ def cone_range(N: int, M: int, level: int) -> tuple[int, int]:
 def _sweep(boundary: BoundaryData, N: int, M: int,
            ranges: list[tuple[int, int]]) -> SweepReport:
     """The level sweep: on level L, c, d and the gap are exact on n in
-    ranges[L] = lo..hi, a, b and s on lo - 1..hi + 1, and every other entry
-    is a residue modulo _P.  With ranges[L] = (0, L) it is the exact sweep.
-    An exact entry is a reduced pair (num, den), den > 0, and its arithmetic
-    is ``_pair_sum`` and ``_pair_product``: no Fraction is formed.
+    ranges[L] = lo..hi, a, b and s on lo - 1..hi + 1, the quotient of the
+    edge from (n, L - 1 - n) on lo - 1..hi, and every other entry is a
+    residue modulo _P.  With ranges[L] = (0, L) it is the exact sweep.
+    Every cell runs the same recurrences; its place picks only their
+    arithmetic: an exact entry is a reduced pair (num, den), den > 0, formed
+    by ``_pair_sum``, ``_pair_product`` and ``_pair_quotient`` (no Fraction),
+    and a residue a projective pair formed by their twins modulo _P.
 
     Level L is filled in two phases, each walking n = 0..L.  Phase 1 sets a,
-    b and the sum s(n, m) = a + b; the axis entries are boundary data.  An
-    exact a and b are ratios of running tau ratios, rho(n, m) ~ K(n+1, m) /
-    K(n, m) and sigma(n, m) ~ K(n, m+1) / K(n, m), kept on the exact range:
+    b and the sum s(n, m) = a + b; the axis entries are boundary data.  a
+    and b are ratios of running tau ratios, rho(n, m) ~ K(n+1, m) / K(n, m)
+    and sigma(n, m) ~ K(n, m+1) / K(n, m):
 
         rho(n, m) = gap(n, m-1) rho(n, m-1),     a(n, m) = rho(n, m) / rho(n-1, m),
         sigma(n, m) = gap(n-1, m) sigma(n-1, m), b(n, m) = sigma(n, m) / sigma(n, m-1),
@@ -233,20 +241,21 @@ def _sweep(boundary: BoundaryData, N: int, M: int,
     ``consistency_residuals`` (r3, r4).  Each divisor is a product of
     boundary a_row and b_col entries, nonzero by ``BoundaryData``, and of
     gaps on levels up to L - 2, each tested nonzero before phase 1 of level
-    L.  A residue a and b are a(n, m-1) gap(n, m-1) / gap(n-1, m-1) and
-    b(n-1, m) gap(n-1, m) / gap(n-1, m-1).  Phase 2 crosses each edge from
-    (n, m-1) on level L - 1 once: its quotient q = (s(n+1, m-1) - s(n, m)) /
-    gap(n, m-1) is both c(n, m) - c(n, m-1) and d(n+1, m-1) - d(n, m-1), so
-    it is exact when either of those is.  Each cell's gap c - d is
-    subtracted once, and kept until the two levels above it have read it;
-    nothing reads the gaps on level N + M, so they are not formed.  A
-    residue entry reduces the exact entries it reads; an exact entry reads
-    only exact entries (``cone_range``).  A gap is tested for zero where c
-    first divides by it; phase 1 and d divide only by gaps that passed that
-    test.  A zero gap stops the sweep, and the report keeps the entries
-    filled so far; but where the report would not be the exact sweep's, a
-    zero gap on a level whose range is not full or a denominator residue
-    that vanishes, it raises ``_Inexact`` instead.
+    L.  Phase 2 crosses each edge from (n, m-1) on level L - 1 once: its
+    quotient q = (s(n+1, m-1) - s(n, m)) / gap(n, m-1) is both c(n, m) -
+    c(n, m-1) and d(n+1, m-1) - d(n, m-1), so it is exact when either of
+    those is.  Each cell's gap c - d is subtracted once, and read on the
+    level above it; nothing reads the gaps on level N + M, so they are not
+    formed.  A residue entry reduces the exact entries it reads; an exact
+    entry reads only exact entries (``cone_range``).  A gap is tested for
+    zero where c first divides by it; phase 1 and d divide only by gaps
+    that passed that test.  A zero gap stops the sweep, and the report
+    keeps the entries filled so far; but where the report would not be the
+    exact sweep's, a zero gap on a level whose range is not full or a
+    denominator residue that vanishes, it raises ``_Inexact`` instead.  A
+    residue rho or sigma holds the boundary a_row and b_col entries, so an
+    entry whose numerator is a multiple of _P makes a shell divisor vanish
+    and reruns too, as a gap that is a multiple of _P does.
     """
     lam = N + M
     c_row, a_row, d_col, b_col = ([x.as_integer_ratio() for x in row] for row in (
@@ -257,91 +266,67 @@ def _sweep(boundary: BoundaryData, N: int, M: int,
     d: dict[tuple[int, int], tuple[int, int]] = {}
     divisions = 0
     failure: tuple[tuple[int, int], str] | None = None
-    # the level below and the one below it, indexed by n: each entry a
-    # reduced pair or a residue; rho and sigma on the exact range only
-    a_below = b_below = gap_below = gap_two_below = c_below = d_below = []
-    rho_below = sigma_below = {}
+    # the level below, indexed by n: each entry a reduced pair or a residue
+    gap_below = c_below = d_below = rho_below = sigma_below = []
     for level in range(lam + 1):
         lo, hi = ranges[level]
-        a_here, b_here, s_here, rho_here, sigma_here = [], [], [], {}, {}
+        s_here, rho_here, sigma_here = [], [], []
         for n in range(level + 1):                    # phase 1: a, b and s
             m = level - n
-            exact = lo - 1 <= n <= hi + 1
+            product, quotient, add = _EXACT if lo - 1 <= n <= hi + 1 else _MODULAR
             if n == 0:
                 a_nm, b_nm = _ZERO, b_col[m - 1] if m else _ZERO
-                s_nm = b_nm
-                if exact:
-                    rho_here[n] = _pair_product(gap_below[n], rho_below[n]) if m else _ONE
-                    sigma_here[n] = _pair_product(b_nm, sigma_below[n]) if m else _ONE
+                rho = product(gap_below[0], rho_below[0]) if m else _ONE
+                sigma = product(b_nm, sigma_below[0]) if m else _ONE
             elif m == 0:
                 a_nm, b_nm = a_row[n - 1], _ZERO
-                s_nm = a_nm
-                if exact:
-                    rho_here[n] = _pair_product(a_nm, rho_below[n - 1])
-                    sigma_here[n] = _pair_product(gap_below[n - 1], sigma_below[n - 1])
+                rho = product(a_nm, rho_below[n - 1])
+                sigma = product(gap_below[n - 1], sigma_below[n - 1])
             else:
                 divisions += 2
-                if exact:
-                    rho_here[n] = rho = _pair_product(gap_below[n], rho_below[n])
-                    sigma_here[n] = sigma = _pair_product(gap_below[n - 1],
-                                                          sigma_below[n - 1])
-                    a_nm = _pair_product(rho, _inverse(rho_below[n - 1]))
-                    b_nm = _pair_product(sigma, _inverse(sigma_below[n]))
-                    s_nm = _pair_sum(a_nm, b_nm)
-                else:
-                    hn, hd = gap_two_below[n - 1]
-                    pn, pd = a_below[n]
-                    gn, gd = gap_below[n]
-                    a_nm = _Residue(pn * gn * hd, pd * gd * hn)
-                    pn, pd = b_below[n - 1]
-                    gn, gd = gap_below[n - 1]
-                    b_nm = _Residue(pn * gn * hd, pd * gd * hn)
-                    s_nm = a_nm + b_nm
+                rho = product(gap_below[n], rho_below[n])
+                sigma = product(gap_below[n - 1], sigma_below[n - 1])
+                a_nm = quotient(rho, rho_below[n - 1])
+                b_nm = quotient(sigma, sigma_below[n])
             a[(n, m)] = a_nm
             b[(n, m)] = b_nm
-            a_here.append(a_nm)
-            b_here.append(b_nm)
-            s_here.append(s_nm)
+            s_here.append(add(a_nm, b_nm))
+            rho_here.append(rho)
+            sigma_here.append(sigma)
         c_here, d_here, gap_here = [], [], []
         q = None        # the quotient of the last edge crossed
         for n in range(level + 1):                    # phase 2: c and d
             m = level - n
-            exact = lo <= n <= hi
+            add = _pair_sum if lo <= n <= hi else _residue_sum
             if m == 0:
                 c_nm = c_row[n]
             else:
                 divisions += 1
-                gn, gd = gap = gap_below[n]
-                if gn == 0:
+                gap = gap_below[n]
+                if gap[0] == 0:
                     if (lo, hi) != (0, level):
                         raise _Inexact
                     failure = ((n, m - 1), f"(c - d) vanishes at {(n, m - 1)}")
                     break
-                if lo - 1 <= n <= hi:       # c here or d at n + 1 is exact
-                    q = _pair_product(_pair_sum(s_here[n + 1], s_here[n], -1),
-                                      _inverse(gap))
-                else:
-                    pn, pd = _residue(s_here[n + 1]) - s_here[n]
-                    q = _Residue(pn * gd, pd * gn)
-                c_nm = _pair_sum(c_below[n], q) if exact else _residue(c_below[n]) + q
+                # exact when c here or d at n + 1 is
+                _, quotient, difference = _EXACT if lo - 1 <= n <= hi else _MODULAR
+                q = quotient(difference(s_here[n + 1], s_here[n], -1), gap)
+                c_nm = add(c_below[n], q)
             c[(n, m)] = c_nm
             if n == 0:
                 d_nm = d_col[m]
             else:                       # the edge from (n-1, m), crossed at n - 1
                 divisions += 1
-                d_nm = (_pair_sum(d_below[n - 1], q_prev) if exact
-                        else _residue(d_below[n - 1]) + q_prev)
+                d_nm = add(d_below[n - 1], q_prev)
             d[(n, m)] = d_nm
             c_here.append(c_nm)
             d_here.append(d_nm)
             if level < lam:
-                gap_here.append(_pair_sum(c_nm, d_nm, -1) if exact
-                                else _residue(c_nm) - d_nm)
+                gap_here.append(add(c_nm, d_nm, -1))
             q_prev = q
         if failure is not None:
             break
-        a_below, b_below, c_below, d_below = a_here, b_here, c_here, d_here
-        gap_two_below, gap_below = gap_below, gap_here
+        gap_below, c_below, d_below = gap_here, c_here, d_here
         rho_below, sigma_below = rho_here, sigma_here
 
     grids = {"a": a, "b": b, "c": c, "d": d}
@@ -376,10 +361,13 @@ def _pair_product(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     return (xn // g1) * (yn // g2), (xd // g2) * (yd // g1)
 
 
-def _inverse(x: tuple[int, int]) -> tuple[int, int]:
-    """1 / x of a nonzero reduced pair, reduced."""
-    num, den = x
-    return (den, num) if num > 0 else (-den, -num)
+def _pair_quotient(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """x / y of two reduced pairs, y nonzero, reduced by two gcds, as
+    ``_pair_product`` of x and 1 / y."""
+    (xn, xd), (yn, yd) = x, y
+    g1, g2 = gcd(xn, yn), gcd(xd, yd)
+    num, den = (xn // g1) * (yd // g2), (xd // g2) * (yn // g1)
+    return (num, den) if den > 0 else (-num, -den)
 
 
 class _Inexact(ArithmeticError):
@@ -388,36 +376,34 @@ class _Inexact(ArithmeticError):
     a level whose range is not full."""
 
 
-class _Residue:
-    """A rational modulo _P as a projective pair (num, den), den nonzero:
-    the image of x in F_P when x lies in Z_(P).  It unpacks as its pair, as
-    an exact entry does; sums and differences with reduced pairs or residues
-    are residues; no modular inverse is formed."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: int, den: int):
-        den %= _P
-        if not den:
-            raise _Inexact
-        self.num = num % _P
-        self.den = den
-
-    def __iter__(self):
-        return iter((self.num, self.den))
-
-    def __add__(self, other):
-        on, od = other
-        return _Residue(self.num * od + on * self.den, self.den * od)
-
-    def __sub__(self, other):
-        on, od = other
-        return _Residue(self.num * od - on * self.den, self.den * od)
+def _residue(num: int, den: int) -> tuple[int, int]:
+    """num / den modulo _P as a projective pair (num, den), den nonzero: the
+    image of num / den in F_P when it lies in Z_(P).  A zero den raises
+    ``_Inexact``; no modular inverse is formed."""
+    den %= _P
+    if not den:
+        raise _Inexact
+    return num % _P, den
 
 
-def _residue(x) -> _Residue:
-    """x modulo _P: a reduced pair reduced, a residue as it is."""
-    return x if type(x) is _Residue else _Residue(*x)
+# the twins of _pair_sum, _pair_product and _pair_quotient modulo _P, on
+# residues and reduced pairs alike
+def _residue_sum(x: tuple[int, int], y: tuple[int, int], sign: int = 1) -> tuple[int, int]:
+    (xn, xd), (yn, yd) = x, y
+    return _residue(xn * yd + sign * yn * xd, xd * yd)
+
+
+def _residue_product(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return _residue(x[0] * y[0], x[1] * y[1])
+
+
+def _residue_quotient(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return _residue(x[0] * y[1], x[1] * y[0])
+
+
+# the arithmetic of an exact cell and of a residue cell: product, quotient, sum
+_EXACT = _pair_product, _pair_quotient, _pair_sum
+_MODULAR = _residue_product, _residue_quotient, _residue_sum
 
 
 def field_from_moments(system: MomentSystem, N: int, M: int) -> RecurrenceField:

@@ -38,16 +38,10 @@ def _pair_str(pair: tuple[int, int]) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def rat_parse(x: Any) -> Fraction:
-    if isinstance(x, bool) or isinstance(x, float):
-        raise ParseError(f"expected an exact rational, got {x!r}")
-    return rat(x)
-
-
 def rat_list(xs: Any) -> list[Fraction]:
     if not isinstance(xs, list):
         raise ParseError(f"expected a list of rationals, got {type(xs).__name__}")
-    return [rat_parse(x) for x in xs]
+    return [rat(x) for x in xs]
 
 
 def need(doc: dict, key: str) -> Any:
@@ -130,8 +124,8 @@ def moment_label(doc: dict, s1: list, s2: list, default: str) -> str:
 def measure_from_doc(doc: dict) -> MeasureModel:
     kind = need(doc, "type")
     if kind == "interval":
-        return MeasureModel.interval(rat_parse(need(doc, "lo")),
-                                     rat_parse(need(doc, "hi")))
+        return MeasureModel.interval(rat(need(doc, "lo")),
+                                     rat(need(doc, "hi")))
     if kind == "discrete":
         atoms = need(doc, "atoms")
         if not isinstance(atoms, list):
@@ -140,7 +134,7 @@ def measure_from_doc(doc: dict) -> MeasureModel:
         for entry in atoms:
             if not isinstance(entry, list) or len(entry) != 2:
                 raise ParseError(f"bad atom {entry!r}; expected [node, weight]")
-            pairs.append((rat_parse(entry[0]), rat_parse(entry[1])))
+            pairs.append((rat(entry[0]), rat(entry[1])))
         return MeasureModel.discrete(pairs)
     raise ParseError(f"unknown measure type {kind!r}")
 
@@ -148,7 +142,7 @@ def measure_from_doc(doc: dict) -> MeasureModel:
 def jfraction_from_doc(doc: dict) -> JFraction:
     return JFraction(tuple(rat_list(need(doc, "c"))),
                      tuple(rat_list(need(doc, "a"))),
-                     rat_parse(need(doc, "s0")))
+                     rat(need(doc, "s0")))
 
 
 def jfraction_to_doc(j: JFraction) -> dict:
@@ -192,7 +186,7 @@ def table_from_doc(doc: dict) -> tuple[list[list[Fraction]], list[list[Poly]],
         raise ParseError(f"expected an hp_table document, got {doc.get('kind')!r}")
     _check_convention(doc)
     nw, mw = _window(doc)
-    s_grid = [[rat_parse(v) for v in row] for row in _grid_rows(doc, "s", nw, mw)]
+    s_grid = [[rat(v) for v in row] for row in _grid_rows(doc, "s", nw, mw)]
     p_grid = [[Poly(tuple(rat_list(entry))) for entry in row]
               for row in _grid_rows(doc, "p", nw, mw)]
     for n, row in enumerate(p_grid):
@@ -223,7 +217,7 @@ def field_from_doc(doc: dict) -> RecurrenceField:
     grids: dict[str, dict[tuple[int, int], Fraction]] = {}
     for kind in KINDS:
         rows = _grid_rows(doc, kind, nw, mw)
-        grids[kind] = {(n, m): rat_parse(rows[n][m])
+        grids[kind] = {(n, m): rat(rows[n][m])
                        for n in range(nw + 1) for m in range(mw + 1)}
     return RecurrenceField(grids, (nw, mw))
 

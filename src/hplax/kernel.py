@@ -25,15 +25,17 @@ ZERO = Fraction(0)
 
 
 def rat(x: Ratlike) -> Fraction:
-    """Coerce an int, a ``p/q`` string, or a Fraction to an exact rational;
-    anything that is not a rational raises ParseError, whose text shows at
+    """Coerce an int, a ``p/q`` string, or a Fraction to an exact rational.
+    Anything that is not a rational raises ParseError, whose text shows at
     most the first 40 characters of the value, or only its type where its
     repr holds an int past the interpreter's limit on int-to-text conversion,
-    whatever limit the caller has set."""
+    whatever limit the caller has set.  A finite float or a bool is refused
+    too, since its value is not the rational its writer meant: "expected an
+    exact rational, got 0.5"."""
     if isinstance(x, Fraction):
         return x
     try:
-        return Fraction(x)
+        value = Fraction(x)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         try:
             text = repr(x)
@@ -42,6 +44,9 @@ def rat(x: Ratlike) -> Fraction:
         except ValueError:      # an int in x past the digit limit
             text = f"{type(x).__name__} with an int too long to print"
         raise ParseError(f"bad rational {text}") from exc
+    if isinstance(x, (bool, float)):
+        raise ParseError(f"expected an exact rational, got {x!r}")
+    return value
 
 
 def _coerced(coeffs: Iterable[Ratlike]) -> tuple[Fraction, ...]:

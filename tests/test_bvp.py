@@ -249,6 +249,13 @@ class TestSweepSolve:
         with pytest.raises(WindowError, match="nonnegative ints"):
             sweep_solve(boundary_a, *bad_window)
 
+    @pytest.mark.parametrize("bad", ["x", None, [1, 2]], ids=repr)
+    def test_a_boundary_that_is_not_boundary_data_is_refused(self, bad):
+        # refused before any row is read
+        with pytest.raises(ParseError, match="boundary must be a BoundaryData, got "
+                                             + type(bad).__name__):
+            sweep_solve(bad, 1, 1)
+
     def test_boundary_too_short(self, boundary_a):
         with pytest.raises(TruncationError):
             sweep_solve(boundary_a, 5, 5)
@@ -764,6 +771,24 @@ class TestCone:
         monkeypatch.setattr(bvp, "_sweep", recording)
         assert meets_the_equations(boundary, 0, 2).ok
         assert ranges == [[(0, 0), (0, 1), (0, 0)], [(0, 0), (0, 1), (0, 2)]]
+
+    def test_boundary_entry_divisible_by_the_prime(self, monkeypatch):
+        # a(1, 0) = _P: the shell divides by the residue of rho(1, 1) =
+        # gap(1, 0) a(1, 0), which vanishes, so the full exact sweep runs
+        # and completes
+        boundary = BoundaryData(c_row=(1, -1, 0, 2), a_row=(bvp._P, 1, 2),
+                                d_col=(0, 3, 0, 1), b_col=(2, 1, 1))
+        ranges = []
+        sweep = bvp._sweep
+
+        def recording(boundary, N, M, levels):
+            ranges.append(levels)
+            return sweep(boundary, N, M, levels)
+
+        monkeypatch.setattr(bvp, "_sweep", recording)
+        assert meets_the_equations(boundary, 0, 3).ok
+        assert ranges == [[(0, 0), (0, 1), (0, 1), (0, 0)],
+                          [(0, 0), (0, 1), (0, 2), (0, 3)]]
 
     def test_a_zero_on_a_full_range_level_is_not_rerun(self, boundary_a,
                                                         reference_field, monkeypatch):

@@ -401,13 +401,13 @@ class TestDocRoundtrips:
 
     def test_rejects_floats(self):
         with pytest.raises(jsondoc.ParseError):
-            jsondoc.rat_parse(0.5)
+            jsondoc.rat(0.5)
 
     def test_bare_integers(self):
         assert jsondoc.rat_str(F(3)) == "3"
-        assert jsondoc.rat_parse("3") == 3
-        assert jsondoc.rat_parse(3) == 3
-        assert jsondoc.rat_parse("-3/2") == F(-3, 2)
+        assert jsondoc.rat("3") == 3
+        assert jsondoc.rat(3) == 3
+        assert jsondoc.rat("-3/2") == F(-3, 2)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(-2 ** 2000, 2 ** 2000),

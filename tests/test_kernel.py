@@ -1,3 +1,4 @@
+import re
 import sys
 from fractions import Fraction as F
 from itertools import permutations
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hplax.bvp import BoundaryData
 from hplax.errors import (DegeneracyError, DimensionError, IntegrityError,
                           ParseError, TruncationError)
 from hplax.kernel import (LaurentTail, LeadingMinors, MatPoly, Poly, SharedPrefix, X,
@@ -334,6 +336,17 @@ def test_an_int_past_the_digit_limit_in_a_bad_value_is_a_parse_error(read):
         assert sys.get_int_max_str_digits() == 4300
     finally:
         sys.set_int_max_str_digits(previous)
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, True, False], ids=repr)
+def test_a_float_or_a_bool_is_not_a_rational(bad):
+    # Fraction(0.1) is the dyadic 3602879701896397 / 2 ** 55 and Fraction(True)
+    # is 1, neither what the writer meant; each is refused where it enters
+    text = f"expected an exact rational, got {bad!r}"
+    for read in (lambda: rat(bad), lambda: MomentSystem([bad, 1], [1, 2]),
+                 lambda: BoundaryData((1, bad), (1,), (0, 1), (1,))):
+        with pytest.raises(ParseError, match=re.escape(text)):
+            read()
 
 
 class TestRatArithmetic:
