@@ -32,8 +32,8 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import (DegeneracyError, IntegrityError, NonPerfectBoundaryError,
-                     NotNormalError, ParseError, TruncationError, WindowError,
-                     check_sequence, check_window)
+                     NotNormalError, TruncationError, WindowError, check_int,
+                     check_sequence, check_type, check_window)
 from .hptable import HPTable
 from .kernel import ZERO, rat
 from .lax3 import zero_curvature_holds
@@ -104,16 +104,10 @@ class SweepReport:
         return self.field
 
 
-def _check_levels(levels) -> None:
-    """Raise WindowError unless levels, the deepest anti-diagonal a boundary
-    reader is asked for, is a nonnegative int; a bool is not one."""
-    if type(levels) is not int or levels < 0:
-        raise WindowError(f"boundary levels {levels!r} must be a nonnegative int")
-
-
 def boundary_from_field(field: RecurrenceField, levels: int) -> BoundaryData:
     """Read boundary rows for the given maximal anti-diagonal off a field."""
-    _check_levels(levels)
+    check_int(levels, "boundary levels")
+    check_type(field, "field", RecurrenceField)
     nw, mw = field.window
     if levels > nw or levels > mw:
         raise WindowError(
@@ -133,7 +127,7 @@ def boundary_from_table(table: HPTable, levels: int) -> BoundaryData:
     Reaches one step past the requested level along each axis (the c and d
     values need the neighboring polynomial), nothing more.
     """
-    _check_levels(levels)
+    check_int(levels, "boundary levels")
     return BoundaryData(
         c_row=tuple(Fraction(*c_pair(table, n, 0)) for n in range(levels + 1)),
         a_row=tuple(Fraction(*a_pair(table, n, 0)) for n in range(1, levels + 1)),
@@ -151,7 +145,8 @@ def boundary_from_moments(system: MomentSystem, levels: int) -> BoundaryData:
     a vanishing K(n, 0).  The indices n = 1 .. levels + 1 of each axis are
     checked in the order ``boundary_from_table`` reads them: moment depth,
     normality, bordered depth; so the two raise alike."""
-    _check_levels(levels)
+    check_int(levels, "boundary levels")
+    check_type(system, "system", MomentSystem)
     rows = []
     for seq, axis in ((system.s1, lambda n: (n, 0)), (system.s2, lambda n: (0, n))):
         entries = jfraction_entries(seq[:2 * levels + 2])
@@ -193,8 +188,7 @@ def sweep_solve(boundary: BoundaryData, N: int, M: int) -> SweepReport:
     division is checked when the gap it divides by is shown nonzero: by its
     exact value in the cone, by its residue in the shell.
     """
-    if not isinstance(boundary, BoundaryData):
-        raise ParseError(f"boundary must be a BoundaryData, got {type(boundary).__name__}")
+    check_type(boundary, "boundary", BoundaryData)
     check_window(N, M)
     lam = N + M
     if boundary.max_level < lam:

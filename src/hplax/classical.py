@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DegeneracyError, TruncationError, WindowError, check_sequence
+from .errors import DegeneracyError, TruncationError, WindowError, check_int, check_sequence
 from .kernel import (ZERO, LeadingMinors, MatPoly, Poly, X, cleared, det_exact,
                      rat)
 from .measures import (JFraction, hankel_row, jfraction_to_moments,
@@ -119,10 +119,8 @@ def _qd_field(moments) -> QdField:
 def _check_hankel(moments, n: int, k: int) -> None:
     """Reject an index that is not an int (a bool is not one) or is
     negative, and a nonempty block past the last moment."""
-    if type(n) is not int or type(k) is not int:
-        raise WindowError(f"Hankel block ({n!r}, {k!r}) needs int indices")
-    if n < 0 or k < 0:
-        raise WindowError(f"Hankel block ({n}, {k}) has a negative index")
+    check_int(n, "Hankel block order")
+    check_int(k, "Hankel block shift")
     top = 2 * n + k - 2
     if n and len(moments) <= top:
         raise TruncationError(
@@ -245,8 +243,7 @@ def three_term_check(j: JFraction, upto: int) -> list[Poly]:
     moments that jfraction_to_moments recovers from the same data.  Every
     residual must be the zero polynomial.
     """
-    if upto < 0:
-        raise WindowError(f"three-term check degree {upto} is negative")
+    check_int(upto, "three-term check degree")
     if upto == 0:
         return []
     rho = _recurrence_polys(j, upto)
@@ -263,7 +260,6 @@ def cf_tail_eval(j: JFraction, depth: int) -> tuple[Poly, Poly]:
     are nonzero, so a common root of pi_depth and pi_(depth+1) would pass
     down the recurrence to pi_0 = 1.
     """
-    if depth < 0:
-        raise WindowError("continued-fraction depth must be nonnegative")
+    check_int(depth, "continued-fraction depth")
     polys = _recurrence_polys(j, depth + 1)
     return -polys[depth], polys[depth + 1]

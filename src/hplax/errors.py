@@ -2,8 +2,10 @@
 
 Each class carries the exit code and the stderr label the command line
 reports it with; a subclass inherits both unless it sets its own.
-``check_window`` is the one check of a window where it enters the library,
-and ``check_sequence`` the one check of a sequence of values.
+Where a value enters the library it meets one check: ``check_window`` for
+a window, ``check_int`` for a count, level, depth, degree or index with its
+least value, ``check_type`` for an argument that must be one of the
+library's objects, and ``check_sequence`` for a sequence of values.
 """
 
 from __future__ import annotations
@@ -44,6 +46,22 @@ def check_window(n, m) -> None:
     one, as in the documents' windows."""
     if not all(type(v) is int and v >= 0 for v in (n, m)):
         raise WindowError(f"window ({n!r}, {m!r}) needs two nonnegative ints")
+
+
+def check_int(value, name: str, least: int = 0, error: type = WindowError) -> None:
+    """Raise error unless value is an int no smaller than least; a bool is
+    not one, nor a float, a str or None."""
+    if type(value) is not int:
+        raise error(f"{name} must be an int, got {value!r}")
+    if value < least:
+        bound = f"at least {least}" if least else "nonnegative"
+        raise error(f"{name} must be {bound}, got {value}")
+
+
+def check_type(value, name: str, cls: type) -> None:
+    """Raise ParseError unless value is a cls, such as a BoundaryData."""
+    if not isinstance(value, cls):
+        raise ParseError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
 
 
 def check_sequence(seq, name: str) -> None:

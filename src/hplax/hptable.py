@@ -57,8 +57,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable
 
-from .errors import (DegeneracyError, IntegrityError, NotNormalError,
-                     TruncationError, WindowError, check_window)
+from .errors import (DegeneracyError, IntegrityError, NotNormalError, TruncationError,
+                     WindowError, check_int, check_type, check_window)
 from .kernel import (LaurentTail, LeadingMinors, Poly, SharedPrefix, cleared,
                      poly_from_series_product, settle, solve_exact)
 from .measures import MomentSystem, hankel_row
@@ -72,12 +72,14 @@ class HPTable:
     content-reduced block the eliminations work on; each cell is written
     once and never recomputed, and each S and P is built from them when
     read.  An index is a pair of ints in the window; a bool or a float is a
-    WindowError.  The column eliminations behind the memos are extended in
-    place, so one table must not be filled from several threads at once.
+    WindowError, and moments that are not a MomentSystem are a ParseError.
+    The column eliminations behind the memos are extended in place, so one
+    table must not be filled from several threads at once.
     """
 
     def __init__(self, moments: MomentSystem, max_n: int, max_m: int):
         check_window(max_n, max_m)
+        check_type(moments, "moments", MomentSystem)
         self.moments = moments
         self.max_n = max_n
         self.max_m = max_m
@@ -280,10 +282,10 @@ class HPTable:
     def pairing(self, which: int, n: int, m: int, shift: int) -> Fraction:
         """L_which[x^shift P(n, m)], the moment functional of sequence
         ``which`` (1 or 2) applied to x^shift P(n, m), shift >= 0."""
-        if type(which) is not int or which not in (1, 2):
-            raise WindowError(f"which must be 1 or 2, got {which!r}")
-        if type(shift) is not int or shift < 0:
-            raise WindowError(f"pairing shift {shift!r} is not a nonnegative int")
+        check_int(which, "which", 1)
+        if which > 2:
+            raise WindowError(f"which must be 1 or 2, got {which}")
+        check_int(shift, "pairing shift")
         return self._pairings(which, n, m, (shift,))[0]
 
     def orthogonality_residuals(self, n: int, m: int) -> tuple[list[Fraction], list[Fraction]]:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import (DegeneracyError, DisjointSupportError, PoleError, TruncationError,
-                     WindowError, check_sequence)
+                     check_int, check_sequence)
 from .kernel import Poly, Ratlike, cleared, rat, solve_exact
 
 DISCRETE = "discrete"
@@ -126,10 +126,7 @@ def measure_moments(mu: MeasureModel, count: int) -> list[Fraction]:
     integer power sums over one denominator (``_power_sums``); with its ends
     cleared to A / Q and C / Q, moment j - 1 of the interval [A / Q, C / Q]
     is (C^j - A^j) / (j Q^j)."""
-    if type(count) is not int:
-        raise DegeneracyError(f"moment count must be an int, got {count!r}")
-    if count < 0:
-        raise DegeneracyError(f"moment count must be nonnegative, got {count}")
+    check_int(count, "moment count", error=DegeneracyError)
     if mu.kind == INTERVAL:
         (a, c), q = cleared([mu.lo, mu.hi])
         return [Fraction(c ** j - a ** j, j * q ** j) for j in range(1, count + 1)]
@@ -214,8 +211,7 @@ def monic_orthogonal_polys(s, upto: int) -> list[Poly]:
     exactly where the Hankel determinant of order n vanishes.
     """
     check_sequence(s, "moment sequence")
-    if upto < 0:
-        raise WindowError(f"orthogonal polynomial degree {upto} is negative")
+    check_int(upto, "orthogonal polynomial degree")
     need = max(2 * upto, 1)
     if len(s) < need:
         raise TruncationError(
@@ -283,10 +279,7 @@ def moments_to_jfraction(s, depth: int) -> JFraction:
     that is, where a leading principal Hankel determinant vanishes.
     """
     s = [rat(x) for x in s]
-    if type(depth) is not int:
-        raise DegeneracyError(f"J-fraction depth must be an int, got {depth!r}")
-    if depth < 1:
-        raise DegeneracyError("J-fraction depth must be at least 1")
+    check_int(depth, "J-fraction depth", 1, DegeneracyError)
     if len(s) < 2 * depth:
         raise TruncationError(
             f"depth {depth} needs {2 * depth} moments, have {len(s)}")
@@ -308,10 +301,7 @@ def jfraction_to_moments(j: JFraction, count: int) -> list[Fraction]:
     where T^k e_0 can be nonzero, and below count - k, from which v_0 can
     still be reached.
     """
-    if type(count) is not int:
-        raise DegeneracyError(f"moment count must be an int, got {count!r}")
-    if count < 0:
-        raise DegeneracyError(f"moment count must be nonnegative, got {count}")
+    check_int(count, "moment count", error=DegeneracyError)
     if count == 0:
         return []
     d = j.depth

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegeneracyError, NotNormalError, WindowError, check_window
+from .errors import (DegeneracyError, NotNormalError, WindowError, check_int, check_type,
+                     check_window)
 from .kernel import LaurentTail, Poly, X, lowest_terms, rat
 from .hptable import HPTable
 
@@ -180,6 +181,7 @@ def field_pairs(table: HPTable, N: int, M: int
 def field_from_table(table: HPTable, N: int, M: int) -> RecurrenceField:
     """All four grids on the (N+1) x (M+1) window, each entry its pair in
     ``field_pairs`` in lowest terms."""
+    check_type(table, "table", HPTable)
     grids = {kind: {key: lowest_terms(*pair) for key, pair in grid.items()}
              for kind, grid in field_pairs(table, N, M).items()}
     return RecurrenceField.from_pairs(grids, (N, M))
@@ -247,10 +249,10 @@ def m_minus_series(table: HPTable, j: int, n: int, m: int, order: int) -> Lauren
     Matches polynomial long division of the same ratio, coefficient for
     coefficient: that is the test oracle.
     """
-    if j not in (1, 2):
+    check_int(j, "branch index", 1)
+    if j > 2:
         raise WindowError(f"branch index must be 1 or 2, got {j}")
-    if order < 1:
-        raise WindowError("series order must be at least 1")
+    check_int(order, "series order", 1)
     memo: dict[tuple[int, int, int], tuple[Fraction, ...]] = {}
 
     def level(jj: int, nn: int, mm: int) -> tuple[Fraction, ...]:

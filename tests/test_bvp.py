@@ -76,7 +76,7 @@ class TestBoundaryData:
         read, source = {"field": (boundary_from_field, reference_field),
                         "moments": (boundary_from_moments, system_a),
                         "table": (boundary_from_table, HPTable(system_a, 3, 3))}[reader]
-        with pytest.raises(WindowError, match="nonnegative int"):
+        with pytest.raises(WindowError, match="boundary levels must be"):
             read(source, levels)
 
     def test_matches_jfraction_of_the_measures(self, system_a, reference_field):
@@ -458,6 +458,17 @@ class TestBoundaryFromMoments:
             assert not isinstance(got, BoundaryData)
         else:
             assert got == BoundaryData(j1.c, j1.a, j2.c, j2.a)
+
+    def test_a_zero_mass_ends_the_entries(self):
+        # a_0 = s_0 is the first entry, and a zero a_k is the last: c_0 does
+        # not exist, so the boundary names K(1, 0) = s_0 as not normal and
+        # moments_to_jfraction, which needs c_0, refuses it
+        assert measures.jfraction_entries([0, 1, 2]) == [0]
+        with pytest.raises(NotNormalError) as caught:
+            boundary_from_moments(MomentSystem((0, 1, 2), (1, 0, 1)), 0)
+        assert caught.value.index == (1, 0)
+        with pytest.raises(DegeneracyError, match="at depth 0$"):
+            moments_to_jfraction([0, 1, 2], 1)
 
     @pytest.mark.parametrize("lam", [0, 1, 4, 8])
     def test_no_elimination_and_2_lam_plus_2_moments(self, system_a, monkeypatch, lam):

@@ -127,7 +127,7 @@ def test_an_index_that_is_not_an_int_is_refused(n, k):
     qd = QdField(moments)
     for read in (qd.minor, qd.hankel, qd.vw, lambda n, k: hankel_shifted(moments, n, k),
                  lambda n, k: qd_vw(moments, n, k)):
-        with pytest.raises(WindowError, match="needs int indices"):
+        with pytest.raises(WindowError, match="Hankel block (order|shift) must be an int"):
             read(n, k)
 
 

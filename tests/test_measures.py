@@ -355,7 +355,7 @@ def plain_chebyshev(s, depth):
     Row k is read at l >= k only; prev is row k - 1."""
     s = [F(x) for x in s]
     if depth < 1:
-        raise DegeneracyError("J-fraction depth must be at least 1")
+        raise DegeneracyError(f"J-fraction depth must be at least 1, got {depth}")
     if len(s) < 2 * depth:
         raise TruncationError(f"depth {depth} needs {2 * depth} moments, have {len(s)}")
     c, a = [], []

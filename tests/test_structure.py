@@ -13,7 +13,9 @@ table and the qd field (``classical``) construct an elimination, and a
 passing ``cross_validate`` builds one table (a rule checked by running it).
 The plain oracles, and every function they call, use none of the routes'
 integer arithmetic.  The table's shared elimination is a prefix its columns
-fork from, and answers no read itself.  The command line maps every library error to its
+fork from, and answers no read itself.  An int argument meets
+``errors.check_int``; only the table's read guards test an argument's type
+inline.  The command line maps every library error to its
 exit code in one clause, through the error's class, and writes every
 document through one writer that never forms the document's whole text.  The package itself is a
 docstring: `import hplax` loads no module, and each name is imported from
@@ -24,6 +26,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from collections import defaultdict
@@ -298,3 +301,29 @@ def test_cli_catches_library_errors_in_one_clause():
               for node in ast.walk(modules()["cli"])
               if isinstance(node, ast.ExceptHandler) and node.type is not None]
     assert [names for names in caught if names] == [["HplaxError"]]
+
+
+# HPTable's read guards, which run on every table read: _check_index and the
+# memo-hit guards of minor, null_vector and subleading
+INLINE_INT_GUARDS = {("hptable", "_check_index"), ("hptable", "minor"),
+                     ("hptable", "null_vector"), ("hptable", "subleading")}
+
+
+def test_an_int_argument_meets_one_check():
+    # type(p) is not int on a parameter p is errors.check_int's test; a
+    # second copy of it drifts, as the sign-only checks it replaced did
+    offences = []
+    for name, tree in modules().items():
+        if name == "errors":
+            continue
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or (name, fn.name) in INLINE_INT_GUARDS:
+                continue
+            params = {arg.arg for arg in fn.args.posonlyargs + fn.args.args
+                      + fn.args.kwonlyargs}
+            for node in ast.walk(fn):
+                hit = (isinstance(node, ast.Compare)
+                       and re.fullmatch(r"type\((\w+)\) is not int", ast.unparse(node)))
+                if hit and hit[1] in params:
+                    offences.append(f"{name}.{fn.name} tests type({hit[1]}) (line {node.lineno})")
+    assert offences == []
