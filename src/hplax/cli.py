@@ -130,9 +130,7 @@ def _cmd_verify(args) -> int:
     n_max, m_max = args.window
     result = cross_validate(system, n_max, m_max)
     doc = {
-        "kind": "verify_report",
-        "convention": jsondoc.CONVENTION,
-        "window": [n_max, m_max],
+        **jsondoc.header("verify_report", (n_max, m_max)),
         # cross_validate raises unless the grids are equal, and the sweep's
         # field meets the consistency identities by construction
         "grids_equal": True,
@@ -159,9 +157,7 @@ def _cmd_qd(args) -> int:
             if any(classical.zcc2_residual(qd, n, k)):
                 residual_zero = False
     out = {
-        "kind": "qd_field",
-        "convention": jsondoc.CONVENTION,
-        "window": [n_max, k_max],
+        **jsondoc.header("qd_field", (n_max, k_max)),
         "v": [[jsondoc.rat_str(v) for v, _ in row] for row in grid],
         "w": [[jsondoc.rat_str(w) for _, w in row] for row in grid],
         "zcc2_residual": "zero" if residual_zero else "nonzero",

@@ -2,8 +2,14 @@
 
 Rationals are serialized as canonical lowest-term strings ("p/q", bare
 integers as "p"); grids are row-major arrays indexed [n][m]; every document
-header records the Cauchy sign convention and the window so files are
+starts with the header ``header`` writes, which records its kind, the
+Cauchy sign convention and, where it has one, the window, so files are
 self-describing and diffable.  Nothing here is ever approximate.
+
+A reader checks a document's shape: its header, the presence of its
+fields, and a list it cuts or compares.  The values go to the constructors
+(``MomentSystem``, ``JFraction``, ``MeasureModel``, ``BoundaryData``),
+which check them as they check a library caller's.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from fractions import Fraction
 from typing import Any
 
 from .bvp import BoundaryData, SweepReport
-from .errors import ParseError
+from .errors import ParseError, check_int
 from .hptable import HPTable
 from .kernel import Poly, lowest_terms, rat
 from .measures import JFraction, MeasureModel, MomentSystem
@@ -50,20 +56,34 @@ def need(doc: dict, key: str) -> Any:
     return doc[key]
 
 
-def _window(doc: dict) -> tuple[int, int]:
-    win = need(doc, "window")
-    if (not isinstance(win, list) or len(win) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0
-                       for v in win)):
-        raise ParseError(f"bad window {win!r}")
-    return win[0], win[1]
+def header(kind: str, window: tuple[int, int] | None = None) -> dict:
+    """The fields every document starts with: its kind, the sign convention
+    and, where it has one, the window."""
+    doc: dict[str, Any] = {"kind": kind, "convention": CONVENTION}
+    if window is not None:
+        doc["window"] = list(window)
+    return doc
 
 
-def _check_convention(doc: dict) -> None:
-    """Refuse a document that names a sign convention other than CONVENTION;
-    one that names none is read in it."""
+def _read_header(doc: dict, kind: str, windowed: bool = False,
+                 named: bool = True) -> tuple[int, int] | None:
+    """Refuse doc unless it is a kind document in CONVENTION, and return its
+    window where windowed: a list of two ints >= 0.  A document that names
+    no convention is read in CONVENTION, and unless named, one that names
+    no kind is read as a kind document."""
+    found = need(doc, "kind") if named else doc.get("kind", kind)
+    if found != kind:
+        raise ParseError(f"expected a {kind} document, got {found!r}")
     if doc.get("convention", CONVENTION) != CONVENTION:
         raise ParseError(f"convention {doc['convention']!r} is not {CONVENTION!r}")
+    if not windowed:
+        return None
+    win = need(doc, "window")
+    if not isinstance(win, list) or len(win) != 2:
+        raise ParseError(f"bad window {win!r}")
+    for v in win:
+        check_int(v, "window", error=ParseError)
+    return win[0], win[1]
 
 
 def _grid_rows(doc: dict, key: str, nw: int, mw: int) -> list:
@@ -80,8 +100,7 @@ def _grid_rows(doc: dict, key: str, nw: int, mw: int) -> list:
 
 def moment_system_to_doc(system: MomentSystem) -> dict:
     return {
-        "kind": "moment_system",
-        "convention": CONVENTION,
+        **header("moment_system"),
         "label": system.label,
         "count": system.count,
         "s1": [rat_str(x) for x in system.s1],
@@ -90,8 +109,7 @@ def moment_system_to_doc(system: MomentSystem) -> dict:
 
 
 def moment_system_from_doc(doc: dict) -> MomentSystem:
-    if need(doc, "kind") != "moment_system":
-        raise ParseError(f"expected a moment_system document, got {doc.get('kind')!r}")
+    _read_header(doc, "moment_system")
     s1, s2 = rat_list(need(doc, "s1")), rat_list(need(doc, "s2"))
     if len(s1) != len(s2):
         raise ParseError(f"moment sequences differ in length: {len(s1)} vs {len(s2)}")
@@ -104,9 +122,7 @@ def moment_label(doc: dict, s1: list, s2: list, default: str) -> str:
     each one present must hold what it would write, the kind, the
     convention, the count as the int length of s1 and of s2, and a string
     label."""
-    if doc.get("kind", "moment_system") != "moment_system":
-        raise ParseError(f"expected a moment_system document, got {doc['kind']!r}")
-    _check_convention(doc)
+    _read_header(doc, "moment_system", named=False)
     if "count" in doc:
         count = doc["count"]
         if type(count) is not int or count != len(s1) or count != len(s2):
@@ -124,25 +140,14 @@ def moment_label(doc: dict, s1: list, s2: list, default: str) -> str:
 def measure_from_doc(doc: dict) -> MeasureModel:
     kind = need(doc, "type")
     if kind == "interval":
-        return MeasureModel.interval(rat(need(doc, "lo")),
-                                     rat(need(doc, "hi")))
+        return MeasureModel.interval(need(doc, "lo"), need(doc, "hi"))
     if kind == "discrete":
-        atoms = need(doc, "atoms")
-        if not isinstance(atoms, list):
-            raise ParseError("discrete measure needs an atom list")
-        pairs = []
-        for entry in atoms:
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise ParseError(f"bad atom {entry!r}; expected [node, weight]")
-            pairs.append((rat(entry[0]), rat(entry[1])))
-        return MeasureModel.discrete(pairs)
+        return MeasureModel.discrete(need(doc, "atoms"))
     raise ParseError(f"unknown measure type {kind!r}")
 
 
 def jfraction_from_doc(doc: dict) -> JFraction:
-    return JFraction(tuple(rat_list(need(doc, "c"))),
-                     tuple(rat_list(need(doc, "a"))),
-                     rat(need(doc, "s0")))
+    return JFraction(need(doc, "c"), need(doc, "a"), need(doc, "s0"))
 
 
 def jfraction_to_doc(j: JFraction) -> dict:
@@ -165,13 +170,7 @@ def table_to_doc(table: HPTable, window: tuple[int, int]) -> dict:
               for n in range(nw + 1)]
     p_grid = [[_monic_str(table.null_vector(n, m)) for m in range(mw + 1)]
               for n in range(nw + 1)]
-    return {
-        "kind": "hp_table",
-        "convention": CONVENTION,
-        "window": [nw, mw],
-        "s": s_grid,
-        "p": p_grid,
-    }
+    return {**header("hp_table", window), "s": s_grid, "p": p_grid}
 
 
 def _monic_str(ints: list[int]) -> list[str]:
@@ -182,10 +181,7 @@ def _monic_str(ints: list[int]) -> list[str]:
 
 def table_from_doc(doc: dict) -> tuple[list[list[Fraction]], list[list[Poly]],
                                        tuple[int, int]]:
-    if need(doc, "kind") != "hp_table":
-        raise ParseError(f"expected an hp_table document, got {doc.get('kind')!r}")
-    _check_convention(doc)
-    nw, mw = _window(doc)
+    nw, mw = _read_header(doc, "hp_table", windowed=True)
     s_grid = [[rat(v) for v in row] for row in _grid_rows(doc, "s", nw, mw)]
     p_grid = [[Poly(tuple(rat_list(entry))) for entry in row]
               for row in _grid_rows(doc, "p", nw, mw)]
@@ -198,11 +194,7 @@ def table_from_doc(doc: dict) -> tuple[list[list[Fraction]], list[list[Poly]],
 
 def field_to_doc(field: RecurrenceField) -> dict:
     nw, mw = field.window
-    doc: dict[str, Any] = {
-        "kind": "recurrence_field",
-        "convention": CONVENTION,
-        "window": [nw, mw],
-    }
+    doc = header("recurrence_field", field.window)
     for kind in KINDS:
         doc[kind] = [[_pair_str(field.pair(kind, n, m)) for m in range(mw + 1)]
                      for n in range(nw + 1)]
@@ -210,10 +202,7 @@ def field_to_doc(field: RecurrenceField) -> dict:
 
 
 def field_from_doc(doc: dict) -> RecurrenceField:
-    if need(doc, "kind") != "recurrence_field":
-        raise ParseError(f"expected a recurrence_field document, got {doc.get('kind')!r}")
-    _check_convention(doc)
-    nw, mw = _window(doc)
+    nw, mw = _read_header(doc, "recurrence_field", windowed=True)
     grids: dict[str, dict[tuple[int, int], Fraction]] = {}
     for kind in KINDS:
         rows = _grid_rows(doc, kind, nw, mw)
@@ -227,8 +216,7 @@ def field_from_doc(doc: dict) -> RecurrenceField:
 
 def boundary_to_doc(boundary: BoundaryData) -> dict:
     return {
-        "kind": "boundary_data",
-        "convention": CONVENTION,
+        **header("boundary_data"),
         "c_row": [rat_str(x) for x in boundary.c_row],
         "a_row": [rat_str(x) for x in boundary.a_row],
         "d_col": [rat_str(x) for x in boundary.d_col],
@@ -237,22 +225,13 @@ def boundary_to_doc(boundary: BoundaryData) -> dict:
 
 
 def boundary_from_doc(doc: dict) -> BoundaryData:
-    if need(doc, "kind") != "boundary_data":
-        raise ParseError(f"expected a boundary_data document, got {doc.get('kind')!r}")
-    _check_convention(doc)
-    return BoundaryData(
-        c_row=tuple(rat_list(need(doc, "c_row"))),
-        a_row=tuple(rat_list(need(doc, "a_row"))),
-        d_col=tuple(rat_list(need(doc, "d_col"))),
-        b_col=tuple(rat_list(need(doc, "b_col"))),
-    )
+    _read_header(doc, "boundary_data")
+    return BoundaryData(*(need(doc, key) for key in ("c_row", "a_row", "d_col", "b_col")))
 
 
 def sweep_report_to_doc(report: SweepReport, window: tuple[int, int]) -> dict:
-    doc: dict[str, Any] = {
-        "kind": "sweep_report",
-        "convention": CONVENTION,
-        "window": list(window),
+    doc = {
+        **header("sweep_report", window),
         "status": "ok" if report.ok else "non_perfect_boundary",
         "divisions_checked": report.divisions_checked,
     }

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import (DegeneracyError, DisjointSupportError, PoleError, TruncationError,
-                     check_int, check_sequence)
+from .errors import (DegeneracyError, DisjointSupportError, ParseError, PoleError,
+                     TruncationError, check_int, check_sequence)
 from .kernel import Poly, Ratlike, cleared, rat, solve_exact
 
 DISCRETE = "discrete"
@@ -34,6 +34,14 @@ class MeasureModel:
 
     @staticmethod
     def discrete(atoms) -> "MeasureModel":
+        """The measure of the atoms, a sequence of (node, weight) pairs, each
+        a sequence of two values that ``kernel.rat`` accepts; anything else
+        raises ParseError."""
+        check_sequence(atoms, "discrete measure atoms")
+        for atom in atoms:
+            check_sequence(atom, f"atom {atom!r}")
+            if len(atom) != 2:
+                raise ParseError(f"bad atom {atom!r}; expected [node, weight]")
         pts = tuple((rat(t), rat(w)) for t, w in atoms)
         nodes = [t for t, _ in pts]
         if len(set(nodes)) != len(nodes):
@@ -93,15 +101,21 @@ class MomentSystem:
 
 @dataclass(frozen=True)
 class JFraction:
-    """Diagonal coefficients c_n, subdiagonal products a_(n+1), total mass s0."""
+    """Diagonal coefficients c_n, subdiagonal products a_(n+1), total mass s0.
+
+    c and a are sequences of values that ``kernel.rat`` accepts, as in
+    ``MomentSystem``; a non-sequence, or a str, bytes or bytearray, raises
+    ParseError."""
 
     c: tuple[Fraction, ...]
     a: tuple[Fraction, ...]
     s0: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "c", tuple(rat(x) for x in self.c))
-        object.__setattr__(self, "a", tuple(rat(x) for x in self.a))
+        for name in ("c", "a"):
+            seq = getattr(self, name)
+            check_sequence(seq, f"J-fraction {name}")
+            object.__setattr__(self, name, tuple(rat(x) for x in seq))
         object.__setattr__(self, "s0", rat(self.s0))
         if not self.c:
             raise DegeneracyError("J-fraction depth must be at least 1")

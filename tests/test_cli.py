@@ -501,7 +501,7 @@ EXIT_TABLE = [
     ("atoms-not-a-list", ["gen", "--system", "nikishin", "--order", "4"],
      lambda s: {"sigma1": {"type": "discrete", "atoms": "11"},
                 "sigma2": {"type": "discrete", "atoms": [["-1", "1"]]}},
-     None, 2, "parse error: discrete measure needs"),
+     None, 2, "parse error: discrete measure atoms must be a sequence"),
     ("unknown-measure-type", ["gen", "--system", "angelesco", "--order", "4"],
      lambda s: {**ANGELESCO, "mu1": {"type": "normal"}}, None, 2,
      "parse error: unknown measure type"),

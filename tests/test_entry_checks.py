@@ -1,9 +1,9 @@
 """The library's entry checks: a count, level, depth, degree or index
-meets ``errors.check_int`` where it enters, and an argument that must be one
-of the library's objects meets ``errors.check_type``.  Each call below
-returns or raises an HplaxError subclass on any argument; an argument that
-the check refuses raises the class of its site, never a bare exception and
-never a result."""
+meets ``errors.check_int`` where it enters, an argument that must be one
+of the library's objects meets ``errors.check_type``, and a sequence of
+values meets ``errors.check_sequence``.  Each call below returns or raises
+an HplaxError subclass on any argument; an argument that the check refuses
+raises the class of its site, never a bare exception and never a result."""
 
 from fractions import Fraction as F
 from typing import NamedTuple
@@ -17,7 +17,7 @@ from hplax.bvp import (boundary_from_field, boundary_from_moments, boundary_from
 from hplax.classical import QdField, cf_tail_eval, hankel_shifted, qd_vw, three_term_check
 from hplax.errors import DegeneracyError, HplaxError, ParseError, WindowError
 from hplax.hptable import HPTable
-from hplax.measures import (MeasureModel, jfraction_to_moments, make_angelesco,
+from hplax.measures import (JFraction, MeasureModel, jfraction_to_moments, make_angelesco,
                             measure_moments, moments_to_jfraction, monic_orthogonal_polys)
 from hplax.nnrr import field_from_table, m_minus_series
 
@@ -43,8 +43,13 @@ class Typed(NamedTuple):
     value: object
 
 
+class Values(NamedTuple):
+    """An argument that must be a sequence of values, such as value."""
+    value: object
+
+
 # each call: the function, then each argument as a value passed as is, a
-# Count or a Typed; one argument at a time is mutated
+# Count, a Typed or a Values; one argument at a time is mutated
 CALLS = {
     "measure_moments": (measure_moments, MeasureModel.interval(0, 1),
                         Count(error=DegeneracyError)),
@@ -66,6 +71,8 @@ CALLS = {
     "field_from_moments": (field_from_moments, Typed(SYSTEM), 1, 1),
     "field_from_table": (field_from_table, Typed(TABLE), 1, 1),
     "sweep_solve": (sweep_solve, Typed(BOUNDARY), 1, 1),
+    "JFraction": (JFraction, Values(J.c), Values(J.a), J.s0),
+    "MeasureModel.discrete": (MeasureModel.discrete, Values([(0, 1), (F(1, 2), 2)])),
 }
 
 
@@ -75,6 +82,8 @@ def int_mutations(least):
 
 
 TYPE_MUTATIONS = ["x", [1, 2], None]
+# a str or bytes would read as characters or character codes
+VALUES_MUTATIONS = ["12", b"12", 5, None]
 
 
 @st.composite
@@ -83,7 +92,7 @@ def calls(draw):
     arguments mutated; with the class that must refuse it, if any."""
     name = draw(st.sampled_from(sorted(CALLS)))
     fn, *spec = CALLS[name]
-    checked = [i for i, arg in enumerate(spec) if isinstance(arg, (Count, Typed))]
+    checked = [i for i, arg in enumerate(spec) if isinstance(arg, (Count, Typed, Values))]
     mutated = draw(st.sampled_from([None] + checked))
     args, refused_by = [], None
     for i, arg in enumerate(spec):
@@ -94,9 +103,10 @@ def calls(draw):
             else:
                 most = arg.least + 2 if arg.most is None else arg.most
                 args.append(draw(st.integers(arg.least, most)))
-        elif isinstance(arg, Typed):
+        elif isinstance(arg, (Typed, Values)):
             if i == mutated:
-                args.append(draw(st.sampled_from(TYPE_MUTATIONS)))
+                mutations = TYPE_MUTATIONS if isinstance(arg, Typed) else VALUES_MUTATIONS
+                args.append(draw(st.sampled_from(mutations)))
                 refused_by = ParseError
             else:
                 args.append(arg.value)

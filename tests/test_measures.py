@@ -230,21 +230,39 @@ class TestIntegerPowerSums:
         assert same(jfraction_to_moments(j, count), tridiagonal_oracle(j, count))
 
 
+# each sequence a constructor reads, and inputs that are not sequences of
+# values; those the constructors must refuse with ParseError
+SEQUENCE_READS = {
+    "MomentSystem-s1": lambda bad: MomentSystem(bad, (1, 2)),
+    "MomentSystem-s2": lambda bad: MomentSystem((1, 2), bad),
+    "JFraction-c": lambda bad: JFraction(bad, (1,), 1),
+    "JFraction-a": lambda bad: JFraction((1, 2), bad, 1),
+    "discrete-atoms": MeasureModel.discrete,
+    "discrete-atom": lambda bad: MeasureModel.discrete([(0, 1), bad]),
+}
+NOT_SEQUENCES = [1, 5, None, {1, 2}, "12", "ab", b"12", bytearray(b"12")]
+
+
 class TestMomentSystem:
     def test_length_mismatch(self):
         with pytest.raises(DegeneracyError):
             MomentSystem((F(1),), (F(1), F(2)))
 
-    @pytest.mark.parametrize("bad", [1, None, {1, 2}, "12", b"12", bytearray(b"12")],
-                             ids=repr)
-    def test_a_sequence_that_is_not_one_is_a_parse_error(self, bad):
+    @pytest.mark.parametrize("build, bad, match", [
+        *[pytest.param(build, bad, "must be a sequence", id=f"{name}-{bad!r}")
+          for name, build in SEQUENCE_READS.items() for bad in NOT_SEQUENCES],
+        pytest.param(MeasureModel.discrete, [1, 2], "atom 1 must be a sequence",
+                     id="discrete-[1, 2]"),
+        pytest.param(MeasureModel.discrete, [(1,)],
+                     r"bad atom \(1,\); expected \[node, weight\]", id="discrete-[(1,)]"),
+        pytest.param(MeasureModel.discrete, [(0, 1, 2)], "bad atom", id="discrete-[(0, 1, 2)]")])
+    def test_a_sequence_that_is_not_one_is_a_parse_error(self, build, bad, match):
         # refused where it enters, before any value is read; a str is a
         # Sequence of characters, so "12" would read as the moments (1, 2),
-        # and the bytes types would read as character codes
-        with pytest.raises(ParseError, match="must be a sequence"):
-            MomentSystem(bad, (1, 2))
-        with pytest.raises(ParseError, match="must be a sequence"):
-            MomentSystem((1, 2), bad)
+        # the J-fraction c = (1, 2) or, as an atom, node 1 of weight 2, and
+        # the bytes types would read as character codes
+        with pytest.raises(ParseError, match=match):
+            build(bad)
 
     @pytest.mark.parametrize("bad", ["a", "1/0", [1], None, float("inf")], ids=repr)
     def test_a_value_that_is_not_a_rational_is_a_parse_error(self, bad):
@@ -313,6 +331,8 @@ class TestJFraction:
         MeasureModel.interval(-2, -1),
         MeasureModel.discrete([(0, F(1, 3)), (1, F(1, 3)), (3, F(1, 3))]),
         MeasureModel.discrete([(F(-1, 2), 2), (F(5, 7), 1), (4, F(2, 3)), (6, 1)]),
+        # a tuple of tuples of Fractions, as the benchmark's workloads pass
+        MeasureModel.discrete(((F(-1, 2), F(2)), (F(5, 7), F(1)), (F(4), F(2, 3)))),
     ])
     def test_roundtrip(self, measure):
         moments = measure_moments(measure, 10)

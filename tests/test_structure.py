@@ -15,11 +15,12 @@ The plain oracles, and every function they call, use none of the routes'
 integer arithmetic.  The table's shared elimination is a prefix its columns
 fork from, and answers no read itself.  An int argument meets
 ``errors.check_int``; only the table's read guards test an argument's type
-inline.  The command line maps every library error to its
-exit code in one clause, through the error's class, and writes every
-document through one writer that never forms the document's whole text.  The package itself is a
-docstring: `import hplax` loads no module, and each name is imported from
-the module that defines it.
+inline.  One helper, ``jsondoc.header``, writes every document's kind and
+convention, and only jsondoc names the convention.  The command line maps
+every library error to its exit code in one clause, through the error's
+class, and writes every document through one writer that never forms the
+document's whole text.  The package itself is a docstring: `import hplax`
+loads no module, and each name is imported from the module that defines it.
 """
 
 import ast
@@ -326,4 +327,25 @@ def test_an_int_argument_meets_one_check():
                        and re.fullmatch(r"type\((\w+)\) is not int", ast.unparse(node)))
                 if hit and hit[1] in params:
                     offences.append(f"{name}.{fn.name} tests type({hit[1]}) (line {node.lineno})")
+    assert offences == []
+
+
+def test_one_helper_writes_the_document_header():
+    # jsondoc.header writes the kind, the convention and the window of every
+    # document, and jsondoc alone names the convention; a second copy of the
+    # header could drift from it
+    trees = modules()
+    own = {id(node) for helper in trees["jsondoc"].body
+           if isinstance(helper, ast.FunctionDef) and helper.name == "header"
+           for node in ast.walk(helper)}
+    offences = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Dict) and id(node) not in own
+                    and any(isinstance(key, ast.Constant) and key.value in ("kind", "convention")
+                            for key in node.keys)):
+                offences.append(f"{name} writes a header (line {node.lineno})")
+            if name != "jsondoc" and "CONVENTION" in (getattr(node, "id", None),
+                                                      getattr(node, "attr", None)):
+                offences.append(f"{name} names CONVENTION (line {node.lineno})")
     assert offences == []
