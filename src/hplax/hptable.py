@@ -11,10 +11,12 @@ max_n + max_m + 1 columns wide, one column per power of x.  It divides each
 column c of the block by its content gamma_c (the gcd of its entries), then
 each row r by its content rho_r, 1 for an all-zero line: on moments with
 common factors, such as interval moments, this can halve the bit length of
-the integers every elimination step and back substitution works on.  Column m of the
-table is a fraction-free elimination with row exchanges
-(``kernel.LeadingMinors``) of the block's rows [s2 shifts 0..m-1, s1 shifts
-0..], max_n + m + 1 columns wide, the degree of the column's deepest P.
+the integers every elimination step and back substitution works on.  The
+cleared moments and the block are built on the first read that needs them
+(``_build``), not with the table.  Column m of the table is a
+fraction-free elimination with row exchanges (``kernel.LeadingMinors``) of
+the block's rows [s2 shifts 0..m-1, s1 shifts 0..], max_n + m + 1 columns
+wide, the degree of the column's deepest P.
 The contents are positive, so its zero pivots, exchanges and signs are those
 of the unreduced rows, and its leading minor of order n + m times
 prod rho1[:n] prod rho2[:m] prod gamma[:n + m] is K(n, m) = (-1)^(nm) D1^n
@@ -47,6 +49,21 @@ The normalisations h1(n, m) = L1[x^n P(n, m)] and h2(n, m) = L2[x^m P(n, m)]
 are pairings too (``lax3.normalization_grid``); the tests check them against
 the ratios of neighbouring determinants h1 = (-1)^m S(n+1, m) / S(n, m) and
 h2 = S(n, m+1) / S(n, m).
+
+The table document is written from a third route, the nearest-neighbour
+steps of ``step_grids``, with the eliminations as its oracle.  Subtracting
+the two nearest-neighbour recurrences gives P(n, m+1) = P(n+1, m) + (c -
+d)(n, m) P(n, m).  Column 0, the orthogonal polynomials of s1, comes from
+the three-term recurrence, and each column m + 1 from column m by that step,
+its gap read off two s2 pairings (``_step_triangle``).  Every P is a
+primitive integer vector, one gcd each, and S is the running product of
+the normalisations h1(n, 0) down column 0 and h2(n, m) along each row.  For
+m_max > n_max the steps run on (s2, s1), so the triangle they fill is
+n_max + m_max + 1 tall and min(n_max, m_max) + 1 wide.  Where a divisor
+vanishes (a zero S on that triangle) or the moments are too short for it,
+``step_grids`` gives None and the document reads the eliminations, which
+raise where they raise.  The eliminations stay the route of ``coeffs`` and
+``verify``, which read minors and O(1) subleading pairs, not null vectors.
 """
 
 from __future__ import annotations
@@ -55,12 +72,12 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import (DegeneracyError, IntegrityError, NotNormalError, TruncationError,
                      WindowError, check_int, check_type, check_window)
 from .kernel import (LaurentTail, LeadingMinors, Poly, SharedPrefix, cleared,
-                     poly_from_series_product, settle, solve_exact)
+                     lowest_terms, poly_from_series_product, settle, solve_exact)
 from .measures import MomentSystem, hankel_row
 
 
@@ -86,6 +103,15 @@ class HPTable:
         self._k: dict[tuple[int, int], int] = {}
         self._p_ints: dict[tuple[int, int], list[int]] = {}
         self._sub: dict[tuple[int, int], tuple[int, int]] = {}
+        self._columns: dict[int, LeadingMinors] = {}
+        self._shared: SharedPrefix | None = None
+
+    def _build(self) -> None:
+        """Build the cleared moments, the content-reduced block's shared
+        prefix and the contents.  ``_column`` calls it before its first fork,
+        and every other read of them follows a column read, so a table whose
+        reads all come from ``step_grids`` builds none of them."""
+        moments, max_n, max_m = self.moments, self.max_n, self.max_m
         # D_j s_j over the moments the window reaches, P pairings included
         self._c1, self._d1 = cleared(moments.s1[:2 * max_n + max_m + 1])
         self._c2, self._d2 = cleared(moments.s2[:max_n + 2 * max_m + 1])
@@ -102,8 +128,6 @@ class HPTable:
         rhos = [gcd(*row) or 1 for row in block]
         block = [[x // rho for x in row] if rho > 1 else row
                  for rho, row in zip(rhos, block)]
-        self._shared = SharedPrefix(block.__getitem__, width)
-        self._columns: dict[int, LeadingMinors] = {}
         # the contents, built once: prod rho1[:n], prod rho2[:m],
         # prod gamma[:k] and lcm(gamma_0 .. gamma_k)
         self._rho1 = list(accumulate(rhos[max_m:], mul, initial=1))
@@ -111,6 +135,7 @@ class HPTable:
         self._gamma_prod = list(accumulate(gammas, mul, initial=1))
         self._gamma_lcm = list(accumulate(gammas, lcm))
         self._gammas = gammas
+        self._shared = SharedPrefix(block.__getitem__, width)
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -130,6 +155,8 @@ class HPTable:
         first m rows and its s1 rows, forked from its steps before its first
         zero pivot among those m rows on the column's first read."""
         if m not in self._columns:
+            if self._shared is None:
+                self._build()
             self._columns[m] = self._shared.fork(m, self.max_m, self.max_n + m + 1)
         return self._columns[m]
 
@@ -160,6 +187,39 @@ class HPTable:
 
     def is_normal(self, n: int, m: int) -> bool:
         return self.s_det(n, m) != 0
+
+    # -- the table document's route -----------------------------------------
+
+    def step_grids(self, n_max: int, m_max: int
+                   ) -> tuple[list[list[tuple[int, int]]], list[list[list[int]]]] | None:
+        """The grids over the window (n_max, m_max), indexed [n][m], of S(n,
+        m) as its pair (num, den) in lowest terms with den > 0 and of P(n, m)
+        as a primitive integer vector, by the nearest-neighbour steps of
+        ``_step_triangle``, with no elimination.  None where the steps do not
+        reach: a window that is not a pair of ints inside this table's, fewer
+        than 2 (n_max + m_max) moments, or a vanishing divisor (a zero S on
+        the step triangle).  Then the reads of ``s_pair`` and ``null_vector``
+        give the grids, and raise where they raise.  The steps run along the
+        longer side: for m_max > n_max on (s2, s1), whose S'(m, n) is
+        (-1)^(nm) S(n, m) and whose P'(m, n) is P(n, m)."""
+        try:
+            self._check_index(n_max, m_max)
+        except WindowError:
+            return None
+        if self.moments.count < 2 * (n_max + m_max):
+            return None
+        s1, s2 = self.moments.s1, self.moments.s2
+        if n_max >= m_max:
+            grids = _step_triangle(s1, s2, n_max, m_max)
+            if grids is None:
+                return None
+            return tuple([list(row) for row in zip(*grid)] for grid in grids)
+        grids = _step_triangle(s2, s1, m_max, n_max)
+        if grids is None:
+            return None
+        s, p = grids
+        return [[(-num, den) if n * m % 2 else (num, den)
+                 for m, (num, den) in enumerate(row)] for n, row in enumerate(s)], p
 
     # -- the two polynomial routes ----------------------------------------
 
@@ -291,3 +351,73 @@ class HPTable:
     def orthogonality_residuals(self, n: int, m: int) -> tuple[list[Fraction], list[Fraction]]:
         """Pairings of P(n, m) with the first monomials; all must vanish."""
         return self._pairings(1, n, m, range(n)), self._pairings(2, n, m, range(m))
+
+
+def _primitive(v: list[int]) -> list[int]:
+    """v over its content, the gcd of its entries; v must not vanish."""
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
+def _step_triangle(sa: Sequence[Fraction], sb: Sequence[Fraction], big: int, small: int
+                   ) -> tuple[list[list[tuple[int, int]]], list[list[list[int]]]] | None:
+    """The grids, indexed [m][n], m <= small and n <= big, of S(n, m) as a
+    pair in lowest terms and of P(n, m) as a primitive integer vector, for
+    the system (sa, sb); None at the first vanishing divisor.  sa must hold
+    the 2 (big + small) moments and sb the big + 2 small moments it reads.
+
+    With c1 = D1 sa and c2 = D2 sb cleared over those prefixes, and u_j(v)
+    = sum_i v_i c1[j + i] (w_j(v) the same with c2), column 0 holds the
+    orthogonal polynomials of sa, V_0 = 1, V_1 = A x - B and, for 0 < n <
+    big + small, by the three-term recurrence
+
+        V_(n+1) ~ A C x V_n - (B C - A E) V_n - A^2 V_(n-1),
+
+    where A = u_n(V_n), B = u_(n+1)(V_n), and C and E are the A and B of
+    step n - 1; S(n + 1, 0) = S(n, 0) A / (lead(V_n) D1), the factor h1(n,
+    0).  Column m + 1, to n = big + small - m - 1, follows from column m by
+    the nearest-neighbour step P(n, m + 1) = P(n + 1, m) + (c - d)(n, m)
+    P(n, m), whose gap is read off two pairings, alpha_n = w_m(W_n) for the
+    vectors W_n of column m:
+
+        V(n, m + 1) ~ alpha_n W_(n+1) - alpha_(n+1) W_n,
+
+    and S(n, m + 1) = S(n, m) alpha_n / (lead(W_n) D2), the factor h2(n, m).
+    The divisors are the A of column 0 and the alpha_n, n < big + small -
+    m, of column m; each vanishes exactly where the S it leads to does.
+    Each new vector is divided by its content, one gcd.
+    """
+    top = big + small
+    c1, d1 = cleared(sa[:2 * top])
+    c2, d2 = cleared(sb[:big + 2 * small])
+    column = [[1]]
+    s_column = [(1, 1)]
+    a_prev = b_prev = 0
+    for n in range(top):
+        v = column[-1]
+        a = sum(map(mul, v, c1[n:2 * n + 1]))
+        if not a:
+            return None
+        b = sum(map(mul, v, c1[n + 1:2 * n + 2]))
+        if n:
+            p, q, r = a * a_prev, b * a_prev - a * b_prev, a * a
+            new = [p * x - q * y - r * z
+                   for x, y, z in zip([0] + v, v + [0], column[-2] + [0, 0])]
+        else:
+            new = [-b, a]
+        if n < big:
+            num, den = s_column[-1]
+            s_column.append(lowest_terms(num * a, den * v[-1] * d1))
+        column.append(_primitive(new))
+        a_prev, b_prev = a, b
+    s_grid, p_grid = [s_column], [column[:big + 1]]
+    for m in range(small):
+        alphas = [sum(map(mul, w, c2[m:m + len(w)])) for w in column]
+        if not all(alphas[:-1]):
+            return None
+        s_grid.append([lowest_terms(num * alpha, den * w[-1] * d2)
+                       for (num, den), alpha, w in zip(s_grid[-1], alphas, column)])
+        column = [_primitive([alpha * x - after * y for x, y in zip(w1, w0 + [0])])
+                  for alpha, after, w0, w1 in zip(alphas, alphas[1:], column, column[1:])]
+        p_grid.append(column[:big + 1])
+    return s_grid, p_grid

@@ -160,16 +160,25 @@ def jfraction_to_doc(j: JFraction) -> dict:
 
 
 def table_to_doc(table: HPTable, window: tuple[int, int]) -> dict:
-    """The S and P grids of table over window, each entry's text made from
-    the table's integers: S(n, m) from ``HPTable.s_pair``, each coefficient
-    of P(n, m) from its null vector over the vector's last entry, so no
-    Fraction or Poly is formed.  The whole S grid is read before any P, and
-    P row by row, so the first error is that of reading S and then P."""
+    """The S and P grids of table over window.  They come from the table's
+    nearest-neighbour steps (``HPTable.step_grids``), each coefficient of
+    P(n, m) as text from its primitive vector over the vector's last entry.
+    Where the steps do not reach, each entry's text is made from the
+    column eliminations' integers: S(n, m) from ``HPTable.s_pair``, P(n, m)
+    from its null vector, so no Fraction or Poly is formed.  Those read the
+    whole S grid before any P, and P row by row, so the first error is that
+    of reading S and then P."""
     nw, mw = window
-    s_grid = [[ratio_str(*table.s_pair(n, m)) for m in range(mw + 1)]
-              for n in range(nw + 1)]
-    p_grid = [[_monic_str(table.null_vector(n, m)) for m in range(mw + 1)]
-              for n in range(nw + 1)]
+    grids = table.step_grids(nw, mw)
+    if grids is not None:
+        s_pairs, vectors = grids
+        s_grid = [[_pair_str(pair) for pair in row] for row in s_pairs]
+        p_grid = [[_monic_str(v) for v in row] for row in vectors]
+    else:
+        s_grid = [[ratio_str(*table.s_pair(n, m)) for m in range(mw + 1)]
+                  for n in range(nw + 1)]
+        p_grid = [[_monic_str(table.null_vector(n, m)) for m in range(mw + 1)]
+                  for n in range(nw + 1)]
     return {**header("hp_table", window), "s": s_grid, "p": p_grid}
 
 

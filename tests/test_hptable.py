@@ -1,19 +1,25 @@
+import contextlib
+import io
+import json
 import random
 import sys
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hplax import hptable, kernel, measures
+from hplax import hptable, jsondoc, kernel, measures
 from hplax.bvp import cross_validate, field_from_moments
+from hplax.cli import main
 from hplax.errors import (HplaxError, IntegrityError, NotNormalError, TruncationError,
                           WindowError)
 from hplax.hptable import HPTable
-from hplax.kernel import LaurentTail, Poly, SharedPrefix, X, det_exact
+from hplax.kernel import LaurentTail, LeadingMinors, Poly, SharedPrefix, X, det_exact
 from hplax.lax3 import NormalizationGrid, normalization_grid
-from hplax.measures import MeasureModel, MomentSystem, make_angelesco, make_nikishin
+from hplax.measures import (MeasureModel, MomentSystem, make_angelesco, make_nikishin,
+                            measure_moments)
 from hplax.nnrr import field_from_table
 
 
@@ -404,13 +410,16 @@ class TestContentReducedBlock:
 
     def test_nikishin_contents_are_one(self, table_nik):
         # integer atoms: every line of the cleared block has content 1, so
-        # the scale-back multiplies by 1 and the null vectors are unscaled
+        # the scale-back multiplies by 1 and the null vectors are unscaled;
+        # the contents are built on the table's first read
+        table_nik.minor(0, 0)
         for prods in (table_nik._rho1, table_nik._rho2, table_nik._gamma_prod):
             assert all(x.bit_length() == 1 for x in prods)
 
     def test_a_read_past_the_block_raises(self, system_a):
         # the block holds s2 shifts 0..2 and s1 shifts 0..3: seven rows
         table = HPTable(system_a, 4, 3)
+        table.minor(0, 0)       # the block is built on the table's first read
         assert len(table._shared._read(6)) == 8
         with pytest.raises(IndexError):
             table._shared._read(7)
@@ -805,3 +814,182 @@ class TestZeroLocalization:
                 p = table_a.hp_poly_det(n, m)
                 assert count_sign_changes(p, F(-2), F(-1)) >= n
                 assert count_sign_changes(p, F(1), F(2)) >= m
+
+
+# -- the table document's steps ---------------------------------------------------
+
+
+def step_triangle(N, M):
+    """The indices whose S the steps of an (N, M) window divide by: n + m <=
+    N + M, with m <= M for N >= M and n <= N otherwise."""
+    top = N + M
+    return [(n, m) for n in range(top + 1) for m in range(top + 1 - n)
+            if (m <= M if N >= M else n <= N)]
+
+
+def steps_reach(system, N, M):
+    """Whether the steps fill the (N, M) window: 2 (N + M) moments and no
+    zero S on the step triangle, by the column eliminations of a wide table."""
+    if system.count < 2 * (N + M):
+        return False
+    table = HPTable(system, N + M, N + M)
+    return all(table.minor(n, m) for n, m in step_triangle(N, M))
+
+
+def table_outcome(system, window):
+    """The exit code, stdout and stderr of `hplax table` on system at window
+    by the column eliminations' reads: the S grid first, then P row by row,
+    each entry's text the str of its Fraction, and the first error raised."""
+    N, M = window
+    table = HPTable(system, N, M)
+    try:
+        s = [[str(table.s_det(n, m)) for m in range(M + 1)] for n in range(N + 1)]
+        p = [[[str(c) for c in table.hp_poly_det(n, m).coeffs] for m in range(M + 1)]
+             for n in range(N + 1)]
+    except HplaxError as exc:
+        return exc.exit_code, "", f"{exc.label}: {exc}\n"
+    doc = {"kind": "hp_table", "convention": "cauchy", "window": [N, M], "s": s, "p": p}
+    return 0, json.dumps(doc, indent=2) + "\n", ""
+
+
+def run_table(directory, system, window):
+    """The exit code, stdout and stderr of an in-process `hplax table` call."""
+    path = directory / "system.json"
+    path.write_text(json.dumps(jsondoc.moment_system_to_doc(system)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["table", "--in", str(path), "--window", *map(str, window)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def count_elimination_work(monkeypatch):
+    """Counts, from here on, of the column eliminations' fraction-free steps
+    and of the shared prefixes built."""
+    work = {"steps": 0, "prefixes": 0}
+    step, init = LeadingMinors._step, SharedPrefix.__init__
+
+    def counting_step(*args):
+        work["steps"] += 1
+        step(*args)
+
+    def counting_init(self, *args):
+        work["prefixes"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(LeadingMinors, "_step", staticmethod(counting_step))
+    monkeypatch.setattr(SharedPrefix, "__init__", counting_init)
+    return work
+
+
+@st.composite
+def step_cases(draw):
+    """A window up to (4, 4), either side the longer, and an Angelesco,
+    Nikishin or zero-laden small-integer system holding from one moment
+    fewer than the bordered depth of P(N, M) to two more than the steps
+    read."""
+    N, M = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    count = draw(st.integers(max(max(2 * N + M, N + 2 * M) - 1, 0), 2 * (N + M) + 2))
+    kind = draw(st.sampled_from(["angelesco", "nikishin", "integers"]))
+    if kind == "angelesco":
+        lo1, hi1, lo2, hi2 = sorted(draw(st.lists(small_rationals, min_size=4,
+                                                  max_size=4, unique=True)))
+        system = make_angelesco(MeasureModel.interval(lo1, hi1),
+                                MeasureModel.interval(lo2, hi2), count)
+    elif kind == "nikishin":
+        nodes1 = draw(st.lists(st.integers(1, 9), min_size=1, max_size=9, unique=True))
+        nodes2 = draw(st.lists(st.integers(-9, -1), min_size=1, max_size=5, unique=True))
+        system = make_nikishin(MeasureModel.discrete([(x, 1) for x in nodes1]),
+                               MeasureModel.discrete([(x, F(1, 2)) for x in nodes2]),
+                               count)
+    else:
+        system = MomentSystem(*(draw(st.lists(small_ints, min_size=count,
+                                              max_size=count)) for _ in range(2)))
+    return (N, M), system
+
+
+def two_atoms_and_an_interval(count, swapped=False):
+    """s1 of the atoms 1 and 2, whose S(n, 0) vanishes from n = 3 on, and s2
+    of Lebesgue on [-2, -1]; with swapped, the other way round."""
+    atoms = measure_moments(MeasureModel.discrete([(1, 1), (2, 1)]), count)
+    interval = measure_moments(MeasureModel.interval(-2, -1), count)
+    return MomentSystem(interval, atoms) if swapped else MomentSystem(atoms, interval)
+
+
+# each planted case: the system and a window where the steps do not reach
+PLANTED_FALLBACKS = {
+    # S(0, 2) = 0 inside the window: P(0, 2) is not normal
+    "zero-inside": lambda: (MomentSystem(PINNED_S1, PINNED_S2), (3, 3)),
+    # S(3, 0) = 0, on the step triangle of (2, 2) but outside the window
+    "zero-outside": lambda: (two_atoms_and_an_interval(10), (2, 2)),
+    # S(0, 3) = 0, on the triangle of the steps on (s2, s1) for (1, 2)
+    "zero-outside-swapped": lambda: (two_atoms_and_an_interval(10, swapped=True), (1, 2)),
+    # P(3, 3) reads 9 moments, the steps 12
+    "short": lambda: (make_angelesco(MeasureModel.interval(-2, -1),
+                                     MeasureModel.interval(1, 2), 10), (3, 3)),
+}
+
+
+class TestTableSteps:
+    """The table document's nearest-neighbour steps against the column
+    eliminations, their oracle: the same S and P where the steps reach, the
+    same document bytes, exit code and stderr everywhere, and a fallback to
+    the eliminations only on a vanishing divisor or short moments."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(step_cases())
+    @example(((3, 3), MomentSystem(PINNED_S1, PINNED_S2)))
+    # S(2, 1) = 0, one level past the step triangle of (1, 1): the steps reach
+    @example(((1, 1), MomentSystem((1, 2, 1, 2), (1, 0, 1, 2))))
+    def test_steps_meet_the_eliminations(self, case):
+        (N, M), system = case
+        table = HPTable(system, N, M)
+        grids = table.step_grids(N, M)
+        assert (grids is not None) == steps_reach(system, N, M)
+        if grids is None:
+            return
+        for n in range(N + 1):
+            for m in range(M + 1):
+                (num, den), v = grids[0][n][m], grids[1][n][m]
+                assert (num, den) == kernel.lowest_terms(*table.s_pair(n, m)), (n, m)
+                u = table.null_vector(n, m)
+                assert [F(x, v[-1]) for x in v] == [F(x, u[-1]) for x in u], (n, m)
+                assert gcd(*v) == 1, (n, m)
+
+    @settings(max_examples=50, deadline=None)
+    @given(step_cases())
+    def test_document_meets_the_eliminations(self, tmp_path_factory, case):
+        window, system = case
+        directory = tmp_path_factory.mktemp("steps")
+        assert run_table(directory, system, window) == table_outcome(system, window)
+
+    @pytest.mark.parametrize("case", list(PLANTED_FALLBACKS))
+    def test_a_planted_case_falls_back(self, monkeypatch, tmp_path, case):
+        system, window = PLANTED_FALLBACKS[case]()
+        assert HPTable(system, *window).step_grids(*window) is None
+        work = count_elimination_work(monkeypatch)
+        got = run_table(tmp_path, system, window)
+        assert work["steps"] > 0 and work["prefixes"] == 1
+        assert got == table_outcome(system, window)
+        if case == "zero-inside":
+            assert got[0] == NotNormalError.exit_code
+            assert got[2] == "not normal: index (0, 2) is not normal\n"
+        else:
+            assert got[0] == 0
+
+    @pytest.mark.parametrize("window", [(4, 4), (2, 5), (0, 0), (0, 3), (3, 0)])
+    def test_a_normal_window_takes_no_elimination_step(self, monkeypatch, tmp_path,
+                                                       system_a, window):
+        # (2, 5) takes the steps on (s2, s1); the table builds no block
+        work = count_elimination_work(monkeypatch)
+        got = run_table(tmp_path, system_a, window)
+        assert work == {"steps": 0, "prefixes": 0}
+        assert got == table_outcome(system_a, window)
+
+    def test_the_block_is_built_on_the_first_read_that_needs_it(self, system_a):
+        block = {"_c1", "_d1", "_c2", "_d2", "_rho1", "_rho2", "_gamma_prod",
+                 "_gamma_lcm", "_gammas"}
+        table = HPTable(system_a, 4, 4)
+        assert table.step_grids(4, 4) is not None
+        assert table._shared is None and not block & vars(table).keys()
+        table.s_pair(1, 1)
+        assert table._shared is not None and block <= vars(table).keys()
